@@ -1,13 +1,12 @@
 (* Comparator over BENCH_repro.json / SERVICE_repro.json artifacts —
    the bench-regression gate. Records are matched by (exp, algo, n,
    occurrence); a comparison FAILS when the new artifact regresses
-   steps or rounds by more than [steps_tol] (default 10%), wall_ns by
-   more than [wall_tol] (default 25%), or — where both records carry a
-   qps (the serve-bench tier) — drops throughput by more than [qps_tol]
-   (default 30%). steps/rounds are deterministic for a pinned seed, so
-   any drift there is a semantic change, not noise; wall_ns and qps are
-   wall-clock measurements and the tolerances absorb machine variance
-   (the @smoke/@servebench wiring passes much larger ones — see
+   steps or rounds by more than [steps_tol] (default 10%). steps/rounds
+   are deterministic for a pinned seed, so any drift there is a
+   semantic change, not noise. wall_ns and qps are single wall-clock
+   samples: they are printed for the reader but never gate, because
+   under a parallel build they swing by several hundred percent (timing
+   is gated by `bench/perf compare` on repeated samples — see
    PERFORMANCE.md). Improvements never fail.
 
    Service artifacts load through the same record shape: cells are
@@ -164,7 +163,7 @@ let ratio old_v new_v =
   if old_v = 0 then if new_v = 0 then 1.0 else infinity
   else float_of_int new_v /. float_of_int old_v
 
-let compare_one ~steps_tol ~wall_tol ~qps_tol ckey old_r new_r =
+let compare_one ~steps_tol ckey old_r new_r =
   let breaches = ref [] in
   let check name old_v new_v tol =
     let r = ratio old_v new_v in
@@ -177,19 +176,6 @@ let compare_one ~steps_tol ~wall_tol ~qps_tol ckey old_r new_r =
   in
   check "steps" old_r.steps new_r.steps steps_tol;
   check "rounds" old_r.rounds new_r.rounds steps_tol;
-  check "wall_ns" old_r.wall_ns new_r.wall_ns wall_tol;
-  (* qps is a throughput: a breach is a drop, not a growth. Only
-     compared when both records carry it (the serve-bench tier). *)
-  (match (old_r.qps, new_r.qps) with
-  | Some o, Some nw when o > 0 ->
-      let r = float_of_int nw /. float_of_int o in
-      if r < 1.0 -. qps_tol then
-        breaches :=
-          Printf.sprintf "qps %d -> %d (%.1f%% drop > %.0f%% tolerance)" o nw
-            ((1.0 -. r) *. 100.)
-            (qps_tol *. 100.)
-          :: !breaches
-  | _ -> ());
   let verdict =
     match List.rev !breaches with
     | _ :: _ as b -> Regressed b
@@ -201,15 +187,14 @@ let compare_one ~steps_tol ~wall_tol ~qps_tol ckey old_r new_r =
   in
   { ckey; old_r; new_r; verdict }
 
-let diff ?(steps_tol = 0.10) ?(wall_tol = 0.25) ?(qps_tol = 0.30) ~old_records
-    ~new_records () =
+let diff ?(steps_tol = 0.10) ~old_records ~new_records () =
   let old_k = keyed old_records and new_k = keyed new_records in
   let find k l = List.find_opt (fun (k', _) -> k' = k) l in
   let comparisons =
     List.filter_map
       (fun (k, o) ->
         match find k new_k with
-        | Some (_, n) -> Some (compare_one ~steps_tol ~wall_tol ~qps_tol k o n)
+        | Some (_, n) -> Some (compare_one ~steps_tol k o n)
         | None -> None)
       old_k
   in

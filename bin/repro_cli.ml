@@ -403,7 +403,7 @@ let sweep_cmd =
        $ jobs_arg))
 
 let bench_diff_cmd =
-  let diff old_path new_path steps_tol wall_tol qps_tol require_identical =
+  let diff old_path new_path steps_tol require_identical =
     if require_identical then
       (* Schema-agnostic identity gate for parallel-campaign artifacts:
          same seeds at different --jobs must agree in every field except
@@ -427,8 +427,7 @@ let bench_diff_cmd =
       | Error msg, _ | _, Error msg -> `Error (false, msg)
       | Ok old_records, Ok new_records ->
           let report =
-            Repro_bench.Diff.diff ~steps_tol:(pct steps_tol) ~wall_tol:(pct wall_tol)
-              ~qps_tol:(pct qps_tol) ~old_records ~new_records ()
+            Repro_bench.Diff.diff ~steps_tol:(pct steps_tol) ~old_records ~new_records ()
           in
           Format.printf "%a" Repro_bench.Diff.pp_report report;
           if report.Repro_bench.Diff.comparisons = [] then
@@ -462,24 +461,6 @@ let bench_diff_cmd =
             "Allowed regression in steps and rounds, percent (they are \
              deterministic for a pinned seed, so any growth is a semantic change).")
   in
-  let wall_tol_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "wall-tol" ] ~docv:"PCT"
-          ~doc:
-            "Allowed regression in wall_ns, percent. CPU time is noisy across \
-             machines; the smoke gate passes 400 to only catch catastrophic \
-             slowdowns deterministically.")
-  in
-  let qps_tol_arg =
-    Arg.(
-      value & opt int 30
-      & info [ "qps-tol" ] ~docv:"PCT"
-          ~doc:
-            "Allowed drop in qps (serve-bench throughput), percent. Like wall_ns it \
-             is a wall-clock measurement; the @servebench gate passes 400 to only \
-             catch catastrophic slowdowns deterministically.")
-  in
   let require_identical_arg =
     Arg.(
       value & flag
@@ -493,13 +474,12 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two BENCH_repro.json or SERVICE_repro.json artifacts; exit 1 on \
-          steps/rounds/wall_ns/qps regression beyond tolerance (or, with \
-          --require-identical, on any non-wall difference).")
+         "Compare two BENCH_repro.json or SERVICE_repro.json artifacts; exit 1 on a \
+          steps/rounds regression beyond tolerance (or, with --require-identical, on \
+          any non-wall difference). wall_ns and qps are printed, never gated.")
     Term.(
       ret
-        (const diff $ old_arg $ new_arg $ steps_tol_arg $ wall_tol_arg $ qps_tol_arg
-       $ require_identical_arg))
+        (const diff $ old_arg $ new_arg $ steps_tol_arg $ require_identical_arg))
 
 let chaos_cmd =
   let module Campaign = Repro_campaign.Campaign in

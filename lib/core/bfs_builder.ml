@@ -2,12 +2,24 @@ module Graph = Repro_graph.Graph
 module Traversal = Repro_graph.Traversal
 module View = Repro_runtime.View
 
+(* The local certificate of bfs_builder.mli: the layer's own, then one
+   pass over the CSR — the [verify] PLS at every node plus a neighbor
+   one hop closer at every non-root. *)
 let is_bfs_tree g sts =
   St_layer.is_legal g sts
   &&
-  let d = Traversal.bfs_distances g ~src:0 in
-  let ok = ref true in
-  Array.iteri (fun v (s : St_layer.t) -> if s.dist <> d.(v) then ok := false) sts;
+  let row = Graph.csr_row g and col = Graph.csr_col g in
+  let ok = ref true and v = ref 0 in
+  while !ok && !v < Graph.n g do
+    let d = sts.(!v).St_layer.dist in
+    let closer = ref (!v = 0) in
+    for i = row.(!v) to row.(!v + 1) - 1 do
+      let du = sts.(col.(i)).St_layer.dist in
+      if du < d - 1 then ok := false else if du = d - 1 then closer := true
+    done;
+    if not !closer then ok := false;
+    incr v
+  done;
   !ok
 
 let potential g sts =

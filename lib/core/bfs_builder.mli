@@ -34,5 +34,15 @@ val potential : Repro_graph.Graph.t -> St_layer.t array -> int
 val verify : St_layer.t Repro_runtime.View.t -> bool
 
 (** [is_bfs_tree g sts] — global legality: a spanning tree rooted at the
-    min-id node with [dist] equal to the true graph distances. *)
+    min-id node with [dist] equal to the true graph distances.
+
+    It is decided by a local certificate in one O(n+m) pass, with no
+    reference BFS: {!St_layer.is_legal} (itself local), then on every
+    edge [{u,v}] [|dist(u) − dist(v)| <= 1] (the {!verify} PLS at both
+    ends), and every [v <> 0] has a graph neighbor with [dist(v) − 1].
+    {e Equivalence:} the edge bound and [dist(0) = 0] give [dist(v) <=
+    d(v)] along a shortest path; following closer neighbors from [v]
+    reaches a [dist]-0 node, which the layer pins to node 0, in [dist(v)]
+    hops, so [d(v) <= dist(v)]; true distances satisfy both conditions.
+    As before, parents need not be graph neighbors. *)
 val is_bfs_tree : Repro_graph.Graph.t -> St_layer.t array -> bool

@@ -4,27 +4,63 @@ module Space = Repro_runtime.Space
 
 type state = { parent : int; root : int; wdist : int; hops : int }
 
+(* Lazy-deletion Dijkstra over the CSR with a binary min-heap of
+   (key, node) pairs held in two int arrays. With non-negative weights
+   every node is settled once and every push follows a strict
+   improvement along one directed edge, so 2m + 1 slots suffice. *)
 let dijkstra g ~src =
   let n = Graph.n g in
+  let row = Graph.csr_row g and col = Graph.csr_col g and wgt = Graph.csr_wgt g in
   let dist = Array.make n max_int in
-  let module Q = Set.Make (struct
-    type t = int * int (* dist, node *)
-
-    let compare = compare
-  end) in
-  let q = ref (Q.singleton (0, src)) in
+  let cap = Array.length col + 1 in
+  let hk = Array.make cap 0 and hv = Array.make cap 0 in
+  let size = ref 0 in
+  let push k v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && hk.((!i - 1) / 2) > k do
+      let p = (!i - 1) / 2 in
+      hk.(!i) <- hk.(p);
+      hv.(!i) <- hv.(p);
+      i := p
+    done;
+    hk.(!i) <- k;
+    hv.(!i) <- v
+  in
+  (* Drop the root: sift the last pair down from slot 0. *)
+  let pop () =
+    decr size;
+    let k = hk.(!size) and v = hv.(!size) in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let c = (2 * !i) + 1 in
+      if c >= !size then continue := false
+      else begin
+        let c = if c + 1 < !size && hk.(c + 1) < hk.(c) then c + 1 else c in
+        if hk.(c) < k then begin
+          hk.(!i) <- hk.(c);
+          hv.(!i) <- hv.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    hk.(!i) <- k;
+    hv.(!i) <- v
+  in
   dist.(src) <- 0;
-  while not (Q.is_empty !q) do
-    let ((d, u) as elt) = Q.min_elt !q in
-    q := Q.remove elt !q;
+  push 0 src;
+  while !size > 0 do
+    let d = hk.(0) and u = hv.(0) in
+    pop ();
     if d = dist.(u) then
-      Array.iter
-        (fun (v, w) ->
-          if d + w < dist.(v) then begin
-            dist.(v) <- d + w;
-            q := Q.add (d + w, v) !q
-          end)
-        (Graph.neighbors g u)
+      for i = row.(u) to row.(u + 1) - 1 do
+        let v = col.(i) and nd = d + wgt.(i) in
+        if nd < dist.(v) then begin
+          dist.(v) <- nd;
+          push nd v
+        end
+      done
   done;
   dist
 
@@ -118,21 +154,29 @@ module P = struct
       if equal_state fresh s then None else Some fresh
     end
 
+  (* The local certificate of spt_builder.mli, no heap: a first pass
+     bounds every [wdist] by the total weight (true distances obey it),
+     so the edge sums of the second pass cannot overflow. *)
   let is_legal g sts =
-    let n = Graph.n g in
-    let d = dijkstra g ~src:0 in
-    let parent = Array.map (fun s -> s.parent) sts in
-    Repro_graph.Tree.check_parents ~root:0 parent
+    let n = Graph.n g and bound = Graph.total_weight g in
+    Array.length sts = n
+    && Repro_graph.Tree.check_parents ~root:0 (Array.map (fun s -> s.parent) sts)
+    && sts.(0).wdist = 0
+    && Array.for_all (fun s -> s.root = 0 && s.wdist >= 0 && s.wdist <= bound) sts
     &&
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      let s = sts.(v) in
-      if s.root <> 0 || s.wdist <> d.(v) then ok := false;
-      if v <> 0 then begin
-        match Graph.find_edge g v s.parent with
-        | Some e -> if d.(s.parent) + e.Graph.Edge.w <> d.(v) then ok := false
-        | None -> ok := false
-      end
+    let row = Graph.csr_row g and col = Graph.csr_col g and wgt = Graph.csr_wgt g in
+    let ok = ref true and v = ref 0 in
+    while !ok && !v < n do
+      let s = sts.(!v) in
+      let tight = ref (!v = 0) in
+      for i = row.(!v) to row.(!v + 1) - 1 do
+        let u = col.(i) in
+        let via = sts.(u).wdist + wgt.(i) in
+        if via < s.wdist then ok := false
+        else if u = s.parent && via = s.wdist then tight := true
+      done;
+      if not !tight then ok := false;
+      incr v
     done;
     !ok
 

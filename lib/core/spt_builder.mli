@@ -27,13 +27,26 @@ module Packed : Repro_runtime.Protocol.PACKED with type state = state
 
 module Engine_packed : module type of Repro_runtime.Engine_packed.Make (Packed)
 
-(** Weighted single-source distances (Dijkstra) from node 0 — the legality
-    reference. *)
+(** Weighted single-source distances from [src]: Dijkstra with an int
+    binary heap over the CSR arrays. It backs the potential ({!potential},
+    [watch_phi], telemetry, the greedy daemons); legality no longer needs
+    it. Edge weights must be non-negative. *)
 val dijkstra : Repro_graph.Graph.t -> src:int -> int array
 
-(** Global legality: spanning tree rooted at node 0 whose [wdist] fields
-    are the exact weighted distances and whose parent edges realize
-    them. *)
+(** Global legality ([P.is_legal]): spanning tree rooted at node 0, every
+    [root] 0, whose [wdist] fields are the exact weighted distances and
+    whose parent edges (graph edges) realize them. [hops] is not
+    constrained.
+
+    It is decided by a local certificate in one O(n+m) pass, with no
+    reference Dijkstra: the parents pass [Tree.check_parents] for root 0,
+    [wdist(0) = 0], every [root = 0], every tree edge is tight
+    ([wdist(p) + w(v,p) = wdist(v)], so the parent is a graph neighbor),
+    and no edge relaxes ([wdist(u) + w >= wdist(v)], the Bellman-Ford
+    certificate above). {e Equivalence} (non-negative weights): tight
+    tree edges make [wdist(v)] the weight of a real path, so [wdist(v) >=
+    d(v)]; no relaxing edge and [wdist(0) = 0] give [wdist(v) <= d(v)]
+    along a shortest path; true distances satisfy every condition. *)
 val is_spt : Repro_graph.Graph.t -> state array -> bool
 
 (** The potential [Σ_v |wdist(v) − dist_w(v)|], capped per node. *)

@@ -185,17 +185,22 @@ let step_packed (pv : Repro_runtime.Pview.t) ~keep_shape =
     not (mv.(0) = s_parent && mv.(1) = s_root && mv.(2) = s_dist)
   end
 
+(* The local certificate of st_layer.mli, one pass over the registers. *)
 let is_legal g sts =
   let n = Graph.n g in
   Array.length sts = n
+  && sts.(0).parent = -1
+  && sts.(0).dist = 0
   &&
-  let parent = Array.map (fun s -> s.parent) sts in
-  Tree.check_parents ~root:0 parent
-  &&
-  let t = Tree.of_parents ~root:0 parent in
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    if sts.(v).root <> 0 || sts.(v).dist <> Tree.depth t v then ok := false
+  let ok = ref true and v = ref 0 in
+  while !ok && !v < n do
+    let s = sts.(!v) in
+    if s.root <> 0 then ok := false
+    else if !v > 0 then begin
+      let p = s.parent in
+      if p < 0 || p >= n || s.dist <> sts.(p).dist + 1 then ok := false
+    end;
+    incr v
   done;
   !ok
 

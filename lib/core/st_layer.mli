@@ -59,8 +59,18 @@ val unpack : int array -> t
     convention). Equivalence with {!step} is a qcheck property. *)
 val step_packed : Repro_runtime.Pview.t -> keep_shape:bool -> bool
 
-(** [is_legal g sts] — global legality of the layer (spanning tree rooted
-    at the min-id node with correct root/dist fields). *)
+(** [is_legal g sts] — global legality of the layer: the parents form a
+    spanning tree rooted at node 0 (the min id), every [root] is 0, and
+    [dist] is the tree depth. Parents need not be graph neighbors.
+
+    It is decided by a local certificate in one O(n) pass: [parent(0) =
+    -1], [dist(0) = 0], every [root = 0], and for [v <> 0],
+    [0 <= parent(v) < n] with [dist(v) = dist(parent(v)) + 1].
+    {e Equivalence:} [dist] drops by exactly one per parent step, so no
+    parent chain can cycle and each must stop at the only node without an
+    in-range parent, node 0, whose [dist] is 0 — so the chains form a
+    tree rooted at 0 and [dist] counts the steps, i.e. the depth; the
+    converse is immediate. *)
 val is_legal : Repro_graph.Graph.t -> t array -> bool
 
 (** [tree_of g sts] — the encoded tree, when legal. *)

@@ -129,12 +129,14 @@ let find_edge g u v =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental edits (the service layer's churn path, see
-   lib/service/topology.mli). Edge edits patch the adjacency rows of the
-   two endpoints and rebuild the flat CSR mirror with one linear pass —
-   no re-sorting, no duplicate-detection hash pass — and are pinned
+   lib/service/topology.mli). Every edit patches only the adjacency rows
+   it touches and rebuilds the flat CSR mirror with one linear pass (a
+   reweight only copies the weights) — no re-sorting, no
+   duplicate-detection hash pass — and is pinned
    byte-identical to [of_edges] from scratch on the same edge set by a
-   qcheck property (test_graph). Node edits change [n], so they go back
-   through [of_edge_list]. *)
+   qcheck property (test_graph). Node edits also resize the row array:
+   a join appends a row, a leave moves the swap-renamed row into the
+   hole. *)
 
 let check_endpoint ~what g x =
   if x < 0 || x >= g.n then
@@ -166,9 +168,22 @@ let remove_sorted row u =
   done;
   fresh
 
-let patched g ~adj ~edges ~total_w =
-  let csr_row, csr_col, csr_wgt = csr_of_adj g.n adj in
-  { n = g.n; edges; adj; csr_row; csr_col; csr_wgt; total_w }
+(* Fresh row with its final entry — neighbor [n-1], the highest id, so
+   always last — renamed to [v] and moved to its sorted slot. *)
+let rename_last row v =
+  let len = Array.length row in
+  let fresh = Array.make len (v, snd row.(len - 1)) in
+  let i = ref 0 in
+  while !i < len - 1 && fst row.(!i) < v do
+    fresh.(!i) <- row.(!i);
+    incr i
+  done;
+  Array.blit row !i fresh (!i + 1) (len - 1 - !i);
+  fresh
+
+let patched ~n ~adj ~edges ~total_w =
+  let csr_row, csr_col, csr_wgt = csr_of_adj n adj in
+  { n; edges; adj; csr_row; csr_col; csr_wgt; total_w }
 
 let add_edge g u v w =
   check_endpoint ~what:"add_edge" g u;
@@ -180,7 +195,7 @@ let add_edge g u v w =
   let adj = Array.copy g.adj in
   adj.(e.Edge.u) <- insert_sorted adj.(e.Edge.u) e.Edge.v w;
   adj.(e.Edge.v) <- insert_sorted adj.(e.Edge.v) e.Edge.u w;
-  patched g ~adj ~edges:(Array.append g.edges [| e |]) ~total_w:(g.total_w + w)
+  patched ~n:g.n ~adj ~edges:(Array.append g.edges [| e |]) ~total_w:(g.total_w + w)
 
 let remove_edge g u v =
   check_endpoint ~what:"remove_edge" g u;
@@ -196,7 +211,7 @@ let remove_edge g u v =
         Array.of_list
           (List.filter (fun x -> not (Edge.equal x e)) (Array.to_list g.edges))
       in
-      patched g ~adj ~edges ~total_w:(g.total_w - w)
+      patched ~n:g.n ~adj ~edges ~total_w:(g.total_w - w)
 
 let reweight_edge g u v w =
   check_endpoint ~what:"reweight_edge" g u;
@@ -215,7 +230,18 @@ let reweight_edge g u v w =
       adj.(e.Edge.u) <- replace adj.(e.Edge.u) e.Edge.v;
       adj.(e.Edge.v) <- replace adj.(e.Edge.v) e.Edge.u;
       let edges = Array.map (fun x -> if Edge.equal x e_old then e else x) g.edges in
-      patched g ~adj ~edges ~total_w:(g.total_w - old_w + w)
+      (* The CSR shape is unchanged: share [csr_row]/[csr_col] (never
+         mutated) and copy only the weights — at n = 10⁵ that halves what
+         a reweight allocates, and with it the major-GC work it paces. *)
+      let csr_wgt = Array.copy g.csr_wgt in
+      let set a b =
+        for i = g.csr_row.(a) to g.csr_row.(a + 1) - 1 do
+          if g.csr_col.(i) = b then csr_wgt.(i) <- w
+        done
+      in
+      set u v;
+      set v u;
+      { g with edges; adj; csr_wgt; total_w = g.total_w - old_w + w }
 
 let add_node g anchors =
   if anchors = [] then
@@ -228,8 +254,14 @@ let add_node g anchors =
         invalid_arg (Printf.sprintf "Graph.add_node: duplicate anchor %d" a);
       Hashtbl.add seen a ())
     anchors;
-  of_edge_list (g.n + 1)
-    (Array.to_list g.edges @ List.map (fun (a, w) -> Edge.make a g.n w) anchors)
+  (* The fresh id [g.n] is the largest, so it goes last in every anchor
+     row; its own row is the anchors sorted by neighbor. *)
+  let id = g.n in
+  let adj = Array.append g.adj [| Array.of_list (List.sort compare anchors) |] in
+  List.iter (fun (a, w) -> adj.(a) <- Array.append adj.(a) [| (id, w) |]) anchors;
+  let added = Array.of_list (List.map (fun (a, w) -> Edge.make a id w) anchors) in
+  let total_w = List.fold_left (fun acc (_, w) -> acc + w) g.total_w anchors in
+  patched ~n:(id + 1) ~adj ~edges:(Array.append g.edges added) ~total_w
 
 let remove_node g v =
   check_endpoint ~what:"remove_node" g v;
@@ -237,14 +269,25 @@ let remove_node g v =
   (* Swap-remove: the highest id takes the vacated slot, keeping ids
      contiguous; edges incident to [v] disappear with it. *)
   let last = g.n - 1 in
-  let rename x = if x = last then v else x in
-  let edges =
-    Array.to_list g.edges
-    |> List.filter_map (fun (e : Edge.t) ->
-           if e.u = v || e.v = v then None
-           else Some (Edge.make (rename e.u) (rename e.v) e.w))
-  in
-  of_edge_list (g.n - 1) edges
+  let adj = Array.sub g.adj 0 last in
+  Array.iter (fun (x, _) -> if x <> last then adj.(x) <- remove_sorted adj.(x) v) g.adj.(v);
+  if v <> last then begin
+    let moved = g.adj.(last) in
+    adj.(v) <- (if has_edge g v last then remove_sorted moved v else moved);
+    Array.iter (fun (y, _) -> if y <> v then adj.(y) <- rename_last adj.(y) v) moved
+  end;
+  let m' = Array.length g.edges - Array.length g.adj.(v) in
+  let edges = if m' = 0 then [||] else Array.make m' g.edges.(0) in
+  let j = ref 0 in
+  Array.iter
+    (fun (e : Edge.t) ->
+      if not (Edge.mem e v) then begin
+        edges.(!j) <- (if e.v = last then Edge.make e.u v e.w else e);
+        incr j
+      end)
+    g.edges;
+  let total_w = Array.fold_left (fun acc (_, w) -> acc - w) g.total_w g.adj.(v) in
+  patched ~n:last ~adj ~edges ~total_w
 
 let fold_edges f init g = Array.fold_left (fun acc e -> f e acc) init g.edges
 let iter_edges f g = Array.iter f g.edges

@@ -49,11 +49,17 @@ val of_edge_list : int -> Edge.t list -> t
 (** {1 Incremental edits}
 
     The churn path of service mode (lib/service): each edit returns a
-    fresh graph sharing untouched adjacency rows with the old one. The
-    result is guaranteed byte-identical — [edges] order, [csr_row] /
-    [csr_col] / [csr_wgt], [total_weight] — to {!of_edges} applied from
-    scratch to the edited edge set with adds appended last (pinned by a
-    qcheck property in test_graph). Edits never check connectivity;
+    fresh graph sharing untouched adjacency rows with the old one. Every
+    edit, node joins and leaves included, patches only the touched rows
+    and then rebuilds the CSR mirror in one O(n+m) pass (a reweight
+    keeps the CSR shape and copies only the weights); none goes back
+    through {!of_edge_list}'s duplicate hash and row sorts. The
+    result is guaranteed byte-identical — [edges] order, every
+    {!neighbors} row, [csr_row] / [csr_col] / [csr_wgt], [total_weight]
+    — to {!of_edges} applied from scratch to the edited edge set with
+    adds appended last, deletes filtered out in place and a leave's
+    renamed edges kept at their old positions (pinned by a qcheck
+    property in test_graph). Edits never check connectivity;
     callers that need a connected result (the service layer does) must
     validate first — see [Topology.check].
 

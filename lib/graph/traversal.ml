@@ -76,7 +76,27 @@ let components g =
   done;
   (!count, comp)
 
-let is_connected g = fst (components g) = 1
+(* One BFS from node 0 over the CSR arrays with an int-array queue: the
+   churn path asks this once per delete or leave at every n. *)
+let is_connected g =
+  let n = Graph.n g in
+  let row = Graph.csr_row g and col = Graph.csr_col g in
+  let seen = Bytes.make n '\000' and queue = Array.make n 0 in
+  Bytes.set seen 0 '\001';
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for i = row.(u) to row.(u + 1) - 1 do
+      let x = col.(i) in
+      if Bytes.get seen x = '\000' then begin
+        Bytes.set seen x '\001';
+        queue.(!tail) <- x;
+        incr tail
+      end
+    done
+  done;
+  !tail = n
 
 let eccentricity g v =
   let dist = bfs_distances g ~src:v in

@@ -20,6 +20,9 @@ val dfs_order : Graph.t -> src:int -> int array * int array
     index of [v] (indices are [0 .. count-1]). *)
 val components : Graph.t -> int * int array
 
+(** [is_connected g] is [components g] having one component, computed
+    by a single O(n+m) BFS over the CSR arrays (it is on the churn path,
+    see [Topology.check]). *)
 val is_connected : Graph.t -> bool
 
 (** Exact diameter (max eccentricity) by running BFS from every node.

@@ -24,20 +24,27 @@ let check_edge_pair op g u v =
   let* () = check_node op g v "endpoint" in
   if u = v then err op "self-loop on node %d" u else Ok ()
 
-let check g (op : Churn.op) =
+(* Validate [op], build the edited graph once, and check connectivity on
+   that very graph when the op can disconnect: [check] and [apply] both
+   go through here, so an accepted op costs one O(n+m) edit. *)
+let edit g (op : Churn.op) =
   match op with
-  | Churn.Add_edge (u, v, _) ->
+  | Churn.Add_edge (u, v, w) ->
       let* () = check_edge_pair op g u v in
-      if Graph.has_edge g u v then err op "duplicate edge {%d,%d}" u v else Ok ()
+      if Graph.has_edge g u v then err op "duplicate edge {%d,%d}" u v
+      else Ok (Graph.add_edge g u v w, Unchanged)
   | Churn.Del_edge (u, v) ->
       let* () = check_edge_pair op g u v in
       if not (Graph.has_edge g u v) then err op "edge {%d,%d} absent" u v
-      else if not (Traversal.is_connected (Graph.remove_edge g u v)) then
-        err op "deleting edge {%d,%d} disconnects the graph" u v
-      else Ok ()
-  | Churn.Reweight (u, v, _) ->
+      else
+        let g' = Graph.remove_edge g u v in
+        if not (Traversal.is_connected g') then
+          err op "deleting edge {%d,%d} disconnects the graph" u v
+        else Ok (g', Unchanged)
+  | Churn.Reweight (u, v, w) ->
       let* () = check_edge_pair op g u v in
-      if not (Graph.has_edge g u v) then err op "edge {%d,%d} absent" u v else Ok ()
+      if not (Graph.has_edge g u v) then err op "edge {%d,%d} absent" u v
+      else Ok (Graph.reweight_edge g u v w, Unchanged)
   | Churn.Join anchors ->
       if anchors = [] then err op "a join needs at least one anchor"
       else
@@ -56,26 +63,22 @@ let check g (op : Churn.op) =
         in
         (match dup sorted with
         | Some a -> err op "duplicate anchor %d" a
-        | None -> Ok ())
+        | None -> Ok (Graph.add_node g anchors, Grow (Graph.n g)))
   | Churn.Leave v ->
       let* () = check_node op g v "node" in
       if Graph.n g <= 1 then err op "cannot remove the last node"
-      else if not (Traversal.is_connected (Graph.remove_node g v)) then
-        err op "removing node %d disconnects the graph" v
-      else Ok ()
+      else
+        let g' = Graph.remove_node g v in
+        if not (Traversal.is_connected g') then
+          err op "removing node %d disconnects the graph" v
+        else Ok (g', Swap { removed = v; renamed_from = Graph.n g - 1 })
+
+let check g op = Result.map ignore (edit g op)
 
 (* ------------------------------------------------------------------ *)
 (* Application *)
 
-let apply g (op : Churn.op) =
-  (match check g op with Ok () -> () | Error msg -> invalid_arg msg);
-  match op with
-  | Churn.Add_edge (u, v, w) -> (Graph.add_edge g u v w, Unchanged)
-  | Churn.Del_edge (u, v) -> (Graph.remove_edge g u v, Unchanged)
-  | Churn.Reweight (u, v, w) -> (Graph.reweight_edge g u v w, Unchanged)
-  | Churn.Join anchors -> (Graph.add_node g anchors, Grow (Graph.n g))
-  | Churn.Leave v ->
-      (Graph.remove_node g v, Swap { removed = v; renamed_from = Graph.n g - 1 })
+let apply g op = match edit g op with Ok r -> r | Error msg -> invalid_arg msg
 
 let migrate states mig ~fresh =
   match mig with

@@ -10,6 +10,13 @@
     all rejected with a descriptive error. {!apply} checks first and
     raises [Invalid_argument] with the same message.
 
+    {b Cost.} {!check} and {!apply} share one edit function: it builds
+    the edited graph once (an O(n+m) {!Repro_graph.Graph} edit) and, for
+    the two ops that can disconnect — an edge delete and a leave — runs
+    one O(n+m) connectivity scan on that same graph. {!check} therefore
+    costs as much as {!apply}, and {!apply} needs no {!check} before
+    it.
+
     {b Migration.} Surviving nodes keep their registers verbatim across
     an edit — stale contents (a parent edge that no longer exists, a
     renamed neighbor) are exactly the arbitrary registers

@@ -623,6 +623,231 @@ let prop_bfs_self_stabilizes =
       let r = BE.run g (Scheduler.Central Scheduler.Lifo_adversary) st ~init:(BE.adversarial st g) in
       r.BE.silent && Bfs_builder.is_bfs_tree g r.BE.states)
 
+(* ------------------------------------------------------------------ *)
+(* Legality oracles: the global definitions the local certificates of
+   St_layer / Bfs_builder / Spt_builder replaced, kept verbatim (a tree
+   build, a reference BFS, a Set-based Dijkstra). *)
+
+let old_st_is_legal g (sts : St_layer.t array) =
+  let n = Graph.n g in
+  Array.length sts = n
+  &&
+  let parent = Array.map (fun (s : St_layer.t) -> s.parent) sts in
+  Tree.check_parents ~root:0 parent
+  &&
+  let t = Tree.of_parents ~root:0 parent in
+  let ok = ref true in
+  for v = 0 to n - 1 do
+    if sts.(v).root <> 0 || sts.(v).dist <> Tree.depth t v then ok := false
+  done;
+  !ok
+
+let old_is_bfs_tree g sts =
+  old_st_is_legal g sts
+  &&
+  let d = Traversal.bfs_distances g ~src:0 in
+  let ok = ref true in
+  Array.iteri (fun v (s : St_layer.t) -> if s.dist <> d.(v) then ok := false) sts;
+  !ok
+
+let set_dijkstra g ~src =
+  let n = Graph.n g in
+  let dist = Array.make n max_int in
+  let module Q = Set.Make (struct
+    type t = int * int (* dist, node *)
+
+    let compare = compare
+  end) in
+  let q = ref (Q.singleton (0, src)) in
+  dist.(src) <- 0;
+  while not (Q.is_empty !q) do
+    let ((d, u) as elt) = Q.min_elt !q in
+    q := Q.remove elt !q;
+    if d = dist.(u) then
+      Array.iter
+        (fun (v, w) ->
+          if d + w < dist.(v) then begin
+            dist.(v) <- d + w;
+            q := Q.add (d + w, v) !q
+          end)
+        (Graph.neighbors g u)
+  done;
+  dist
+
+let old_spt_is_legal g (sts : Spt_builder.state array) =
+  let n = Graph.n g in
+  let d = set_dijkstra g ~src:0 in
+  let parent = Array.map (fun (s : Spt_builder.state) -> s.parent) sts in
+  Tree.check_parents ~root:0 parent
+  &&
+  let ok = ref true in
+  for v = 0 to n - 1 do
+    let s = sts.(v) in
+    if s.root <> 0 || s.wdist <> d.(v) then ok := false;
+    if v <> 0 then begin
+      match Graph.find_edge g v s.parent with
+      | Some e -> if d.(s.parent) + e.Graph.Edge.w <> d.(v) then ok := false
+      | None -> ok := false
+    end
+  done;
+  !ok
+
+(* Inputs for the exactness property: a random connected graph — half
+   the time re-weighted into 0..3 so shortest paths tie and zero-weight
+   cycles exist — and configurations that are adversarial, legal, or
+   legal-shaped (a random spanning tree with consistent fields), each
+   with 0-3 perturbed registers. *)
+let exactness_graph rng =
+  let n = 1 + Random.State.int rng 12 in
+  let g =
+    Generators.random_connected rng ~n ~m:(n - 1 + Random.State.int rng (n + 1))
+  in
+  if Random.State.bool rng then g
+  else
+    Graph.of_edges n
+      (Array.to_list (Graph.edges g)
+      |> List.map (fun (e : E.t) -> (e.E.u, e.E.v, Random.State.int rng 4)))
+
+(* A random spanning tree over graph edges (random frontier growth from
+   0), as a parent array plus the order nodes joined it. *)
+let random_graph_tree rng g =
+  let n = Graph.n g in
+  let parent = Array.make n (-1) and inside = Array.make n false in
+  let order = Array.make n 0 in
+  inside.(0) <- true;
+  for k = 1 to n - 1 do
+    let frontier =
+      Graph.fold_edges
+        (fun (e : E.t) acc ->
+          if inside.(e.E.u) <> inside.(e.E.v) then e :: acc else acc)
+        [] g
+    in
+    let e = List.nth frontier (Random.State.int rng (List.length frontier)) in
+    let u, v = if inside.(e.E.u) then (e.E.u, e.E.v) else (e.E.v, e.E.u) in
+    parent.(v) <- u;
+    inside.(v) <- true;
+    order.(k) <- v
+  done;
+  (parent, order)
+
+let st_configuration rng g =
+  let n = Graph.n g in
+  let sts =
+    match Random.State.int rng 4 with
+    | 0 -> Array.init n (fun _ -> St_layer.random rng ~n)
+    | 1 ->
+        let d = Traversal.bfs_distances g ~src:0 and p = Traversal.bfs_tree g ~src:0 in
+        Array.init n (fun v -> { St_layer.parent = p.(v); root = 0; dist = d.(v) })
+    | _ ->
+        (* A random tree, its parents not necessarily graph neighbors. *)
+        let order = Array.init n Fun.id in
+        for i = n - 1 downto 2 do
+          let j = 1 + Random.State.int rng i in
+          let x = order.(i) in
+          order.(i) <- order.(j);
+          order.(j) <- x
+        done;
+        let sts = Array.make n (St_layer.self_root 0) in
+        for i = 1 to n - 1 do
+          let p = order.(Random.State.int rng i) in
+          sts.(order.(i)) <- { St_layer.parent = p; root = 0; dist = sts.(p).dist + 1 }
+        done;
+        sts
+  in
+  for _ = 1 to Random.State.int rng 4 do
+    let v = Random.State.int rng n in
+    let s = sts.(v) in
+    let x = Random.State.int rng n in
+    sts.(v) <-
+      (match Random.State.int rng 5 with
+      | 0 -> { s with parent = Random.State.int rng (n + 2) - 1 }
+      | 1 -> { s with dist = s.dist + [| -2; -1; 1; 2 |].(Random.State.int rng 4) }
+      | 2 -> { s with root = (if s.root = 0 then 1 + Random.State.int rng n else 0) }
+      | 3 -> { s with parent = x; dist = sts.(x).dist + 1 }
+      | _ -> { s with dist = (if Random.State.bool rng then max_int else min_int) })
+  done;
+  sts
+
+let spt_configuration rng g =
+  let n = Graph.n g in
+  let sts : Spt_builder.state array =
+    match Random.State.int rng 3 with
+    | 0 -> Array.init n (fun v -> Spt_builder.P.random_state rng g v)
+    | 1 ->
+        (* A shortest-path tree: grow over tight edges only, so zero
+           weights cannot close a parent cycle. *)
+        let d = set_dijkstra g ~src:0 in
+        let sts = Array.make n (Spt_builder.P.initial g 0) in
+        let seen = Array.make n false and q = Queue.create () in
+        seen.(0) <- true;
+        Queue.add 0 q;
+        while not (Queue.is_empty q) do
+          let u = Queue.pop q in
+          Array.iter
+            (fun (v, w) ->
+              if (not seen.(v)) && d.(u) + w = d.(v) then begin
+                seen.(v) <- true;
+                sts.(v) <- { parent = u; root = 0; wdist = d.(v); hops = sts.(u).hops + 1 };
+                Queue.add v q
+              end)
+            (Graph.neighbors g u)
+        done;
+        sts
+    | _ ->
+        (* Any spanning tree of graph edges with tight (path-sum) wdist. *)
+        let parent, order = random_graph_tree rng g in
+        let sts = Array.make n (Spt_builder.P.initial g 0) in
+        Array.iteri
+          (fun k v ->
+            if k > 0 then
+              let p = parent.(v) in
+              sts.(v) <-
+                {
+                  parent = p;
+                  root = 0;
+                  wdist = sts.(p).wdist + Graph.weight g v p;
+                  hops = sts.(p).hops + 1;
+                })
+          order;
+        sts
+  in
+  for _ = 1 to Random.State.int rng 4 do
+    let v = Random.State.int rng n in
+    let s = sts.(v) in
+    let x = Random.State.int rng n in
+    sts.(v) <-
+      (match Random.State.int rng 5 with
+      | 0 -> { s with parent = Random.State.int rng (n + 2) - 1 }
+      | 1 -> { s with wdist = s.wdist + [| -2; -1; 1; 2 |].(Random.State.int rng 4) }
+      | 2 -> { s with root = (if s.root = 0 then 1 + Random.State.int rng n else 0) }
+      | 3 ->
+          let w =
+            match Graph.find_edge g v x with
+            | Some e -> e.E.w
+            | None -> Random.State.int rng 4
+          in
+          { s with parent = x; wdist = sts.(x).wdist + w }
+      | _ -> { s with hops = Random.State.int rng (n + 1) })
+  done;
+  sts
+
+let prop_legality_certificates_exact =
+  prop "local legality certificates = old global definitions" 4000 gen_small_graph
+    (fun (a, b, s) ->
+      let rng = Random.State.make [| a; b; s; 29 |] in
+      let g = exactness_graph rng in
+      let ok = ref (Spt_builder.dijkstra g ~src:0 = set_dijkstra g ~src:0) in
+      let src = Random.State.int rng (Graph.n g) in
+      if Spt_builder.dijkstra g ~src <> set_dijkstra g ~src then ok := false;
+      for _ = 1 to 4 do
+        let sts = st_configuration rng g in
+        if St_layer.is_legal g sts <> old_st_is_legal g sts then ok := false;
+        if Bfs_builder.is_bfs_tree g sts <> old_is_bfs_tree g sts then ok := false;
+        let spt = spt_configuration rng g in
+        if Spt_builder.P.is_legal g spt <> old_spt_is_legal g spt then ok := false
+      done;
+      !ok)
+
 let () =
   (* Deterministic property tests: fix the qcheck master seed. *)
   QCheck_base_runner.set_seed 20260704;
@@ -682,5 +907,6 @@ let () =
           prop_mst_builder_self_stabilizes;
           prop_mdst_builder_converges;
           prop_bfs_self_stabilizes;
+          prop_legality_certificates_exact;
         ] );
     ]

@@ -102,6 +102,72 @@ let test_edit_nodes () =
   Alcotest.(check int) "n" 4 (Graph.n g3);
   Alcotest.(check int) "m" 5 (Graph.m g3)
 
+(* The node edits as they were before they patched rows in place —
+   whole rebuilds through [of_edge_list] — kept as oracles. *)
+let old_add_node g anchors =
+  Graph.of_edge_list (Graph.n g + 1)
+    (Array.to_list (Graph.edges g) @ List.map (fun (a, w) -> E.make a (Graph.n g) w) anchors)
+
+let old_remove_node g v =
+  let last = Graph.n g - 1 in
+  let rename x = if x = last then v else x in
+  let edges =
+    Array.to_list (Graph.edges g)
+    |> List.filter_map (fun (e : E.t) ->
+           if e.E.u = v || e.E.v = v then None
+           else Some (E.make (rename e.E.u) (rename e.E.v) e.E.w))
+  in
+  Graph.of_edge_list (Graph.n g - 1) edges
+
+(* Everything a caller can observe of a graph, in a comparable form:
+   edge order (Churn picks edges by index), every neighbors row, the
+   CSR mirror and the total weight. *)
+let edge_triples g =
+  Array.to_list (Graph.edges g) |> List.map (fun (e : E.t) -> (e.E.u, e.E.v, e.E.w))
+
+let observe g =
+  ( Graph.n g,
+    edge_triples g,
+    Array.init (Graph.n g) (Graph.neighbors g),
+    (Graph.csr_row g, Graph.csr_col g, Graph.csr_wgt g),
+    Graph.total_weight g )
+
+let check_same_graph name expected actual =
+  Alcotest.(check bool) name true (observe expected = observe actual)
+
+let test_edit_leave_highest () =
+  let g = fixture () in
+  let g' = Graph.remove_node g 4 in
+  check_same_graph "= old rebuild" (old_remove_node g 4) g';
+  Alcotest.(check (list (triple int int int)))
+    "edges keep their order, none renamed"
+    [ (0, 1, 1); (1, 2, 2); (0, 2, 3); (2, 3, 5); (0, 3, 7) ]
+    (edge_triples g');
+  Alcotest.(check (array (pair int int))) "row 3" [| (0, 7); (2, 5) |] (Graph.neighbors g' 3)
+
+let test_edit_leave_renamed_neighbor () =
+  (* Node 3 is adjacent to 4, the node renamed into its slot: {3,4}
+     disappears and 4's surviving edge {2,4} becomes {2,3}. *)
+  let g = fixture () in
+  let g' = Graph.remove_node g 3 in
+  check_same_graph "= old rebuild" (old_remove_node g 3) g';
+  Alcotest.(check (list (triple int int int)))
+    "edges" [ (0, 1, 1); (1, 2, 2); (0, 2, 3); (2, 3, 6) ]
+    (edge_triples g');
+  Alcotest.(check (array (pair int int))) "renamed row" [| (2, 6) |] (Graph.neighbors g' 3);
+  Alcotest.(check (array (pair int int)))
+    "row 2 re-sorted" [| (0, 3); (1, 2); (3, 6) |] (Graph.neighbors g' 2);
+  Alcotest.(check int) "total" 12 (Graph.total_weight g')
+
+let test_edit_join_at_last () =
+  let g = fixture () in
+  let anchors = [ (4, 8); (1, 9) ] in
+  let g' = Graph.add_node g anchors in
+  check_same_graph "= old rebuild" (old_add_node g anchors) g';
+  Alcotest.(check (array (pair int int))) "joiner row" [| (1, 9); (4, 8) |] (Graph.neighbors g' 5);
+  Alcotest.(check (array (pair int int)))
+    "anchor n-1 row" [| (2, 6); (3, 4); (5, 8) |] (Graph.neighbors g' 4)
+
 let test_edit_validation () =
   let g = fixture () in
   let expect_invalid f =
@@ -528,9 +594,11 @@ let prop_fr_within_one =
          Tree.max_degree t <= Min_degree.exact g + 1
          && Min_degree.is_fr_tree g t marking))
 
-(* Satellite: an edited graph is indistinguishable from one built from
-   scratch on the same edge set — CSR mirror and total weight byte for
-   byte (Marshal equality). Applies a random mix of all five edit ops,
+(* An edited graph is indistinguishable from one built from scratch on
+   the same edge set — CSR mirror and total weight byte for byte
+   (Marshal equality) — and, after every op, from the same history
+   replayed with the old rebuilding node edits: edge order and every
+   neighbors row included. Applies a random mix of all five edit ops,
    restricted to choices that keep the graph valid (the service layer's
    Topology.check enforces the same restriction at run time). *)
 let prop_edits_match_scratch =
@@ -546,7 +614,7 @@ let prop_edits_match_scratch =
           ops ))
     (fun (g0, s, ops) ->
       let st = Random.State.make [| s; 0xED17 |] in
-      let g = ref g0 in
+      let g = ref g0 and reference = ref g0 and same = ref true in
       let next_w = ref (1 + Graph.fold_edges (fun e acc -> max acc e.E.w) 0 g0) in
       let fresh_w () =
         incr next_w;
@@ -554,22 +622,30 @@ let prop_edits_match_scratch =
       in
       for _ = 1 to ops do
         let n = Graph.n !g in
-        match Random.State.int st 5 with
+        (match Random.State.int st 5 with
         | 0 ->
             (* add a random absent edge, if any slot is free *)
             let u = Random.State.int st n and v = Random.State.int st n in
-            if u <> v && not (Graph.has_edge !g u v) then
-              g := Graph.add_edge !g u v (fresh_w ())
+            if u <> v && not (Graph.has_edge !g u v) then begin
+              let w = fresh_w () in
+              g := Graph.add_edge !g u v w;
+              reference := Graph.add_edge !reference u v w
+            end
         | 1 ->
             (* remove a random edge whose removal keeps the graph connected *)
             let es = Graph.edges !g in
             let e = es.(Random.State.int st (Array.length es)) in
             let g' = Graph.remove_edge !g e.E.u e.E.v in
-            if Traversal.is_connected g' then g := g'
+            if Traversal.is_connected g' then begin
+              g := g';
+              reference := Graph.remove_edge !reference e.E.u e.E.v
+            end
         | 2 ->
             let es = Graph.edges !g in
             let e = es.(Random.State.int st (Array.length es)) in
-            g := Graph.reweight_edge !g e.E.u e.E.v (fresh_w ())
+            let w = fresh_w () in
+            g := Graph.reweight_edge !g e.E.u e.E.v w;
+            reference := Graph.reweight_edge !reference e.E.u e.E.v w
         | 3 ->
             let a = Random.State.int st n in
             let b = Random.State.int st n in
@@ -577,17 +653,23 @@ let prop_edits_match_scratch =
               if b = a then [ (a, fresh_w ()) ]
               else [ (a, fresh_w ()); (b, fresh_w ()) ]
             in
-            g := Graph.add_node !g anchors
+            g := Graph.add_node !g anchors;
+            reference := old_add_node !reference anchors
         | _ ->
             if n > 2 then begin
               let v = Random.State.int st n in
               let g' = Graph.remove_node !g v in
-              if Traversal.is_connected g' then g := g'
-            end
+              if Traversal.is_connected g' then begin
+                g := g';
+                reference := old_remove_node !reference v
+              end
+            end);
+        if observe !g <> observe !reference then same := false
       done;
       let scratch = Graph.of_edge_list (Graph.n !g) (Array.to_list (Graph.edges !g)) in
       let bytes f x = Marshal.to_string (f x) [] in
-      bytes Graph.csr_row !g = bytes Graph.csr_row scratch
+      !same
+      && bytes Graph.csr_row !g = bytes Graph.csr_row scratch
       && bytes Graph.csr_col !g = bytes Graph.csr_col scratch
       && bytes Graph.csr_wgt !g = bytes Graph.csr_wgt scratch
       && Graph.total_weight !g = Graph.total_weight scratch
@@ -621,6 +703,10 @@ let () =
           Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
           Alcotest.test_case "edit edges" `Quick test_edit_edges;
           Alcotest.test_case "edit nodes" `Quick test_edit_nodes;
+          Alcotest.test_case "edit leave highest id" `Quick test_edit_leave_highest;
+          Alcotest.test_case "edit leave renamed neighbor" `Quick
+            test_edit_leave_renamed_neighbor;
+          Alcotest.test_case "edit join at n-1" `Quick test_edit_join_at_last;
           Alcotest.test_case "edit validation" `Quick test_edit_validation;
         ] );
       ("union_find", [ Alcotest.test_case "operations" `Quick test_union_find ]);
