@@ -27,69 +27,91 @@ end
 type t = {
   n : int;
   edges : Edge.t array;
-  adj : (int * int) array array; (* (neighbor, weight), sorted by neighbor *)
-  (* CSR mirror of [adj]: node v's neighbors are col.[row.(v) .. row.(v+1)-1]
-     (increasing), weights aligned in wgt. Three flat arrays instead of n
-     boxed pair-arrays, so a neighbor scan is one contiguous read. *)
+  (* The adjacency, in CSR form: node v's neighbors are
+     col.[row.(v) .. row.(v+1)-1] (increasing), weights aligned in wgt.
+     Three flat arrays instead of n boxed pair-arrays, so a neighbor scan
+     is one contiguous read. *)
   csr_row : int array;
   csr_col : int array;
   csr_wgt : int array;
+  (* Memo of [neighbors]: row v is boxed from the CSR on first use and
+     is [||] until then (an unused row costs one word). The packed engine
+     reads the CSR only, so at n = 10⁵ almost no row is ever boxed. Two
+     domains racing on one row each write an equal row; either may
+     stay. *)
+  rows : (int * int) array array;
   (* Precomputed at construction: [total_weight] is on the per-node
      hot path of spt's adversarial initialization (its infinity bound),
      and summing m edges per query made that O(n·m). *)
   total_w : int;
 }
 
-let csr_of_adj n adj =
+(* The one constructor. A first pass range-checks the edges, counts
+   degrees into the row pointers and sums the weights. A second fills
+   every CSR row in edge order, unsorted. The symmetric transpose then
+   scans rows [y] ascending and appends [y] to the row of each of its
+   neighbours, so every row comes out sorted with no comparison sort and
+   a duplicate edge shows up as two equal adjacent entries. *)
+let rec of_edge_array n (edges : Edge.t array) =
+  if n <= 0 then invalid_arg "Graph.of_edge_list: n must be positive";
+  let m = Array.length edges in
   let row = Array.make (n + 1) 0 in
+  let total_w = ref 0 and i = ref 0 in
+  while !i < m && edges.(!i).u >= 0 && edges.(!i).v < n do
+    let e = edges.(!i) in
+    row.(e.u + 1) <- row.(e.u + 1) + 1;
+    row.(e.v + 1) <- row.(e.v + 1) + 1;
+    total_w := !total_w + e.w;
+    incr i
+  done;
+  if !i < m then begin
+    (* The first offender in edge order decides the message: a
+       duplicate ahead of the out-of-range edge raises from here. *)
+    ignore (of_edge_array n (Array.sub edges 0 !i));
+    invalid_arg "Graph.of_edge_list: endpoint out of range"
+  end;
   for v = 0 to n - 1 do
-    row.(v + 1) <- row.(v) + Array.length adj.(v)
+    row.(v + 1) <- row.(v + 1) + row.(v)
   done;
   let m2 = row.(n) in
+  let next = Array.sub row 0 n in
+  let push col wgt x y w =
+    col.(next.(x)) <- y;
+    wgt.(next.(x)) <- w;
+    next.(x) <- next.(x) + 1
+  in
+  let col0 = Array.make m2 0 and wgt0 = Array.make m2 0 in
+  Array.iter
+    (fun (e : Edge.t) ->
+      push col0 wgt0 e.u e.v e.w;
+      push col0 wgt0 e.v e.u e.w)
+    edges;
+  Array.blit row 0 next 0 n;
   let col = Array.make (max 1 m2) 0 and wgt = Array.make (max 1 m2) 0 in
-  for v = 0 to n - 1 do
-    let base = row.(v) in
-    Array.iteri
-      (fun i (u, w) ->
-        col.(base + i) <- u;
-        wgt.(base + i) <- w)
-      adj.(v)
+  for y = 0 to n - 1 do
+    for k = row.(y) to row.(y + 1) - 1 do
+      push col wgt col0.(k) y wgt0.(k)
+    done
   done;
-  (row, col, wgt)
+  for v = 0 to n - 1 do
+    for k = row.(v) + 1 to row.(v + 1) - 1 do
+      if col.(k) = col.(k - 1) then invalid_arg "Graph.of_edge_list: duplicate edge"
+    done
+  done;
+  {
+    n;
+    edges;
+    csr_row = row;
+    csr_col = col;
+    csr_wgt = wgt;
+    rows = Array.make n [||];
+    total_w = !total_w;
+  }
 
-let of_edge_list n es =
-  if n <= 0 then invalid_arg "Graph.of_edge_list: n must be positive";
-  let seen = Hashtbl.create (List.length es) in
-  List.iter
-    (fun (e : Edge.t) ->
-      if e.u < 0 || e.v >= n then
-        invalid_arg "Graph.of_edge_list: endpoint out of range";
-      if Hashtbl.mem seen (e.u, e.v) then
-        invalid_arg "Graph.of_edge_list: duplicate edge";
-      Hashtbl.add seen (e.u, e.v) ())
-    es;
-  let deg = Array.make n 0 in
-  List.iter
-    (fun (e : Edge.t) ->
-      deg.(e.u) <- deg.(e.u) + 1;
-      deg.(e.v) <- deg.(e.v) + 1)
-    es;
-  let adj = Array.init n (fun v -> Array.make deg.(v) (0, 0)) in
-  let fill = Array.make n 0 in
-  List.iter
-    (fun (e : Edge.t) ->
-      adj.(e.u).(fill.(e.u)) <- (e.v, e.w);
-      fill.(e.u) <- fill.(e.u) + 1;
-      adj.(e.v).(fill.(e.v)) <- (e.u, e.w);
-      fill.(e.v) <- fill.(e.v) + 1)
-    es;
-  Array.iter (fun a -> Array.sort compare a) adj;
-  let csr_row, csr_col, csr_wgt = csr_of_adj n adj in
-  let total_w = List.fold_left (fun acc (e : Edge.t) -> acc + e.w) 0 es in
-  { n; edges = Array.of_list es; adj; csr_row; csr_col; csr_wgt; total_w }
+let of_edge_list n es = of_edge_array n (Array.of_list es)
 
 let of_edges n es =
-  of_edge_list n (List.map (fun (u, v, w) -> Edge.make u v w) es)
+  of_edge_array n (Array.map (fun (u, v, w) -> Edge.make u v w) (Array.of_list es))
 
 let n g = g.n
 let m g = Array.length g.edges
@@ -97,8 +119,17 @@ let csr_row g = g.csr_row
 let csr_col g = g.csr_col
 let csr_wgt g = g.csr_wgt
 let edges g = Array.copy g.edges
-let neighbors g v = g.adj.(v)
-let degree g v = Array.length g.adj.(v)
+let degree g v = g.csr_row.(v + 1) - g.csr_row.(v)
+
+let neighbors g v =
+  let r = g.rows.(v) and base = g.csr_row.(v) in
+  let d = g.csr_row.(v + 1) - base in
+  if Array.length r = d then r
+  else begin
+    let r = Array.init d (fun i -> (g.csr_col.(base + i), g.csr_wgt.(base + i))) in
+    g.rows.(v) <- r;
+    r
+  end
 
 let max_degree g =
   let best = ref 0 in
@@ -107,36 +138,34 @@ let max_degree g =
   done;
   !best
 
-(* Binary search in the sorted adjacency row of [u]. *)
-let lookup g u v =
-  let row = g.adj.(u) in
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let x, w = row.(mid) in
-      if x = v then Some w else if x < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length row)
+(* Binary search in the sorted CSR row of [u]: the slot of [v], or -1. *)
+let slot g u v =
+  let lo = ref g.csr_row.(u) and hi = ref g.csr_row.(u + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if g.csr_col.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < g.csr_row.(u + 1) && g.csr_col.(!lo) = v then !lo else -1
 
-let has_edge g u v = lookup g u v <> None
+let has_edge g u v = slot g u v >= 0
 
 let weight g u v =
-  match lookup g u v with Some w -> w | None -> raise Not_found
+  let k = slot g u v in
+  if k < 0 then raise Not_found else g.csr_wgt.(k)
 
 let find_edge g u v =
-  match lookup g u v with Some w -> Some (Edge.make u v w) | None -> None
+  let k = slot g u v in
+  if k < 0 then None else Some (Edge.make u v g.csr_wgt.(k))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental edits (the service layer's churn path, see
-   lib/service/topology.mli). Every edit patches only the adjacency rows
-   it touches and rebuilds the flat CSR mirror with one linear pass (a
-   reweight only copies the weights) — no re-sorting, no
-   duplicate-detection hash pass — and is pinned
-   byte-identical to [of_edges] from scratch on the same edge set by a
-   qcheck property (test_graph). Node edits also resize the row array:
-   a join appends a row, a leave moves the swap-renamed row into the
-   hole. *)
+   lib/service/topology.mli). Every edit computes only the rows it
+   touches, boxed, and copies every other row verbatim into a fresh CSR
+   in one linear pass (a reweight only copies the weights) — no
+   re-sorting, no duplicate check over the untouched edges — and is
+   pinned byte-identical to [of_edges] from scratch on the same edge set
+   by a qcheck property (test_graph). Node edits also renumber: a join
+   appends a row, a leave moves the swap-renamed row into the hole. *)
 
 let check_endpoint ~what g x =
   if x < 0 || x >= g.n then
@@ -181,9 +210,36 @@ let rename_last row v =
   Array.blit row !i fresh (!i + 1) (len - 1 - !i);
   fresh
 
-let patched ~n ~adj ~edges ~total_w =
-  let csr_row, csr_col, csr_wgt = csr_of_adj n adj in
-  { n; edges; adj; csr_row; csr_col; csr_wgt; total_w }
+(* The edited graph on [n] nodes with edge array [edges]: row [x] is
+   the row [touched] lists for [x], if any (each [x] at most once), else
+   a verbatim copy of [g]'s row [src x], shared with [g] if boxed
+   there. *)
+let patched g ~n ~src ~touched ~edges ~total_w =
+  let m2 = 2 * Array.length edges in
+  let row = Array.make (n + 1) 0 and rows = Array.make n [||] in
+  let col = Array.make (max 1 m2) 0 and wgt = Array.make (max 1 m2) 0 in
+  let pending = ref (List.sort (fun (x, _) (y, _) -> Int.compare x y) touched) in
+  for x = 0 to n - 1 do
+    let base = row.(x) in
+    match !pending with
+    | (y, r) :: rest when y = x ->
+        pending := rest;
+        Array.iteri
+          (fun i (c, w) ->
+            col.(base + i) <- c;
+            wgt.(base + i) <- w)
+          r;
+        rows.(x) <- r;
+        row.(x + 1) <- base + Array.length r
+    | _ ->
+        let s = src x in
+        let d = degree g s in
+        Array.blit g.csr_col g.csr_row.(s) col base d;
+        Array.blit g.csr_wgt g.csr_row.(s) wgt base d;
+        rows.(x) <- g.rows.(s);
+        row.(x + 1) <- base + d
+  done;
+  { n; edges; csr_row = row; csr_col = col; csr_wgt = wgt; rows; total_w }
 
 let add_edge g u v w =
   check_endpoint ~what:"add_edge" g u;
@@ -192,56 +248,56 @@ let add_edge g u v w =
   if has_edge g e.Edge.u e.Edge.v then
     invalid_arg
       (Printf.sprintf "Graph.add_edge: duplicate edge {%d,%d}" e.Edge.u e.Edge.v);
-  let adj = Array.copy g.adj in
-  adj.(e.Edge.u) <- insert_sorted adj.(e.Edge.u) e.Edge.v w;
-  adj.(e.Edge.v) <- insert_sorted adj.(e.Edge.v) e.Edge.u w;
-  patched ~n:g.n ~adj ~edges:(Array.append g.edges [| e |]) ~total_w:(g.total_w + w)
+  patched g ~n:g.n ~src:Fun.id
+    ~touched:
+      [
+        (e.Edge.u, insert_sorted (neighbors g e.Edge.u) e.Edge.v w);
+        (e.Edge.v, insert_sorted (neighbors g e.Edge.v) e.Edge.u w);
+      ]
+    ~edges:(Array.append g.edges [| e |])
+    ~total_w:(g.total_w + w)
 
 let remove_edge g u v =
   check_endpoint ~what:"remove_edge" g u;
   check_endpoint ~what:"remove_edge" g v;
-  match lookup g u v with
-  | None -> invalid_arg (Printf.sprintf "Graph.remove_edge: edge {%d,%d} absent" u v)
-  | Some w ->
-      let e = Edge.make u v w in
-      let adj = Array.copy g.adj in
-      adj.(e.Edge.u) <- remove_sorted adj.(e.Edge.u) e.Edge.v;
-      adj.(e.Edge.v) <- remove_sorted adj.(e.Edge.v) e.Edge.u;
-      let edges =
-        Array.of_list
-          (List.filter (fun x -> not (Edge.equal x e)) (Array.to_list g.edges))
-      in
-      patched ~n:g.n ~adj ~edges ~total_w:(g.total_w - w)
+  if not (has_edge g u v) then
+    invalid_arg (Printf.sprintf "Graph.remove_edge: edge {%d,%d} absent" u v);
+  let e = Edge.make u v (weight g u v) in
+  let touched =
+    [
+      (e.Edge.u, remove_sorted (neighbors g e.Edge.u) e.Edge.v);
+      (e.Edge.v, remove_sorted (neighbors g e.Edge.v) e.Edge.u);
+    ]
+  in
+  let edges = Array.make (Array.length g.edges - 1) e and j = ref 0 in
+  Array.iter
+    (fun x ->
+      if not (Edge.equal x e) then begin
+        edges.(!j) <- x;
+        incr j
+      end)
+    g.edges;
+  patched g ~n:g.n ~src:Fun.id ~touched ~edges ~total_w:(g.total_w - e.Edge.w)
 
 let reweight_edge g u v w =
   check_endpoint ~what:"reweight_edge" g u;
   check_endpoint ~what:"reweight_edge" g v;
-  match lookup g u v with
-  | None ->
-      invalid_arg (Printf.sprintf "Graph.reweight_edge: edge {%d,%d} absent" u v)
-  | Some old_w ->
-      let e_old = Edge.make u v old_w and e = Edge.make u v w in
-      let replace row x =
-        let fresh = Array.copy row in
-        Array.iteri (fun i (y, _) -> if y = x then fresh.(i) <- (x, w)) row;
-        fresh
-      in
-      let adj = Array.copy g.adj in
-      adj.(e.Edge.u) <- replace adj.(e.Edge.u) e.Edge.v;
-      adj.(e.Edge.v) <- replace adj.(e.Edge.v) e.Edge.u;
-      let edges = Array.map (fun x -> if Edge.equal x e_old then e else x) g.edges in
-      (* The CSR shape is unchanged: share [csr_row]/[csr_col] (never
-         mutated) and copy only the weights — at n = 10⁵ that halves what
-         a reweight allocates, and with it the major-GC work it paces. *)
-      let csr_wgt = Array.copy g.csr_wgt in
-      let set a b =
-        for i = g.csr_row.(a) to g.csr_row.(a + 1) - 1 do
-          if g.csr_col.(i) = b then csr_wgt.(i) <- w
-        done
-      in
-      set u v;
-      set v u;
-      { g with edges; adj; csr_wgt; total_w = g.total_w - old_w + w }
+  if not (has_edge g u v) then
+    invalid_arg (Printf.sprintf "Graph.reweight_edge: edge {%d,%d} absent" u v);
+  let old_w = weight g u v in
+  let e_old = Edge.make u v old_w and e = Edge.make u v w in
+  let edges = Array.map (fun x -> if Edge.equal x e_old then e else x) g.edges in
+  (* The CSR shape is unchanged: share [csr_row]/[csr_col] (never
+     mutated) and copy only the weights — at n = 10⁵ that halves what
+     a reweight allocates, and with it the major-GC work it paces. The
+     two touched rows are re-boxed on demand. *)
+  let csr_wgt = Array.copy g.csr_wgt in
+  csr_wgt.(slot g u v) <- w;
+  csr_wgt.(slot g v u) <- w;
+  let rows = Array.copy g.rows in
+  rows.(u) <- [||];
+  rows.(v) <- [||];
+  { g with edges; csr_wgt; rows; total_w = g.total_w - old_w + w }
 
 let add_node g anchors =
   if anchors = [] then
@@ -257,11 +313,13 @@ let add_node g anchors =
   (* The fresh id [g.n] is the largest, so it goes last in every anchor
      row; its own row is the anchors sorted by neighbor. *)
   let id = g.n in
-  let adj = Array.append g.adj [| Array.of_list (List.sort compare anchors) |] in
-  List.iter (fun (a, w) -> adj.(a) <- Array.append adj.(a) [| (id, w) |]) anchors;
+  let touched =
+    (id, Array.of_list (List.sort compare anchors))
+    :: List.map (fun (a, w) -> (a, Array.append (neighbors g a) [| (id, w) |])) anchors
+  in
   let added = Array.of_list (List.map (fun (a, w) -> Edge.make a id w) anchors) in
   let total_w = List.fold_left (fun acc (_, w) -> acc + w) g.total_w anchors in
-  patched ~n:(id + 1) ~adj ~edges:(Array.append g.edges added) ~total_w
+  patched g ~n:(id + 1) ~src:Fun.id ~touched ~edges:(Array.append g.edges added) ~total_w
 
 let remove_node g v =
   check_endpoint ~what:"remove_node" g v;
@@ -269,14 +327,19 @@ let remove_node g v =
   (* Swap-remove: the highest id takes the vacated slot, keeping ids
      contiguous; edges incident to [v] disappear with it. *)
   let last = g.n - 1 in
-  let adj = Array.sub g.adj 0 last in
-  Array.iter (fun (x, _) -> if x <> last then adj.(x) <- remove_sorted adj.(x) v) g.adj.(v);
+  let touched = Hashtbl.create 16 in
+  let current x = match Hashtbl.find_opt touched x with Some r -> r | None -> neighbors g x in
+  Array.iter
+    (fun (x, _) -> if x <> last then Hashtbl.replace touched x (remove_sorted (current x) v))
+    (neighbors g v);
   if v <> last then begin
-    let moved = g.adj.(last) in
-    adj.(v) <- (if has_edge g v last then remove_sorted moved v else moved);
-    Array.iter (fun (y, _) -> if y <> v then adj.(y) <- rename_last adj.(y) v) moved
+    let moved = neighbors g last in
+    Hashtbl.replace touched v (if has_edge g v last then remove_sorted moved v else moved);
+    Array.iter
+      (fun (y, _) -> if y <> v then Hashtbl.replace touched y (rename_last (current y) v))
+      moved
   end;
-  let m' = Array.length g.edges - Array.length g.adj.(v) in
+  let m' = Array.length g.edges - degree g v in
   let edges = if m' = 0 then [||] else Array.make m' g.edges.(0) in
   let j = ref 0 in
   Array.iter
@@ -286,8 +349,11 @@ let remove_node g v =
         incr j
       end)
     g.edges;
-  let total_w = Array.fold_left (fun acc (_, w) -> acc - w) g.total_w g.adj.(v) in
-  patched ~n:last ~adj ~edges ~total_w
+  let total_w = Array.fold_left (fun acc (_, w) -> acc - w) g.total_w (neighbors g v) in
+  patched g ~n:last
+    ~src:(fun x -> if x = v then last else x)
+    ~touched:(Hashtbl.fold (fun x r acc -> (x, r) :: acc) touched [])
+    ~edges ~total_w
 
 let fold_edges f init g = Array.fold_left (fun acc e -> f e acc) init g.edges
 let iter_edges f g = Array.iter f g.edges

@@ -38,22 +38,41 @@ type t
 
 (** {1 Construction} *)
 
-(** [of_edges n edges] builds a graph on nodes [0..n-1].
-    @raise Invalid_argument on out-of-range endpoints, self-loops, or
-    duplicate (parallel) edges. *)
+(** [of_edge_array n edges] builds a graph on nodes [0..n-1] whose
+    {!edges} are [edges] in the given order. The array is kept, not
+    copied: do not mutate it afterwards.
+
+    Cost: O(n + m) time and a few flat int arrays of length n or 2m. No
+    comparison sort and no hash table: the CSR rows are filled in edge
+    order, then sorted by one symmetric transpose, which also brings
+    duplicates next to each other. No [(neighbor, weight)] pair is boxed
+    until {!neighbors} asks for its row.
+
+    @raise Invalid_argument if [n <= 0], on an endpoint outside
+    [0..n-1], or on a duplicate (parallel) edge. When several edges
+    offend, the first one in edge order decides the message: an
+    out-of-range edge is reported only if no edge before it duplicates
+    an earlier one. *)
+val of_edge_array : int -> Edge.t array -> t
+
+(** [of_edges n edges] is {!of_edge_array} on the normalized edges, in
+    list order. Self-loops are checked first, over the whole list.
+    @raise Invalid_argument on self-loops and as {!of_edge_array}. *)
 val of_edges : int -> (int * int * int) list -> t
 
-(** Same as {!of_edges} from already-normalized edges. *)
+(** Same as {!of_edge_array} from a list. *)
 val of_edge_list : int -> Edge.t list -> t
 
 (** {1 Incremental edits}
 
     The churn path of service mode (lib/service): each edit returns a
-    fresh graph sharing untouched adjacency rows with the old one. Every
-    edit, node joins and leaves included, patches only the touched rows
-    and then rebuilds the CSR mirror in one O(n+m) pass (a reweight
-    keeps the CSR shape and copies only the weights); none goes back
-    through {!of_edge_list}'s duplicate hash and row sorts. The
+    fresh graph and leaves the old one intact. Every edit, node joins
+    and leaves included, computes only the rows it touches and copies
+    every other row verbatim into a fresh CSR in one O(n+m) pass (a
+    reweight keeps the CSR shape and copies only the weights). No edit
+    re-checks the untouched edges or re-sorts a row, as a from-scratch
+    {!of_edge_array} would. Rows already boxed by {!neighbors} are shared
+    with the old graph when untouched. The
     result is guaranteed byte-identical — [edges] order, every
     {!neighbors} row, [csr_row] / [csr_col] / [csr_wgt], [total_weight]
     — to {!of_edges} applied from scratch to the edited edge set with
@@ -103,7 +122,9 @@ val m : t -> int
 val edges : t -> Edge.t array
 
 (** [neighbors g v] is the array of [(neighbor, weight)] pairs of [v], in
-    increasing neighbor order. The returned array is shared: do not mutate. *)
+    increasing neighbor order. The first call for [v] boxes the row from
+    the CSR arrays (O(degree)); later calls return the same array. The
+    returned array is shared: do not mutate. *)
 val neighbors : t -> int -> (int * int) array
 
 (** [degree g v] is the number of neighbors of [v] in [g]. *)
@@ -111,13 +132,13 @@ val degree : t -> int -> int
 
 (** {2 CSR adjacency}
 
-    The same adjacency as {!neighbors}, stored as three flat arrays in
-    compressed-sparse-row form: node [v]'s neighbors are
+    The adjacency as stored: three flat arrays in compressed-sparse-row
+    form. Node [v]'s neighbors are
     [csr_col g].(i) for [i] in [(csr_row g).(v) .. (csr_row g).(v+1) - 1],
     in increasing neighbor order, with the edge weight aligned at
-    [(csr_wgt g).(i)]. Built once at construction; the flat layout is
-    what the packed engine scans (see SCALING.md). The returned arrays
-    are shared: do not mutate. *)
+    [(csr_wgt g).(i)]. {!neighbors}, {!degree} and the edge lookups read
+    them; the flat layout is what the packed engine scans (see
+    SCALING.md). The returned arrays are shared: do not mutate. *)
 
 (** Row-pointer array of length [n+1]. *)
 val csr_row : t -> int array
@@ -131,7 +152,8 @@ val csr_wgt : t -> int array
 (** Maximum degree over all nodes. *)
 val max_degree : t -> int
 
-(** [has_edge g u v] tests adjacency. *)
+(** [has_edge g u v] tests adjacency: a binary search in [u]'s CSR row,
+    O(log (degree g u)), as are {!weight} and {!find_edge}. *)
 val has_edge : t -> int -> int -> bool
 
 (** [weight g u v] is the weight of edge [{u,v}].
