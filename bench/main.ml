@@ -718,6 +718,16 @@ let micro () =
   let dist_labels = Distance_pls.prover t in
   let parent = Tree.parents t in
   let mst_states = ME.initial g in
+  (* A stabilized configuration: every rule of the MST guard runs (the
+     initial registers make the tree layer fire first). *)
+  let silent =
+    let r = ME.run g (Scheduler.Central Scheduler.Random_daemon) rng ~init:mst_states in
+    assert r.ME.silent;
+    r.ME.states
+  in
+  (* Views are built outside the timed code: [ME.view] rebuilds the
+     whole network's adjacency on every call. *)
+  let initial_view = ME.view g mst_states 17 and silent_view = ME.view g silent 17 in
   let tests =
     [
       Test.make ~name:"nca-compute"
@@ -728,7 +738,11 @@ let micro () =
       Test.make ~name:"fragment-prover-n64"
         (Staged.stage (fun () -> ignore (Fragment_labels.prover g t)));
       Test.make ~name:"mst-step-one-node"
-        (Staged.stage (fun () -> ignore (Mst_builder.P.step (ME.view g mst_states 17))));
+        (Staged.stage (fun () -> ignore (Mst_builder.P.step initial_view)));
+      Test.make ~name:"mst-step-silent-node"
+        (Staged.stage (fun () -> ignore (Mst_builder.P.step silent_view)));
+      Test.make ~name:"mst-size-bits"
+        (Staged.stage (fun () -> ignore (Mst_builder.P.size_bits 64 silent.(17))));
       Test.make ~name:"kruskal-n64" (Staged.stage (fun () -> ignore (Mst.kruskal g)));
       Test.make ~name:"fr-sequential-n64"
         (Staged.stage (fun () -> ignore (Min_degree.furer_raghavachari g ~root:0)));

@@ -27,7 +27,9 @@ module P = struct
     let n = Graph.n g in
     let random_edge () =
       let a = Random.State.int rng n and b = Random.State.int rng n in
-      if a = b then E.make a ((b + 1) mod n) (1 + Random.State.int rng (n * n))
+      (* At n = 1 the other endpoint is the non-node 1: register garbage,
+         never a self-loop. For n >= 2, [max 2 n = n]. *)
+      if a = b then E.make a ((b + 1) mod max 2 n) (1 + Random.State.int rng (n * n))
       else E.make a b (1 + Random.State.int rng (n * n))
     in
     {

@@ -20,20 +20,34 @@
 
 type 'v t = { value : 'v; hops : int }
 
-(** [target ~compare ~n ~base ~nbrs] is the value the field should hold
-    given the node's base and its neighbors' current fields: the
+(** [target ~compare ~n ~base ~nbrs ~get] is the value the field should
+    hold given the node's base and its neighbors' current fields, read
+    as [get nbrs.(i)] (the caller's register array and a projection onto
+    one aggregate field, so no per-call list or copy is built): the
     [compare]-smallest candidate, preferring smaller hop counts among
-    equal values. [base = None] contributes nothing. *)
-val target : compare:('v -> 'v -> int) -> n:int -> base:'v option -> nbrs:'v t option list -> 'v t option
+    equal values. [base = None] contributes nothing.
 
-(** [step ~compare ~n ~base ~self ~nbrs] — [Some fresh] when the field
-    must change, [None] when it is already the fixpoint value. *)
+    Ties go to the first candidate: the base, then the neighbors in
+    array order. A later candidate replaces the current one only when
+    its value is strictly smaller, or equal at strictly fewer hops. *)
+val target :
+  compare:('v -> 'v -> int) ->
+  n:int ->
+  base:'v option ->
+  nbrs:'a array ->
+  get:('a -> 'v t option) ->
+  'v t option
+
+(** [step ~compare ~n ~base ~self ~nbrs ~get] — [Some fresh] when the
+    field must change, [None] when it is already the fixpoint value
+    ([target]'s result equal to [self] under [compare] and hop count). *)
 val step :
   compare:('v -> 'v -> int) ->
   n:int ->
   base:'v option ->
   self:'v t option ->
-  nbrs:'v t option list ->
+  nbrs:'a array ->
+  get:('a -> 'v t option) ->
   'v t option option
 
 (** [equal eq a b]. *)

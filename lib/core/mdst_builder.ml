@@ -132,8 +132,7 @@ let seq_target (view : state View.t) =
    construct it is a staleness proof and invalidates the mark. *)
 let shed_edge (view : state View.t) (m : mark) =
   let s = view.self in
-  let w = Nca.nca m.su m.sv in
-  if not (Nca.equal s.seq w) then
+  if not (Nca.is_nca s.seq m.su m.sv) then
     match parent_entry view with
     | Some (pid, pw, _) -> Some (E.make view.id pid pw, view.id, s.seq)
     | None -> None
@@ -458,7 +457,6 @@ let first_enabled alternatives =
 
 let rules (view : state View.t) =
   let s = view.self in
-  let nbrs f = Array.to_list (Array.map f view.nbrs) in
   first_enabled
     [
       (fun () ->
@@ -482,7 +480,7 @@ let rules (view : state View.t) =
       (fun () ->
         match
           Aggregate.step ~compare:compare_deg ~n:view.n ~base:(Some s.deg) ~self:s.dmax
-            ~nbrs:(nbrs (fun nb -> nb.dmax))
+            ~nbrs:view.nbrs ~get:(fun nb -> nb.dmax)
         with
         | Some dmax -> Some { s with dmax }
         | None -> None);
@@ -514,28 +512,28 @@ let rules (view : state View.t) =
       (fun () ->
         match
           Aggregate.step ~compare ~n:view.n ~base:(hub_base view) ~self:s.hub_agg
-            ~nbrs:(nbrs (fun nb -> nb.hub_agg))
+            ~nbrs:view.nbrs ~get:(fun nb -> nb.hub_agg)
         with
         | Some hub_agg -> Some { s with hub_agg }
         | None -> None);
       (fun () ->
         match
           Aggregate.step ~compare:compare_mcand ~n:view.n ~base:(mark_base view)
-            ~self:s.mark_agg ~nbrs:(nbrs (fun nb -> nb.mark_agg))
+            ~self:s.mark_agg ~nbrs:view.nbrs ~get:(fun nb -> nb.mark_agg)
         with
         | Some mark_agg -> Some { s with mark_agg }
         | None -> None);
       (fun () ->
         match
           Aggregate.step ~compare:compare_icand ~n:view.n ~base:(imp_base view)
-            ~self:s.imp_agg ~nbrs:(nbrs (fun nb -> nb.imp_agg))
+            ~self:s.imp_agg ~nbrs:view.nbrs ~get:(fun nb -> nb.imp_agg)
         with
         | Some imp_agg -> Some { s with imp_agg }
         | None -> None);
       (fun () ->
         match
           Aggregate.step ~compare:compare_veto ~n:view.n ~base:(veto_base view)
-            ~self:s.veto_agg ~nbrs:(nbrs (fun nb -> nb.veto_agg))
+            ~self:s.veto_agg ~nbrs:view.nbrs ~get:(fun nb -> nb.veto_agg)
         with
         | Some veto_agg -> Some { s with veto_agg }
         | None -> None);
@@ -666,7 +664,9 @@ module P = struct
     in
     let random_edge () =
       let a = Random.State.int rng n and b = Random.State.int rng n in
-      if a = b then E.make a ((b + 1) mod n) (1 + Random.State.int rng (n * n))
+      (* At n = 1 the other endpoint is the non-node 1: register garbage,
+         never a self-loop. For n >= 2, [max 2 n = n]. *)
+      if a = b then E.make a ((b + 1) mod max 2 n) (1 + Random.State.int rng (n * n))
       else E.make a b (1 + Random.State.int rng (n * n))
     in
     let random_mark () =

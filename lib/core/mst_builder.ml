@@ -23,11 +23,14 @@ type state = {
 }
 
 let compare_cand a b =
-  let c = compare a.lvl b.lvl in
+  let c = Int.compare a.lvl b.lvl in
   if c <> 0 then c
   else
     let c = E.compare a.e b.e in
-    if c <> 0 then c else compare (a.su, a.sv) (b.su, b.sv)
+    if c <> 0 then c
+    else
+      let c = Nca.compare a.su b.su in
+      if c <> 0 then c else Nca.compare a.sv b.sv
 
 (* Cuts are ordered by their candidate first; among cuts for the same
    candidate the HEAVIEST f wins (Tarjan's red rule), so f compares
@@ -37,7 +40,10 @@ let compare_cut a b =
   if c <> 0 then c
   else
     let c = E.compare b.f a.f in
-    if c <> 0 then c else compare (a.f_child, a.f_child_seq) (b.f_child, b.f_child_seq)
+    if c <> 0 then c
+    else
+      let c = Int.compare a.f_child b.f_child in
+      if c <> 0 then c else Nca.compare a.f_child_seq b.f_child_seq
 
 let equal_cand a b = compare_cand a b = 0
 let equal_cut a b = compare_cut a b = 0
@@ -45,42 +51,58 @@ let equal_cut a b = compare_cut a b = 0
 (* ------------------------------------------------------------------ *)
 (* Local structural helpers *)
 
-let children_of (view : state View.t) =
-  let acc = ref [] in
-  for i = view.degree - 1 downto 0 do
-    if view.nbrs.(i).st.St_layer.parent = view.id then
-      acc := (view.nbr_ids.(i), view.nbr_weights.(i), view.nbrs.(i)) :: !acc
-  done;
-  !acc
+(* [E.compare] on unboxed fields: an edge is (weight, smaller endpoint,
+   larger endpoint), compared lexicographically. *)
+let compare_edge w u v w' u' v' =
+  if w <> w' then Int.compare w w' else if u <> u' then Int.compare u u' else Int.compare v v'
 
-(* Incident tree edges: to the parent and to each child. *)
-let incident_tree_edges (view : state View.t) =
-  let parent_edge =
-    let p = view.self.st.St_layer.parent in
-    if p = -1 then []
-    else
-      match View.index view p with
-      | i -> [ (view.nbr_ids.(i), view.nbr_weights.(i), view.nbrs.(i)) ]
-      | exception Not_found -> []
-  in
-  parent_edge @ children_of view
+(* [E.equal o (E.make x y w)] without building the edge. *)
+let is_edge (o : E.t) x y w = o.E.w = w && o.E.u = Int.min x y && o.E.v = Int.max x y
+
+(* View indices of the incident tree edges: the parent's first (when it
+   is a neighbor), then every child in increasing id order. An arbitrary
+   register whose parent also names it as parent lists that neighbor
+   twice. *)
+let tree_nbrs (view : state View.t) =
+  let p = view.self.st.St_layer.parent in
+  let pi = if p = -1 then -1 else match View.index view p with i -> i | exception Not_found -> -1 in
+  let first = if pi >= 0 then 1 else 0 in
+  let k = ref first in
+  for i = 0 to view.degree - 1 do
+    if view.nbrs.(i).st.St_layer.parent = view.id then incr k
+  done;
+  let tn = Array.make !k pi in
+  k := first;
+  for i = 0 to view.degree - 1 do
+    if view.nbrs.(i).st.St_layer.parent = view.id then begin
+      tn.(!k) <- i;
+      incr k
+    end
+  done;
+  tn
 
 (* ------------------------------------------------------------------ *)
 (* Label targets (local fixpoints) *)
 
-let size_target view =
-  List.fold_left (fun acc (_, _, c) -> acc + c.size) 1 (children_of view)
+let size_target (view : state View.t) =
+  let size = ref 1 in
+  for i = 0 to view.degree - 1 do
+    let c = view.nbrs.(i) in
+    if c.st.St_layer.parent = view.id then size := !size + c.size
+  done;
+  !size
 
-let heavy_target view =
-  List.fold_left
-    (fun best (id, _, c) ->
-      match best with
-      | None -> Some (id, c.size)
-      | Some (_, bs) -> if c.size > bs then Some (id, c.size) else best)
-    None (children_of view)
-  |> function
-  | Some (id, _) -> id
-  | None -> -1
+(* The first child of maximum size, -1 for a leaf. *)
+let heavy_target (view : state View.t) =
+  let heavy = ref (-1) and best = ref 0 in
+  for i = 0 to view.degree - 1 do
+    let c = view.nbrs.(i) in
+    if c.st.St_layer.parent = view.id && (!heavy = -1 || c.size > !best) then begin
+      heavy := view.nbr_ids.(i);
+      best := c.size
+    end
+  done;
+  !heavy
 
 let seq_target (view : state View.t) =
   let s = view.self in
@@ -96,129 +118,162 @@ let seq_target (view : state View.t) =
 (* The Borůvka-trace target, computed level by level from the neighbors'
    published arrays (Section VI). Level 0 is purely local; level i+1
    aggregates within the (certified) merged region via fdist/odist
-   chains. *)
+   chains. Every fold runs over the incident tree edges in [tree_nbrs]
+   order and keeps the first of equal candidates.
+
+   A level whose fields equal the current register's entry reuses that
+   entry, and a target equal to the whole register is the register
+   itself, so at a fixpoint the rule allocates no entry and [FL.equal]
+   returns at once. *)
 let frags_target (view : state View.t) : FL.label =
-  let n = view.n in
-  let cap = Space.log2_ceil (max 2 n) + 1 in
-  let tree_nbrs = incident_tree_edges view in
-  let entry_of (nb : state) i : FL.entry option =
-    if i < Array.length nb.frags then Some nb.frags.(i) else None
+  let n = view.n and me = view.id and cur = view.self.frags in
+  let cap = Space.log2_ceil (Int.max 2 n) + 1 in
+  let tn = tree_nbrs view in
+  let k = Array.length tn in
+  let lighter j b =
+    let y = view.nbr_ids.(j) and by = view.nbr_ids.(b) in
+    compare_edge view.nbr_weights.(j) (Int.min me y) (Int.max me y) view.nbr_weights.(b)
+      (Int.min me by) (Int.max me by)
+    < 0
   in
-  let min_own_out pred =
-    List.fold_left
-      (fun best (id, w, _) ->
-        if pred id then
-          let e = E.make view.id id w in
-          match best with
-          | Some b when E.compare b e <= 0 -> best
-          | _ -> Some e
-        else best)
-      None tree_nbrs
-  in
-  let out = ref [] in
-  let continue_ = ref true in
-  let level = ref 0 in
-  let prev = ref None in
-  while !continue_ && !level < cap do
-    let i = !level in
-    let entry =
-      if i = 0 then begin
-        let o = min_own_out (fun _ -> true) in
-        { FL.frag = view.id; fdist = 0; out = o; odist = 0 }
-      end
-      else begin
-        let p = match !prev with Some p -> p | None -> assert false in
-        match p.FL.out with
-        | None -> (* previous level was top; unreachable because we stop *) assert false
-        | Some _ ->
-            (* Which tree neighbors are merged with me at level i? *)
-            let merged (id, w, nb) =
-              match entry_of nb (i - 1) with
-              | None -> false
-              | Some ne ->
-                  let edge = E.make view.id id w in
-                  ne.FL.frag = p.FL.frag
-                  || (match p.FL.out with Some o -> E.equal o edge | None -> false)
-                  || match ne.FL.out with Some o -> E.equal o edge | None -> false
-            in
-            (* frag/fdist: min previous-level id over the merged region. *)
-            let frag, fdist =
-              List.fold_left
-                (fun (bf, bd) (_, _, nb) ->
-                  match entry_of nb i with
-                  | Some ne when ne.FL.fdist + 1 <= n && (ne.FL.frag, ne.FL.fdist + 1) < (bf, bd)
-                    ->
-                      (ne.FL.frag, ne.FL.fdist + 1)
-                  | _ -> (bf, bd))
-                (p.FL.frag, 0)
-                (List.filter merged tree_nbrs)
-            in
-            (* out/odist: min outgoing tree edge over level-i mates. *)
-            let own = min_own_out (fun id ->
-                match View.index view id with
-                | exception Not_found -> false
-                | j -> (
-                    match entry_of view.nbrs.(j) i with
-                    | Some ne -> ne.FL.frag <> frag
-                    | None -> false))
-            in
-            let best_out =
-              List.fold_left
-                (fun acc (_, _, nb) ->
-                  match entry_of nb i with
-                  | Some ne when ne.FL.frag = frag -> (
-                      match ne.FL.out with
-                      | Some o when ne.FL.odist + 1 <= n -> (
-                          match acc with
-                          | Some (b, bd) ->
-                              if
-                                E.compare o b < 0
-                                || (E.equal o b && ne.FL.odist + 1 < bd)
-                              then Some (o, ne.FL.odist + 1)
-                              else acc
-                          | None -> Some (o, ne.FL.odist + 1))
-                      | _ -> acc)
-                  | _ -> acc)
-                (match own with Some o -> Some (o, 0) | None -> None)
-                tree_nbrs
-            in
-            (match best_out with
-            | Some (o, od) -> { FL.frag; fdist; out = Some o; odist = od }
-            | None -> { FL.frag; fdist; out = None; odist = 0 })
-      end
+  (* The level-[i] entry: [out] is my own tree edge to view index [own]
+     when [own >= 0], else [nb_out]. *)
+  let entry i frag fdist own nb_out odist =
+    let same =
+      i < Array.length cur
+      &&
+      let c = cur.(i) in
+      c.FL.frag = frag && c.FL.fdist = fdist && c.FL.odist = odist
+      &&
+      match c.FL.out with
+      | Some co when own >= 0 -> is_edge co me view.nbr_ids.(own) view.nbr_weights.(own)
+      | Some co -> ( match nb_out with Some o -> E.equal co o | None -> false)
+      | None -> own < 0 && Option.is_none nb_out
     in
-    out := entry :: !out;
-    prev := Some entry;
-    if entry.FL.out = None then continue_ := false;
-    incr level
+    if same then cur.(i)
+    else
+      let out =
+        if own >= 0 then Some (E.make me view.nbr_ids.(own) view.nbr_weights.(own)) else nb_out
+      in
+      { FL.frag; fdist; out; odist }
+  in
+  (* Level 0: the lightest incident tree edge. *)
+  let own0 = ref (-1) in
+  for t = 0 to k - 1 do
+    if !own0 < 0 || lighter tn.(t) !own0 then own0 := tn.(t)
   done;
-  Array.of_list (List.rev !out)
+  let out = Array.make cap (entry 0 me 0 !own0 None 0) in
+  let len = ref 1 in
+  while !len < cap && Option.is_some out.(!len - 1).FL.out do
+    let i = !len in
+    let p = out.(i - 1) in
+    let po = Option.get p.FL.out in
+    (* frag/fdist: min previous-level id over the tree neighbors merged
+       with me at level i. *)
+    let frag = ref p.FL.frag and fdist = ref 0 in
+    for t = 0 to k - 1 do
+      let j = tn.(t) in
+      let nb = view.nbrs.(j) in
+      if i < Array.length nb.frags then begin
+        let ne = nb.frags.(i) in
+        let d = ne.FL.fdist + 1 in
+        if d <= n && (ne.FL.frag < !frag || (ne.FL.frag = !frag && d < !fdist)) then begin
+          let y = view.nbr_ids.(j) and w = view.nbr_weights.(j) in
+          let pe = nb.frags.(i - 1) in
+          if
+            pe.FL.frag = p.FL.frag
+            || is_edge po me y w
+            || match pe.FL.out with Some o -> is_edge o me y w | None -> false
+          then begin
+            frag := ne.FL.frag;
+            fdist := d
+          end
+        end
+      end
+    done;
+    let frag = !frag and fdist = !fdist in
+    (* out/odist: min outgoing tree edge over level-i mates — my own
+       edges to other level-i fragments at 0 hops, first, then the
+       mates' published edges one hop further. One pass keeps the two
+       minimums apart (their conditions are disjoint); a mate's edge
+       wins only when strictly below my own. *)
+    let own = ref (-1) and nb_out = ref None and odist = ref 0 in
+    for t = 0 to k - 1 do
+      let j = tn.(t) in
+      let nb = view.nbrs.(j) in
+      if i < Array.length nb.frags then begin
+        let ne = nb.frags.(i) in
+        if ne.FL.frag <> frag then begin
+          if !own < 0 || lighter j !own then own := j
+        end
+        else
+          let d = ne.FL.odist + 1 in
+          match ne.FL.out with
+          | Some o when d <= n -> (
+              match !nb_out with
+              | Some b when not (E.compare o b < 0 || (E.equal o b && d < !odist)) -> ()
+              | _ ->
+                  nb_out := ne.FL.out;
+                  odist := d)
+          | _ -> ()
+      end
+    done;
+    let mate_wins =
+      match !nb_out with
+      | None -> false
+      | Some o ->
+          !own < 0
+          ||
+          let y = view.nbr_ids.(!own) in
+          let c =
+            compare_edge o.E.w o.E.u o.E.v view.nbr_weights.(!own) (Int.min me y) (Int.max me y)
+          in
+          c < 0 || (c = 0 && !odist < 0)
+    in
+    out.(i) <-
+      (if mate_wins then entry i frag fdist (-1) !nb_out !odist
+       else entry i frag fdist !own None 0);
+    incr len
+  done;
+  let len = !len in
+  let rec reused i = i = len || (out.(i) == cur.(i) && reused (i + 1)) in
+  if len = Array.length cur && reused 0 then cur
+  else if len = cap then out
+  else Array.sub out 0 len
 
 (* ------------------------------------------------------------------ *)
 (* Candidate and cut bases *)
 
+(* The lightest violating incident edge over all levels. A candidate
+   record is built only when it beats the current best: every candidate
+   here has [su = s.seq], so the order is (level, edge, [sv]). *)
 let cand_base (view : state View.t) =
-  let s = view.self in
+  let s = view.self and me = view.id in
   let best = ref None in
-  Array.iteri
-    (fun j y ->
-      let nb = view.nbrs.(j) in
-      let w = view.nbr_weights.(j) in
-      let e = E.make view.id y w in
-      Array.iteri
-        (fun i (en : FL.entry) ->
-          match en.FL.out with
-          | None -> ()
-          | Some out ->
-              if i < Array.length nb.frags && nb.frags.(i).FL.frag <> en.FL.frag then
-                if E.compare e out < 0 then begin
-                  let c = { lvl = i; e; su = s.seq; sv = nb.seq } in
-                  match !best with
-                  | Some b when compare_cand b c <= 0 -> ()
-                  | _ -> best := Some c
-                end)
-        s.frags)
-    view.nbr_ids;
+  for j = 0 to Array.length view.nbr_ids - 1 do
+    let nb = view.nbrs.(j) and y = view.nbr_ids.(j) and w = view.nbr_weights.(j) in
+    let u = Int.min me y and v = Int.max me y in
+    for i = 0 to Array.length s.frags - 1 do
+      let en = s.frags.(i) in
+      match en.FL.out with
+      | Some o
+        when i < Array.length nb.frags
+             && nb.frags.(i).FL.frag <> en.FL.frag
+             && compare_edge w u v o.E.w o.E.u o.E.v < 0 ->
+          let wins =
+            match !best with
+            | None -> true
+            | Some b ->
+                let c = Int.compare b.lvl i in
+                if c <> 0 then c > 0
+                else
+                  let c = compare_edge b.e.E.w b.e.E.u b.e.E.v w u v in
+                  if c <> 0 then c > 0 else Nca.compare b.sv nb.seq > 0
+          in
+          if wins then best := Some { lvl = i; e = E.make me y w; su = s.seq; sv = nb.seq }
+      | _ -> ()
+    done
+  done;
   !best
 
 let cut_base (view : state View.t) =
@@ -228,8 +283,7 @@ let cut_base (view : state View.t) =
   | Some { Aggregate.value = c; _ } ->
       if s.st.St_layer.parent = -1 then None
       else begin
-        let w = Nca.nca c.su c.sv in
-        if Nca.equal s.seq w then None
+        if Nca.is_nca s.seq c.su c.sv then None
         else if Nca.on_cycle ~x:s.seq ~u:c.su ~v:c.sv then begin
           match View.index view s.st.St_layer.parent with
           | exception Not_found -> None
@@ -373,59 +427,66 @@ let initiate_step (view : state View.t) =
 (* The protocol *)
 
 (* Collateral composition: the first enabled rule (in priority order)
-   fires. *)
-let first_enabled alternatives =
-  List.fold_left
-    (fun acc rule -> match acc with Some _ -> acc | None -> rule ())
-    None alternatives
+   fires. The rules are top-level functions in a static array, so a
+   guard evaluation builds no closures. *)
+
+(* 1. Tree layer. *)
+let tree_rule (view : state View.t) =
+  match St_layer.step view ~get:(fun x -> x.st) ~keep_shape:true with
+  | Some st -> Some { view.self with st }
+  | None -> None
+
+(* 3. Label layers. *)
+let size_rule (view : state View.t) =
+  let size = size_target view in
+  if size <> view.self.size then Some { view.self with size } else None
+
+let heavy_rule (view : state View.t) =
+  let heavy = heavy_target view in
+  if heavy <> view.self.heavy then Some { view.self with heavy } else None
+
+let seq_rule (view : state View.t) =
+  let seq = seq_target view in
+  if not (Nca.equal seq view.self.seq) then Some { view.self with seq } else None
+
+let frags_rule (view : state View.t) =
+  let frags = frags_target view in
+  if not (FL.equal frags view.self.frags) then Some { view.self with frags } else None
+
+(* 4. Aggregates. *)
+let cand_rule (view : state View.t) =
+  let s = view.self in
+  match
+    Aggregate.step ~compare:compare_cand ~n:view.n ~base:(cand_base view) ~self:s.cand_agg
+      ~nbrs:view.nbrs ~get:(fun nb -> nb.cand_agg)
+  with
+  | Some cand_agg -> Some { s with cand_agg }
+  | None -> None
+
+let cut_rule (view : state View.t) =
+  let s = view.self in
+  match
+    Aggregate.step ~compare:compare_cut ~n:view.n ~base:(cut_base view) ~self:s.cut_agg
+      ~nbrs:view.nbrs ~get:(fun nb -> nb.cut_agg)
+  with
+  | Some cut_agg -> Some { s with cut_agg }
+  | None -> None
+
+(* Priority order. The switch hand-off (2.) outranks label repair so
+   chains complete without racing the relabeling; chain initiation (5.)
+   comes last. *)
+let rule_order =
+  [|
+    tree_rule; flip_step; token_clear_step; size_rule; heavy_rule; seq_rule; frags_rule;
+    cand_rule; cut_rule; initiate_step;
+  |]
 
 let rules (view : state View.t) =
-  let s = view.self in
-  let nbrs f = Array.to_list (Array.map f view.nbrs) in
-  first_enabled
-    [
-      (* 1. Tree layer. *)
-      (fun () ->
-        match St_layer.step view ~get:(fun x -> x.st) ~keep_shape:true with
-        | Some st -> Some { s with st }
-        | None -> None);
-      (* 2. Switch hand-off — outranks label repair so chains complete
-         without racing the relabeling. *)
-      (fun () -> flip_step view);
-      (fun () -> token_clear_step view);
-      (* 3. Label layers. *)
-      (fun () ->
-        let size = size_target view in
-        if size <> s.size then Some { s with size } else None);
-      (fun () ->
-        let heavy = heavy_target view in
-        if heavy <> s.heavy then Some { s with heavy } else None);
-      (fun () ->
-        let seq = seq_target view in
-        if not (Nca.equal seq s.seq) then Some { s with seq } else None);
-      (fun () ->
-        let frags = frags_target view in
-        if not (FL.equal frags s.frags) then Some { s with frags } else None);
-      (* 4. Aggregates. *)
-      (fun () ->
-        match
-          Aggregate.step ~compare:compare_cand ~n:view.n ~base:(cand_base view)
-            ~self:s.cand_agg
-            ~nbrs:(nbrs (fun nb -> nb.cand_agg))
-        with
-        | Some cand_agg -> Some { s with cand_agg }
-        | None -> None);
-      (fun () ->
-        match
-          Aggregate.step ~compare:compare_cut ~n:view.n ~base:(cut_base view)
-            ~self:s.cut_agg
-            ~nbrs:(nbrs (fun nb -> nb.cut_agg))
-        with
-        | Some cut_agg -> Some { s with cut_agg }
-        | None -> None);
-      (* 5. Chain initiation. *)
-      (fun () -> initiate_step view);
-    ]
+  let rec go i =
+    if i = Array.length rule_order then None
+    else match rule_order.(i) view with Some _ as r -> r | None -> go (i + 1)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 
@@ -458,19 +519,25 @@ module P = struct
       (match s.cut_agg with Some _ -> " cut" | None -> "")
       (match s.sw with Some _ -> " sw" | None -> "")
 
-  let seq_bits n l = Nca.size_bits n l
-
-  let cand_bits n c = Space.edge_bits n + Space.dist_bits n + seq_bits n c.su + seq_bits n c.sv
-
-  let cut_bits n c =
-    cand_bits n c.cand + Space.edge_bits n + Space.id_bits n + seq_bits n c.f_child_seq
-
+  (* The widths are computed once per call; the formula is
+     [St_layer.size_bits] + size + heavy + [Nca.size_bits] of every label
+     + [FL.size_bits] + the optional aggregates and session, summed as
+     before. *)
   let size_bits n s =
-    St_layer.size_bits n s.st + Space.dist_bits n + Space.id_bits n + seq_bits n s.seq
-    + FL.size_bits n s.frags
-    + Space.opt (fun (a : cand Aggregate.t) -> cand_bits n a.Aggregate.value + Space.dist_bits n) s.cand_agg
-    + Space.opt (fun (a : cut Aggregate.t) -> cut_bits n a.Aggregate.value + Space.dist_bits n) s.cut_agg
-    + Space.opt (fun (sess : session) -> cut_bits n sess.cut + Space.id_bits n) s.sw
+    let ib = Space.id_bits n and db = Space.dist_bits n and eb = Space.edge_bits n in
+    let seq_bits l = Nca.length l * (ib + db) in
+    let cand_bits c = eb + db + seq_bits c.su + seq_bits c.sv in
+    let cut_bits c = cand_bits c.cand + eb + ib + seq_bits c.f_child_seq in
+    let frags_bits = ref 0 in
+    Array.iter
+      (fun (en : FL.entry) ->
+        let out_bits = match en.FL.out with None -> 1 | Some _ -> 1 + eb in
+        frags_bits := !frags_bits + ib + (2 * db) + out_bits)
+      s.frags;
+    ib + ib + db + db + ib + seq_bits s.seq + !frags_bits
+    + (match s.cand_agg with None -> 1 | Some a -> 1 + cand_bits a.Aggregate.value + db)
+    + (match s.cut_agg with None -> 1 | Some a -> 1 + cut_bits a.Aggregate.value + db)
+    + match s.sw with None -> 1 | Some sess -> 1 + cut_bits sess.cut + ib
 
   let initial _g v =
     {
@@ -493,7 +560,9 @@ module P = struct
     in
     let random_edge () =
       let a = Random.State.int rng n and b = Random.State.int rng n in
-      if a = b then E.make a ((b + 1) mod n) (1 + Random.State.int rng (n * n))
+      (* At n = 1 the other endpoint is the non-node 1: register garbage,
+         never a self-loop. For n >= 2, [max 2 n = n]. *)
+      if a = b then E.make a ((b + 1) mod max 2 n) (1 + Random.State.int rng (n * n))
       else E.make a b (1 + Random.State.int rng (n * n))
     in
     let random_entry () =

@@ -41,7 +41,24 @@
     whose session its own cut agreement backs (a starved neighbor's stale
     token must not be re-consumed under deterministic daemons); a holder
     discards a token that is consumed or addressed to its own parent, and
-    a stale token never blocks a fresh initiation — it is overwritten. *)
+    a stale token never blocks a fresh initiation — it is overwritten.
+
+    {b Guard cost.} One guard evaluation runs the rules above in order
+    until one fires, so at a quiescent node it runs all of them. Each
+    works on the view's arrays with int comparisons: the tree
+    neighbors' view indices are collected once per trace computation,
+    the trace folds read the neighbors' entries in place, a candidate
+    record is built only when it beats the current best, the NCA tests
+    compare against the NCA without building it, and the aggregates
+    fold over the neighbor array through a projection. At a fixpoint
+    the trace rule returns the register's own label, so checking it
+    allocates nothing. [P.size_bits] computes the three field widths
+    once per register. Measured on a stabilized n = 64 configuration
+    ([bench/main.exe micro], [mst-step-silent-node]), a full guard
+    costs ≈1 µs; PERFORMANCE.md ("MST guard kernels") has the per-rule
+    breakdown. The kernels are pinned to the earlier list- and
+    tuple-based ones, kept verbatim in test_core, on arbitrary registers
+    and on configurations sampled along runs. *)
 
 module E = Repro_graph.Graph.Edge
 

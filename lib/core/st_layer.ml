@@ -5,7 +5,7 @@ module Tree = Repro_graph.Tree
 
 type t = { parent : int; root : int; dist : int }
 
-let equal (a : t) b = a = b
+let equal (a : t) b = a.parent = b.parent && a.root = b.root && a.dist = b.dist
 let pp ppf s = Format.fprintf ppf "(p=%d,r=%d,d=%d)" s.parent s.root s.dist
 
 (* Rule tag for the transition [old -> fresh], shared by every protocol
@@ -49,17 +49,25 @@ let valid view ~get = valid_state view ~get (get view.View.self)
 (* Best joinable neighbor, lexicographic on (root, dist+1, id). *)
 let best_join view ~get =
   let n = view.View.n in
-  let best = ref None in
+  let found = ref false in
+  let br = ref 0 and bd = ref 0 and bu = ref 0 in
   for i = 0 to view.View.degree - 1 do
     let u = get view.View.nbrs.(i) in
     if usable n u then begin
-      let cand = (u.root, u.dist + 1, view.View.nbr_ids.(i)) in
-      match !best with
-      | None -> best := Some cand
-      | Some b -> if cand < b then best := Some cand
+      let d = u.dist + 1 and id = view.View.nbr_ids.(i) in
+      if
+        (not !found)
+        || u.root < !br
+        || (u.root = !br && (d < !bd || (d = !bd && id < !bu)))
+      then begin
+        found := true;
+        br := u.root;
+        bd := d;
+        bu := id
+      end
     end
   done;
-  !best
+  if !found then Some (!br, !bd, !bu) else None
 
 let step view ~get ~keep_shape =
   let s = get view.View.self in
@@ -71,12 +79,12 @@ let step view ~get ~keep_shape =
     id < s.root
     ||
     match best with
-    | Some (r, d, _) -> if keep_shape then r < s.root else (r, d) < (s.root, s.dist)
+    | Some (r, d, _) -> if keep_shape then r < s.root else r < s.root || (r = s.root && d < s.dist)
     | None -> false
   in
   if valid && not better_exists then None
   else begin
-    let r_best = match best with Some (r, _, _) -> min id r | None -> id in
+    let r_best = match best with Some (r, _, _) -> Int.min id r | None -> id in
     let fresh =
       if r_best = id then self_root id
       else begin
@@ -91,7 +99,7 @@ let step view ~get ~keep_shape =
             | _ -> self_root id)
       end
     in
-    if fresh = s then None else Some fresh
+    if equal fresh s then None else Some fresh
   end
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,21 @@ module E = Graph.Edge
 type entry = { frag : int; fdist : int; out : E.t option; odist : int }
 type label = entry array
 
-let equal (a : label) b = a = b
+(* Structural equality without polymorphic [(=)]; a register compared
+   with itself (the MST frags rule at its fixpoint) costs nothing. *)
+let equal_entry a b =
+  a.frag = b.frag && a.fdist = b.fdist && a.odist = b.odist
+  && match (a.out, b.out) with
+     | None, None -> true
+     | Some x, Some y -> E.equal x y
+     | _ -> false
+
+let equal (a : label) (b : label) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i = i = Array.length a || (equal_entry a.(i) b.(i) && go (i + 1)) in
+     go 0
 
 let pp ppf (l : label) =
   Format.fprintf ppf "@[<v>";

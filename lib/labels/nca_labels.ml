@@ -3,8 +3,38 @@ module Space = Repro_runtime.Space
 
 type label = (int * int) array (* (head id, position) pairs, root first *)
 
-let equal (a : label) b = a = b
-let compare (a : label) b = compare a b
+(* Monomorphic forms of polymorphic [(=)] and [compare] on the pair
+   arrays: the shorter label first, then the pairs lexicographically
+   (head, then position). The MST candidate order breaks ties with
+   [compare], so it must stay exactly this order. *)
+let equal (a : label) (b : label) =
+  let n = Array.length a in
+  a == b
+  || (n = Array.length b
+     &&
+     let rec go i =
+       i = n
+       ||
+       let ha, pa = a.(i) and hb, pb = b.(i) in
+       ha = hb && pa = pb && go (i + 1)
+     in
+     go 0)
+
+let compare (a : label) (b : label) =
+  let la = Array.length a and lb = Array.length b in
+  if a == b then 0
+  else if la <> lb then Int.compare la lb
+  else
+    let rec go i =
+      if i = la then 0
+      else
+        let ha, pa = a.(i) and hb, pb = b.(i) in
+        if ha <> hb then Int.compare ha hb
+        else if pa <> pb then Int.compare pa pb
+        else go (i + 1)
+    in
+    go 0
+
 let length = Array.length
 
 let pp ppf l =
@@ -43,32 +73,64 @@ let prover t =
     order;
   labels
 
-let nca (a : label) (b : label) : label =
-  let la = Array.length a and lb = Array.length b in
-  let rec first_diff i =
-    if i >= la || i >= lb then None
-    else if a.(i) = b.(i) then first_diff (i + 1)
-    else Some i
-  in
-  match first_diff 0 with
-  | None ->
-      (* One sequence is a prefix of the other (entrywise): the shorter
-         node is the ancestor. *)
-      if la <= lb then a else b
-  | Some i ->
+(* [nca a b] is always the first [k = nca_length a b] pairs of [a] with
+   the last position lowered to the smaller of the two labels' positions
+   there (the pairs below [k - 1] are equal in [a] and [b], and the heads
+   at [k - 1] agree):
+   - one label is a prefix of the other: the shorter one is the ancestor;
+   - the walks leave a common heavy path at different positions: the NCA
+     sits on that path at the smaller position;
+   - the walks leave a common heavy path at the same position into
+     different light children: the NCA is that exit node, whose label is
+     the common prefix. *)
+let nca_length (a : label) (b : label) =
+  let m = Int.min (Array.length a) (Array.length b) in
+  let rec go i =
+    if i >= m then m
+    else
       let ha, pa = a.(i) and hb, pb = b.(i) in
-      if ha = hb then Array.append (Array.sub a 0 i) [| (ha, min pa pb) |]
-      else
-        (* Both walks left the previous common heavy path at the same
-           position (entry i-1 is equal) into different light children:
-           the NCA is that exit node, whose label is the common prefix. *)
-        Array.sub a 0 i
+      if ha <> hb then i else if pa <> pb then i + 1 else go (i + 1)
+  in
+  go 0
 
-let is_ancestor a v = equal (nca a v) a
+(* The last position of [nca a b], given [k = nca_length a b > 0]. *)
+let nca_pos (a : label) (b : label) k =
+  let _, pa = a.(k - 1) and _, pb = b.(k - 1) in
+  Int.min pa pb
+
+let nca (a : label) (b : label) : label =
+  let k = nca_length a b in
+  if k = 0 then [||]
+  else
+    let p = nca_pos a b k in
+    if k = Array.length a && p = snd a.(k - 1) then a
+    else if k = Array.length b && p = snd b.(k - 1) then b
+    else begin
+      let l = Array.sub a 0 k in
+      l.(k - 1) <- (fst a.(k - 1), p);
+      l
+    end
+
+(* [same_nca a b c d] is [equal (nca a b) (nca c d)] without building
+   either label. *)
+let same_nca a b c d =
+  let k = nca_length a b in
+  k = nca_length c d
+  && (k = 0
+     ||
+     let rec prefix j =
+       j = k - 1
+       ||
+       let ha, pa = a.(j) and hc, pc = c.(j) in
+       ha = hc && pa = pc && prefix (j + 1)
+     in
+     prefix 0 && fst a.(k - 1) = fst c.(k - 1) && nca_pos a b k = nca_pos c d k)
+
+let is_nca x u v = same_nca x x u v
+let is_ancestor a v = same_nca a v a a
 
 let on_cycle ~x ~u ~v =
-  let w = nca u v in
-  (equal (nca x u) x && equal (nca x v) w) || (equal (nca x u) w && equal (nca x v) x)
+  (same_nca x u x x && same_nca x v u v) || (same_nca x u u v && same_nca x v x x)
 
 let resolve t l =
   let labels = prover t in

@@ -17,8 +17,19 @@
 
 type label
 
+(** Pairwise equality, without polymorphic [(=)]. *)
 val equal : label -> label -> bool
+
 val pp : Format.formatter -> label -> unit
+
+(** The total order of polymorphic [compare] on the raw [(head, pos)]
+    pair arrays, computed with int comparisons: a shorter label comes
+    first; labels of equal length compare pair by pair, head first, then
+    position. The MST builder breaks ties between candidate edges of the
+    same level and weight with this order ([Mst_builder]'s [compare_cand]
+    compares the endpoint labels last), so the agreed candidate — and
+    with it every run's trajectory — depends on it staying exactly this
+    order. *)
 val compare : label -> label -> int
 
 (** Number of [(head, pos)] pairs. *)
@@ -52,13 +63,19 @@ val extend_light : label -> child:int -> label
     labeled nodes (both labels must come from the same labeling). *)
 val nca : label -> label -> label
 
-(** [is_ancestor a v] — [nca a v = a]. *)
+(** [is_nca x u v] — [equal x (nca u v)], decided without building the
+    NCA label. *)
+val is_nca : label -> label -> label -> bool
+
+(** [is_ancestor a v] — [nca a v = a], decided without building the NCA
+    label. *)
 val is_ancestor : label -> label -> bool
 
 (** [on_cycle ~x ~u ~v] implements the paper's membership test for the
     fundamental cycle of a non-tree edge [{u,v}]:
     [x ∈ C] iff [nca(x,u) = x ∧ nca(x,v) = w] or
-    [nca(x,u) = w ∧ nca(x,v) = x], where [w = nca(u,v)]. *)
+    [nca(x,u) = w ∧ nca(x,v) = x], where [w = nca(u,v)]. No NCA label
+    is built: every equality is decided on the operands' pairs. *)
 val on_cycle : x:label -> u:label -> v:label -> bool
 
 (** [resolve t l] — the node carrying label [l] in the labeling of [t]

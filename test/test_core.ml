@@ -21,28 +21,28 @@ let sample_graph i =
 
 let test_aggregate_target () =
   let cmp = compare in
-  let t = Aggregate.target ~compare:cmp ~n:10 ~base:(Some 5) ~nbrs:[] in
+  let t = Aggregate.target ~compare:cmp ~n:10 ~base:(Some 5) ~nbrs:[||] ~get:Fun.id in
   Alcotest.(check bool) "own base" true (t = Some { Aggregate.value = 5; hops = 0 });
-  let nbrs = [ Some { Aggregate.value = 3; hops = 2 }; None; Some { Aggregate.value = 7; hops = 0 } ] in
-  let t = Aggregate.target ~compare:cmp ~n:10 ~base:(Some 5) ~nbrs in
+  let nbrs = [| Some { Aggregate.value = 3; hops = 2 }; None; Some { Aggregate.value = 7; hops = 0 } |] in
+  let t = Aggregate.target ~compare:cmp ~n:10 ~base:(Some 5) ~nbrs ~get:Fun.id in
   Alcotest.(check bool) "min neighbor wins" true (t = Some { Aggregate.value = 3; hops = 3 });
   (* TTL: a value at hops n-1 cannot propagate. *)
   let t =
     Aggregate.target ~compare:cmp ~n:10 ~base:None
-      ~nbrs:[ Some { Aggregate.value = 1; hops = 9 } ]
+      ~nbrs:[| Some { Aggregate.value = 1; hops = 9 } |] ~get:Fun.id
   in
   Alcotest.(check bool) "ttl kills" true (t = None);
-  let t = Aggregate.target ~compare:cmp ~n:10 ~base:None ~nbrs:[] in
+  let t = Aggregate.target ~compare:cmp ~n:10 ~base:None ~nbrs:[||] ~get:Fun.id in
   Alcotest.(check bool) "empty" true (t = None)
 
 let test_aggregate_step () =
   let cmp = compare in
   let self = Some { Aggregate.value = 3; hops = 3 } in
-  let nbrs = [ Some { Aggregate.value = 3; hops = 2 } ] in
+  let nbrs = [| Some { Aggregate.value = 3; hops = 2 } |] in
   Alcotest.(check bool) "fixpoint" true
-    (Aggregate.step ~compare:cmp ~n:10 ~base:None ~self ~nbrs = None);
+    (Aggregate.step ~compare:cmp ~n:10 ~base:None ~self ~nbrs ~get:Fun.id = None);
   Alcotest.(check bool) "stale decays" true
-    (Aggregate.step ~compare:cmp ~n:10 ~base:None ~self ~nbrs:[] = Some None)
+    (Aggregate.step ~compare:cmp ~n:10 ~base:None ~self ~nbrs:[||] ~get:Fun.id = Some None)
 
 (* A standalone protocol exercising the aggregate: agree on the global
    minimum of id*7 mod 13 — silent and correct from arbitrary states. *)
@@ -66,8 +66,7 @@ module AggToy = struct
 
   let step view =
     Aggregate.step ~compare ~n:view.View.n ~base:(Some (base view.View.id))
-      ~self:view.View.self
-      ~nbrs:(Array.to_list view.View.nbrs)
+      ~self:view.View.self ~nbrs:view.View.nbrs ~get:Fun.id
 
   let is_legal g sts =
     let expect =
@@ -848,6 +847,868 @@ let prop_legality_certificates_exact =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* MST guard oracle: the guard kernels before they were rewritten on
+   arrays and int comparisons, kept verbatim — the list- and
+   tuple-based [Mst_builder] rules, step and size_bits, the allocating
+   NCA tests and polymorphic label order, the list [Aggregate] fold and
+   [St_layer]'s tuple best-join. The new [P.step] and [P.size_bits] must
+   agree with them on every view. *)
+
+module Old = struct
+  module Old_nca = struct
+    type label = (int * int) array
+
+    let equal (a : label) b = a = b
+    let compare (a : label) b = compare a b
+
+    let nca (a : label) (b : label) : label =
+      let la = Array.length a and lb = Array.length b in
+      let rec first_diff i =
+        if i >= la || i >= lb then None
+        else if a.(i) = b.(i) then first_diff (i + 1)
+        else Some i
+      in
+      match first_diff 0 with
+      | None ->
+          (* One sequence is a prefix of the other (entrywise): the shorter
+             node is the ancestor. *)
+          if la <= lb then a else b
+      | Some i ->
+          let ha, pa = a.(i) and hb, pb = b.(i) in
+          if ha = hb then Array.append (Array.sub a 0 i) [| (ha, min pa pb) |]
+          else
+            (* Both walks left the previous common heavy path at the same
+               position (entry i-1 is equal) into different light children:
+               the NCA is that exit node, whose label is the common prefix. *)
+            Array.sub a 0 i
+
+    let is_ancestor a v = equal (nca a v) a
+
+    let on_cycle ~x ~u ~v =
+      let w = nca u v in
+      (equal (nca x u) x && equal (nca x v) w) || (equal (nca x u) w && equal (nca x v) x)
+
+  end
+
+  module Nca = struct
+    include Nca_labels
+
+    let p = to_pairs
+    let equal a b = Old_nca.equal (p a) (p b)
+    let nca a b = of_pairs (Old_nca.nca (p a) (p b))
+    let is_ancestor a v = Old_nca.is_ancestor (p a) (p v)
+    let on_cycle ~x ~u ~v = Old_nca.on_cycle ~x:(p x) ~u:(p u) ~v:(p v)
+  end
+
+  module Aggregate = struct
+    include Aggregate
+
+    let better compare a b =
+      (* Smaller value first; smaller hops among equal values. *)
+      let c = compare a.value b.value in
+      if c <> 0 then c < 0 else a.hops < b.hops
+
+    let target ~compare ~n ~base ~nbrs =
+      let best = ref (Option.map (fun v -> { value = v; hops = 0 }) base) in
+      List.iter
+        (fun nbr ->
+          match nbr with
+          | Some { value; hops } when hops + 1 < n -> (
+              let cand = { value; hops = hops + 1 } in
+              match !best with
+              | None -> best := Some cand
+              | Some cur -> if better compare cand cur then best := Some cand)
+          | _ -> ())
+        nbrs;
+      !best
+
+    let step ~compare ~n ~base ~self ~nbrs =
+      let fresh = target ~compare ~n ~base ~nbrs in
+      if equal (fun a b -> compare a b = 0) fresh self then None else Some fresh
+
+  end
+
+  module St_layer = struct
+    include St_layer
+
+    let equal (a : t) b = a = b
+
+    let usable n (u : t) = u.root >= 0 && u.dist >= 0 && u.dist + 1 <= n - 1
+
+    let parent_state view ~get s =
+      if s.parent = -1 then None
+      else
+        match View.index view s.parent with
+        | i -> Some (get view.View.nbrs.(i))
+        | exception Not_found -> None
+
+    let valid_state view ~get s =
+      let n = view.View.n in
+      if s.parent = -1 then s.root = view.View.id && s.dist = 0
+      else
+        match parent_state view ~get s with
+        | Some p -> usable n p && s.root = p.root && s.dist = p.dist + 1
+        | None -> false
+
+    (* Best joinable neighbor, lexicographic on (root, dist+1, id). *)
+    let best_join view ~get =
+      let n = view.View.n in
+      let best = ref None in
+      for i = 0 to view.View.degree - 1 do
+        let u = get view.View.nbrs.(i) in
+        if usable n u then begin
+          let cand = (u.root, u.dist + 1, view.View.nbr_ids.(i)) in
+          match !best with
+          | None -> best := Some cand
+          | Some b -> if cand < b then best := Some cand
+        end
+      done;
+      !best
+
+    let step view ~get ~keep_shape =
+      let s = get view.View.self in
+      let id = view.View.id in
+      let n = view.View.n in
+      let best = best_join view ~get in
+      let valid = valid_state view ~get s in
+      let better_exists =
+        id < s.root
+        ||
+        match best with
+        | Some (r, d, _) -> if keep_shape then r < s.root else (r, d) < (s.root, s.dist)
+        | None -> false
+      in
+      if valid && not better_exists then None
+      else begin
+        let r_best = match best with Some (r, _, _) -> min id r | None -> id in
+        let fresh =
+          if r_best = id then self_root id
+          else begin
+            (* Prefer keeping the current parent when it offers the best
+               root, so upper layers' tree surgery survives dist repair. *)
+            match parent_state view ~get s with
+            | Some p when keep_shape && usable n p && p.root = r_best ->
+                { parent = s.parent; root = r_best; dist = p.dist + 1 }
+            | _ -> (
+                match best with
+                | Some (r, d, u) when r = r_best -> { parent = u; root = r; dist = d }
+                | _ -> self_root id)
+          end
+        in
+        if fresh = s then None else Some fresh
+      end
+
+  end
+
+  module FL = Fragment_labels
+  open Mst_builder
+
+  let compare_cand a b =
+    let c = compare a.lvl b.lvl in
+    if c <> 0 then c
+    else
+      let c = E.compare a.e b.e in
+      if c <> 0 then c else compare (a.su, a.sv) (b.su, b.sv)
+
+  (* Cuts are ordered by their candidate first; among cuts for the same
+     candidate the HEAVIEST f wins (Tarjan's red rule), so f compares
+     reversed. *)
+  let compare_cut a b =
+    let c = compare_cand a.cand b.cand in
+    if c <> 0 then c
+    else
+      let c = E.compare b.f a.f in
+      if c <> 0 then c else compare (a.f_child, a.f_child_seq) (b.f_child, b.f_child_seq)
+
+  let equal_cand a b = compare_cand a b = 0
+  let equal_cut a b = compare_cut a b = 0
+
+  (* ------------------------------------------------------------------ *)
+  (* Local structural helpers *)
+
+  let children_of (view : state View.t) =
+    let acc = ref [] in
+    for i = view.degree - 1 downto 0 do
+      if view.nbrs.(i).st.St_layer.parent = view.id then
+        acc := (view.nbr_ids.(i), view.nbr_weights.(i), view.nbrs.(i)) :: !acc
+    done;
+    !acc
+
+  (* Incident tree edges: to the parent and to each child. *)
+  let incident_tree_edges (view : state View.t) =
+    let parent_edge =
+      let p = view.self.st.St_layer.parent in
+      if p = -1 then []
+      else
+        match View.index view p with
+        | i -> [ (view.nbr_ids.(i), view.nbr_weights.(i), view.nbrs.(i)) ]
+        | exception Not_found -> []
+    in
+    parent_edge @ children_of view
+
+  (* ------------------------------------------------------------------ *)
+  (* Label targets (local fixpoints) *)
+
+  let size_target view =
+    List.fold_left (fun acc (_, _, c) -> acc + c.size) 1 (children_of view)
+
+  let heavy_target view =
+    List.fold_left
+      (fun best (id, _, c) ->
+        match best with
+        | None -> Some (id, c.size)
+        | Some (_, bs) -> if c.size > bs then Some (id, c.size) else best)
+      None (children_of view)
+    |> function
+    | Some (id, _) -> id
+    | None -> -1
+
+  let seq_target (view : state View.t) =
+    let s = view.self in
+    if s.st.St_layer.parent = -1 then Nca.of_root view.id
+    else
+      match View.index view s.st.St_layer.parent with
+      | exception Not_found -> s.seq (* tree layer will fire first *)
+      | i ->
+          let p = view.nbrs.(i) in
+          if p.heavy = view.id then Nca.extend_heavy p.seq
+          else Nca.extend_light p.seq ~child:view.id
+
+  (* The Borůvka-trace target, computed level by level from the neighbors'
+     published arrays (Section VI). Level 0 is purely local; level i+1
+     aggregates within the (certified) merged region via fdist/odist
+     chains. *)
+  let frags_target (view : state View.t) : FL.label =
+    let n = view.n in
+    let cap = Space.log2_ceil (max 2 n) + 1 in
+    let tree_nbrs = incident_tree_edges view in
+    let entry_of (nb : state) i : FL.entry option =
+      if i < Array.length nb.frags then Some nb.frags.(i) else None
+    in
+    let min_own_out pred =
+      List.fold_left
+        (fun best (id, w, _) ->
+          if pred id then
+            let e = E.make view.id id w in
+            match best with
+            | Some b when E.compare b e <= 0 -> best
+            | _ -> Some e
+          else best)
+        None tree_nbrs
+    in
+    let out = ref [] in
+    let continue_ = ref true in
+    let level = ref 0 in
+    let prev = ref None in
+    while !continue_ && !level < cap do
+      let i = !level in
+      let entry =
+        if i = 0 then begin
+          let o = min_own_out (fun _ -> true) in
+          { FL.frag = view.id; fdist = 0; out = o; odist = 0 }
+        end
+        else begin
+          let p = match !prev with Some p -> p | None -> assert false in
+          match p.FL.out with
+          | None -> (* previous level was top; unreachable because we stop *) assert false
+          | Some _ ->
+              (* Which tree neighbors are merged with me at level i? *)
+              let merged (id, w, nb) =
+                match entry_of nb (i - 1) with
+                | None -> false
+                | Some ne ->
+                    let edge = E.make view.id id w in
+                    ne.FL.frag = p.FL.frag
+                    || (match p.FL.out with Some o -> E.equal o edge | None -> false)
+                    || match ne.FL.out with Some o -> E.equal o edge | None -> false
+              in
+              (* frag/fdist: min previous-level id over the merged region. *)
+              let frag, fdist =
+                List.fold_left
+                  (fun (bf, bd) (_, _, nb) ->
+                    match entry_of nb i with
+                    | Some ne when ne.FL.fdist + 1 <= n && (ne.FL.frag, ne.FL.fdist + 1) < (bf, bd)
+                      ->
+                        (ne.FL.frag, ne.FL.fdist + 1)
+                    | _ -> (bf, bd))
+                  (p.FL.frag, 0)
+                  (List.filter merged tree_nbrs)
+              in
+              (* out/odist: min outgoing tree edge over level-i mates. *)
+              let own = min_own_out (fun id ->
+                  match View.index view id with
+                  | exception Not_found -> false
+                  | j -> (
+                      match entry_of view.nbrs.(j) i with
+                      | Some ne -> ne.FL.frag <> frag
+                      | None -> false))
+              in
+              let best_out =
+                List.fold_left
+                  (fun acc (_, _, nb) ->
+                    match entry_of nb i with
+                    | Some ne when ne.FL.frag = frag -> (
+                        match ne.FL.out with
+                        | Some o when ne.FL.odist + 1 <= n -> (
+                            match acc with
+                            | Some (b, bd) ->
+                                if
+                                  E.compare o b < 0
+                                  || (E.equal o b && ne.FL.odist + 1 < bd)
+                                then Some (o, ne.FL.odist + 1)
+                                else acc
+                            | None -> Some (o, ne.FL.odist + 1))
+                        | _ -> acc)
+                    | _ -> acc)
+                  (match own with Some o -> Some (o, 0) | None -> None)
+                  tree_nbrs
+              in
+              (match best_out with
+              | Some (o, od) -> { FL.frag; fdist; out = Some o; odist = od }
+              | None -> { FL.frag; fdist; out = None; odist = 0 })
+        end
+      in
+      out := entry :: !out;
+      prev := Some entry;
+      if entry.FL.out = None then continue_ := false;
+      incr level
+    done;
+    Array.of_list (List.rev !out)
+
+  (* ------------------------------------------------------------------ *)
+  (* Candidate and cut bases *)
+
+  let cand_base (view : state View.t) =
+    let s = view.self in
+    let best = ref None in
+    Array.iteri
+      (fun j y ->
+        let nb = view.nbrs.(j) in
+        let w = view.nbr_weights.(j) in
+        let e = E.make view.id y w in
+        Array.iteri
+          (fun i (en : FL.entry) ->
+            match en.FL.out with
+            | None -> ()
+            | Some out ->
+                if i < Array.length nb.frags && nb.frags.(i).FL.frag <> en.FL.frag then
+                  if E.compare e out < 0 then begin
+                    let c = { lvl = i; e; su = s.seq; sv = nb.seq } in
+                    match !best with
+                    | Some b when compare_cand b c <= 0 -> ()
+                    | _ -> best := Some c
+                  end)
+          s.frags)
+      view.nbr_ids;
+    !best
+
+  let cut_base (view : state View.t) =
+    let s = view.self in
+    match s.cand_agg with
+    | None -> None
+    | Some { Aggregate.value = c; _ } ->
+        if s.st.St_layer.parent = -1 then None
+        else begin
+          let w = Nca.nca c.su c.sv in
+          if Nca.equal s.seq w then None
+          else if Nca.on_cycle ~x:s.seq ~u:c.su ~v:c.sv then begin
+            match View.index view s.st.St_layer.parent with
+            | exception Not_found -> None
+            | i ->
+                let f = E.make view.id view.nbr_ids.(i) view.nbr_weights.(i) in
+                Some { cand = c; f; f_child = view.id; f_child_seq = s.seq }
+          end
+          else None
+        end
+
+  (* ------------------------------------------------------------------ *)
+  (* Switch chain *)
+
+  (* A neighbor holds a token addressed to me: consume it. *)
+  let incoming_token (view : state View.t) =
+    let found = ref None in
+    Array.iteri
+      (fun i nb ->
+        match nb.sw with
+        | Some { cut; next } when next = view.id && !found = None ->
+            (* Sanity: the handing neighbor must have flipped onto its own
+               predecessor already (its parent is not me). *)
+            if nb.st.St_layer.parent <> view.id then
+              found := Some (view.nbr_ids.(i), view.nbrs.(i), cut)
+        | _ -> ())
+      view.nbrs;
+    !found
+
+  let flip_step (view : state View.t) =
+    match incoming_token view with
+    | None -> None
+    | Some (uid, u, cut) ->
+        let s = view.self in
+        (* Only consume tokens of the session I myself agreed to: a starved
+           neighbor's stale token (its holder never being scheduled to
+           clear it) must not be re-consumed — deterministic daemons can
+           otherwise ping-pong a node between two standing tokens. My own
+           aggregate is frozen until I flip (flip outranks aggregate
+           updates), so for a live chain this always matches. *)
+        let backed =
+          match s.cut_agg with
+          | Some { Aggregate.value; _ } -> equal_cut value cut
+          | None -> false
+        in
+        if not backed then None
+        else if s.st.St_layer.parent = uid then None
+        else if u.st.St_layer.root <> s.st.St_layer.root || u.st.St_layer.dist + 1 > view.n - 1
+        then None
+        else if (match s.sw with Some { cut = c; _ } -> equal_cut c cut | None -> false)
+        then None
+        else begin
+          let next = if view.id = cut.f_child then -1 else s.st.St_layer.parent in
+          Some
+            {
+              s with
+              st =
+                { St_layer.parent = uid; root = u.st.St_layer.root; dist = u.st.St_layer.dist + 1 };
+              sw = Some { cut; next };
+            }
+        end
+
+  (* Drop my token once the addressee has taken it (its parent is me),
+     when it is garbage (addressee not a neighbor / chain complete), or
+     when the session is no longer backed by the live cut agreement —
+     the timeout that flushes tokens surviving from arbitrary initial
+     configurations. *)
+  let token_clear_step (view : state View.t) =
+    let s = view.self in
+    match s.sw with
+    | None -> None
+    | Some { cut; next } ->
+        let consumed =
+          next = -1
+          ||
+          match View.index view next with
+          | exception Not_found -> true
+          | i -> view.nbrs.(i).st.St_layer.parent = view.id
+        in
+        (* A legitimately waiting holder always points AT its flip target
+           while addressing its OLD parent, so [next = parent] is garbage
+           (e.g. a token surviving from an arbitrary initial state whose
+           addressee would otherwise ignore it forever). Unbacked-but-
+           wellformed tokens are NOT cleared here — the addressee refuses
+           them anyway, and clearing them early would abort live chains
+           whose holder's aggregates churn first under an unfair daemon;
+           instead, initiation simply ignores (and overwrites) a stale
+           token. *)
+        ignore cut;
+        let garbage = next = s.st.St_layer.parent in
+        if consumed || garbage then Some { s with sw = None } else None
+
+  (* Initiation: I am the endpoint of the agreed candidate edge e inside
+     the detached subtree; re-parent across e and send the token upward. *)
+  let initiate_step (view : state View.t) =
+    let s = view.self in
+    match (s.cand_agg, s.cut_agg) with
+    | Some { Aggregate.value = c; _ }, Some { Aggregate.value = cut; _ }
+      when equal_cand c cut.cand && E.mem c.e view.id && s.st.St_layer.parent <> -1 ->
+        let other = E.other c.e view.id in
+        if s.st.St_layer.parent = other then None
+        else if not (Nca.is_ancestor cut.f_child_seq s.seq) then None
+        else if
+          (* a live token blocks re-initiation; a stale (unbacked) one is
+             overwritten *)
+          match s.sw with
+          | Some { cut = c'; _ } -> equal_cut c' cut
+          | None -> false
+        then None
+        else if E.compare c.e cut.f >= 0 then None
+          (* Tarjan's red rule requires f strictly heavier than e; the
+             weight guard also makes every completed session strictly
+             decrease the tree weight, so bogus transient sessions cannot
+             cycle. *)
+        else begin
+          match View.index view other with
+          | exception Not_found -> None
+          | i when view.nbrs.(i).st.St_layer.parent = view.id ->
+              None (* e is a tree edge through the other endpoint *)
+          | i
+            when view.nbrs.(i).st.St_layer.root <> s.st.St_layer.root
+                 || view.nbrs.(i).st.St_layer.dist + 1 > view.n - 1 ->
+              None (* never re-parent across trees: the election owns that *)
+          | i ->
+              let u = view.nbrs.(i) in
+              let next = if view.id = cut.f_child then -1 else s.st.St_layer.parent in
+              Some
+                {
+                  s with
+                  st =
+                    {
+                      St_layer.parent = other;
+                      root = u.st.St_layer.root;
+                      dist = u.st.St_layer.dist + 1;
+                    };
+                  sw = Some { cut; next };
+                }
+        end
+    | _ -> None
+
+  (* ------------------------------------------------------------------ *)
+  (* The protocol *)
+
+  (* Collateral composition: the first enabled rule (in priority order)
+     fires. *)
+  let first_enabled alternatives =
+    List.fold_left
+      (fun acc rule -> match acc with Some _ -> acc | None -> rule ())
+      None alternatives
+
+  let rules (view : state View.t) =
+    let s = view.self in
+    let nbrs f = Array.to_list (Array.map f view.nbrs) in
+    first_enabled
+      [
+        (* 1. Tree layer. *)
+        (fun () ->
+          match St_layer.step view ~get:(fun x -> x.st) ~keep_shape:true with
+          | Some st -> Some { s with st }
+          | None -> None);
+        (* 2. Switch hand-off — outranks label repair so chains complete
+           without racing the relabeling. *)
+        (fun () -> flip_step view);
+        (fun () -> token_clear_step view);
+        (* 3. Label layers. *)
+        (fun () ->
+          let size = size_target view in
+          if size <> s.size then Some { s with size } else None);
+        (fun () ->
+          let heavy = heavy_target view in
+          if heavy <> s.heavy then Some { s with heavy } else None);
+        (fun () ->
+          let seq = seq_target view in
+          if not (Nca.equal seq s.seq) then Some { s with seq } else None);
+        (fun () ->
+          let frags = frags_target view in
+          if not (FL.equal frags s.frags) then Some { s with frags } else None);
+        (* 4. Aggregates. *)
+        (fun () ->
+          match
+            Aggregate.step ~compare:compare_cand ~n:view.n ~base:(cand_base view)
+              ~self:s.cand_agg
+              ~nbrs:(nbrs (fun nb -> nb.cand_agg))
+          with
+          | Some cand_agg -> Some { s with cand_agg }
+          | None -> None);
+        (fun () ->
+          match
+            Aggregate.step ~compare:compare_cut ~n:view.n ~base:(cut_base view)
+              ~self:s.cut_agg
+              ~nbrs:(nbrs (fun nb -> nb.cut_agg))
+          with
+          | Some cut_agg -> Some { s with cut_agg }
+          | None -> None);
+        (* 5. Chain initiation. *)
+        (fun () -> initiate_step view);
+      ]
+
+  let equal_state a b =
+    St_layer.equal a.st b.st && a.size = b.size && a.heavy = b.heavy
+    && Nca.equal a.seq b.seq && FL.equal a.frags b.frags
+    && Aggregate.equal equal_cand a.cand_agg b.cand_agg
+    && Aggregate.equal equal_cut a.cut_agg b.cut_agg
+    && a.sw = b.sw
+
+  let seq_bits n l = Nca.size_bits n l
+
+  let cand_bits n c = Space.edge_bits n + Space.dist_bits n + seq_bits n c.su + seq_bits n c.sv
+
+  let cut_bits n c =
+    cand_bits n c.cand + Space.edge_bits n + Space.id_bits n + seq_bits n c.f_child_seq
+
+  let size_bits n s =
+    St_layer.size_bits n s.st + Space.dist_bits n + Space.id_bits n + seq_bits n s.seq
+    + FL.size_bits n s.frags
+    + Space.opt (fun (a : cand Aggregate.t) -> cand_bits n a.Aggregate.value + Space.dist_bits n) s.cand_agg
+    + Space.opt (fun (a : cut Aggregate.t) -> cut_bits n a.Aggregate.value + Space.dist_bits n) s.cut_agg
+    + Space.opt (fun (sess : session) -> cut_bits n sess.cut + Space.id_bits n) s.sw
+
+  let step view =
+    match rules view with
+    | Some s' when equal_state s' view.View.self -> None
+    | r -> r
+end
+
+(* Registers for the oracle: [P.random_state], or the exact NCA and
+   trace labels of a random spanning tree (so merge, cycle and
+   candidate tests see consistent neighbors), then up to four nodes
+   reshaped into what [random_state] rarely draws — a parent that is
+   also a child, frags longer than ⌈log₂ n⌉+1 with clashing fragment
+   ids, labels of unequal length over a small alphabet (shared
+   prefixes), aggregates built from neighbors' labels. *)
+let oracle_registers rng g =
+  let n = Graph.n g in
+  let cap = Space.log2_ceil (max 2 n) + 1 in
+  let small () = Random.State.int rng (min n 3) in
+  let edges = Graph.edges g in
+  let random_out () =
+    if Array.length edges = 0 || Random.State.int rng 3 = 0 then None
+    else Some edges.(Random.State.int rng (Array.length edges))
+  in
+  let random_entry () =
+    {
+      Fragment_labels.frag = small ();
+      fdist = Random.State.int rng 3;
+      out = random_out ();
+      odist = Random.State.int rng 3;
+    }
+  in
+  (* A register's own [seq] is never empty ([Nca_labels.extend_heavy]
+     needs a last pair); carried labels may be. *)
+  let random_label ~min =
+    Nca_labels.of_pairs
+      (Array.init (min + Random.State.int rng (5 - min)) (fun _ -> (small (), small ())))
+  in
+  let sts =
+    if Random.State.bool rng then Array.init n (fun v -> Mst_builder.P.random_state rng g v)
+    else begin
+      (* Every label layer at its fixpoint on a random spanning tree, so
+         the guard reaches the trace, candidate and cut rules; the
+         aggregates and the session stay [random_state]'s garbage half
+         the time. *)
+      let parent, order = random_graph_tree rng g in
+      let t = Tree.of_parents ~root:0 parent in
+      let size = Array.make n 1 and heavy = Array.make n (-1) in
+      for k = n - 1 downto 1 do
+        let v = order.(k) in
+        size.(parent.(v)) <- size.(parent.(v)) + size.(v)
+      done;
+      for v = 1 to n - 1 do
+        let p = parent.(v) in
+        if heavy.(p) = -1 || size.(v) > size.(heavy.(p)) then heavy.(p) <- v
+      done;
+      let seq = Array.make n (Nca_labels.of_root 0) in
+      Array.iteri
+        (fun k v ->
+          if k > 0 then
+            let p = parent.(v) in
+            seq.(v) <-
+              (if heavy.(p) = v then Nca_labels.extend_heavy seq.(p)
+               else Nca_labels.extend_light seq.(p) ~child:v))
+        order;
+      let frags = Fragment_labels.prover g t in
+      Array.init n (fun v ->
+          let r = Mst_builder.P.random_state rng g v in
+          let garbage = Random.State.bool rng in
+          {
+            Mst_builder.st = { St_layer.parent = parent.(v); root = 0; dist = Tree.depth t v };
+            size = size.(v);
+            heavy = heavy.(v);
+            seq = seq.(v);
+            frags = frags.(v);
+            cand_agg = (if garbage then r.cand_agg else None);
+            cut_agg = (if garbage then r.cut_agg else None);
+            sw = (if garbage then r.sw else None);
+          })
+    end
+  in
+  let label_of () =
+    if Random.State.bool rng then random_label ~min:0
+    else sts.(Random.State.int rng n).Mst_builder.seq
+  in
+  let cand () =
+    {
+      Mst_builder.lvl = Random.State.int rng 3;
+      e =
+        (if Array.length edges = 0 then Graph.Edge.make 0 1 1
+         else edges.(Random.State.int rng (Array.length edges)));
+      su = label_of ();
+      sv = label_of ();
+    }
+  in
+  let cut () =
+    let f_child = Random.State.int rng n in
+    {
+      Mst_builder.cand = cand ();
+      f = (match random_out () with Some e -> e | None -> Graph.Edge.make 0 1 2);
+      f_child;
+      f_child_seq = (if Random.State.bool rng then sts.(f_child).seq else label_of ());
+    }
+  in
+  for _ = 1 to Random.State.int rng 5 do
+    let v = Random.State.int rng n in
+    let nbrs = Graph.neighbors g v in
+    let s = sts.(v) in
+    match Random.State.int rng 6 with
+    | 0 when Array.length nbrs > 0 ->
+        let u, _ = nbrs.(Random.State.int rng (Array.length nbrs)) in
+        sts.(v) <- { s with st = { s.st with parent = u } };
+        sts.(u) <- { sts.(u) with st = { sts.(u).st with parent = v } }
+    | 1 ->
+        let len = cap + 1 + Random.State.int rng 3 in
+        sts.(v) <- { s with frags = Array.init len (fun _ -> random_entry ()) }
+    | 2 -> sts.(v) <- { s with seq = random_label ~min:1 }
+    | 3 ->
+        sts.(v) <-
+          {
+            s with
+            cand_agg = Some { Aggregate.value = cand (); hops = Random.State.int rng (n + 1) };
+            cut_agg = Some { Aggregate.value = cut (); hops = Random.State.int rng (n + 1) };
+          }
+    | 4 when Array.length nbrs > 0 ->
+        (* A token addressed to a neighbor whose cut agreement backs it. *)
+        let u, _ = nbrs.(Random.State.int rng (Array.length nbrs)) in
+        let c = cut () in
+        sts.(v) <- { s with sw = Some { Mst_builder.cut = c; next = u } };
+        sts.(u) <-
+          { sts.(u) with cut_agg = Some { Aggregate.value = c; hops = Random.State.int rng n } }
+    | _ ->
+        sts.(v) <-
+          { s with sw = Some { Mst_builder.cut = cut (); next = Random.State.int rng (n + 1) - 1 } }
+  done;
+  sts
+
+(* Configurations along runs from designated and adversarial starts:
+   every step is kept with probability 1/8 (at most 40), plus the final
+   one. Sampling draws from its own stream, so the runs are the plain
+   seeded runs. *)
+let run_configurations rng g sched =
+  let pick = Random.State.copy rng in
+  let acc = ref [] and kept = ref 0 in
+  let init = if Random.State.bool rng then ME.initial g else ME.adversarial rng g in
+  let r =
+    ME.run ~max_steps:(40 * Graph.n g * Graph.n g) g sched rng ~init
+      ~on_step:(fun _ sts ->
+        if !kept < 40 && Random.State.int pick 8 = 0 then begin
+          incr kept;
+          acc := Array.copy sts :: !acc
+        end)
+  in
+  r.ME.states :: !acc
+
+let old_guard_agrees g sts =
+  let n = Graph.n g in
+  let ok = ref true in
+  for v = 0 to n - 1 do
+    let view = ME.view g sts v in
+    (match (Mst_builder.P.step view, Old.step view) with
+    | None, None -> ()
+    | Some a, Some b ->
+        if not (Old.equal_state a b) then ok := false;
+        if Mst_builder.P.size_bits n a <> Old.size_bits n a then ok := false
+    | _ -> ok := false);
+    if Mst_builder.P.size_bits n sts.(v) <> Old.size_bits n sts.(v) then ok := false
+  done;
+  !ok
+
+let gen_oracle_graph =
+  QCheck2.Gen.(
+    let* n = int_range 1 20 in
+    let* extra = int_range 0 n in
+    let* s = int_bound 1_000_000 in
+    return (n, extra, s))
+
+let prop_mst_guard_arbitrary =
+  prop "MST guard = old guard on arbitrary registers" 1000 gen_oracle_graph (fun (n, extra, s) ->
+      let rng = Random.State.make [| n; extra; s; 31 |] in
+      let g = Generators.random_connected rng ~n ~m:(n - 1 + extra) in
+      List.for_all (fun _ -> old_guard_agrees g (oracle_registers rng g)) [ 1; 2; 3; 4 ])
+
+let prop_mst_guard_runs =
+  prop "MST guard = old guard along runs (three daemons)" 60 gen_oracle_graph
+    (fun (n, extra, s) ->
+      let rng = Random.State.make [| n; extra; s; 37 |] in
+      let g = Generators.random_connected rng ~n ~m:(n - 1 + extra) in
+      List.for_all
+        (fun sched -> List.for_all (old_guard_agrees g) (run_configurations rng g sched))
+        [ Scheduler.Synchronous; Scheduler.Central Scheduler.Random_daemon;
+          Scheduler.Distributed 0.5 ])
+
+(* Kernel pins. Labels over a two-letter alphabet with lengths 0-4 hit
+   equal lengths, shared prefixes and the empty label often. *)
+let random_pairs rng =
+  Array.init (Random.State.int rng 5) (fun _ -> (Random.State.int rng 2, Random.State.int rng 3))
+
+(* Trace labels over tiny ranges: lengths 0-3, two fragment ids, two
+   edges, so equal and near-equal labels are common. *)
+let random_trace rng =
+  let edges = [| Graph.Edge.make 0 1 5; Graph.Edge.make 0 2 5 |] in
+  Array.init (Random.State.int rng 4) (fun _ ->
+      {
+        Fragment_labels.frag = Random.State.int rng 2;
+        fdist = Random.State.int rng 2;
+        out = (if Random.State.bool rng then None else Some edges.(Random.State.int rng 2));
+        odist = Random.State.int rng 2;
+      })
+
+let prop_nca_kernels =
+  prop "label kernels = polymorphic/allocating definitions" 2000 gen_small_graph
+    (fun (a, b, s) ->
+      let rng = Random.State.make [| a; b; s; 41 |] in
+      let x = random_pairs rng and u = random_pairs rng and v = random_pairs rng in
+      let f = random_trace rng and f' = random_trace rng in
+      Fragment_labels.equal f f' = (f = f')
+      && Fragment_labels.equal f (Array.copy f)
+      &&
+      let l = Nca_labels.of_pairs in
+      (* [Old_nca.compare]/[equal] are [Stdlib.compare]/[(=)] on the pairs. *)
+      Nca_labels.compare (l u) (l v) = Old.Old_nca.compare u v
+      && Nca_labels.compare (l u) (l u) = 0
+      && Nca_labels.equal (l u) (l v) = Old.Old_nca.equal u v
+      && Nca_labels.to_pairs (Nca_labels.nca (l u) (l v)) = Old.Old_nca.nca u v
+      && Nca_labels.is_nca (l x) (l u) (l v) = Old.Old_nca.equal x (Old.Old_nca.nca u v)
+      && Nca_labels.is_ancestor (l x) (l u) = Old.Old_nca.is_ancestor x u
+      && Nca_labels.on_cycle ~x:(l x) ~u:(l u) ~v:(l v) = Old.Old_nca.on_cycle ~x ~u ~v)
+
+(* Values compare by [v / 2], so distinct values tie and the first-wins
+   rule decides which one the field holds. *)
+let prop_aggregate_array =
+  prop "Aggregate.step on arrays = old list fold" 2000 gen_small_graph (fun (a, b, s) ->
+      let rng = Random.State.make [| a; b; s; 43 |] in
+      let n = 1 + Random.State.int rng 6 in
+      let field () =
+        if Random.State.int rng 4 = 0 then None
+        else
+          Some { Aggregate.value = Random.State.int rng 6; hops = Random.State.int rng (n + 1) }
+      in
+      let nbrs = Array.init (Random.State.int rng 6) (fun _ -> field ()) in
+      let base = if Random.State.bool rng then None else Some (Random.State.int rng 6) in
+      let self = field () in
+      let compare x y = Int.compare (x / 2) (y / 2) in
+      Aggregate.target ~compare ~n ~base ~nbrs ~get:Fun.id
+      = Old.Aggregate.target ~compare ~n ~base ~nbrs:(Array.to_list nbrs)
+      && Aggregate.step ~compare ~n ~base ~self ~nbrs ~get:Fun.id
+         = Old.Aggregate.step ~compare ~n ~base ~self ~nbrs:(Array.to_list nbrs))
+
+(* Every builder the CLI runs, from an adversarial start on a one-node
+   graph: arbitrary registers must not crash the draw (no self-loop
+   edge) and the run must end silent and legal. *)
+let one_node_run (type s) (module P : Protocol.S with type state = s) seed =
+  let module E = Engine.Make (P) in
+  let g = Graph.of_edges 1 [] in
+  let rng = Random.State.make [| 0x1; seed |] in
+  let r = E.run g Scheduler.Synchronous rng ~init:(E.adversarial rng g) in
+  r.E.silent && r.E.legal
+
+let test_one_node_adversarial () =
+  let builders =
+    [
+      ("bfs", one_node_run (module Bfs_builder.P));
+      ("mst", one_node_run (module Mst_builder.P));
+      ("mdst", one_node_run (module Mdst_builder.P));
+      ("spt", one_node_run (module Spt_builder.P));
+      ("adhoc-bfs", one_node_run (module Repro_baselines.Adhoc_bfs.P));
+      ("compact-mst", one_node_run (module Repro_baselines.Compact_mst.P));
+      ("fullinfo-mst", one_node_run (module Repro_baselines.Fullinfo.Mst_instance.P));
+      ("fullinfo-mdst", one_node_run (module Repro_baselines.Fullinfo.Mdst_instance.P));
+    ]
+  in
+  Alcotest.(check (list string)) "every CLI builder" Repro_campaign.Campaign.known_algos
+    (List.map fst builders);
+  List.iter
+    (fun (name, run) ->
+      for seed = 1 to 20 do
+        Alcotest.(check bool) (Printf.sprintf "%s seed %d" name seed) true (run seed)
+      done)
+    builders
+
 let () =
   (* Deterministic property tests: fix the qcheck master seed. *)
   QCheck_base_runner.set_seed 20260704;
@@ -891,6 +1752,8 @@ let () =
           Alcotest.test_case "adversarial start" `Quick test_mst_builder_adversarial_start;
           Alcotest.test_case "fault recovery" `Quick test_mst_builder_fault_recovery;
           Alcotest.test_case "weight = kruskal" `Quick test_mst_builder_weight_matches_kruskal;
+          Alcotest.test_case "one-node adversarial starts (every builder)" `Quick
+            test_one_node_adversarial;
         ] );
       ( "mdst_builder",
         [
@@ -908,5 +1771,9 @@ let () =
           prop_mdst_builder_converges;
           prop_bfs_self_stabilizes;
           prop_legality_certificates_exact;
+          prop_mst_guard_arbitrary;
+          prop_mst_guard_runs;
+          prop_nca_kernels;
+          prop_aggregate_array;
         ] );
     ]
