@@ -1,0 +1,250 @@
+open Repro_graph
+open Repro_runtime
+open Repro_core
+open Repro_baselines
+module Service = Repro_service.Service
+
+module Bfs_tree = struct
+  include Bfs_builder.Packed
+
+  let parent_of (s : St_layer.t) = s.St_layer.parent
+  let loop_free = false
+end
+
+module Spt_tree = struct
+  include Spt_builder.Packed
+
+  let parent_of (s : Spt_builder.state) = s.Spt_builder.parent
+  let loop_free = false
+end
+
+module Adhoc_tree = struct
+  include Adhoc_bfs.Packed
+
+  let parent_of (s : Adhoc_bfs.state) = s.Adhoc_bfs.parent
+  let loop_free = false
+end
+
+module Mst_tree = struct
+  include Mst_builder.P
+
+  let parent_of (s : Mst_builder.state) = s.Mst_builder.st.St_layer.parent
+  let loop_free = true
+end
+
+module Mdst_tree = struct
+  include Mdst_builder.P
+
+  let parent_of (s : Mdst_builder.state) = s.Mdst_builder.st.St_layer.parent
+  let loop_free = true
+end
+
+type 's entry = {
+  name : string;
+  protocol : (module Protocol.S with type state = 's);
+  tree : (module Service.TREE_PROTOCOL with type state = 's) option;
+  packed : (module Service.PACKED_TREE_PROTOCOL with type state = 's) option;
+  cheap_phi : bool;
+  note : adversarial:bool -> Graph.t -> 's array -> string;
+}
+
+type t = Builder : 's entry -> t
+
+let no_note ~adversarial:_ _ _ = ""
+
+let packed_tree (type s) name (module T : Service.PACKED_TREE_PROTOCOL with type state = s)
+    ~cheap_phi ~note =
+  Builder
+    {
+      name;
+      protocol = (module T : Protocol.S with type state = s);
+      tree = Some (module T : Service.TREE_PROTOCOL with type state = s);
+      packed = Some (module T);
+      cheap_phi;
+      note;
+    }
+
+let boxed_tree (type s) name (module T : Service.TREE_PROTOCOL with type state = s) ~note =
+  Builder
+    {
+      name;
+      protocol = (module T : Protocol.S with type state = s);
+      tree = Some (module T);
+      packed = None;
+      cheap_phi = false;
+      note;
+    }
+
+let plain (type s) name (module P : Protocol.S with type state = s) ~note =
+  Builder { name; protocol = (module P); tree = None; packed = None; cheap_phi = false; note }
+
+let bfs =
+  packed_tree "bfs" (module Bfs_tree) ~cheap_phi:true ~note:(fun ~adversarial:_ g sts ->
+      Printf.sprintf "phi = %d" (Bfs_builder.potential g sts))
+
+let mst =
+  boxed_tree "mst" (module Mst_tree) ~note:(fun ~adversarial:_ g sts ->
+      match Mst_builder.tree_of g sts with
+      | Some t ->
+          Printf.sprintf "tree weight %d (MST weight %d)" (Tree.weight t g) (Mst.mst_weight g)
+      | None -> "no tree")
+
+let mdst =
+  boxed_tree "mdst" (module Mdst_tree) ~note:(fun ~adversarial:_ g sts ->
+      match Mdst_builder.tree_of g sts with
+      | Some t ->
+          let fr, _, _ = Min_degree.furer_raghavachari g ~root:0 in
+          Printf.sprintf "tree degree %d (sequential FR: %d)" (Tree.max_degree t)
+            (Tree.max_degree fr)
+      | None -> "no tree")
+
+let spt =
+  packed_tree "spt" (module Spt_tree) ~cheap_phi:true ~note:(fun ~adversarial:_ g sts ->
+      Printf.sprintf "potential = %d" (Spt_builder.potential g sts))
+
+let adhoc_bfs = packed_tree "adhoc-bfs" (module Adhoc_tree) ~cheap_phi:false ~note:no_note
+
+let compact_mst =
+  plain "compact-mst" (module Compact_mst.P) ~note:(fun ~adversarial _ _ ->
+      if adversarial then "uncertified: may be silent yet wrong from garbage" else "")
+
+let fullinfo_mst = plain "fullinfo-mst" (module Fullinfo.Mst_instance.P) ~note:no_note
+let fullinfo_mdst = plain "fullinfo-mdst" (module Fullinfo.Mdst_instance.P) ~note:no_note
+
+let all =
+  [ bfs; mst; mdst; spt; adhoc_bfs; compact_mst; fullinfo_mst; fullinfo_mdst ]
+
+let flagship = [ bfs; mst; spt ]
+let name (Builder e) = e.name
+let find s = List.find_opt (fun b -> name b = s) all
+let serves (Builder e) = e.tree <> None
+let packed (Builder e) = e.packed <> None
+let cheap_phi (Builder e) = e.cheap_phi
+
+let describe b =
+  let caps = (if serves b then [ "serve" ] else []) @ if packed b then [ "packed" ] else [] in
+  if caps = [] then name b else Printf.sprintf "%s (%s)" (name b) (String.concat ", " caps)
+
+type outcome = {
+  algo : string;
+  silent : bool;
+  legal : bool;
+  rounds : int;
+  steps : int;
+  max_bits : int;
+  note : string;
+  verdict : string option;
+  injected : bool;
+  telemetry : Telemetry.t option;
+}
+
+let run_entry (type s) (e : s entry) ~telemetry ?events ~faults ~adversarial ~max_rounds g
+    sched rng =
+  (* Each run gets fresh telemetry and watchdog, so after fault
+     injection the reported series is the recovery run's — the one
+     under study. *)
+  let fresh () = if telemetry then Some (Telemetry.create ()) else None in
+  (* Observe-only watchdog: classify a non-silent exit (livelock vs
+     bare exhaustion) instead of just reporting the hit limit. *)
+  let watch () =
+    let wd = Watchdog.create () in
+    ( wd,
+      fun round states ->
+        Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states) ~phi:None
+          ~snap:(fun () -> Marshal.to_string states []) )
+  in
+  let outcome wd tel ~injected (silent, legal, rounds, steps, max_bits, states) =
+    {
+      algo = e.name;
+      silent;
+      legal;
+      rounds;
+      steps;
+      max_bits;
+      note = e.note ~adversarial g states;
+      verdict =
+        (if silent then None
+         else Some (Format.asprintf "%a" Watchdog.pp_verdict (Watchdog.verdict wd ~silent)));
+      injected;
+      telemetry = tel;
+    }
+  in
+  match e.packed with
+  | Some (module K) when Option.is_none events && faults <= 0 ->
+      let module E = Engine_packed.Make (K) in
+      let tel = fresh () and wd, on_round = watch () in
+      let init = if adversarial then E.adversarial rng g else E.initial g in
+      let r = E.run ~max_rounds ?telemetry:tel ~on_round g sched rng ~init in
+      outcome wd tel ~injected:false
+        (r.E.silent, r.E.legal, r.E.rounds, r.E.steps, r.E.max_bits, r.E.states)
+  | _ ->
+      let module P = (val e.protocol) in
+      let module E = Engine.Make (P) in
+      let observed ?init_causes ?(round_offset = 0) ?(step_offset = 0) ~init () =
+        let tel = fresh () and wd, on_round = watch () in
+        let r =
+          E.run ~max_rounds ?telemetry:tel ~on_round ?events ?init_causes ~round_offset
+            ~step_offset g sched rng ~init
+        in
+        (r, tel, wd)
+      in
+      let init = if adversarial then E.adversarial rng g else E.initial g in
+      let ((first, _, _) as run1) = observed ~init () in
+      let (r, tel, wd), injected =
+        if faults > 0 && first.E.silent then begin
+          (* Pick first, corrupt second (same RNG stream as
+             Fault.corrupt) so the fault events name the nodes actually
+             hit and the recovery run's initially-enabled nodes can be
+             attributed. *)
+          let picked = Fault.pick_nodes rng ~n:(Graph.n g) ~k:faults in
+          let corrupted =
+            Fault.corrupt_nodes rng ~random_state:P.random_state g first.E.states picked
+          in
+          let init_causes =
+            Option.map
+              (fun sink ->
+                let eids =
+                  List.map
+                    (fun v -> (v, Events.emit_fault sink ~node:v ~round:first.E.rounds))
+                    picked
+                in
+                fun v ->
+                  List.filter_map
+                    (fun (u, eid) -> if u = v || Graph.has_edge g u v then Some eid else None)
+                    eids)
+              events
+          in
+          ( observed ?init_causes ~round_offset:first.E.rounds ~step_offset:first.E.steps
+              ~init:corrupted (),
+            true )
+        end
+        else (run1, false)
+      in
+      outcome wd tel ~injected
+        (r.E.silent, r.E.legal, r.E.rounds, r.E.steps, r.E.max_bits, r.E.states)
+
+let run ?(telemetry = false) ?events ?(faults = 0) ~adversarial ~max_rounds (Builder e) g
+    sched rng =
+  run_entry e ~telemetry ?events ~faults ~adversarial ~max_rounds g sched rng
+
+(* The same rule for service episodes: the packed service engine unless
+   an event sink needs the boxed engine's causal plumbing. *)
+let serve_entry (type s) (e : s entry) ?max_rounds ?stall_window ?cycle_repeats
+    ?retry_budget ?max_retries ?queries_per_round ?snapshot ?events g ~sched ~fallback rng
+    trace =
+  let watch_phi = e.cheap_phi in
+  match (e.packed, e.tree, events) with
+  | Some (module K), _, None ->
+      let module S = Service.Make_packed (K) in
+      S.run ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
+        ?queries_per_round ~watch_phi ?snapshot g ~sched ~fallback rng trace
+  | _, Some (module T), _ ->
+      let module S = Service.Make (T) in
+      S.run ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
+        ?queries_per_round ~watch_phi ?snapshot ?events g ~sched ~fallback rng trace
+  | _, None, _ -> invalid_arg (e.name ^ ": not a tree builder")
+
+let serve ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
+    ?queries_per_round ?snapshot ?events (Builder e) =
+  serve_entry e ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
+    ?queries_per_round ?snapshot ?events

@@ -1,0 +1,161 @@
+(** The builder registry: every construction the CLI, the chaos
+    matrix and the service matrix can run, declared once.
+
+    An entry carries the builder's {!Repro_runtime.Protocol.S} module,
+    its parent projection when it builds a tree (what service mode
+    needs), its fixed-width {!Repro_runtime.Protocol.PACKED} codec when
+    it has one, whether its potential Φ is cheap enough to watch, and
+    the one-line result note [repro_cli run] prints. Callers look
+    builders up here instead of matching on names.
+
+    {b Engine selection} ({!run}, {!serve}). A run takes the
+    struct-of-arrays engine ({!Repro_runtime.Engine_packed},
+    {!Repro_service.Service.Make_packed}) when the entry has a codec and
+    the caller attaches no boxed-only hook (an event sink, or fault
+    injection for {!run}); otherwise the boxed engine. The equivalence
+    suites pin the two engines to identical results, so the choice
+    changes wall time only. *)
+
+open Repro_graph
+open Repro_runtime
+module Service = Repro_service.Service
+
+(** {2 The tree builders}
+
+    Each wraps the builder's protocol with its parent projection. The
+    distance layers (BFS, SPT, ad-hoc BFS) repair by re-parenting
+    freely and may transiently cycle; the PLS layer inside MST/MDST
+    moves one loop-free edge swap at a time, so those two arm the
+    service's loop monitor. The fixed-width three include their packed
+    codec, so one module drives both service engines. *)
+
+module Bfs_tree :
+  Service.PACKED_TREE_PROTOCOL with type state = Repro_core.St_layer.t
+
+module Spt_tree :
+  Service.PACKED_TREE_PROTOCOL with type state = Repro_core.Spt_builder.state
+
+module Adhoc_tree :
+  Service.PACKED_TREE_PROTOCOL with type state = Repro_baselines.Adhoc_bfs.state
+
+module Mst_tree : Service.TREE_PROTOCOL with type state = Repro_core.Mst_builder.state
+module Mdst_tree : Service.TREE_PROTOCOL with type state = Repro_core.Mdst_builder.state
+
+(** {2 Entries} *)
+
+type 's entry = {
+  name : string;
+  protocol : (module Protocol.S with type state = 's);
+  tree : (module Service.TREE_PROTOCOL with type state = 's) option;
+      (** the parent projection; [None] for builders outside service mode *)
+  packed : (module Service.PACKED_TREE_PROTOCOL with type state = 's) option;
+      (** the fixed-width codec (every packed builder is a tree) *)
+  cheap_phi : bool;
+      (** Φ feeds the watchdog's stall detector and per-round trace
+          records only when this is set: the MST potential runs the
+          certification prover, and ad-hoc BFS is not potential-guided,
+          so a Φ plateau there is no evidence of a stall *)
+  note : adversarial:bool -> Graph.t -> 's array -> string;
+      (** the [result] line of [repro_cli run] on a final configuration *)
+}
+
+type t = Builder : 's entry -> t
+
+val bfs : t
+val mst : t
+val mdst : t
+val spt : t
+val adhoc_bfs : t
+val compact_mst : t
+val fullinfo_mst : t
+val fullinfo_mdst : t
+
+(** Every builder, in the order [repro_cli list] prints them. *)
+val all : t list
+
+(** The default campaign builders of [chaos] and [serve]: bfs, mst, spt. *)
+val flagship : t list
+
+val name : t -> string
+val find : string -> t option
+
+(** Has a parent projection, so [serve] can run it. *)
+val serves : t -> bool
+
+(** Has a fixed-width codec, so it can run on the packed engine. *)
+val packed : t -> bool
+
+val cheap_phi : t -> bool
+
+(** [describe b] — the name plus its capabilities, e.g.
+    ["bfs (serve, packed)"], for [repro_cli list] and help texts. *)
+val describe : t -> string
+
+(** {2 One run} *)
+
+type outcome = {
+  algo : string;
+  silent : bool;
+  legal : bool;
+  rounds : int;
+  steps : int;
+  max_bits : int;
+  note : string;
+  verdict : string option;
+      (** the observe-only watchdog's classification of a non-silent
+          exit (livelock vs bare exhaustion); [None] when silent *)
+  injected : bool;  (** faults were injected after a silent first run *)
+  telemetry : Telemetry.t option;
+      (** the series of the last run (the recovery run after faults) *)
+}
+
+(** [run b g sched rng ~adversarial ~max_rounds] — stabilize [b] once
+    from the designated (or, with [adversarial], an arbitrary)
+    configuration, with an observe-only watchdog attached. [faults]
+    [k > 0] corrupts [k] registers after a silent first run and runs
+    again from there; a non-silent first run skips the injection
+    ([injected = false]). [telemetry] attaches a fresh
+    {!Repro_runtime.Telemetry} sink to each run. [events] streams the
+    whole invocation — first run, [Fault] events, recovery run — into
+    one sink, so recovery moves chain back to the injection.
+
+    Runs on the packed engine when [b] has a codec and neither [faults]
+    nor [events] is asked for (see the engine-selection rule above). *)
+val run :
+  ?telemetry:bool ->
+  ?events:Events.t ->
+  ?faults:int ->
+  adversarial:bool ->
+  max_rounds:int ->
+  t ->
+  Graph.t ->
+  Scheduler.t ->
+  Random.State.t ->
+  outcome
+
+(** {2 One service episode} *)
+
+(** [serve b g ~sched ~fallback rng trace] — one
+    {!Repro_service.Service} episode of tree builder [b] (optional
+    arguments as in {!Repro_service.Service.Make.run}), on the packed
+    service engine when [b] has a codec and no [events] sink is
+    attached (causal tracing needs the boxed engine), on the boxed one
+    otherwise — episode-equivalent either way. The watchdog watches Φ
+    only when [cheap_phi b].
+    @raise Invalid_argument if [b] has no parent projection. *)
+val serve :
+  ?max_rounds:int ->
+  ?stall_window:int ->
+  ?cycle_repeats:int ->
+  ?retry_budget:int ->
+  ?max_retries:int ->
+  ?queries_per_round:int ->
+  ?snapshot:Repro_service.Snapshot.t ->
+  ?events:Events.t ->
+  t ->
+  Graph.t ->
+  sched:Scheduler.t ->
+  fallback:Scheduler.t ->
+  Random.State.t ->
+  Repro_service.Churn.t ->
+  Service.report

@@ -1,8 +1,13 @@
 open Repro_graph
 open Repro_runtime
-open Repro_core
-open Repro_baselines
 module Json = Metrics.Json
+
+type key = {
+  builder : Builders.t;
+  point : string;
+  sched_name : string;
+  seed_index : int;
+}
 
 type cell = {
   algo : string;
@@ -22,46 +27,6 @@ type cell = {
   injections : Chaos.injection list;
 }
 
-let known_algos =
-  [
-    "bfs"; "mst"; "mdst"; "spt"; "adhoc-bfs"; "compact-mst"; "fullinfo-mst";
-    "fullinfo-mdst";
-  ]
-
-(* Potential tracking (watchdog stall detector, per-round phi in event
-   traces) only where the potential is cheap; the MST potential runs the
-   certification prover. *)
-let cheap_phi = [ "bfs"; "spt" ]
-
-let run_episode algo g sched rng ~plan ~max_rounds ~max_injections ~stall_window
-    ~cycle_repeats ?events () =
-  let generic (type s) (module P : Protocol.S with type state = s) ~watch_phi =
-    let module C = Chaos.Make (P) in
-    let e =
-      C.run_episode ~max_rounds ~max_injections ~watch_phi ~stall_window ~cycle_repeats
-        ?events g sched rng plan
-    in
-    ( e.C.base_rounds,
-      e.C.rounds,
-      e.C.steps,
-      e.C.silent,
-      e.C.legal,
-      e.C.recovered,
-      Watchdog.verdict_name e.C.verdict,
-      e.C.max_bits,
-      e.C.injections )
-  in
-  match algo with
-  | "bfs" -> generic (module Bfs_builder.P) ~watch_phi:true
-  | "mst" -> generic (module Mst_builder.P) ~watch_phi:false
-  | "mdst" -> generic (module Mdst_builder.P) ~watch_phi:false
-  | "spt" -> generic (module Spt_builder.P) ~watch_phi:true
-  | "adhoc-bfs" -> generic (module Adhoc_bfs.P) ~watch_phi:false
-  | "compact-mst" -> generic (module Compact_mst.P) ~watch_phi:false
-  | "fullinfo-mst" -> generic (module Fullinfo.Mst_instance.P) ~watch_phi:false
-  | "fullinfo-mdst" -> generic (module Fullinfo.Mdst_instance.P) ~watch_phi:false
-  | other -> failwith (Printf.sprintf "unknown algorithm %S" other)
-
 (* Per-cell trace filenames embed the cell coordinates; plan names
    contain '/' and '@', daemon names ':', so anything outside the
    filename-safe alphabet collapses to '-'. *)
@@ -76,95 +41,104 @@ let edges_json g =
     |> List.map (fun (e : Graph.Edge.t) ->
            Json.List [ Json.Int e.u; Json.Int e.v; Json.Int e.w ]))
 
-let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~plans ~daemons ~max_rounds
-    ~max_injections ~stall_window ~cycle_repeats ?trace_dir () =
+let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
+    ?(sched_meta = fun _ -> []) ?trace_dir cell =
   (* The cell list is enumerated sequentially in canonical order; the
      pool maps over it and hands results back in the same order, so
      the artifact is independent of worker interleaving. *)
   let specs =
     List.concat_map
-      (fun algo ->
+      (fun builder ->
         List.concat_map
-          (fun plan ->
-            let plan_name = Fault.Plan.name plan in
+          (fun (point, p) ->
             List.concat_map
               (fun (sched_name, sched) ->
-                List.init seeds (fun i -> (algo, plan, plan_name, sched_name, sched, i + 1)))
+                List.init seeds (fun i ->
+                    ({ builder; point; sched_name; seed_index = i + 1 }, p, sched)))
               daemons)
-          plans)
+          points)
       algos
   in
   Pool.map pool
-    (fun (algo, plan, plan_name, sched_name, sched, s) ->
+    (fun ((k : key), p, sched) ->
       (* One seed pins the topology, the initial configuration, every
-         daemon pick and every fault coin of the cell. *)
+         daemon pick and every fault or churn coin of the cell. *)
+      let algo = Builders.name k.builder in
       let rng =
-        Random.State.make [| seed_base; Hashtbl.hash (algo, plan_name, sched_name); n; s |]
+        Random.State.make
+          [| seed_base; Hashtbl.hash (algo, k.point, k.sched_name); n; k.seed_index |]
       in
       let g = gen rng ~n in
-      (* When tracing, each cell streams to its own JSONL file; the sink
-         never consumes RNG, so traced and untraced campaigns produce
-         byte-identical artifacts. *)
-      let oc, events =
-        match trace_dir with
-        | None -> (None, None)
-        | Some dir ->
-            let file =
-              Filename.concat dir
-                (Printf.sprintf "%s__%s__%s__s%d.jsonl" (sanitize algo)
-                   (sanitize plan_name) (sanitize sched_name) s)
-            in
-            let oc = open_out file in
-            let sink =
-              Events.stream ~record_phi:(List.mem algo cheap_phi) oc
-            in
-            Events.meta sink
-              [
-                ("algo", Json.Str algo);
-                ("plan", Json.Str plan_name);
-                ("sched", Json.Str sched_name);
-                ("seed", Json.Int s);
-                ("n", Json.Int (Graph.n g));
-                ("m", Json.Int (Graph.m g));
-                ("edges", edges_json g);
-              ];
-            (Some oc, Some sink)
-      in
-      let ( base_rounds,
-            rounds,
-            steps,
-            silent,
-            legal,
-            recovered,
-            verdict,
-            max_bits,
-            injections ) =
-        Fun.protect
-          ~finally:(fun () -> Option.iter close_out oc)
-          (fun () ->
-            run_episode algo g sched rng ~plan ~max_rounds ~max_injections
-              ~stall_window ~cycle_repeats ?events ())
-      in
-      {
-        algo;
-        plan_name;
-        sched_name;
-        seed_index = s;
-        n = Graph.n g;
-        m = Graph.m g;
-        base_rounds;
-        rounds;
-        steps;
-        silent;
-        legal;
-        recovered;
-        verdict;
-        max_bits;
-        injections;
-      })
+      match trace_dir with
+      | None -> cell k p sched g rng None
+      | Some dir ->
+          (* When tracing, each cell streams to its own JSONL file; the
+             sink never consumes RNG, so traced and untraced campaigns
+             produce byte-identical artifacts. *)
+          let file =
+            Filename.concat dir
+              (Printf.sprintf "%s__%s__%s__s%d.jsonl" (sanitize algo) (sanitize k.point)
+                 (sanitize k.sched_name) k.seed_index)
+          in
+          let oc = open_out file in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () ->
+              let sink = Events.stream ~record_phi:(Builders.cheap_phi k.builder) oc in
+              Events.meta sink
+                ([ ("algo", Json.Str algo); (axis, Json.Str k.point);
+                   ("sched", Json.Str k.sched_name) ]
+                @ sched_meta k.sched_name
+                @ [
+                    ("seed", Json.Int k.seed_index);
+                    ("n", Json.Int (Graph.n g));
+                    ("m", Json.Int (Graph.m g));
+                    ("edges", edges_json g);
+                  ]);
+              cell k p sched g rng (Some sink)))
     specs
 
+let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events
+    ~max_rounds ~max_injections ~stall_window ~cycle_repeats : cell =
+  let module C = Chaos.Make ((val e.Builders.protocol)) in
+  let x =
+    C.run_episode ~max_rounds ~max_injections ~watch_phi:e.Builders.cheap_phi ~stall_window
+      ~cycle_repeats ?events g sched rng plan
+  in
+  {
+    algo = e.Builders.name;
+    plan_name = k.point;
+    sched_name = k.sched_name;
+    seed_index = k.seed_index;
+    n = Graph.n g;
+    m = Graph.m g;
+    base_rounds = x.C.base_rounds;
+    rounds = x.C.rounds;
+    steps = x.C.steps;
+    silent = x.C.silent;
+    legal = x.C.legal;
+    recovered = x.C.recovered;
+    verdict = Watchdog.verdict_name x.C.verdict;
+    max_bits = x.C.max_bits;
+    injections = x.C.injections;
+  }
+
+let chaos_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~plans ~daemons ~max_rounds
+    ~max_injections ~stall_window ~cycle_repeats ?trace_dir () =
+  run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"plan"
+    ~points:(List.map (fun p -> (Fault.Plan.name p, p)) plans)
+    ~daemons ?trace_dir
+    (fun k plan sched g rng events ->
+      match k.builder with
+      | Builders.Builder e ->
+          chaos_cell e k plan sched g rng events ~max_rounds ~max_injections ~stall_window
+            ~cycle_repeats)
+
 let failed cells = List.length (List.filter (fun c -> not c.recovered) cells)
+
+let failure_line c =
+  Printf.sprintf "algo=%s plan=%s sched=%s seed=%d: verdict=%s (%d injections)" c.algo
+    c.plan_name c.sched_name c.seed_index c.verdict (List.length c.injections)
 
 let csv_header = "algo,plan,sched,seed,recovered,verdict,base_rounds,rounds,steps,injections"
 

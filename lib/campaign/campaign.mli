@@ -1,14 +1,14 @@
-(** The chaos campaign matrix — builders × fault plans × daemons ×
-    seeds — as a library.
+(** The campaign matrix driver — builders × perturbations × daemons ×
+    seeds — and the chaos campaign on top of it (fault plans as the
+    perturbation axis; {!Service_campaign} runs churn traces through
+    the same driver).
 
-    Extracted from the CLI so the same cells can be driven by
-    [repro_cli chaos], the [@chaos] smoke alias, and the pool
-    determinism tests. Every cell is hermetic: its [Random.State] is
-    derived from [(seed_base, algo, plan, daemon, n, seed_index)] and
-    pins the topology, the adversarial initial configuration, every
-    daemon pick and every fault coin — which is what lets {!run_matrix}
-    farm cells out to a {!Repro_runtime.Pool} and still return a
-    byte-identical artifact at any [--jobs]. *)
+    Every cell is hermetic: its [Random.State] is derived from
+    [(seed_base, algo, point, daemon, n, seed_index)] and pins the
+    topology, the initial configuration, every daemon pick and every
+    fault or churn coin — which is what lets {!run_matrix} farm cells
+    out to a {!Repro_runtime.Pool} and still return a byte-identical
+    artifact at any [--jobs]. *)
 
 (** One finished cell, in plain data (functor-free). *)
 type cell = {
@@ -29,44 +29,73 @@ type cell = {
   injections : Repro_runtime.Chaos.injection list;
 }
 
-(** Algorithms the matrix can dispatch ([Protocol.S] implementations):
-    the CLI validates both its [run] and [chaos] arguments against
-    this list. *)
-val known_algos : string list
-
-(** Algorithms with a cheap potential: only their Φ feeds the
-    watchdog's stall detector and per-round trace records (shared with
-    the service matrix, {!Service_campaign}). *)
-val cheap_phi : string list
-
-(** Collapse a cell coordinate to filename-safe characters (plans
-    contain ['/'] and ['@'], daemons [':']). *)
-val sanitize : string -> string
-
 (** The topology's edge list as [[u; v; w]] JSON triples, for trace
     meta headers. *)
 val edges_json : Repro_graph.Graph.t -> Repro_runtime.Metrics.Json.t
 
-(** Run the full matrix on the pool; cells come back in canonical order
-    (algorithms, then plans, then daemons, then seed indices, each in
-    the order given) regardless of worker interleaving.
+(** {2 The generic matrix driver} *)
+
+(** A cell coordinate: the builder, the perturbation (a fault plan or
+    a churn trace, by name), the daemon, and the 1-based seed number
+    within the cell's sweep. *)
+type key = {
+  builder : Builders.t;
+  point : string;
+  sched_name : string;
+  seed_index : int;
+}
+
+(** [run_matrix ... ~axis ~points ~daemons cell] — builders ×
+    perturbations × daemons × seeds on the pool. Cells come back in
+    canonical order (builders, then points, then daemons, then seed
+    indices, each in the order given) regardless of worker
+    interleaving. Each cell runs [cell key p sched g rng events] with
+    its own RNG, seeded [[| seed_base; Hashtbl.hash (algo, point,
+    sched_name); n; seed_index |]], which first draws the topology
+    ([gen rng ~n]).
 
     [?trace_dir] streams one {!Repro_runtime.Events} JSONL trace per
     cell into the given (existing) directory, named
-    [<algo>__<plan>__<sched>__s<seed>.jsonl] (cell coordinates
-    sanitized to filename-safe characters). The sink draws no
-    randomness, so traced and untraced campaigns yield byte-identical
-    cell lists. Per-round Φ is recorded only for algorithms whose
-    potential is cheap (bfs, spt).
-
-    @raise Failure on an algorithm name outside {!known_algos}. *)
+    [<algo>__<point>__<sched>__s<seed>.jsonl] (coordinates collapsed
+    to filename-safe characters), and hands the sink to [cell]. Its
+    meta header names [algo], then [axis] (the point's name), [sched],
+    the [sched_meta sched_name] fields, [seed], [n], [m] and [edges].
+    Per-round Φ is recorded only for builders with
+    {!Builders.cheap_phi}. Sinks draw no randomness, so traced and
+    untraced campaigns yield identical cells. *)
 val run_matrix :
   pool:Repro_runtime.Pool.t ->
   gen:(Random.State.t -> n:int -> Repro_graph.Graph.t) ->
   n:int ->
   seeds:int ->
   seed_base:int ->
-  algos:string list ->
+  algos:Builders.t list ->
+  axis:string ->
+  points:(string * 'p) list ->
+  daemons:(string * Repro_runtime.Scheduler.t) list ->
+  ?sched_meta:(string -> (string * Repro_runtime.Metrics.Json.t) list) ->
+  ?trace_dir:string ->
+  (key ->
+  'p ->
+  Repro_runtime.Scheduler.t ->
+  Repro_graph.Graph.t ->
+  Random.State.t ->
+  Repro_runtime.Events.t option ->
+  'c) ->
+  'c list
+
+(** {2 The chaos matrix} *)
+
+(** {!run_matrix} over fault plans (axis ["plan"]): one
+    {!Repro_runtime.Chaos} episode per cell, watching Φ only for
+    builders with {!Builders.cheap_phi}. *)
+val chaos_matrix :
+  pool:Repro_runtime.Pool.t ->
+  gen:(Random.State.t -> n:int -> Repro_graph.Graph.t) ->
+  n:int ->
+  seeds:int ->
+  seed_base:int ->
+  algos:Builders.t list ->
   plans:Repro_runtime.Fault.Plan.t list ->
   daemons:(string * Repro_runtime.Scheduler.t) list ->
   max_rounds:int ->
@@ -78,6 +107,11 @@ val run_matrix :
   cell list
 
 val failed : cell list -> int
+
+(** One line naming a failing cell (full key, watchdog verdict,
+    injection count); [repro_cli chaos] prints it for every cell that
+    did not recover. *)
+val failure_line : cell -> string
 
 val csv_header : string
 val csv_row : cell -> string

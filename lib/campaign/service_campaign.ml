@@ -1,8 +1,6 @@
 open Repro_graph
 open Repro_runtime
-open Repro_core
 open Repro_service
-module Adhoc_bfs = Repro_baselines.Adhoc_bfs
 module Json = Metrics.Json
 
 type cell = {
@@ -18,186 +16,36 @@ type cell = {
   report : Service.report;
 }
 
-let known_algos = [ "bfs"; "mst"; "mdst"; "spt"; "adhoc-bfs" ]
-
-(* The fixed-width builders the struct-of-arrays service engine covers;
-   [--packed] silently keeps the others (variable-width MST/MDST
-   registers) on the boxed engine. *)
-let packed_algos = [ "bfs"; "spt"; "adhoc-bfs" ]
-let cheap_phi = Campaign.cheap_phi
-
-(* Parent projections over the builders' register layouts. The
-   distance layers (BFS/SPT) repair by re-parenting freely and may
-   transiently cycle; the PLS layer inside MST/MDST moves one
-   loop-free edge swap at a time, so those two arm the monitor. *)
-module Bfs_tree = struct
-  include Bfs_builder.P
-
-  let parent_of (s : St_layer.t) = s.St_layer.parent
-  let loop_free = false
-end
-
-module Mst_tree = struct
-  include Mst_builder.P
-
-  let parent_of (s : Mst_builder.state) = s.Mst_builder.st.St_layer.parent
-  let loop_free = true
-end
-
-module Mdst_tree = struct
-  include Mdst_builder.P
-
-  let parent_of (s : Mdst_builder.state) = s.Mdst_builder.st.St_layer.parent
-  let loop_free = true
-end
-
-module Spt_tree = struct
-  include Spt_builder.P
-
-  let parent_of (s : Spt_builder.state) = s.Spt_builder.parent
-  let loop_free = false
-end
-
-module Adhoc_tree = struct
-  include Adhoc_bfs.P
-
-  let parent_of (s : Adhoc_bfs.state) = s.Adhoc_bfs.parent
-  let loop_free = false
-end
-
-(* The packed twins: same parent projections over the fixed-width
-   codecs, for [Service.Make_packed]. *)
-module Bfs_tree_packed = struct
-  include Bfs_builder.Packed
-
-  let parent_of (s : St_layer.t) = s.St_layer.parent
-  let loop_free = false
-end
-
-module Spt_tree_packed = struct
-  include Spt_builder.Packed
-
-  let parent_of (s : Spt_builder.state) = s.Spt_builder.parent
-  let loop_free = false
-end
-
-module Adhoc_tree_packed = struct
-  include Adhoc_bfs.Packed
-
-  let parent_of (s : Adhoc_bfs.state) = s.Adhoc_bfs.parent
-  let loop_free = false
-end
-
 let fallback_for sched_name =
   if sched_name = "random" then ("distributed", Scheduler.Distributed 0.5)
   else ("random", Scheduler.Central Scheduler.Random_daemon)
 
-let run_episode algo g ~sched ~fallback rng ~trace ~max_rounds ~retry_budget
-    ~max_retries ~queries_per_round ~stall_window ~cycle_repeats ?(packed = false)
-    ?snapshot ?events () =
-  let generic (type s) (module P : Service.TREE_PROTOCOL with type state = s)
-      ~watch_phi =
-    let module S = Service.Make (P) in
-    S.run ~max_rounds ~stall_window ~cycle_repeats ~retry_budget ~max_retries
-      ~queries_per_round ~watch_phi ?snapshot ?events g ~sched ~fallback rng trace
-  in
-  let generic_packed (type s)
-      (module P : Service.PACKED_TREE_PROTOCOL with type state = s) ~watch_phi =
-    let module S = Service.Make_packed (P) in
-    S.run ~max_rounds ~stall_window ~cycle_repeats ~retry_budget ~max_retries
-      ~queries_per_round ~watch_phi ?snapshot g ~sched ~fallback rng trace
-  in
-  (* Causal tracing needs the boxed engine's event plumbing; episodes
-     are engine-equivalent anyway (pinned by test_service), so a traced
-     cell just runs boxed. *)
-  let packed = packed && events = None in
-  match algo with
-  | "bfs" ->
-      if packed then generic_packed (module Bfs_tree_packed) ~watch_phi:true
-      else generic (module Bfs_tree) ~watch_phi:true
-  | "mst" -> generic (module Mst_tree) ~watch_phi:false
-  | "mdst" -> generic (module Mdst_tree) ~watch_phi:false
-  | "spt" ->
-      if packed then generic_packed (module Spt_tree_packed) ~watch_phi:true
-      else generic (module Spt_tree) ~watch_phi:true
-  | "adhoc-bfs" ->
-      if packed then generic_packed (module Adhoc_tree_packed) ~watch_phi:true
-      else generic (module Adhoc_tree) ~watch_phi:true
-  | other -> failwith (Printf.sprintf "unknown algorithm %S" other)
-
-let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_rounds
-    ~retry_budget ~max_retries ~queries_per_round ~stall_window ~cycle_repeats
-    ?(packed = false) ?trace_dir () =
-  (* Canonical enumeration + per-cell RNG, exactly like the chaos
-     matrix: Pool.map returns results in spec order, so the artifact is
-     independent of --jobs. *)
-  let specs =
-    List.concat_map
-      (fun algo ->
-        List.concat_map
-          (fun trace ->
-            let trace_name = Churn.name trace in
-            List.concat_map
-              (fun (sched_name, sched) ->
-                List.init seeds (fun i ->
-                    (algo, trace, trace_name, sched_name, sched, i + 1)))
-              daemons)
-          traces)
-      algos
-  in
-  Pool.map pool
-    (fun (algo, trace, trace_name, sched_name, sched, s) ->
-      let rng =
-        Random.State.make
-          [| seed_base; Hashtbl.hash (algo, trace_name, sched_name); n; s |]
-      in
-      let g = gen rng ~n in
-      let fallback_name, fallback = fallback_for sched_name in
-      let oc, events =
-        match trace_dir with
-        | None -> (None, None)
-        | Some dir ->
-            let file =
-              Filename.concat dir
-                (Printf.sprintf "%s__%s__%s__s%d.jsonl" (Campaign.sanitize algo)
-                   (Campaign.sanitize trace_name) (Campaign.sanitize sched_name) s)
-            in
-            let oc = open_out file in
-            let sink = Events.stream ~record_phi:(List.mem algo cheap_phi) oc in
-            Events.meta sink
-              [
-                ("algo", Json.Str algo);
-                ("trace", Json.Str trace_name);
-                ("sched", Json.Str sched_name);
-                ("fallback", Json.Str fallback_name);
-                ("seed", Json.Int s);
-                ("n", Json.Int (Graph.n g));
-                ("m", Json.Int (Graph.m g));
-                ("edges", Campaign.edges_json g);
-              ];
-            (Some oc, Some sink)
-      in
+let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_rounds
+    ~retry_budget ~max_retries ~queries_per_round ~stall_window ~cycle_repeats ?trace_dir
+    () =
+  Campaign.run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"trace"
+    ~points:(List.map (fun t -> (Churn.name t, t)) traces)
+    ~daemons
+    ~sched_meta:(fun sched_name -> [ ("fallback", Json.Str (fst (fallback_for sched_name))) ])
+    ?trace_dir
+    (fun (k : Campaign.key) trace sched g rng events ->
+      let fallback_name, fallback = fallback_for k.sched_name in
       let report =
-        Fun.protect
-          ~finally:(fun () -> Option.iter close_out oc)
-          (fun () ->
-            run_episode algo g ~sched ~fallback rng ~trace ~max_rounds
-              ~retry_budget ~max_retries ~queries_per_round ~stall_window
-              ~cycle_repeats ~packed ?events ())
+        Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round
+          ~stall_window ~cycle_repeats ?events k.builder g ~sched ~fallback rng trace
       in
       {
-        algo;
-        trace_name;
-        sched_name;
+        algo = Builders.name k.builder;
+        trace_name = k.point;
+        sched_name = k.sched_name;
         fallback_name;
-        seed_index = s;
+        seed_index = k.seed_index;
         n0 = Graph.n g;
         m0 = Graph.m g;
         tier = "std";
         qps = None;
         report;
       })
-    specs
 
 (* ------------------------------------------------------------------ *)
 (* The big serve-bench tier (serve --big, the @servebench alias):
@@ -209,7 +57,7 @@ let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_roun
    serialize it. *)
 
 let big_ns = [ 1_000; 10_000; 100_000 ]
-let big_algos = [ "bfs"; "spt" ]
+let big_algos = [ Builders.bfs; Builders.spt ]
 
 let answer_checksum (a : Snapshot.answer) =
   a.Snapshot.a_parent + (3 * a.Snapshot.a_root) + (5 * a.Snapshot.a_degree)
@@ -268,22 +116,22 @@ type baseline = {
   b_chase_qps : int;
 }
 
-let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~packed
-    ~baseline_nmax ~max_rounds ~retry_budget ~max_retries ~queries_per_round
-    ~stall_window ~cycle_repeats () =
+let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~baseline_nmax
+    ~max_rounds ~retry_budget ~max_retries ~queries_per_round ~stall_window ~cycle_repeats
+    () =
   let sched_name = "synchronous" and sched = Scheduler.Synchronous in
   let fallback_name, fallback = fallback_for sched_name in
   let specs =
     List.concat_map
-      (fun algo ->
-        List.concat_map (fun n -> List.map (fun t -> (algo, n, t)) traces) ns)
+      (fun builder ->
+        List.concat_map (fun n -> List.map (fun t -> (builder, n, t)) traces) ns)
       algos
   in
   let baselines = ref [] in
   let cells =
     List.map
-      (fun (algo, n, trace) ->
-        let trace_name = Churn.name trace in
+      (fun (builder, n, trace) ->
+        let algo = Builders.name builder and trace_name = Churn.name trace in
         let rng =
           Random.State.make
             [| seed_base; Hashtbl.hash (algo, trace_name, sched_name); n; 1 |]
@@ -291,9 +139,8 @@ let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~packed
         let g = Generators.random_connected rng ~n ~m:(2 * n) in
         let snapshot = Snapshot.create () in
         let report =
-          run_episode algo g ~sched ~fallback rng ~trace ~max_rounds ~retry_budget
-            ~max_retries ~queries_per_round ~stall_window ~cycle_repeats ~packed
-            ~snapshot ()
+          Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round
+            ~stall_window ~cycle_repeats ~snapshot builder g ~sched ~fallback rng trace
         in
         let qps, _checksum =
           measure_qps pool snapshot ~queries ~query_jobs ~seed_base

@@ -1,10 +1,10 @@
 (** The service-mode churn matrix: builders x churn traces x daemons x
-    seeds, one {!Repro_service.Service} episode per cell, driven
-    through {!Repro_runtime.Pool} exactly like the chaos matrix — the
-    cell list is enumerated in canonical order and each cell is pinned
-    by its own RNG, so the artifact (SERVICE_repro.json) is
-    byte-identical at any [--jobs] count. Backing for
-    [repro_cli serve] and the [@service] alias. *)
+    seeds, one {!Repro_service.Service} episode per cell, driven by the
+    same {!Campaign.run_matrix} as the chaos matrix — the cell list is
+    enumerated in canonical order and each cell is pinned by its own
+    RNG, so the artifact (SERVICE_repro.json) is byte-identical at any
+    [--jobs] count. Backing for [repro_cli serve] and the [@service]
+    alias. *)
 
 type cell = {
   algo : string;
@@ -19,15 +19,6 @@ type cell = {
   report : Repro_service.Service.report;
 }
 
-(** The builders service mode covers: the tree protocols with a parent
-    projection (["bfs"; "mst"; "mdst"; "spt"; "adhoc-bfs"]). *)
-val known_algos : string list
-
-(** The fixed-width builders [~packed] runs on the struct-of-arrays
-    service engine (["bfs"; "spt"; "adhoc-bfs"]); the variable-width
-    MST/MDST registers always stay on the boxed engine. *)
-val packed_algos : string list
-
 (** [fallback_for sched_name] — the escalation daemon for a cell: a
     daemon of a {e different} family than the primary (randomized
     central for deterministic/distributed primaries, distributed for
@@ -35,19 +26,20 @@ val packed_algos : string list
     the adversary. *)
 val fallback_for : string -> string * Repro_runtime.Scheduler.t
 
-(** Run the full matrix over the pool. [gen] produces the starting
-    topology from the cell RNG; [packed] runs the {!packed_algos} on
-    the struct-of-arrays service engine (episode-equivalent, so the
-    artifact is identical modulo wall-derived fields); [trace_dir],
-    when given, streams one causal JSONL trace per cell into it (a
-    traced cell always runs boxed — tracing needs the boxed engine). *)
-val run_matrix :
+(** {!Campaign.run_matrix} over churn traces (axis ["trace"]; trace
+    meta headers add each cell's ["fallback"] daemon): one
+    {!Builders.serve} episode per cell, [tier = "std"] — so traced
+    cells run on the boxed engine, untraced ones of fixed-width
+    builders on the packed one, with the same artifact either way.
+    @raise Invalid_argument on a builder without a parent projection
+    ({!Builders.serves}). *)
+val churn_matrix :
   pool:Repro_runtime.Pool.t ->
   gen:(Random.State.t -> n:int -> Repro_graph.Graph.t) ->
   n:int ->
   seeds:int ->
   seed_base:int ->
-  algos:string list ->
+  algos:Builders.t list ->
   traces:Repro_service.Churn.t list ->
   daemons:(string * Repro_runtime.Scheduler.t) list ->
   max_rounds:int ->
@@ -56,7 +48,6 @@ val run_matrix :
   queries_per_round:int ->
   stall_window:int ->
   cycle_repeats:int ->
-  ?packed:bool ->
   ?trace_dir:string ->
   unit ->
   cell list
@@ -67,7 +58,7 @@ val run_matrix :
     CLI clamps with [--big-nmax]), BFS and SPT. *)
 val big_ns : int list
 
-val big_algos : string list
+val big_algos : Builders.t list
 
 (** [measure_qps pool snap ~queries ~query_jobs ~seed_base] — time
     [queries] random pair lookups ({!Repro_service.Snapshot.answer})
@@ -107,19 +98,19 @@ type baseline = {
 (** [run_bench] — the big tier: one episode per builder x size x trace
     (synchronous daemon, random-connected graphs with m = 2n, one seed
     per cell), each followed by a timed query batch against the final
-    committed snapshot; cells carry [tier = "big"] and [qps]. Episodes
+    committed snapshot; cells carry [tier = "big"] and [qps]. Untraced,
+    so the fixed-width builders run on the packed service engine. Episodes
     run sequentially on the calling domain — the query batches are
     what fans out over [pool] ([Pool.map] nested inside a pool worker
     would serialize them). *)
 val run_bench :
   pool:Repro_runtime.Pool.t ->
   ns:int list ->
-  algos:string list ->
+  algos:Builders.t list ->
   traces:Repro_service.Churn.t list ->
   seed_base:int ->
   queries:int ->
   query_jobs:int ->
-  packed:bool ->
   baseline_nmax:int ->
   max_rounds:int ->
   retry_budget:int ->

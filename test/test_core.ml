@@ -9,6 +9,7 @@ open Repro_runtime
 open Repro_labels
 open Repro_core
 module E = Graph.Edge
+module Builders = Repro_campaign.Builders
 
 let seed i = Random.State.make [| 0xC04E; i |]
 
@@ -453,6 +454,43 @@ let test_mst_builder_weight_matches_kruskal () =
   match Mst_builder.tree_of g r.ME.states with
   | Some t -> Alcotest.(check int) "weight" (Mst.mst_weight g) (Tree.weight t g)
   | None -> Alcotest.fail "no tree"
+
+(* At silence the stored fragment labels are exactly the Borůvka
+   certificate of the built tree, and that certificate reports no
+   violation. Three kinds of run on the sixteen sample graphs:
+   synchronous from designated starts, random and distributed daemons
+   from adversarial starts, and synchronous from adversarial starts
+   minus the two seeds the synchronous daemon livelocks on
+   (EXPERIMENTS.md E8). *)
+let test_mst_frags_are_prover () =
+  let check name g init sched st =
+    let r = ME.run g sched st ~max_rounds:5000 ~init in
+    Alcotest.(check bool) (name ^ ": silent") true r.ME.silent;
+    match Mst_builder.tree_of g r.ME.states with
+    | None -> Alcotest.fail (name ^ ": no tree")
+    | Some t ->
+        let truth = Fragment_labels.prover g t in
+        Array.iteri
+          (fun v (s : Mst_builder.state) ->
+            if not (Fragment_labels.equal s.Mst_builder.frags truth.(v)) then
+              Alcotest.failf "%s: node %d frags differ from the prover's" name v)
+          r.ME.states;
+        Alcotest.(check (option int))
+          (name ^ ": no violation") None
+          (Fragment_labels.violation_level g truth)
+  in
+  let daemon d = Option.get (Scheduler.by_name d) in
+  for i = 0 to 15 do
+    let g = sample_graph i in
+    let st () = seed (130 + i) in
+    check (Printf.sprintf "designated %d" i) g (ME.initial g) Scheduler.Synchronous (st ());
+    List.iter
+      (fun d ->
+        if d <> "synchronous" || not (List.mem i [ 5; 15 ]) then
+          let st = st () in
+          check (Printf.sprintf "adversarial %d %s" i d) g (ME.adversarial st g) (daemon d) st)
+      [ "random"; "distributed"; "synchronous" ]
+  done
 
 (* ------------------------------------------------------------------ *)
 (* MDST builder (Section VIII) *)
@@ -1677,10 +1715,11 @@ let prop_aggregate_array =
       && Aggregate.step ~compare ~n ~base ~self ~nbrs ~get:Fun.id
          = Old.Aggregate.step ~compare ~n ~base ~self ~nbrs:(Array.to_list nbrs))
 
-(* Every builder the CLI runs, from an adversarial start on a one-node
-   graph: arbitrary registers must not crash the draw (no self-loop
-   edge) and the run must end silent and legal. *)
-let one_node_run (type s) (module P : Protocol.S with type state = s) seed =
+(* Every builder in the registry, from an adversarial start on a
+   one-node graph: arbitrary registers must not crash the draw (no
+   self-loop edge) and the run must end silent and legal. *)
+let one_node_run (type s) (e : s Builders.entry) seed =
+  let module P = (val e.Builders.protocol) in
   let module E = Engine.Make (P) in
   let g = Graph.of_edges 1 [] in
   let rng = Random.State.make [| 0x1; seed |] in
@@ -1688,26 +1727,37 @@ let one_node_run (type s) (module P : Protocol.S with type state = s) seed =
   r.E.silent && r.E.legal
 
 let test_one_node_adversarial () =
-  let builders =
-    [
-      ("bfs", one_node_run (module Bfs_builder.P));
-      ("mst", one_node_run (module Mst_builder.P));
-      ("mdst", one_node_run (module Mdst_builder.P));
-      ("spt", one_node_run (module Spt_builder.P));
-      ("adhoc-bfs", one_node_run (module Repro_baselines.Adhoc_bfs.P));
-      ("compact-mst", one_node_run (module Repro_baselines.Compact_mst.P));
-      ("fullinfo-mst", one_node_run (module Repro_baselines.Fullinfo.Mst_instance.P));
-      ("fullinfo-mdst", one_node_run (module Repro_baselines.Fullinfo.Mdst_instance.P));
-    ]
-  in
-  Alcotest.(check (list string)) "every CLI builder" Repro_campaign.Campaign.known_algos
-    (List.map fst builders);
   List.iter
-    (fun (name, run) ->
-      for seed = 1 to 20 do
-        Alcotest.(check bool) (Printf.sprintf "%s seed %d" name seed) true (run seed)
-      done)
-    builders
+    (function
+      | Builders.Builder e ->
+          for seed = 1 to 20 do
+            Alcotest.(check bool)
+              (Printf.sprintf "%s seed %d" e.Builders.name seed)
+              true (one_node_run e seed)
+          done)
+    Builders.all
+
+(* The registry's builder list and capability subsets, pinned: the
+   CLI's algorithm list, serve's tree builders, the packed-engine
+   builders and the builders whose Φ the watchdog and traces watch. *)
+let test_builder_registry () =
+  let names p = List.map Builders.name (List.filter p Builders.all) in
+  Alcotest.(check (list string))
+    "every builder"
+    [ "bfs"; "mst"; "mdst"; "spt"; "adhoc-bfs"; "compact-mst"; "fullinfo-mst"; "fullinfo-mdst" ]
+    (names (fun _ -> true));
+  Alcotest.(check (list string))
+    "serve" [ "bfs"; "mst"; "mdst"; "spt"; "adhoc-bfs" ] (names Builders.serves);
+  Alcotest.(check (list string)) "packed" [ "bfs"; "spt"; "adhoc-bfs" ] (names Builders.packed);
+  Alcotest.(check (list string)) "cheap phi" [ "bfs"; "spt" ] (names Builders.cheap_phi);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        ("find " ^ Builders.name b)
+        true
+        (match Builders.find (Builders.name b) with Some b' -> b' == b | None -> false))
+    Builders.all;
+  Alcotest.(check bool) "find unknown" true (Option.is_none (Builders.find "no-such-builder"))
 
 let () =
   (* Deterministic property tests: fix the qcheck master seed. *)
@@ -1752,8 +1802,10 @@ let () =
           Alcotest.test_case "adversarial start" `Quick test_mst_builder_adversarial_start;
           Alcotest.test_case "fault recovery" `Quick test_mst_builder_fault_recovery;
           Alcotest.test_case "weight = kruskal" `Quick test_mst_builder_weight_matches_kruskal;
+          Alcotest.test_case "silent frags = prover" `Quick test_mst_frags_are_prover;
           Alcotest.test_case "one-node adversarial starts (every builder)" `Quick
             test_one_node_adversarial;
+          Alcotest.test_case "builder registry" `Quick test_builder_registry;
         ] );
       ( "mdst_builder",
         [

@@ -246,6 +246,41 @@ let test_allocation_free () =
   if delta > 16.0 then
     Alcotest.failf "%d packed steps allocated %.0f minor words" (b - a) delta
 
+(* The library's single run picks the packed engine for every builder
+   with a codec unless a boxed-only hook is attached. An event sink is
+   one, so the same run with a ring sink is the boxed twin: both must
+   report the same outcome — silence, legality, rounds, steps,
+   max_bits, the result note, the watchdog verdict and the telemetry
+   JSON — across the daemon roster, from designated and adversarial
+   starts, and on runs cut short (verdict set) as well as silent ones. *)
+let test_run_auto_packed_is_boxed () =
+  let module B = Repro_campaign.Builders in
+  let outcome b sched ~adversarial ~max_rounds events =
+    let rng = seed 61 in
+    let g = Generators.random_connected rng ~n:30 ~m:60 in
+    let o = B.run ~telemetry:true ?events ~adversarial ~max_rounds b g sched rng in
+    Printf.sprintf "silent=%b legal=%b rounds=%d steps=%d max_bits=%d note=%S verdict=%s\n%s"
+      o.silent o.legal o.rounds o.steps o.max_bits o.note
+      (Option.value o.verdict ~default:"-")
+      (Option.fold ~none:"no telemetry"
+         ~some:(fun t -> Metrics.Json.to_string (Telemetry.to_json t))
+         o.telemetry)
+  in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (name, sched) ->
+          List.iter
+            (fun (adversarial, max_rounds) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s adversarial=%b max_rounds=%d" (B.name b) name
+                   adversarial max_rounds)
+                (outcome b sched ~adversarial ~max_rounds (Some (Events.ring ())))
+                (outcome b sched ~adversarial ~max_rounds None))
+            [ (false, 10_000); (true, 10_000); (true, 2) ])
+        Scheduler.extended)
+    (List.filter B.packed B.all)
+
 let () =
   QCheck_base_runner.set_seed 20260704;
   Alcotest.run "packed"
@@ -269,5 +304,7 @@ let () =
             test_telemetry_identical;
           Alcotest.test_case "steady-state loop is allocation-free" `Quick
             test_allocation_free;
+          Alcotest.test_case "library run: auto-selected packed = boxed (event sink)"
+            `Quick test_run_auto_packed_is_boxed;
         ] );
     ]

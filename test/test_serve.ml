@@ -10,8 +10,8 @@
 open Repro_graph
 open Repro_runtime
 open Repro_core
-open Repro_baselines
 open Repro_service
+module Builders = Repro_campaign.Builders
 
 let prop ?(count = 20) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -108,41 +108,15 @@ let stabilized_parents (type s) (module P : Service.TREE_PROTOCOL with type stat
   if not r.En.silent then QCheck2.Test.fail_report "builder did not stabilize";
   Array.map (fun s -> P.parent_of s) r.En.states
 
-(* ------------------------------------------------------------------ *)
-(* The service adapters: fixed-width PACKED protocols with a parent
-   projection — one module drives both Service.Make (PACKED includes S)
-   and Service.Make_packed. *)
-
-module Bfs_tree = struct
-  include Bfs_builder.Packed
-
-  let parent_of (s : St_layer.t) = s.St_layer.parent
-  let loop_free = false
-end
-
-module Spt_tree = struct
-  include Spt_builder.Packed
-
-  let parent_of (s : Spt_builder.state) = s.Spt_builder.parent
-  let loop_free = false
-end
-
-module Adhoc_tree = struct
-  include Adhoc_bfs.Packed
-
-  let parent_of (s : Adhoc_bfs.state) = s.Adhoc_bfs.parent
-  let loop_free = false
-end
-
 let snapshot_props =
   [
     prop ~count:25 "snapshot = naive walks (stabilized bfs trees)" (gen_graph 2 20)
-      (fun sg -> check_all_pairs (stabilized_parents (module Bfs_tree) sg));
+      (fun sg -> check_all_pairs (stabilized_parents (module Builders.Bfs_tree) sg));
     prop ~count:15 "snapshot = naive walks (stabilized spt trees)" (gen_graph 2 16)
-      (fun sg -> check_all_pairs (stabilized_parents (module Spt_tree) sg));
+      (fun sg -> check_all_pairs (stabilized_parents (module Builders.Spt_tree) sg));
     prop ~count:15 "snapshot = naive walks (stabilized adhoc-bfs trees)"
       (gen_graph 2 16)
-      (fun sg -> check_all_pairs (stabilized_parents (module Adhoc_tree) sg));
+      (fun sg -> check_all_pairs (stabilized_parents (module Builders.Adhoc_tree) sg));
     (* Degraded commits: arbitrary links — out of range, self-loops,
        parent cycles — must answer exactly like the bounded chase. *)
     prop ~count:60 "snapshot = naive walks (arbitrary parent arrays)"
@@ -229,18 +203,17 @@ let episode_roster (type s)
 let equiv_props =
   [
     prop ~count:8 "bfs: packed episode = boxed episode" (gen_graph 4 14)
-      (episode_roster (module Bfs_tree));
+      (episode_roster (module Builders.Bfs_tree));
     prop ~count:6 "spt: packed episode = boxed episode" (gen_graph 4 12)
-      (episode_roster (module Spt_tree));
+      (episode_roster (module Builders.Spt_tree));
     prop ~count:6 "adhoc-bfs: packed episode = boxed episode" (gen_graph 4 12)
-      (episode_roster (module Adhoc_tree));
+      (episode_roster (module Builders.Adhoc_tree));
   ]
 
 let test_packed_rejects_loop_free () =
   let module Bad = struct
-    include Bfs_builder.Packed
+    include Builders.Bfs_tree
 
-    let parent_of (s : St_layer.t) = s.St_layer.parent
     let loop_free = true
   end in
   match

@@ -7,7 +7,6 @@
 
 open Repro_graph
 open Repro_runtime
-open Repro_core
 open Repro_service
 
 let seed i = Random.State.make [| 0x5E7C; i |]
@@ -196,22 +195,8 @@ let test_migrate_swap_and_grow () =
 (* ------------------------------------------------------------------ *)
 (* Episodes *)
 
-module Bfs_tree = struct
-  include Bfs_builder.P
-
-  let parent_of (s : St_layer.t) = s.St_layer.parent
-  let loop_free = false
-end
-
-module Mst_tree = struct
-  include Mst_builder.P
-
-  let parent_of (s : Mst_builder.state) = s.Mst_builder.st.St_layer.parent
-  let loop_free = true
-end
-
-module SB = Service.Make (Bfs_tree)
-module SM = Service.Make (Mst_tree)
+module SB = Service.Make (Repro_campaign.Builders.Bfs_tree)
+module SM = Service.Make (Repro_campaign.Builders.Mst_tree)
 
 let trace_of s =
   match Churn.of_string s with Ok t -> t | Error m -> Alcotest.failf "bad trace: %s" m
