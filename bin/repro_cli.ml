@@ -168,8 +168,8 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Run a construction and report statistics. Builders with a fixed-width codec \
-          run on the packed engine unless $(b,--faults) or $(b,--trace-out) needs the \
-          boxed one; the two give identical results (see SCALING.md).")
+          run on the packed engine, the others on the boxed one; both run the same \
+          executor with the same hooks (see SCALING.md).")
     Term.(
       const run $ algo_arg $ graph_arg $ n_arg $ seed_arg $ sched_arg $ adversarial_arg
       $ faults_arg $ max_rounds_arg $ metrics_out_arg $ trace_out_arg)
@@ -614,7 +614,7 @@ let serve_cmd =
           from committed labels while the builder re-stabilizes under a watchdogged \
           degradation ladder; write SERVICE_repro.json; exit 1 if any cell fails to \
           recover. Builders with a fixed-width codec run on the packed service engine \
-          unless $(b,--trace-out) needs the boxed one (see SCALING.md).")
+          (see SCALING.md).")
     Term.(
       const serve $ matrix $ traces_arg $ retry_budget_arg $ max_retries_arg
       $ queries_per_round_arg $ big_arg $ big_nmax_arg $ queries_arg $ query_jobs_arg)

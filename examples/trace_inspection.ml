@@ -1,7 +1,7 @@
 (* Convergence inspection: run the MST builder with the telemetry sink
    attached and read the per-round phi trajectory — the potential of
    Section VI decreasing to 0 — together with write/bit statistics and
-   the per-node activity from the step-level trace.
+   the per-node activity from the event ring's retained moves.
 
      dune exec examples/trace_inspection.exe *)
 
@@ -16,11 +16,11 @@ let () =
   Format.printf "network: n=%d m=%d@." (Graph.n g) (Graph.m g);
 
   let telemetry = Telemetry.create () in
-  let trace = Trace.create ~capacity:2000 () in
+  let capacity = 2000 in
+  let events = Events.ring ~capacity () in
   let r =
     ME.run g (Scheduler.Central Scheduler.Round_robin) rng ~init:(ME.initial g) ~telemetry
-      ~on_step:(Trace.on_step trace Mst_builder.P.pp_state)
-      ~on_round:(Trace.on_round trace)
+      ~events
   in
   Format.printf "silent=%b legal=%b %a@." r.ME.silent r.ME.legal Telemetry.pp telemetry;
 
@@ -37,8 +37,17 @@ let () =
       end)
     (Telemetry.phi_series telemetry);
 
-  Format.printf "@.write counts per node (retained window of %d):@." (Trace.capacity trace);
-  List.iter (fun (node, count) -> Format.printf "  node %2d: %4d writes@." node count)
-    (Trace.activity trace);
+  Format.printf "@.write counts per node (retained window of %d events):@." capacity;
+  let writes = Array.make (Graph.n g) 0 in
+  List.iter
+    (fun (e : Events.event) ->
+      match e.Events.kind with
+      | Events.Move { node; _ } -> writes.(node) <- writes.(node) + 1
+      | _ -> ())
+    (Events.events events);
+  Array.iteri
+    (fun node count ->
+      if count > 0 then Format.printf "  node %2d: %4d writes@." node count)
+    writes;
 
   Format.printf "@.aggregated metrics:@.%a" Metrics.pp (Telemetry.registry telemetry)

@@ -138,111 +138,105 @@ type outcome = {
   telemetry : Telemetry.t option;
 }
 
+(* Packed iff the entry has a codec: both engines run the same loop
+   with the same hooks, so the choice changes wall time only. *)
+let engine (type s) (e : s entry) : (module Engine.S with type state = s) =
+  match e.packed with
+  | Some (module K) -> (module Engine_packed.Make (K))
+  | None ->
+      let module P = (val e.protocol) in
+      (module Engine.Make (P))
+
 let run_entry (type s) (e : s entry) ~telemetry ?events ~faults ~adversarial ~max_rounds g
     sched rng =
+  let module E = (val engine e) in
   (* Each run gets fresh telemetry and watchdog, so after fault
      injection the reported series is the recovery run's — the one
-     under study. *)
-  let fresh () = if telemetry then Some (Telemetry.create ()) else None in
-  (* Observe-only watchdog: classify a non-silent exit (livelock vs
-     bare exhaustion) instead of just reporting the hit limit. *)
-  let watch () =
+     under study. The watchdog only observes: it classifies a
+     non-silent exit (livelock vs bare exhaustion) instead of just
+     reporting the hit limit. *)
+  let observed ?init_causes ?(round_offset = 0) ?(step_offset = 0) ~init () =
+    let tel = if telemetry then Some (Telemetry.create ()) else None in
     let wd = Watchdog.create () in
-    ( wd,
-      fun round states ->
-        Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states) ~phi:None
-          ~snap:(fun () -> Marshal.to_string states []) )
+    let on_round round states =
+      Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states) ~phi:None
+        ~snap:(fun () -> Marshal.to_string states [])
+    in
+    let r =
+      E.run ~max_rounds ?telemetry:tel ~on_round ?events ?init_causes ~round_offset
+        ~step_offset g sched rng ~init
+    in
+    (r, tel, wd)
   in
-  let outcome wd tel ~injected (silent, legal, rounds, steps, max_bits, states) =
-    {
-      algo = e.name;
-      silent;
-      legal;
-      rounds;
-      steps;
-      max_bits;
-      note = e.note ~adversarial g states;
-      verdict =
-        (if silent then None
-         else Some (Format.asprintf "%a" Watchdog.pp_verdict (Watchdog.verdict wd ~silent)));
-      injected;
-      telemetry = tel;
-    }
-  in
-  match e.packed with
-  | Some (module K) when Option.is_none events && faults <= 0 ->
-      let module E = Engine_packed.Make (K) in
-      let tel = fresh () and wd, on_round = watch () in
-      let init = if adversarial then E.adversarial rng g else E.initial g in
-      let r = E.run ~max_rounds ?telemetry:tel ~on_round g sched rng ~init in
-      outcome wd tel ~injected:false
-        (r.E.silent, r.E.legal, r.E.rounds, r.E.steps, r.E.max_bits, r.E.states)
-  | _ ->
+  let init = if adversarial then E.adversarial rng g else E.initial g in
+  let ((first, _, _) as run1) = observed ~init () in
+  let (r, tel, wd), injected =
+    if faults > 0 && first.E.silent then begin
+      (* Pick first, corrupt second (same RNG stream as
+         Fault.corrupt) so the fault events name the nodes actually
+         hit and the recovery run's initially-enabled nodes can be
+         attributed. *)
       let module P = (val e.protocol) in
-      let module E = Engine.Make (P) in
-      let observed ?init_causes ?(round_offset = 0) ?(step_offset = 0) ~init () =
-        let tel = fresh () and wd, on_round = watch () in
-        let r =
-          E.run ~max_rounds ?telemetry:tel ~on_round ?events ?init_causes ~round_offset
-            ~step_offset g sched rng ~init
-        in
-        (r, tel, wd)
+      let picked = Fault.pick_nodes rng ~n:(Graph.n g) ~k:faults in
+      let corrupted =
+        Fault.corrupt_nodes rng ~random_state:P.random_state g first.E.states picked
       in
-      let init = if adversarial then E.adversarial rng g else E.initial g in
-      let ((first, _, _) as run1) = observed ~init () in
-      let (r, tel, wd), injected =
-        if faults > 0 && first.E.silent then begin
-          (* Pick first, corrupt second (same RNG stream as
-             Fault.corrupt) so the fault events name the nodes actually
-             hit and the recovery run's initially-enabled nodes can be
-             attributed. *)
-          let picked = Fault.pick_nodes rng ~n:(Graph.n g) ~k:faults in
-          let corrupted =
-            Fault.corrupt_nodes rng ~random_state:P.random_state g first.E.states picked
-          in
-          let init_causes =
-            Option.map
-              (fun sink ->
-                let eids =
-                  List.map
-                    (fun v -> (v, Events.emit_fault sink ~node:v ~round:first.E.rounds))
-                    picked
-                in
-                fun v ->
-                  List.filter_map
-                    (fun (u, eid) -> if u = v || Graph.has_edge g u v then Some eid else None)
-                    eids)
-              events
-          in
-          ( observed ?init_causes ~round_offset:first.E.rounds ~step_offset:first.E.steps
-              ~init:corrupted (),
-            true )
-        end
-        else (run1, false)
+      let init_causes =
+        Option.map
+          (fun sink ->
+            let eids =
+              List.map
+                (fun v -> (v, Events.emit_fault sink ~node:v ~round:first.E.rounds))
+                picked
+            in
+            fun v ->
+              List.filter_map
+                (fun (u, eid) -> if u = v || Graph.has_edge g u v then Some eid else None)
+                eids)
+          events
       in
-      outcome wd tel ~injected
-        (r.E.silent, r.E.legal, r.E.rounds, r.E.steps, r.E.max_bits, r.E.states)
+      ( observed ?init_causes ~round_offset:first.E.rounds ~step_offset:first.E.steps
+          ~init:corrupted (),
+        true )
+    end
+    else (run1, false)
+  in
+  let silent = r.E.silent in
+  {
+    algo = e.name;
+    silent;
+    legal = r.E.legal;
+    rounds = r.E.rounds;
+    steps = r.E.steps;
+    max_bits = r.E.max_bits;
+    note = e.note ~adversarial g r.E.states;
+    verdict =
+      (if silent then None
+       else Some (Format.asprintf "%a" Watchdog.pp_verdict (Watchdog.verdict wd ~silent)));
+    injected;
+    telemetry = tel;
+  }
 
 let run ?(telemetry = false) ?events ?(faults = 0) ~adversarial ~max_rounds (Builder e) g
     sched rng =
   run_entry e ~telemetry ?events ~faults ~adversarial ~max_rounds g sched rng
 
-(* The same rule for service episodes: the packed service engine unless
-   an event sink needs the boxed engine's causal plumbing. *)
+(* The same rule for service episodes: the packed service engine iff
+   the entry has a codec. *)
 let serve_entry (type s) (e : s entry) ?max_rounds ?stall_window ?cycle_repeats
     ?retry_budget ?max_retries ?queries_per_round ?snapshot ?events g ~sched ~fallback rng
     trace =
   let watch_phi = e.cheap_phi in
-  match (e.packed, e.tree, events) with
-  | Some (module K), _, None ->
+  match (e.packed, e.tree) with
+  | Some (module K), _ ->
       let module S = Service.Make_packed (K) in
       S.run ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
-        ?queries_per_round ~watch_phi ?snapshot g ~sched ~fallback rng trace
-  | _, Some (module T), _ ->
+        ?queries_per_round ~watch_phi ?snapshot ?events g ~sched ~fallback rng trace
+  | None, Some (module T) ->
       let module S = Service.Make (T) in
       S.run ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
         ?queries_per_round ~watch_phi ?snapshot ?events g ~sched ~fallback rng trace
-  | _, None, _ -> invalid_arg (e.name ^ ": not a tree builder")
+  | None, None -> invalid_arg (e.name ^ ": not a tree builder")
 
 let serve ?max_rounds ?stall_window ?cycle_repeats ?retry_budget ?max_retries
     ?queries_per_round ?snapshot ?events (Builder e) =

@@ -10,11 +10,11 @@
 
     {b Engine selection} ({!run}, {!serve}). A run takes the
     struct-of-arrays engine ({!Repro_runtime.Engine_packed},
-    {!Repro_service.Service.Make_packed}) when the entry has a codec and
-    the caller attaches no boxed-only hook (an event sink, or fault
-    injection for {!run}); otherwise the boxed engine. The equivalence
-    suites pin the two engines to identical results, so the choice
-    changes wall time only. *)
+    {!Repro_service.Service.Make_packed}) iff the entry has a codec,
+    and the boxed engine otherwise. Both run the same executor loop
+    with the same hooks, and the equivalence suites pin them to
+    identical results and event traces, so the choice changes wall time
+    only. *)
 
 open Repro_graph
 open Repro_runtime
@@ -119,8 +119,8 @@ type outcome = {
     whole invocation — first run, [Fault] events, recovery run — into
     one sink, so recovery moves chain back to the injection.
 
-    Runs on the packed engine when [b] has a codec and neither [faults]
-    nor [events] is asked for (see the engine-selection rule above). *)
+    Runs on the packed engine iff [b] has a codec (see the
+    engine-selection rule above). *)
 val run :
   ?telemetry:bool ->
   ?events:Events.t ->
@@ -138,10 +138,8 @@ val run :
 (** [serve b g ~sched ~fallback rng trace] — one
     {!Repro_service.Service} episode of tree builder [b] (optional
     arguments as in {!Repro_service.Service.Make.run}), on the packed
-    service engine when [b] has a codec and no [events] sink is
-    attached (causal tracing needs the boxed engine), on the boxed one
-    otherwise — episode-equivalent either way. The watchdog watches Φ
-    only when [cheap_phi b].
+    service engine iff [b] has a codec — episode-equivalent either way.
+    The watchdog watches Φ only when [cheap_phi b].
     @raise Invalid_argument if [b] has no parent projection. *)
 val serve :
   ?max_rounds:int ->

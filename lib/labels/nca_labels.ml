@@ -49,11 +49,17 @@ let of_root r = [| (r, 0) |]
 let of_pairs a = Array.copy a
 let to_pairs (l : label) = Array.copy l
 
+(* An empty label names no heavy path to extend; it only occurs in an
+   arbitrary register, so the child follows it until the parent's own
+   guard repairs it. *)
 let extend_heavy l =
-  let l = Array.copy l in
-  let h, p = l.(Array.length l - 1) in
-  l.(Array.length l - 1) <- (h, p + 1);
-  l
+  let k = Array.length l in
+  if k = 0 then [||]
+  else
+    let l = Array.copy l in
+    let h, p = l.(k - 1) in
+    l.(k - 1) <- (h, p + 1);
+    l
 
 let extend_light l ~child = Array.append l [| (child, 0) |]
 

@@ -53,7 +53,9 @@ val of_pairs : (int * int) array -> label
     {!of_pairs}, used by the register codecs (see SCALING.md). *)
 val to_pairs : label -> (int * int) array
 
-(** [extend_heavy l] — label of the heavy child of a node labeled [l]. *)
+(** [extend_heavy l] — label of the heavy child of a node labeled [l].
+    The empty label (which only an arbitrary register holds) extends to
+    itself. *)
 val extend_heavy : label -> label
 
 (** [extend_light l ~child] — label of a light child. *)

@@ -7,22 +7,50 @@
     the prefix has either taken a step or become non-activatable because
     of a neighbor's action.
 
-    Two executors share that semantics. {!Make.run} is the incremental
-    hot path: it memoizes each node's pending move (so a write applies
-    the cached register instead of re-running the guard), reuses one
-    scratch {!View.t} per node (neighbor-state slots refreshed in place
-    under a per-node version counter), and maintains the enabled set as
-    an intrusive doubly-linked list with a bitset mirror
-    ({!Enabled_set}) so a register write costs O(Δ) guard probes and a
-    daemon pick touches only the enabled nodes. {!Make.run_reference} is
+    One incremental executor loop ({!Loop}) implements that semantics
+    over a small register-store interface ({!STORE}). The loop memoizes
+    each node's pending move (so a write applies the cached register
+    instead of re-running the guard), keeps the enabled set as an
+    intrusive doubly-linked list with a bitset mirror ({!Enabled_set})
+    so a register write costs O(Δ) guard probes and a daemon pick
+    touches only the enabled nodes, and owns every hook. Two stores
+    plug into it: {!Make}'s boxed store (a [P.state array] and one
+    scratch {!View.t} per node, refreshed in place) and
+    {!Engine_packed}'s struct-of-arrays bank. {!Make.run_reference} is
     the naive executor kept as the semantics oracle — fresh views and a
-    full [P.step] per probe — and the two are property-tested to produce
-    identical trajectories (see [test/test_engine_equiv.ml] and
+    full [P.step] per probe — and the loop is property-tested to
+    produce identical trajectories on both stores (see
+    [test/test_engine_equiv.ml], [test/test_packed.ml] and
     PERFORMANCE.md). *)
 
-module Make (P : Protocol.S) : sig
+(** The executor's signature, up to the registers it starts from
+    (['k] is [init:_ -> result] or [bank:_ -> result]). See {!S.run}. *)
+type ('state, 'k) runner =
+  ?max_steps:int ->
+  ?max_rounds:int ->
+  ?track_legal:bool ->
+  ?stop_when_legal:bool ->
+  ?telemetry:Telemetry.t ->
+  ?on_round:(int -> 'state array -> unit) ->
+  ?on_step:(int -> 'state array -> unit) ->
+  ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
+  ?stop_when:(unit -> bool) ->
+  ?events:Events.t ->
+  ?profile:Profile.t ->
+  ?init_causes:(int -> int list) ->
+  ?round_offset:int ->
+  ?step_offset:int ->
+  Repro_graph.Graph.t ->
+  Scheduler.t ->
+  Random.State.t ->
+  'k
+
+(** What both engines expose ({!Make} and {!Engine_packed.Make}). *)
+module type S = sig
+  type state
+
   type result = {
-    states : P.state array;  (** final configuration *)
+    states : state array;  (** final configuration *)
     steps : int;  (** individual register writes *)
     rounds : int;  (** completed rounds (paper definition) *)
     silent : bool;  (** no node enabled at the end *)
@@ -34,21 +62,11 @@ module Make (P : Protocol.S) : sig
   }
 
   (** [initial g] is the designated boot configuration. *)
-  val initial : Repro_graph.Graph.t -> P.state array
+  val initial : Repro_graph.Graph.t -> state array
 
   (** [adversarial rng g] is a configuration of arbitrary registers — the
       self-stabilization starting point. *)
-  val adversarial : Random.State.t -> Repro_graph.Graph.t -> P.state array
-
-  (** [view g states v] is node [v]'s local view of the configuration. *)
-  val view : Repro_graph.Graph.t -> P.state array -> int -> P.state View.t
-
-  (** [enabled g states] is the list of enabled (activatable) nodes. *)
-  val enabled : Repro_graph.Graph.t -> P.state array -> int list
-
-  (** [silent g states] — no node is enabled. Short-circuits on the
-      first enabled node. *)
-  val silent : Repro_graph.Graph.t -> P.state array -> bool
+  val adversarial : Random.State.t -> Repro_graph.Graph.t -> state array
 
   (** [run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry
       ?on_round ?on_step g sched rng ~init] executes until silence or a
@@ -102,46 +120,108 @@ module Make (P : Protocol.S) : sig
       [step_offset] shift the round/step fields of emitted events only
       (never the semantics) so multi-run episodes share one timeline.
 
-      [profile] counts guard evaluations, view refreshes, wakeups,
-      flushes, enabled-set churn and per-rule moves into a {!Profile}
-      record.
+      [profile] counts guard evaluations, view refreshes (boxed store
+      only), wakeups, flushes, enabled-set churn and per-rule moves into
+      a {!Profile} record.
 
-      These hooks exist on {!run} only: [run_reference] stays the
-      uninstrumented oracle. Under the synchronous daemon the incremental
-      executor coalesces guard re-probes per batch, so a move's [causes]
-      name every adjacent write of the waking batch, where a per-write
-      engine would name only the first — the DAG invariant (causes
-      precede, edge-adjacent) holds either way. *)
-  val run :
-    ?max_steps:int ->
-    ?max_rounds:int ->
-    ?track_legal:bool ->
-    ?stop_when_legal:bool ->
-    ?telemetry:Telemetry.t ->
-    ?on_round:(int -> P.state array -> unit) ->
-    ?on_step:(int -> P.state array -> unit) ->
-    ?adversary:(round:int -> P.state array -> (int * P.state) list) ->
-    ?stop_when:(unit -> bool) ->
-    ?events:Events.t ->
-    ?profile:Profile.t ->
-    ?init_causes:(int -> int list) ->
-    ?round_offset:int ->
-    ?step_offset:int ->
-    Repro_graph.Graph.t ->
-    Scheduler.t ->
-    Random.State.t ->
-    init:P.state array ->
-    result
+      Every hook that reads the configuration ([on_round], [on_step],
+      [adversary], Φ, legality, rule tags) sees boxed states: the packed
+      store re-boxes only the registers written since the last such read.
+      [run_reference] stays the uninstrumented oracle. Under the
+      synchronous daemon the executor coalesces guard re-probes per
+      batch, so a move's [causes] name every adjacent write of the
+      waking batch, where a per-write engine would name only the first —
+      the DAG invariant (causes precede, edge-adjacent) holds either
+      way. *)
+  val run : (state, init:state array -> result) runner
+end
 
-  (** [run_reference] — same signature, same observable behavior, none
-      of the incremental machinery: every guard probe allocates a fresh
-      view and re-runs [P.step], every write re-evaluates the guard of
-      the whole closed neighborhood, and the daemons rescan all n nodes
-      per pick. It exists as the oracle the equivalence property suite
-      compares {!run} against (identical [states], [steps], [rounds],
-      [silent], [legal] on the same seed), and as the fallback to bisect
-      against if an engine bug is ever suspected. Use {!run} everywhere
-      else. *)
+(** {2 The register store}
+
+    Where the registers and the move cache live. The loop calls
+    [probe] once per guard evaluation and [commit] once per move; the
+    boxed accessors ([register], [move], [config]) are read only when a
+    hook needs them. *)
+module type STORE = sig
+  module P : Protocol.S
+
+  (** What a run starts from. *)
+  type regs
+
+  type t
+
+  (** [create ?profile g regs] — the run's store (a boxed store copies
+      [regs]; a packed bank is used in place). *)
+  val create : ?profile:Profile.t -> Repro_graph.Graph.t -> regs -> t
+
+  (** [probe t v] evaluates [v]'s guard on the live registers and
+      caches the move; [true] iff [v] is enabled. *)
+  val probe : t -> int -> bool
+
+  (** [commit t v] writes [v]'s cached move (only called on an enabled
+      [v]); [false] iff the register is physically unchanged, so no
+      view needs a re-probe. *)
+  val commit : t -> int -> bool
+
+  (** [overwrite t v s] — a fault; [false] iff [s] is already [v]'s
+      register (physically). *)
+  val overwrite : t -> int -> P.state -> bool
+
+  (** [v]'s register and its cached move, boxed. *)
+  val register : t -> int -> P.state
+
+  val move : t -> int -> P.state
+
+  (** Register bits of [v], and (max, total) over all nodes. *)
+  val bits : t -> int -> int
+
+  val bits_summary : t -> int * int
+
+  (** The live configuration, boxed. Callers may write a slot only to
+      restore it before the next store call. *)
+  val config : t -> P.state array
+end
+
+(** The incremental executor over store [St]: [run] is {!S.run} on
+    [St]'s registers. *)
+module Loop (St : STORE) : sig
+  type result = {
+    states : St.P.state array;
+    steps : int;
+    rounds : int;
+    silent : bool;
+    legal : bool;
+    max_bits : int;
+    first_legal_round : int option;
+  }
+
+  val initial : Repro_graph.Graph.t -> St.P.state array
+  val adversarial : Random.State.t -> Repro_graph.Graph.t -> St.P.state array
+  val run : (St.P.state, init:St.regs -> result) runner
+end
+
+module Make (P : Protocol.S) : sig
+  include S with type state = P.state
+
+  (** [view g states v] is node [v]'s local view of the configuration. *)
+  val view : Repro_graph.Graph.t -> P.state array -> int -> P.state View.t
+
+  (** [enabled g states] is the list of enabled (activatable) nodes. *)
+  val enabled : Repro_graph.Graph.t -> P.state array -> int list
+
+  (** [silent g states] — no node is enabled. Short-circuits on the
+      first enabled node. *)
+  val silent : Repro_graph.Graph.t -> P.state array -> bool
+
+  (** [run_reference] — same semantics as {!run}, none of the
+      incremental machinery: every guard probe allocates a fresh view
+      and re-runs [P.step], every write re-evaluates the guard of the
+      whole closed neighborhood, and the daemons rescan all n nodes per
+      pick. It exists as the oracle the equivalence property suites
+      compare both stores against (identical [states], [steps],
+      [rounds], [silent], [legal] on the same seed), and as the
+      fallback to bisect against if an engine bug is ever suspected.
+      Use {!run} everywhere else. *)
   val run_reference :
     ?max_steps:int ->
     ?max_rounds:int ->

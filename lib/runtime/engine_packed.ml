@@ -1,303 +1,112 @@
 module Graph = Repro_graph.Graph
 
 module Make (P : Protocol.PACKED) = struct
-  type result = {
-    states : P.state array;
-    steps : int;
-    rounds : int;
-    silent : bool;
-    legal : bool;
-    max_bits : int;
-    first_legal_round : int option;
-  }
+  type state = P.state
 
-  let initial g = Array.init (Graph.n g) (fun v -> P.initial g v)
-  let adversarial rng g = Array.init (Graph.n g) (fun v -> P.random_state rng g v)
+  (* The packed store. Registers live in a bank of [P.words] int lanes
+     ([bank.(f).(v)]), moves are cached as packed words ([mv.(f).(v)]
+     holds lane [f] of [v]'s pending move; liveness is the loop's
+     enabled set), and one reusable {!Pview.t} serves every guard
+     probe, so probes and commits allocate nothing.
 
-  (* The struct-of-arrays executor. Trajectory-identical to
-     [Engine.Make(P).run] and [run_reference] on the same seeds (the
-     equivalence suite pins this): the daemons draw from the RNG in the
-     same order, enumerate candidates in the same increasing node order,
-     and apply the same moves — only the register representation
-     differs. Registers live in a bank of [P.words] int lanes
-     ([bank.(f).(v)]), neighbor scans walk the graph's CSR arrays, and
-     every scratch structure (move bank, dirty/pending/batch bitsets,
-     the one reusable {!Pview.t}) is allocated up front, so the
-     steady-state loop allocates nothing (pinned by a [Gc.minor_words]
-     test; attaching [telemetry] with a Φ consumer or [track_legal]
-     re-boxes the configuration at round boundaries and costs
-     allocation there).
+     Hooks that read boxed states get [mirror], built on the first
+     such read and then kept current lazily: a commit only marks the
+     node [stale], and the next read re-boxes the marked nodes. A run
+     with no such hook never boxes a register until its result.
 
-     Differences from the boxed [run], by design:
-     - no [?events]/[?adversary]/[?on_step] hooks — tracing and chaos
-       stay on the boxed engine, which is equivalence-pinned anyway;
-       [?on_round] exists (service mode's watchdog needs round-boundary
-       observation) but re-boxes the configuration at every boundary,
-       so leave it off for allocation-free runs;
-     - [max_bits] uses the PACKED contract that [size_bits] is content-
-       independent, so it is a constant of [n];
-     - moves are cached as packed words: [mv.(f).(v)] holds lane [f] of
-       [v]'s pending move, membership in [enabled] says whether it is
-       live (exactly the boxed [moves.(v) <> None] invariant). *)
+     [size_bits] is content-independent (PACKED contract), so register
+     bits are the constant [reg_bits], and a packed move always differs
+     from the register it replaces (silence is syntactic in every
+     builder), so a commit always dirties its closed neighborhood. *)
+  module Store = struct
+    module P = P
 
-  let run_bank ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?(track_legal = false)
-      ?(stop_when_legal = false) ?telemetry ?on_round ?stop_when ?profile g sched rng
-      ~bank =
-    let n = Graph.n g in
-    let words = P.words in
-    let row = Graph.csr_row g and col = Graph.csr_col g in
-    if Array.length bank <> words || Array.exists (fun lane -> Array.length lane <> n) bank
-    then invalid_arg "Engine_packed.run_bank: bank shape is not words x n";
-    let pv = Pview.of_graph g ~bank in
-    let steps = ref 0 in
-    let rounds = ref 0 in
-    let first_legal = ref None in
-    let stop = ref false in
-    let poll_stop () =
-      match stop_when with Some f -> if f () then stop := true | None -> ()
-    in
-    (* Re-boxing, needed only at observation points (round boundaries
-       with a Φ consumer, an [on_round] observer or legality tracking,
-       and the final result). *)
-    let tmp = Array.make words 0 in
-    let unpack_node v =
-      for f = 0 to words - 1 do
-        tmp.(f) <- bank.(f).(v)
-      done;
-      P.unpack ~n tmp
-    in
-    let unpack_all () = Array.init n unpack_node in
-    (* Fixed register width (PACKED contract: [size_bits] is content-
-       independent): max_bits is a constant of [n]. *)
-    let reg_bits = P.size_bits n (unpack_node 0) in
-    (* Packed move cache: lane words in [mv], liveness in [enabled]. *)
-    let mv = Array.init words (fun _ -> Array.make n 0) in
-    let enabled = Enabled_set.create n in
-    let recompute v =
-      (match profile with Some p -> Profile.on_guard p | None -> ());
-      pv.Pview.focus <- v;
-      let was = Enabled_set.mem enabled v in
-      let now = P.step_packed pv in
-      (match profile with Some p -> if was <> now then Profile.on_churn p | None -> ());
-      if now then begin
-        for f = 0 to words - 1 do
-          mv.(f).(v) <- pv.Pview.move.(f)
-        done;
-        Enabled_set.add enabled v
-      end
-      else Enabled_set.remove enabled v
-    in
-    for v = 0 to n - 1 do
-      recompute v
-    done;
-    let dirty = Bitset.create n in
-    let touch v =
-      (match profile with Some p -> Profile.on_touch p | None -> ());
-      Bitset.add dirty v;
-      for i = row.(v) to row.(v + 1) - 1 do
-        Bitset.add dirty col.(i)
-      done
-    in
-    let flush () =
-      if not (Bitset.is_empty dirty) then begin
-        (match profile with Some p -> Profile.on_flush p | None -> ());
-        Bitset.iter recompute dirty;
-        Bitset.clear dirty
-      end
-    in
-    (* Adversary bookkeeping (LIFO daemon). *)
-    let last_step_time = Array.make n (-1) in
-    let rr_cursor = ref 0 in
-    let pending = Bitset.create n in
-    let apply ~defer v =
-      for f = 0 to words - 1 do
-        bank.(f).(v) <- mv.(f).(v)
-      done;
-      incr steps;
-      last_step_time.(v) <- !steps;
-      (match telemetry with
-      | Some t -> Telemetry.on_write t ~bits:reg_bits
-      | None -> ());
-      (match profile with Some p -> Profile.on_move p | None -> ());
-      (* A packed move always differs from the register it replaces
-         (silence is syntactic in every builder), so the closed
-         neighborhood is unconditionally dirtied — the boxed engine's
-         physical-equality skip never fires for these protocols. *)
-      touch v;
-      if not defer then flush ();
-      Bitset.remove pending v;
-      poll_stop ()
-    in
-    let round_boundary () =
-      (match telemetry with
-      | Some t ->
-          let phi =
-            if Telemetry.wants_phi t then P.potential g (unpack_all ()) else None
-          in
-          Telemetry.on_round t ~round:!rounds
-            ~enabled:(Enabled_set.cardinal enabled)
-            ~max_bits:reg_bits ~total_bits:(n * reg_bits) ~phi
-      | None -> ());
-      (match on_round with Some f -> f !rounds (unpack_all ()) | None -> ());
-      (if (track_legal || stop_when_legal) && !first_legal = None then
-         if P.is_legal g (unpack_all ()) then begin
-           first_legal := Some !rounds;
-           if stop_when_legal then stop := true
-         end);
-      poll_stop ()
-    in
-    round_boundary ();
-    (* Daemon picks mirror the boxed engine draw for draw: candidates
-       enumerate in increasing node order through the bitset, extremal
-       picks scan the intrusive list. The scan closures and their
-       accumulator refs are hoisted here so a steady-state pick
-       allocates nothing (the extremal picks are order-independent, so
-       the unspecified list order is not observable). *)
-    let batch = Bitset.create n in
-    let scan_best = ref (-1) in
-    let max_scan v = if v > !scan_best then scan_best := v in
-    let min_scan v = if !scan_best < 0 || v < !scan_best then scan_best := v in
-    let rr_ge = ref max_int in
-    let rr_scan v =
-      if !scan_best < 0 || v < !scan_best then scan_best := v;
-      if v >= !rr_cursor && v < !rr_ge then rr_ge := v
-    in
-    let lifo_scan v =
-      let best = !scan_best in
-      if
-        best < 0
-        || last_step_time.(v) > last_step_time.(best)
-        || (last_step_time.(v) = last_step_time.(best) && v > best)
-      then scan_best := v
-    in
-    let pick_central strategy =
-      match strategy with
-      | Scheduler.Random_daemon ->
-          Enabled_set.nth_sorted enabled
-            (Random.State.int rng (Enabled_set.cardinal enabled))
-      | Scheduler.Max_id ->
-          scan_best := -1;
-          Enabled_set.iter max_scan enabled;
-          !scan_best
-      | Scheduler.Min_id ->
-          scan_best := -1;
-          Enabled_set.iter min_scan enabled;
-          !scan_best
-      | Scheduler.Round_robin ->
-          scan_best := -1;
-          rr_ge := max_int;
-          Enabled_set.iter rr_scan enabled;
-          let v = if !rr_ge < max_int then !rr_ge else !scan_best in
-          rr_cursor := v + 1;
-          v
-      | Scheduler.Lifo_adversary ->
-          scan_best := -1;
-          Enabled_set.iter lifo_scan enabled;
-          !scan_best
-      | Scheduler.Greedy_max_phi | Scheduler.Greedy_min_phi ->
-          (* Same trial evaluation as the boxed engine, via a re-boxed
-             configuration — greedy daemons are Φ-global and inherently
-             O(n) per pick, so the chaos/adversarial path keeps its
-             boxed cost model. Draw-free, so RNG parity is untouched. *)
-          let maximize = strategy = Scheduler.Greedy_max_phi in
-          let states = unpack_all () in
-          let base_phi =
-            lazy (match P.potential g states with Some p -> p | None -> max_int)
-          in
-          let best =
-            List.fold_left
-              (fun best v ->
-                let old = states.(v) in
-                for f = 0 to words - 1 do
-                  tmp.(f) <- mv.(f).(v)
-                done;
-                let s = P.unpack ~n tmp in
-                let sc =
-                  if P.equal_state s old then Lazy.force base_phi
-                  else begin
-                    states.(v) <- s;
-                    let phi = P.potential g states in
-                    states.(v) <- old;
-                    match phi with Some p -> p | None -> max_int
-                  end
-                in
-                match best with
-                | None -> Some (v, sc)
-                | Some (_, bs) ->
-                    if (if maximize then sc > bs else sc < bs) then Some (v, sc) else best)
-              None (Enabled_set.sorted enabled)
-          in
-          fst (Option.get best)
-    in
-    let reset_pending () = Enabled_set.snapshot enabled pending in
-    reset_pending ();
-    let prune_pending () =
-      Bitset.inter_inplace pending (Enabled_set.bits enabled);
-      if Bitset.is_empty pending then begin
-        incr rounds;
-        round_boundary ();
-        if not (Enabled_set.is_empty enabled) then reset_pending ()
-      end
-    in
-    let apply_deferred v = if not !stop then apply ~defer:true v in
-    let apply_live v =
-      (* A write earlier in the same distributed batch may have disabled
-         this candidate; the boxed engine skips it through its move
-         cache ([moves.(v) = None]), membership here. *)
-      if (not !stop) && Enabled_set.mem enabled v then apply ~defer:false v
-    in
-    (* Distributed-daemon scratch, hoisted like the central scans (the
-       float draws themselves still box — the coin flips are the one
-       unavoidable allocation under [Distributed]). *)
-    let dist_p = match sched with Scheduler.Distributed p -> p | _ -> 0.0 in
-    let chosen_any = ref false in
-    let dist_flip v =
-      if Random.State.float rng 1.0 < dist_p then begin
-        chosen_any := true;
-        apply_live v
-      end
-    in
-    while
-      (not !stop)
-      && (not (Enabled_set.is_empty enabled))
-      && !steps < max_steps && !rounds < max_rounds
-    do
-      (match sched with
-      | Scheduler.Synchronous ->
-          (* Freeze the round-top movers; their cached moves were all
-             computed against the round-top configuration, which is the
-             snapshot semantics. Bitset iteration is increasing order =
-             the boxed engine's sorted enumeration. *)
-          Enabled_set.snapshot enabled batch;
-          Bitset.iter apply_deferred batch;
-          flush ()
-      | Scheduler.Central strategy ->
-          let v = pick_central strategy in
-          apply ~defer:false v
-      | Scheduler.Distributed _ ->
-          Enabled_set.snapshot enabled batch;
-          (* Same coin-flip order as the boxed engine: one float per
-             candidate in increasing node order, then a fallback index
-             draw if none was chosen. *)
-          chosen_any := false;
-          Bitset.iter dist_flip batch;
-          if not !chosen_any then begin
-            let k = Random.State.int rng (Bitset.cardinal batch) in
-            apply_live (Bitset.nth batch k)
-          end);
-      prune_pending ()
-    done;
-    let silent = Enabled_set.is_empty enabled in
-    let states = unpack_all () in
-    {
-      states;
-      steps = !steps;
-      rounds = !rounds;
-      silent;
-      legal = P.is_legal g states;
-      max_bits = reg_bits;
-      first_legal_round = !first_legal;
+    type regs = int array array
+
+    type t = {
+      n : int;
+      bank : int array array;
+      mv : int array array;
+      pv : Pview.t;
+      tmp : int array;
+      reg_bits : int;
+      mutable mirror : P.state array;
+      stale : Bitset.t;
     }
+
+    let unbox t lanes v =
+      for f = 0 to P.words - 1 do
+        t.tmp.(f) <- lanes.(f).(v)
+      done;
+      P.unpack ~n:t.n t.tmp
+
+    let create ?profile:_ g bank =
+      let n = Graph.n g in
+      if Array.length bank <> P.words || Array.exists (fun lane -> Array.length lane <> n) bank
+      then invalid_arg "Engine_packed.run_bank: bank shape is not words x n";
+      let reg_bits =
+        if n = 0 then 0 else P.size_bits n (P.unpack ~n (Array.map (fun lane -> lane.(0)) bank))
+      in
+      {
+        n;
+        bank;
+        mv = Array.init P.words (fun _ -> Array.make n 0);
+        pv = Pview.of_graph g ~bank;
+        tmp = Array.make P.words 0;
+        reg_bits;
+        mirror = [||];
+        stale = Bitset.create n;
+      }
+
+    let probe t v =
+      let pv = t.pv in
+      pv.Pview.focus <- v;
+      P.step_packed pv
+      && begin
+           for f = 0 to P.words - 1 do
+             t.mv.(f).(v) <- pv.Pview.move.(f)
+           done;
+           true
+         end
+
+    let commit t v =
+      for f = 0 to P.words - 1 do
+        t.bank.(f).(v) <- t.mv.(f).(v)
+      done;
+      if Array.length t.mirror > 0 then Bitset.add t.stale v;
+      true
+
+    let register t v = unbox t t.bank v
+    let move t v = unbox t t.mv v
+
+    let config t =
+      if Array.length t.mirror <> t.n then begin
+        t.mirror <- Array.init t.n (register t);
+        Bitset.clear t.stale
+      end
+      else if not (Bitset.is_empty t.stale) then begin
+        Bitset.iter (fun v -> t.mirror.(v) <- register t v) t.stale;
+        Bitset.clear t.stale
+      end;
+      t.mirror
+
+    let overwrite t v s =
+      let mirror = config t in
+      mirror.(v) != s
+      && begin
+           mirror.(v) <- s;
+           let a = P.pack ~n:t.n s in
+           for f = 0 to P.words - 1 do
+             t.bank.(f).(v) <- a.(f)
+           done;
+           true
+         end
+
+    let bits t _ = t.reg_bits
+    let bits_summary t = (t.reg_bits, t.n * t.reg_bits)
+  end
+
+  include Engine.Loop (Store)
 
   let pack_bank ~n init =
     let words = P.words in
@@ -312,9 +121,18 @@ module Make (P : Protocol.PACKED) = struct
     done;
     bank
 
+  let run_bank ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry ?on_round
+      ?on_step ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset
+      ?step_offset g sched rng ~bank =
+    run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry ?on_round ?on_step
+      ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset ?step_offset g sched
+      rng ~init:bank
+
   let run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry ?on_round
-      ?stop_when ?profile g sched rng ~init =
+      ?on_step ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset
+      ?step_offset g sched rng ~init =
     run_bank ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry ?on_round
-      ?stop_when ?profile g sched rng
+      ?on_step ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset
+      ?step_offset g sched rng
       ~bank:(pack_bank ~n:(Graph.n g) init)
 end

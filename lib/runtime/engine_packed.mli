@@ -1,71 +1,32 @@
-(** Struct-of-arrays executor for fixed-width ({!Protocol.PACKED})
-    protocols.
+(** The executor on a struct-of-arrays register bank, for fixed-width
+    ({!Protocol.PACKED}) protocols.
 
-    Same trajectory semantics as {!Engine.Make}[.run] and
-    [.run_reference] — the equivalence suite pins steps, rounds,
-    max_bits, and final configurations byte-identical on shared seeds
-    across the whole daemon roster — but the configuration lives in a
-    flat int register bank ([P.words] lanes of length n), neighbor scans
-    walk the graph's CSR arrays, and all scratch state is preallocated,
-    so the steady-state loop performs no allocation (pinned by a
-    [Gc.minor_words] test; see SCALING.md for the memory model and the
-    measured big-n tables).
+    This is {!Engine.Loop} — the same loop, daemons, round accounting
+    and hooks as {!Engine.Make}[.run] — over a packed store: the
+    configuration lives in a flat int register bank ([P.words] lanes of
+    length n), neighbor scans walk the graph's CSR arrays, and guard
+    probes and commits go through one reusable {!Pview.t}, so with no
+    hook attached the steady-state loop performs no allocation (pinned
+    by a [Gc.minor_words] test; see SCALING.md for the memory model and
+    the measured big-n tables). The equivalence suites pin steps,
+    rounds, max_bits, final configurations and event traces identical
+    to the boxed store and to [run_reference] on shared seeds.
 
-    The observability hooks that re-box state stay on the boxed engine:
-    there is no [?events], [?adversary] or [?on_step] here. [?telemetry],
-    [?track_legal] and [?on_round] are supported but re-box the
-    configuration at round boundaries when they need Φ, legality or the
-    observer callback — service mode's watchdog pays that cost to keep
-    its observations byte-identical to the boxed engine's. *)
+    Every hook is supported. Those that read boxed states ([on_round],
+    [on_step], [adversary], Φ for telemetry or events, legality
+    tracking, rule tags for [events] or [profile]) re-box registers: the
+    whole configuration on the first read, then only the registers
+    written since the previous read. [max_bits] is the fixed register
+    width [P.size_bits n _]. *)
 
 module Make (P : Protocol.PACKED) : sig
-  type result = {
-    states : P.state array;  (** final configuration, re-boxed *)
-    steps : int;
-    rounds : int;
-    silent : bool;
-    legal : bool;
-    max_bits : int;  (** the fixed register width [P.size_bits n _] *)
-    first_legal_round : int option;
-  }
-
-  (** The designated initial configuration ([P.initial] per node). *)
-  val initial : Repro_graph.Graph.t -> P.state array
-
-  (** An adversarial configuration ([P.random_state] per node, same RNG
-      draw order as {!Engine.Make.adversarial}). *)
-  val adversarial : Random.State.t -> Repro_graph.Graph.t -> P.state array
+  include Engine.S with type state = P.state
 
   (** [pack_bank ~n init] — the register bank encoding [init]: [P.words]
       int lanes of length [n], [bank.(f).(v)] = lane [f] of node [v]'s
       packed register.
       @raise Invalid_argument if [P.pack] returns the wrong width. *)
   val pack_bank : n:int -> P.state array -> int array array
-
-  (** [run g sched rng ~init] executes until silence or a budget is hit.
-      Defaults and parameter meanings match {!Engine.Make.run}:
-      [max_steps] 10_000_000, [max_rounds] 200_000; [track_legal]
-      records the first round whose configuration is legal;
-      [stop_when_legal] additionally stops there; [stop_when] is polled
-      after every write; [on_round] observes every round boundary
-      (including round 0) with the re-boxed configuration, exactly like
-      the boxed engine's hook; [profile] counts guard evaluations,
-      moves, touches, flushes and churn (rule tags are not classified —
-      that would re-box every move). *)
-  val run :
-    ?max_steps:int ->
-    ?max_rounds:int ->
-    ?track_legal:bool ->
-    ?stop_when_legal:bool ->
-    ?telemetry:Telemetry.t ->
-    ?on_round:(int -> P.state array -> unit) ->
-    ?stop_when:(unit -> bool) ->
-    ?profile:Profile.t ->
-    Repro_graph.Graph.t ->
-    Scheduler.t ->
-    Random.State.t ->
-    init:P.state array ->
-    result
 
   (** [run_bank g sched rng ~bank] — {!run} on a caller-owned register
       bank (as built by {!pack_bank}), {e mutated in place}: the final
@@ -76,18 +37,5 @@ module Make (P : Protocol.PACKED) : sig
       boxed states.
       @raise Invalid_argument if [bank] is not [P.words] lanes of
       length [n]. *)
-  val run_bank :
-    ?max_steps:int ->
-    ?max_rounds:int ->
-    ?track_legal:bool ->
-    ?stop_when_legal:bool ->
-    ?telemetry:Telemetry.t ->
-    ?on_round:(int -> P.state array -> unit) ->
-    ?stop_when:(unit -> bool) ->
-    ?profile:Profile.t ->
-    Repro_graph.Graph.t ->
-    Scheduler.t ->
-    Random.State.t ->
-    bank:int array array ->
-    result
+  val run_bank : (P.state, bank:int array array -> result) Engine.runner
 end

@@ -99,13 +99,12 @@ module type BACKEND = sig
   val parents : regs -> int array
 
   (** One engine segment. A raising run must leave [regs] equal to the
-      pre-segment registers (crash containment retries from them); the
-      events plumbing is boxed-only and ignored elsewhere. *)
+      pre-segment registers (crash containment retries from them). *)
   val run :
     max_steps:int ->
     max_rounds:int ->
     on_round:(int -> P.state array -> unit) ->
-    on_step:(int -> P.state array -> unit) ->
+    on_step:(int -> P.state array -> unit) option ->
     stop_when:(unit -> bool) ->
     events:Events.t option ->
     init_causes:(int -> int list) option ->
@@ -161,20 +160,19 @@ module Driver (B : BACKEND) = struct
     (* Loop monitor: after node [v]'s write, chase its new parent chain;
        returning to [v] means the move closed a cycle. A chain that
        dangles or cycles elsewhere is someone else's (adversarial)
-       register, not this move's violation. *)
+       register, not this move's violation. Attached only while armed:
+       a per-write hook makes the packed engine re-box each write. *)
     let on_step v sts =
-      if !monitor_armed then begin
-        let n = Array.length sts in
-        let rec chase u fuel =
-          if fuel = 0 then ()
-          else
-            let p = P.parent_of sts.(u) in
-            if p < 0 || p >= n || p = u then ()
-            else if p = v then incr seg_violations
-            else chase p (fuel - 1)
-        in
-        chase v n
-      end
+      let n = Array.length sts in
+      let rec chase u fuel =
+        if fuel = 0 then ()
+        else
+          let p = P.parent_of sts.(u) in
+          if p < 0 || p >= n || p = u then ()
+          else if p = v then incr seg_violations
+          else chase p (fuel - 1)
+      in
+      chase v n
     in
     (* One watchdog-guarded engine run under [daemon], clamped to the
        episode's global budgets. Raising runs are contained and counted
@@ -193,7 +191,8 @@ module Driver (B : BACKEND) = struct
         let run_base = !round_off in
         let on_round r sts = observe (run_base + r) sts in
         match
-          B.run ~max_steps:steps_left ~max_rounds:budget ~on_round ~on_step
+          B.run ~max_steps:steps_left ~max_rounds:budget ~on_round
+            ~on_step:(if !monitor_armed then Some on_step else None)
             ~stop_when ~events ~init_causes ~round_offset:run_base
             ~step_offset:!steps_total !g daemon rng !regs
         with
@@ -343,8 +342,7 @@ module Driver (B : BACKEND) = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Boxed backend: the full-featured engine — events, causal provenance,
-   the per-write loop monitor. *)
+(* Boxed backend: registers are a [P.state array] between segments. *)
 
 module Make (P : TREE_PROTOCOL) = struct
   module E = Engine.Make (P)
@@ -364,8 +362,8 @@ module Make (P : TREE_PROTOCOL) = struct
     let run ~max_steps ~max_rounds ~on_round ~on_step ~stop_when ~events
         ~init_causes ~round_offset ~step_offset g sched rng regs =
       let r =
-        E.run ~max_steps ~max_rounds ~on_round ~on_step ~stop_when ?events
-          ?init_causes ~round_offset ~step_offset g sched rng ~init:regs
+        E.run ~max_steps ~max_rounds ~on_round ?on_step ~stop_when ?events ?init_causes
+          ~round_offset ~step_offset g sched rng ~init:regs
       in
       ( r.E.states,
         {
@@ -384,20 +382,12 @@ end
 (* Packed backend: registers live in the struct-of-arrays bank for the
    whole episode — engine segments mutate it in place, churn migration
    copies surviving lanes verbatim ([Topology.migrate_bank]), and the
-   watchdog observes re-boxed configurations at round boundaries, so an
-   episode is draw-for-draw and observation-for-observation identical
-   to the boxed [Make] (pinned by test_service's equivalence suite). *)
+   hooks observe re-boxed configurations, so an episode is
+   draw-for-draw and observation-for-observation identical to the
+   boxed [Make] (pinned by test_serve's equivalence suite). *)
 
 module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
   module E = Engine_packed.Make (P)
-
-  (* The loop monitor needs the boxed engine's per-write hook; no
-     packed builder claims loop-freedom (MST/MDST are variable-width
-     and stay boxed), so reject the combination outright rather than
-     silently dropping the monitor. *)
-  let () =
-    if P.loop_free then
-      invalid_arg "Service.Make_packed: loop-free builders need the boxed engine"
 
   module D = Driver (struct
     module P = P
@@ -419,16 +409,15 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
           done;
           P.parent_of (P.unpack ~n tmp))
 
-    let run ~max_steps ~max_rounds ~on_round ~on_step:_ ~stop_when ~events:_
-        ~init_causes:_ ~round_offset:_ ~step_offset:_ g sched rng bank =
+    let run ~max_steps ~max_rounds ~on_round ~on_step ~stop_when ~events
+        ~init_causes ~round_offset ~step_offset g sched rng bank =
       (* Crash-containment parity: the boxed engine never mutates its
          [init], so a contained crash retries from the pre-segment
-         registers. [run_bank] mutates in place — restore on raise.
-         The offsets only shift emitted event fields and there is no
-         sink here, so dropping them changes nothing observable. *)
+         registers. [run_bank] mutates in place — restore on raise. *)
       let saved = Array.map Array.copy bank in
       match
-        E.run_bank ~max_steps ~max_rounds ~on_round ~stop_when g sched rng ~bank
+        E.run_bank ~max_steps ~max_rounds ~on_round ?on_step ~stop_when ?events
+          ?init_causes ~round_offset ~step_offset g sched rng ~bank
       with
       | r ->
           ( bank,
@@ -444,10 +433,5 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
           raise e
   end)
 
-  let run ?max_steps ?max_rounds ?stall_window ?cycle_repeats ?retry_budget
-      ?max_retries ?queries_per_round ?watch_phi ?snapshot g0 ~sched ~fallback rng
-      trace =
-    D.run ?max_steps ?max_rounds ?stall_window ?cycle_repeats ?retry_budget
-      ?max_retries ?queries_per_round ?watch_phi ?snapshot g0 ~sched ~fallback rng
-      trace
+  let run = D.run
 end

@@ -31,20 +31,22 @@
     that differ (or name a node that left) count as {e stale} — the
     staleness window made concrete.
 
-    {b Engines.} {!Make} drives the boxed {!Repro_runtime.Engine}
-    (events, provenance, the loop monitor); {!Make_packed} drives the
-    struct-of-arrays {!Repro_runtime.Engine_packed} for fixed-width
-    builders — registers live in the int bank across the whole episode
-    and churn migration copies surviving lanes verbatim. Episodes are
-    draw-for-draw identical between the two on shared seeds (pinned by
-    the service equivalence suite).
+    {b Engines.} {!Make} drives the boxed {!Repro_runtime.Engine};
+    {!Make_packed} drives the struct-of-arrays
+    {!Repro_runtime.Engine_packed} for fixed-width builders — registers
+    live in the int bank across the whole episode and churn migration
+    copies surviving lanes verbatim. Both run the same executor loop
+    with the same hooks (events with provenance, the loop monitor), so
+    episodes, reports and event traces are identical between the two
+    on shared seeds (pinned by the service equivalence suite).
 
     {b Loop-freedom monitor.} For builders declaring [loop_free], every
     register write during churn recovery is checked: if the writer's
     new parent chain leads back to itself, the move closed a cycle — a
     violation of the paper's malleable-PLS loop-freedom guarantee. It
-    is recorded, never fatal. (Boxed engine only; {!Make_packed}
-    rejects loop-free builders at functor application.) *)
+    is recorded, never fatal. The monitor is an [on_step] hook attached
+    only during churn recovery of a [loop_free] builder, so other
+    packed episodes never re-box a register per write. *)
 
 (** What the service layer needs on top of {!Repro_runtime.Protocol.S}:
     a parent projection for serving reads, and whether the builder
@@ -157,14 +159,9 @@ end
     engine segments mutate it in place, churn migration copies
     surviving lanes verbatim ({!Topology.migrate_bank}) and boots
     joiners adversarially in-bank — so big-n episodes never round-trip
-    the configuration through boxed states. Same episode semantics and
-    RNG draw order as {!Make} (the watchdog observes re-boxed
-    configurations at the same round boundaries); there is no [?events]
-    plumbing — causal tracing stays on the boxed engine.
-
-    Applying the functor to a builder with [loop_free = true] raises
-    [Invalid_argument]: the loop monitor needs the boxed engine's
-    per-write hook. *)
+    the configuration through boxed states. Same episode semantics, RNG
+    draw order, reports and event traces as {!Make}: the watchdog, the
+    loop monitor and the event sink observe re-boxed registers. *)
 module Make_packed (P : PACKED_TREE_PROTOCOL) : sig
   module E : module type of Repro_runtime.Engine_packed.Make (P)
 
@@ -178,6 +175,7 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) : sig
     ?queries_per_round:int ->
     ?watch_phi:bool ->
     ?snapshot:Snapshot.t ->
+    ?events:Repro_runtime.Events.t ->
     Repro_graph.Graph.t ->
     sched:Repro_runtime.Scheduler.t ->
     fallback:Repro_runtime.Scheduler.t ->

@@ -492,6 +492,40 @@ let test_mst_frags_are_prover () =
       [ "random"; "distributed"; "synchronous" ]
   done
 
+(* An arbitrary register may hold an empty NCA label. On a node with a
+   heavy child, the child's guard extends that label along the heavy
+   path; the empty label extends to itself, so the child follows it until
+   the parent's own guard repairs it. [empty_seq_on_heavy_parent] takes a
+   silent configuration, where the child's guard reaches that extension
+   at once, and empties the label of the first node whose heavy child
+   points back to it. *)
+let empty_seq_on_heavy_parent states ~heavy_child ~empty_seq =
+  let states = Array.copy states in
+  let p =
+    List.find
+      (fun p -> heavy_child states p >= 0)
+      (List.init (Array.length states) Fun.id)
+  in
+  states.(p) <- empty_seq states.(p);
+  states
+
+let test_mst_builder_empty_nca_label () =
+  List.iter
+    (fun i ->
+      let g = sample_graph i in
+      let st = seed (135 + i) in
+      let r = ME.run g Scheduler.Synchronous st ~init:(ME.initial g) in
+      let init =
+        empty_seq_on_heavy_parent r.ME.states
+          ~heavy_child:(fun sts p ->
+            let c = sts.(p).Mst_builder.heavy in
+            if c >= 0 && sts.(c).Mst_builder.st.St_layer.parent = p then c else -1)
+          ~empty_seq:(fun s -> { s with Mst_builder.seq = Nca_labels.of_pairs [||] })
+      in
+      let r = ME.run g (Scheduler.Central Scheduler.Random_daemon) st ~init in
+      mst_check (Printf.sprintf "empty label %d" i) g r)
+    [ 0; 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* MDST builder (Section VIII) *)
 
@@ -574,6 +608,23 @@ let test_mdst_marking_is_fr_witness () =
           if deg <= d - 2 then Alcotest.(check bool) "low degrees are good" true good)
         m.Min_degree.good
   | None -> Alcotest.fail "no tree"
+
+let test_mdst_builder_empty_nca_label () =
+  List.iter
+    (fun i ->
+      let g = sample_graph i in
+      let st = seed (185 + i) in
+      let r = DE.run g Scheduler.Synchronous st ~init:(DE.initial g) in
+      let init =
+        empty_seq_on_heavy_parent r.DE.states
+          ~heavy_child:(fun sts p ->
+            let c = sts.(p).Mdst_builder.heavy in
+            if c >= 0 && sts.(c).Mdst_builder.st.St_layer.parent = p then c else -1)
+          ~empty_seq:(fun s -> { s with Mdst_builder.seq = Nca_labels.of_pairs [||] })
+      in
+      let r = DE.run g (Scheduler.Central Scheduler.Random_daemon) st ~init in
+      mdst_check (Printf.sprintf "empty label %d" i) g r)
+    [ 0; 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -1801,6 +1852,8 @@ let () =
           Alcotest.test_case "all daemons" `Quick test_mst_builder_daemons;
           Alcotest.test_case "adversarial start" `Quick test_mst_builder_adversarial_start;
           Alcotest.test_case "fault recovery" `Quick test_mst_builder_fault_recovery;
+          Alcotest.test_case "empty NCA label on a heavy parent" `Quick
+            test_mst_builder_empty_nca_label;
           Alcotest.test_case "weight = kruskal" `Quick test_mst_builder_weight_matches_kruskal;
           Alcotest.test_case "silent frags = prover" `Quick test_mst_frags_are_prover;
           Alcotest.test_case "one-node adversarial starts (every builder)" `Quick
@@ -1813,6 +1866,8 @@ let () =
           Alcotest.test_case "improves the star" `Quick test_mdst_builder_improves_star;
           Alcotest.test_case "adversarial start" `Quick test_mdst_builder_adversarial_start;
           Alcotest.test_case "fault recovery" `Quick test_mdst_builder_fault_recovery;
+          Alcotest.test_case "empty NCA label on a heavy parent" `Quick
+            test_mdst_builder_empty_nca_label;
           Alcotest.test_case "marking is FR witness" `Quick test_mdst_marking_is_fr_witness;
         ] );
       ( "properties",

@@ -174,27 +174,6 @@ let test_bfs_pls_sound_corruption () =
     (Pls.accepts g ~parent:(Tree.parents bfs) ~labels Bp.verify)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_records_writes () =
-  let st = seed 120 in
-  let g = Generators.ring st ~n:10 in
-  let trace = Trace.create ~capacity:50 () in
-  let module BE = Bfs_builder.Engine in
-  let r =
-    BE.run g Scheduler.Synchronous st ~init:(BE.adversarial st g)
-      ~on_step:(Trace.on_step trace Bfs_builder.P.pp_state)
-      ~on_round:(Trace.on_round trace)
-  in
-  Alcotest.(check int) "every write recorded" r.BE.steps (Trace.total trace);
-  Alcotest.(check bool) "window bounded" true (List.length (Trace.events trace) <= 50);
-  let total_activity = List.fold_left (fun a (_, c) -> a + c) 0 (Trace.activity trace) in
-  Alcotest.(check int) "activity = window" (List.length (Trace.events trace)) total_activity;
-  (* Events are chronological. *)
-  let steps = List.map (fun (e : Trace.event) -> e.Trace.step) (Trace.events trace) in
-  Alcotest.(check bool) "sorted" true (steps = List.sort compare steps)
-
-(* ------------------------------------------------------------------ *)
 (* Minimum-degree Steiner trees (the original Fürer–Raghavachari
    setting, [33]) *)
 
@@ -439,7 +418,6 @@ let () =
           Alcotest.test_case "rejects deep trees" `Quick test_bfs_pls_rejects_deep_trees;
           Alcotest.test_case "sound under corruption" `Quick test_bfs_pls_sound_corruption;
         ] );
-      ("trace", [ Alcotest.test_case "records writes" `Quick test_trace_records_writes ]);
       ( "steiner",
         [
           Alcotest.test_case "metric mst + prune" `Quick test_steiner_metric_mst;

@@ -347,6 +347,23 @@ let test_nca_pls_sound () =
   Alcotest.(check bool) "rejects bad size" false
     (Pls.accepts g ~parent ~labels Nca_pls.verify)
 
+(* An empty sequence on a node with children (an arbitrary register):
+   the verifier rejects it instead of raising on the heavy child's
+   extension. *)
+let test_nca_pls_empty_seq () =
+  let g = sample_graph 9 in
+  let t = sample_tree g in
+  let parent = Tree.parents t in
+  let labels = Nca_pls.prover t in
+  let v =
+    List.find
+      (fun v -> v <> Tree.root t && Array.exists (fun p -> p = v) parent)
+      (List.init (Graph.n g) Fun.id)
+  in
+  labels.(v) <- { labels.(v) with Nca_pls.seq = Nca_labels.of_pairs [||] };
+  Alcotest.(check bool) "rejects empty seq" false
+    (Pls.accepts g ~parent ~labels Nca_pls.verify)
+
 (* ------------------------------------------------------------------ *)
 (* Fragment labels (Section VI, Figure 2) *)
 
@@ -687,6 +704,7 @@ let () =
           Alcotest.test_case "resolve" `Quick test_nca_resolve;
           Alcotest.test_case "pls complete" `Quick test_nca_pls_complete;
           Alcotest.test_case "pls sound" `Quick test_nca_pls_sound;
+          Alcotest.test_case "pls rejects an empty seq" `Quick test_nca_pls_empty_seq;
         ] );
       ( "fragment_labels",
         [

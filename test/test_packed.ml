@@ -246,40 +246,75 @@ let test_allocation_free () =
   if delta > 16.0 then
     Alcotest.failf "%d packed steps allocated %.0f minor words" (b - a) delta
 
-(* The library's single run picks the packed engine for every builder
-   with a codec unless a boxed-only hook is attached. An event sink is
-   one, so the same run with a ring sink is the boxed twin: both must
-   report the same outcome — silence, legality, rounds, steps,
-   max_bits, the result note, the watchdog verdict and the telemetry
-   JSON — across the daemon roster, from designated and adversarial
-   starts, and on runs cut short (verdict set) as well as silent ones. *)
-let test_run_auto_packed_is_boxed () =
-  let module B = Repro_campaign.Builders in
-  let outcome b sched ~adversarial ~max_rounds events =
-    let rng = seed 61 in
-    let g = Generators.random_connected rng ~n:30 ~m:60 in
-    let o = B.run ~telemetry:true ?events ~adversarial ~max_rounds b g sched rng in
-    Printf.sprintf "silent=%b legal=%b rounds=%d steps=%d max_bits=%d note=%S verdict=%s\n%s"
-      o.silent o.legal o.rounds o.steps o.max_bits o.note
-      (Option.value o.verdict ~default:"-")
-      (Option.fold ~none:"no telemetry"
-         ~some:(fun t -> Metrics.Json.to_string (Telemetry.to_json t))
-         o.telemetry)
+(* The packed engine is the boxed engine with every hook attached: the
+   same executor loop over the other register store. From adversarial
+   starts on the extended daemon roster, with an event ring (Φ at
+   rounds and moves), an adversary corrupting two nodes at round 2,
+   [init_causes] and both offsets, an [on_step] log, an [on_round] log,
+   telemetry and a profile all attached at once — run to silence and cut
+   short by [stop_when] after 25 writes — both engines must emit
+   the same event JSON lines, hook logs, result fields, telemetry JSON
+   and profile counters ([refreshes] counts boxed view refreshes, so it
+   is the one counter left out). *)
+let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
+    (module E : Engine.S with type state = s) g sched ~sd ~init ~faults ~cut =
+  let events = Events.ring ~record_phi:true ~move_phi:true () in
+  let profile = Profile.create () and telemetry = Telemetry.create () in
+  let log = Buffer.create 1024 and steps = ref 0 in
+  let on_step v sts =
+    incr steps;
+    Printf.bprintf log "step %d node %d hash %d\n" !steps v (Hashtbl.hash sts)
   in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (name, sched) ->
-          List.iter
-            (fun (adversarial, max_rounds) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s %s adversarial=%b max_rounds=%d" (B.name b) name
-                   adversarial max_rounds)
-                (outcome b sched ~adversarial ~max_rounds (Some (Events.ring ())))
-                (outcome b sched ~adversarial ~max_rounds None))
-            [ (false, 10_000); (true, 10_000); (true, 2) ])
-        Scheduler.extended)
-    (List.filter B.packed B.all)
+  let on_round r sts = Printf.bprintf log "round %d hash %d\n" r (Hashtbl.hash sts) in
+  let adversary ~round _ = if round = 2 then faults else [] in
+  let init_causes v = [ v; 1000 + v ] in
+  let stop_when () = cut && !steps >= 25 in
+  let r =
+    E.run ~max_steps:20_000 ~max_rounds:2_000 ~track_legal:true ~telemetry ~on_round ~on_step
+      ~adversary ~stop_when ~events ~profile ~init_causes ~round_offset:7 ~step_offset:11 g
+      sched
+      (Random.State.make [| sd; 31 |])
+      ~init
+  in
+  let lines = List.map (fun e -> Metrics.Json.to_string (Events.event_json e)) in
+  let counters (p : Profile.t) =
+    (p.moves, p.guard_evals, p.touches, p.flushes, p.churn, Profile.rule_counts p)
+  in
+  ( (r.E.steps, r.E.rounds, r.E.silent, r.E.legal, r.E.max_bits, r.E.first_legal_round),
+    List.map (Format.asprintf "%a" B.pp_state) (Array.to_list r.E.states),
+    lines (Events.events events),
+    Buffer.contents log,
+    Metrics.Json.to_string (Telemetry.to_json telemetry),
+    counters profile )
+
+let hooks_equal (type s) (module B : Protocol.PACKED with type state = s) (sd, g) =
+  let module Ep = Engine_packed.Make (B) in
+  let n = Graph.n g in
+  let init = Ep.adversarial (Random.State.make [| sd; 7 |]) g in
+  let frng = Random.State.make [| sd; 9 |] in
+  let faults = List.map (fun v -> (v, B.random_state frng g v)) [ 0; n - 1 ] in
+  List.for_all
+    (fun (name, sched) ->
+      List.for_all
+        (fun cut ->
+          let run e = hooked_run (module B) e g sched ~sd ~init ~faults ~cut in
+          let boxed = run (module Engine.Make (B)) and packed = run (module Ep) in
+          if boxed <> packed then
+            QCheck2.Test.fail_reportf "packed and boxed runs differ under %s (n=%d, cut %b)"
+              name n cut;
+          true)
+        [ false; true ])
+    Scheduler.extended
+
+let hook_props =
+  [
+    prop ~count:8 "bfs: packed run = boxed run, every hook attached" (gen_graph 2 14)
+      (hooks_equal (module Bfs_builder.Packed));
+    prop ~count:8 "spt: packed run = boxed run, every hook attached" (gen_graph 2 14)
+      (hooks_equal (module Spt_builder.Packed));
+    prop ~count:8 "adhoc-bfs: packed run = boxed run, every hook attached" (gen_graph 2 14)
+      (hooks_equal (module Adhoc_bfs.Packed));
+  ]
 
 let () =
   QCheck_base_runner.set_seed 20260704;
@@ -304,7 +339,6 @@ let () =
             test_telemetry_identical;
           Alcotest.test_case "steady-state loop is allocation-free" `Quick
             test_allocation_free;
-          Alcotest.test_case "library run: auto-selected packed = boxed (event sink)"
-            `Quick test_run_auto_packed_is_boxed;
         ] );
+      ("engine-hooks", hook_props);
     ]

@@ -1,11 +1,10 @@
 (* Big-n query serving (ISSUE 10): the committed label snapshot must
    answer every pair query exactly like naive tree walks — on stabilized
    trees and on degraded (arbitrary, possibly cyclic) parent arrays
-   alike — service episodes must be report-identical between the boxed
-   and the packed struct-of-arrays engines on shared seeds, Make_packed
-   must reject loop-free builders (the loop monitor needs the boxed
-   engine), and the mdst silent-but-illegal base stabilization from E13
-   is minimized and pinned as a known failure. *)
+   alike — service episodes must be report- and trace-identical between
+   the boxed and the packed struct-of-arrays engines on shared seeds,
+   loop monitor included, and the mdst silent-but-illegal base
+   stabilization from E13 is minimized and pinned as a known failure. *)
 
 open Repro_graph
 open Repro_runtime
@@ -150,31 +149,38 @@ let test_commit_replaces () =
   ignore (check_all_pairs p3)
 
 (* ------------------------------------------------------------------ *)
-(* Packed-vs-boxed service equivalence: the tentpole pin. The same
-   episode (graph, trace, daemons, seed) through Service.Make and
-   Service.Make_packed must produce structurally equal reports — every
-   event outcome, every ladder counter, every staleness count. *)
+(* Packed-vs-boxed service equivalence. The same episode (graph,
+   trace, daemons, seed) through Service.Make and Service.Make_packed
+   must produce structurally equal reports — every event outcome, every
+   ladder counter, every staleness count — and the same event trace. *)
 
 let trace_of s =
   match Churn.of_string s with Ok t -> t | Error m -> Alcotest.failf "bad trace: %s" m
+
+let event_lines sink =
+  List.map (fun e -> Metrics.Json.to_string (Events.event_json e)) (Events.events sink)
 
 let episode_pair (type s)
     (module P : Service.PACKED_TREE_PROTOCOL with type state = s) (sd, g) ~sched
     ~trace =
   let module SB = Service.Make (P) in
   let module SP = Service.Make_packed (P) in
+  let boxed_events = Events.ring () and packed_events = Events.ring () in
   let boxed =
-    SB.run ~retry_budget:500 ~max_retries:1 ~queries_per_round:2 g ~sched
-      ~fallback:(Scheduler.Distributed 0.5)
+    SB.run ~retry_budget:500 ~max_retries:1 ~queries_per_round:2 ~events:boxed_events g
+      ~sched ~fallback:(Scheduler.Distributed 0.5)
       (Random.State.make [| sd; 17 |])
       trace
   in
   let packed =
-    SP.run ~retry_budget:500 ~max_retries:1 ~queries_per_round:2 g ~sched
-      ~fallback:(Scheduler.Distributed 0.5)
+    SP.run ~retry_budget:500 ~max_retries:1 ~queries_per_round:2 ~events:packed_events g
+      ~sched ~fallback:(Scheduler.Distributed 0.5)
       (Random.State.make [| sd; 17 |])
       trace
   in
+  if event_lines boxed_events <> event_lines packed_events then
+    QCheck2.Test.fail_reportf "packed/boxed event traces differ under %a on %s"
+      Scheduler.pp sched (Churn.name trace);
   if boxed <> packed then
     QCheck2.Test.fail_reportf
       "packed/boxed episode divergence under %a on %s: recovered %b/%b rounds %d/%d \
@@ -210,19 +216,35 @@ let equiv_props =
       (episode_roster (module Builders.Adhoc_tree));
   ]
 
-let test_packed_rejects_loop_free () =
-  let module Bad = struct
+(* The loop monitor runs on both engines. BFS re-parents freely, so a
+   BFS wrapper that claims loop-freedom makes the monitor count the
+   transient cycles of churn recovery (a regional failure closes some);
+   both engines must count the same ones. *)
+let test_packed_loop_monitor () =
+  let module Looping = struct
     include Builders.Bfs_tree
 
     let loop_free = true
   end in
-  match
-    let module M = Service.Make_packed (Bad) in
-    ignore M.run;
-    `No_raise
-  with
-  | `No_raise -> Alcotest.fail "Make_packed accepted a loop-free builder"
-  | exception Invalid_argument _ -> ()
+  let violations = ref 0 in
+  for sd = 1 to 6 do
+    let g = Generators.random_connected (Random.State.make [| sd; 3 |]) ~n:12 ~m:18 in
+    ignore
+      (List.for_all
+         (fun t ->
+           List.for_all
+             (fun sched -> episode_pair (module Looping) (sd, g) ~sched ~trace:(trace_of t))
+             equiv_scheds)
+         equiv_traces);
+    let module S = Service.Make_packed (Looping) in
+    let r =
+      S.run g ~sched:Scheduler.Synchronous ~fallback:(Scheduler.Distributed 0.5)
+        (Random.State.make [| sd; 17 |])
+        (trace_of "regional:2")
+    in
+    List.iter (fun e -> violations := !violations + e.Service.violations) r.Service.events
+  done;
+  Alcotest.(check bool) "the monitor saw cycles" true (!violations > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The E13 mdst known failure, minimized (see EXPERIMENTS.md E13):
@@ -308,8 +330,8 @@ let () =
       ("service-equiv", equiv_props);
       ( "service-unit",
         [
-          Alcotest.test_case "Make_packed rejects loop-free builders" `Quick
-            test_packed_rejects_loop_free;
+          Alcotest.test_case "Make_packed runs the loop monitor like Make" `Quick
+            test_packed_loop_monitor;
         ] );
       ( "mdst-known-failure",
         [
