@@ -421,7 +421,7 @@ let e8 () =
   in
   let touched inj = List.fold_left (fun acc i -> acc + i.Chaos.touched) 0 inj in
   let cell (type s) name (module P : Protocol.S with type state = s) sched plan =
-    let module C = Chaos.Make (P) in
+    let module C = Chaos.Make (P) (Engine.Make (P)) in
     let rng = rng_of (801 + (Hashtbl.hash (name, Fault.Plan.name plan) mod 997)) in
     let e = C.run_episode g sched rng plan in
     Format.printf "%-5s %-30s %4d %8s %7s %8d  %s@." name (Fault.Plan.name plan)

@@ -182,18 +182,8 @@ let run_entry (type s) (e : s entry) ~telemetry ?events ~faults ~adversarial ~ma
         Fault.corrupt_nodes rng ~random_state:P.random_state g first.E.states picked
       in
       let init_causes =
-        Option.map
-          (fun sink ->
-            let eids =
-              List.map
-                (fun v -> (v, Events.emit_fault sink ~node:v ~round:first.E.rounds))
-                picked
-            in
-            fun v ->
-              List.filter_map
-                (fun (u, eid) -> if u = v || Graph.has_edge g u v then Some eid else None)
-                eids)
-          events
+        Events.emit_sources events g picked ~emit:(fun sink v ->
+            Events.emit_fault sink ~node:v ~round:first.E.rounds)
       in
       ( observed ?init_causes ~round_offset:first.E.rounds ~step_offset:first.E.steps
           ~init:corrupted (),

@@ -8,7 +8,8 @@
     the one-line result note [repro_cli run] prints. Callers look
     builders up here instead of matching on names.
 
-    {b Engine selection} ({!run}, {!serve}). A run takes the
+    {b Engine selection} ({!run}, {!serve}, {!engine}, which the chaos
+    campaign uses). A run takes the
     struct-of-arrays engine ({!Repro_runtime.Engine_packed},
     {!Repro_service.Service.Make_packed}) iff the entry has a codec,
     and the boxed engine otherwise. Both run the same executor loop
@@ -90,6 +91,11 @@ val cheap_phi : t -> bool
 (** [describe b] — the name plus its capabilities, e.g.
     ["bfs (serve, packed)"], for [repro_cli list] and help texts. *)
 val describe : t -> string
+
+(** [engine e] — the executor the engine-selection rule picks for [e]:
+    {!Repro_runtime.Engine_packed} iff [e] has a codec, else the boxed
+    {!Repro_runtime.Engine.Make}. {!run} and the chaos campaign use it. *)
+val engine : 's entry -> (module Engine.S with type state = 's)
 
 (** {2 One run} *)
 

@@ -100,7 +100,7 @@ let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
 
 let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events
     ~max_rounds ~max_injections ~stall_window ~cycle_repeats : cell =
-  let module C = Chaos.Make ((val e.Builders.protocol)) in
+  let module C = Chaos.Make ((val e.Builders.protocol)) ((val Builders.engine e)) in
   let x =
     C.run_episode ~max_rounds ~max_injections ~watch_phi:e.Builders.cheap_phi ~stall_window
       ~cycle_repeats ?events g sched rng plan

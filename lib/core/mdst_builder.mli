@@ -7,10 +7,11 @@
     Register layers (each a local rule, gated on the lower layers):
 
     + {b tree} — [St_layer], shape preserving;
-    + {b switch hand-off} — the same loop-free chain mechanics as
-      [Mst_builder];
-    + {b labels} — subtree size, heavy child, NCA sequence (for the
-      fundamental-cycle membership tests) and published tree degree;
+    + {b switch hand-off} — the loop-free chain shared with
+      [Mst_builder] ({!Local_search}), backed by the improvement
+      aggregate; a flip or initiation drops the node's marking;
+    + {b labels} — published tree degree, then the shared subtree size,
+      heavy child and NCA sequence (for the fundamental-cycle tests);
     + {b Δ} — the tree degree [Δ_T], agreed by a max-aggregate over the
       published degrees;
     + {b marking} — the good/bad marking of Definition 8.1 maintained as
@@ -85,8 +86,6 @@ type veto = {
           experiments can distinguish veto causes if re-introduced *)
 }
 
-type msession = { icand : icand; next : int (* -1 = chain complete *) }
-
 type state = {
   st : St_layer.t;
   size : int;
@@ -107,7 +106,7 @@ type state = {
           node had when it was vetoed: the node refuses to re-adopt that
           witness until its degree changes, which breaks re-marking
           cycles without unbounded bookkeeping *)
-  sw : msession option;
+  sw : icand Local_search.session option;
 }
 
 module P : Repro_runtime.Protocol.S with type state = state

@@ -8,12 +8,10 @@
 
     + {b tree} — [St_layer] with [keep_shape:true]: leader election +
       parent/dist maintenance, never reshaping a consistent tree;
-    + {b switch hand-off} — consume a neighbor's switch token: re-parent
-      onto it and pass the token toward the edge [f] being removed (the
-      chain of local switches of Figure 1a; each hop keeps the structure
-      a spanning tree, so the construction is loop-free);
+    + {b switch hand-off} — the loop-free chain of local switches of
+      Figure 1a, shared with MDST ({!Local_search});
     + {b labels} — subtree size, designated heavy child, NCA sequence
-      (Section V), and the Borůvka-trace fragment labels of Section VI
+      (Section V; shared), and the Borůvka-trace fragment labels of Section VI
       ([Fragment_labels]' entries recomputed as local fixpoints with the
       fdist/odist certification chains);
     + {b candidate} — every node whose labels are locally quiescent
@@ -37,16 +35,14 @@
     session replaces a tree edge by a strictly lighter edge — the total
     tree weight strictly decreases, [φ] of Section VI and the tree weight
     both act as potentials, and the system converges to the unique MST
-    and falls silent. Token hygiene: a receiver only consumes a token
-    whose session its own cut agreement backs (a starved neighbor's stale
-    token must not be re-consumed under deterministic daemons); a holder
-    discards a token that is consumed or addressed to its own parent, and
-    a stale token never blocks a fresh initiation — it is overwritten.
+    and falls silent. Token hygiene is {!Local_search}'s; the agreement
+    that backs a token is the cut aggregate.
 
     {b Guard cost.} One guard evaluation runs the rules above in order
     until one fires, so at a quiescent node it runs all of them. Each
-    works on the view's arrays with int comparisons: the tree
-    neighbors' view indices are collected once per trace computation,
+    works on the view's arrays with int comparisons (the shared layer
+    reads the register through {!Local_search.REGISTER}'s accessors):
+    the tree neighbors' view indices are collected once per trace computation,
     the trace folds read the neighbors' entries in place, a candidate
     record is built only when it beats the current best, the NCA tests
     compare against the NCA without building it, and the aggregates
@@ -56,9 +52,9 @@
     once per register. Measured on a stabilized n = 64 configuration
     ([bench/main.exe micro], [mst-step-silent-node]), a full guard
     costs ≈1 µs; PERFORMANCE.md ("MST guard kernels") has the per-rule
-    breakdown. The kernels are pinned to the earlier list- and
-    tuple-based ones, kept verbatim in test_core, on arbitrary registers
-    and on configurations sampled along runs. *)
+    breakdown. The kernels are pinned, on arbitrary registers and along
+    runs, to the earlier list- and tuple-based ones (test_core) and to
+    the builder before the shared layer (test_oracle). *)
 
 module E = Repro_graph.Graph.Edge
 
@@ -71,7 +67,7 @@ type cut = {
   f_child_seq : Repro_labels.Nca_labels.label;
 }
 
-type session = { cut : cut; next : int (* -1 = chain complete *) }
+type session = cut Local_search.session
 
 type state = {
   st : St_layer.t;

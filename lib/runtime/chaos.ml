@@ -18,8 +18,7 @@ let injection_to_recovery (i : injection) : Telemetry.recovery =
     touched = i.touched;
   }
 
-module Make (P : Protocol.S) = struct
-  module E = Engine.Make (P)
+module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
 
   type episode = {
     plan : Fault.Plan.t;
@@ -159,19 +158,8 @@ module Make (P : Protocol.S) = struct
            neighborhood. Mid-run re-injections below go through the
            [?adversary] hook and get their fault events from the engine. *)
         let init_causes =
-          match events with
-          | None -> None
-          | Some sink ->
-              let eids =
-                List.map
-                  (fun v -> (v, Events.emit_fault sink ~node:v ~round:run_base))
-                  nodes
-              in
-              Some
-                (fun v ->
-                  List.filter_map
-                    (fun (u, e) -> if u = v || Graph.has_edge g u v then Some e else None)
-                    eids)
+          Events.emit_sources events g nodes ~emit:(fun sink v ->
+              Events.emit_fault sink ~node:v ~round:run_base)
         in
         let fires abs =
           abs > run_base

@@ -39,9 +39,10 @@ type injection = {
 
 val injection_to_recovery : injection -> Telemetry.recovery
 
-module Make (P : Protocol.S) : sig
-  module E : module type of Engine.Make (P)
-
+(** [Make (P) (E)] — episodes of [P] on engine [E], either store:
+    both run the same executor loop and hooks, so episodes are identical
+    on either. *)
+module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
   type episode = {
     plan : Fault.Plan.t;
     base_rounds : int;  (** rounds of the initial stabilization phase *)

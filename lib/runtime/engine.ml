@@ -35,6 +35,7 @@ module type S = sig
 
   val initial : Graph.t -> state array
   val adversarial : Random.State.t -> Graph.t -> state array
+  val silent : Graph.t -> state array -> bool
   val run : (state, init:state array -> result) runner
 end
 
@@ -82,6 +83,26 @@ end
    the packed store (pinned by a [Gc.minor_words] test): the scans
    below are hoisted closures over preallocated refs. *)
 
+(* Precomputed per-node adjacency, shared by every view of a run. *)
+type net = { g : Graph.t; ids : int array array; weights : int array array }
+
+let net_of g =
+  let n = Graph.n g in
+  let ids = Array.init n (fun v -> Array.map fst (Graph.neighbors g v)) in
+  let weights = Array.init n (fun v -> Array.map snd (Graph.neighbors g v)) in
+  { g; ids; weights }
+
+let view_net net states v =
+  {
+    View.id = v;
+    n = Graph.n net.g;
+    degree = Array.length net.ids.(v);
+    nbr_ids = net.ids.(v);
+    nbr_weights = net.weights.(v);
+    self = states.(v);
+    nbrs = Array.map (fun u -> states.(u)) net.ids.(v);
+  }
+
 module Loop (St : STORE) = struct
   module P = St.P
 
@@ -97,6 +118,15 @@ module Loop (St : STORE) = struct
 
   let initial g = Array.init (Graph.n g) (fun v -> P.initial g v)
   let adversarial rng g = Array.init (Graph.n g) (fun v -> P.random_state rng g v)
+
+  (* Short-circuits on the first enabled node instead of materializing
+     the full list — [silent] is a pure predicate and gets probed a lot
+     by tests and examples. *)
+  let silent g states =
+    let net = net_of g in
+    let n = Graph.n net.g in
+    let rec go v = v >= n || (P.step (view_net net states v) = None && go (v + 1)) in
+    go 0
 
   let run ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?(track_legal = false)
       ?(stop_when_legal = false) ?telemetry ?on_round ?on_step ?adversary ?stop_when
@@ -444,26 +474,6 @@ end
 module Make (P : Protocol.S) = struct
   type state = P.state
 
-  (* Precomputed per-node adjacency, shared by every view of a run. *)
-  type net = { g : Graph.t; ids : int array array; weights : int array array }
-
-  let net_of g =
-    let n = Graph.n g in
-    let ids = Array.init n (fun v -> Array.map fst (Graph.neighbors g v)) in
-    let weights = Array.init n (fun v -> Array.map snd (Graph.neighbors g v)) in
-    { g; ids; weights }
-
-  let view_net net states v =
-    {
-      View.id = v;
-      n = Graph.n net.g;
-      degree = Array.length net.ids.(v);
-      nbr_ids = net.ids.(v);
-      nbr_weights = net.weights.(v);
-      self = states.(v);
-      nbrs = Array.map (fun u -> states.(u)) net.ids.(v);
-    }
-
   let view g states v = view_net (net_of g) states v
 
   let enabled_net net states =
@@ -474,15 +484,6 @@ module Make (P : Protocol.S) = struct
     !acc
 
   let enabled g states = enabled_net (net_of g) states
-
-  (* Short-circuits on the first enabled node instead of materializing
-     the full list — [silent] is a pure predicate and gets probed a lot
-     by tests and examples. *)
-  let silent g states =
-    let net = net_of g in
-    let n = Graph.n net.g in
-    let rec go v = v >= n || (P.step (view_net net states v) = None && go (v + 1)) in
-    go 0
 
   let max_bits_of states =
     Array.fold_left (fun acc s -> max acc (P.size_bits (Array.length states) s)) 0 states

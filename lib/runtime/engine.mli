@@ -68,6 +68,10 @@ module type S = sig
       self-stabilization starting point. *)
   val adversarial : Random.State.t -> Repro_graph.Graph.t -> state array
 
+  (** [silent g states] — no node is enabled, decided by a full guard
+      on fresh views; short-circuits on the first enabled node. *)
+  val silent : Repro_graph.Graph.t -> state array -> bool
+
   (** [run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry
       ?on_round ?on_step g sched rng ~init] executes until silence or a
       limit is hit. [on_round] is called with the round index and the
@@ -197,6 +201,7 @@ module Loop (St : STORE) : sig
 
   val initial : Repro_graph.Graph.t -> St.P.state array
   val adversarial : Random.State.t -> Repro_graph.Graph.t -> St.P.state array
+  val silent : Repro_graph.Graph.t -> St.P.state array -> bool
   val run : (St.P.state, init:St.regs -> result) runner
 end
 
@@ -208,10 +213,6 @@ module Make (P : Protocol.S) : sig
 
   (** [enabled g states] is the list of enabled (activatable) nodes. *)
   val enabled : Repro_graph.Graph.t -> P.state array -> int list
-
-  (** [silent g states] — no node is enabled. Short-circuits on the
-      first enabled node. *)
-  val silent : Repro_graph.Graph.t -> P.state array -> bool
 
   (** [run_reference] — same semantics as {!run}, none of the
       incremental machinery: every guard probe allocates a fresh view

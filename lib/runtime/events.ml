@@ -121,6 +121,16 @@ let emit_churn t ~node ~round ~op =
   push t { id; kind = Churn { node; round; op } };
   id
 
+let emit_sources sink g nodes ~emit =
+  Option.map
+    (fun sink ->
+      let eids = List.map (fun v -> (v, emit sink v)) nodes in
+      fun v ->
+        List.filter_map
+          (fun (u, e) -> if u = v || Repro_graph.Graph.has_edge g u v then Some e else None)
+          eids)
+    sink
+
 let emit_round t ~round ~enabled ~phi =
   let id = t.next_id in
   t.next_id <- id + 1;

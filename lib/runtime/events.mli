@@ -84,6 +84,16 @@ val emit_move :
 
 val emit_fault : t -> node:int -> round:int -> int
 val emit_churn : t -> node:int -> round:int -> op:string -> int
+
+(** [emit_sources sink g nodes ~emit] — for a perturbation made
+    outside the engine (a corruption or a topology edit): emit one source
+    event per node of [nodes], in order, through [emit sink v], and
+    return the recovery run's [init_causes], mapping every node to the
+    ids of the events in its closed neighbourhood in [g]. [None] without
+    a sink. Draws no randomness. *)
+val emit_sources :
+  t option -> Repro_graph.Graph.t -> int list -> emit:(t -> int -> int) -> (int -> int list) option
+
 val emit_round : t -> round:int -> enabled:int -> phi:int option -> unit
 
 (** Events currently retained, oldest first ([[]] for stream sinks). *)

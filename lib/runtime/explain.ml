@@ -147,33 +147,36 @@ type report = {
 }
 
 (* Adjacency from the meta header's ["edges"] list ([[u, v, w], ...]),
-   for measured cone radii. *)
+   for measured cone radii. Endpoints must lie in [0, n), n being the
+   header's ["n"] when present and the largest endpoint + 1 otherwise;
+   a malformed list gives no cone radii. *)
 let adjacency_of_meta meta =
-  match meta with
-  | None -> None
-  | Some fields -> (
-      match List.assoc_opt "edges" fields with
-      | Some (Json.List edges) -> (
-          try
-            let pairs =
-              List.map
-                (function
-                  | Json.List (Json.Int u :: Json.Int v :: _) -> (u, v)
-                  | _ -> failwith "bad edge")
-                edges
-            in
-            let n =
-              List.fold_left (fun acc (u, v) -> max acc (max u v + 1)) 0 pairs
-            in
-            let adj = Array.make n [] in
-            List.iter
-              (fun (u, v) ->
-                adj.(u) <- v :: adj.(u);
-                adj.(v) <- u :: adj.(v))
-              pairs;
-            Some adj
-          with Failure _ -> None)
-      | _ -> None)
+  let ( let* ) = Option.bind in
+  let* fields = meta in
+  let* edges = match List.assoc_opt "edges" fields with Some (Json.List l) -> Some l | _ -> None in
+  let pairs =
+    List.filter_map
+      (function
+        | Json.List (Json.Int u :: Json.Int v :: _) when u >= 0 && v >= 0 -> Some (u, v)
+        | _ -> None)
+      edges
+  in
+  let n =
+    match List.assoc_opt "n" fields with
+    | Some (Json.Int n) -> n
+    | _ -> List.fold_left (fun acc (u, v) -> max acc (max u v + 1)) 0 pairs
+  in
+  let in_range (u, v) = u < n && v < n in
+  if n < 0 || List.compare_lengths pairs edges <> 0 || not (List.for_all in_range pairs) then None
+  else begin
+    let adj = Array.make n [] in
+    List.iter
+      (fun (u, v) ->
+        adj.(u) <- v :: adj.(u);
+        adj.(v) <- u :: adj.(v))
+      pairs;
+    Some adj
+  end
 
 let bfs_from adj sources =
   let n = Array.length adj in

@@ -296,28 +296,32 @@ let validate_service j =
 
 (* ------------------------------------------------------------------ *)
 
+module ISet = Set.Make (Int)
+
+(* [Explain.parse] checks each line's grammar; then the event lines are
+   re-walked in file order: ids strictly increase whatever the kind,
+   and every cause names an earlier fault, churn or move. *)
 let validate_trace contents =
-  match Explain.parse contents with
-  | Error e -> Error e
-  | Ok t ->
-      (* Re-walk in line (= id) order: ids strictly increase and every
-         cause names an already-seen event. *)
-      let tagged =
-        List.merge
-          (fun a b -> compare (fst a) (fst b))
-          (List.map (fun (f : Explain.fault) -> (f.id, [])) t.Explain.faults)
-          (List.map (fun (m : Explain.move) -> (m.id, m.causes)) t.Explain.moves)
-      in
-      let rec go last count = function
-        | [] -> Ok count
-        | (id, causes) :: tl ->
-            if id <= last then Error (Printf.sprintf "event id %d not increasing" id)
-            else if List.exists (fun c -> c >= id || c < 0) causes then
-              Error (Printf.sprintf "event %d has a cause that does not precede it" id)
-            else go id (count + 1) tl
-      in
-      let n_rounds = List.length t.Explain.rounds in
-      Result.map (fun c -> c + n_rounds) (go (-1) 0 tagged)
+  let* (_ : Explain.trace) = Explain.parse contents in
+  let event acc line =
+    let* last, sources, count = acc in
+    match Json.of_string (String.trim line) with
+    | Some j when Json.member "ev" j <> Some (Json.Str "meta") ->
+        let* id = int_field j "id" in
+        let causes = match Json.member "causes" j with Some (Json.List l) -> l | _ -> [] in
+        if id <= last then Error (Printf.sprintf "event id %d not increasing" id)
+        else if List.exists (function Json.Int c -> not (ISet.mem c sources) | _ -> true) causes
+        then
+          Error (Printf.sprintf "event %d has a cause that is no earlier fault, churn or move" id)
+        else
+          let round = Json.member "ev" j = Some (Json.Str "round") in
+          Ok (id, (if round then sources else ISet.add id sources), count + 1)
+    | _ -> acc
+  in
+  let* _, _, count =
+    List.fold_left event (Ok (-1, ISet.empty, 0)) (String.split_on_char '\n' contents)
+  in
+  Ok count
 
 let sniff contents =
   let first_line =

@@ -30,8 +30,9 @@ val validate_chaos : Metrics.Json.t -> (int, string) result
 val validate_service : Metrics.Json.t -> (int, string) result
 
 (** Validate a whole JSONL trace from its file {e contents}: every line
-    parses ({!Explain.parse}'s grammar), event ids are strictly
-    increasing, and every cause id refers to an earlier event. *)
+    parses ({!Explain.parse}'s grammar), event ids strictly increase in
+    line order whatever the kind, and every cause names an earlier
+    fault, churn or move. The count is the number of event lines. *)
 val validate_trace : string -> (int, string) result
 
 (** Sniff which validator a file's contents call for: a JSONL trace

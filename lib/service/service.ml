@@ -259,22 +259,8 @@ module Driver (B : BACKEND) = struct
                events here and seed the recovery run's provenance: every
                node a changed view enables was woken by the edit. *)
             let init_causes =
-              match events with
-              | None -> None
-              | Some sink ->
-                  let op_str = Churn.op_name op in
-                  let eids =
-                    List.map
-                      (fun v ->
-                        (v, Events.emit_churn sink ~node:v ~round:apply_round ~op:op_str))
-                      affected
-                  in
-                  Some
-                    (fun v ->
-                      List.filter_map
-                        (fun (u, e) ->
-                          if u = v || Graph.has_edge g' u v then Some e else None)
-                        eids)
+              Events.emit_sources events g' affected ~emit:(fun sink v ->
+                  Events.emit_churn sink ~node:v ~round:apply_round ~op:(Churn.op_name op))
             in
             monitor_armed := P.loop_free;
             serving := true;

@@ -280,7 +280,7 @@ let test_greedy_max_drags () =
 (* Full chaos episodes *)
 
 let test_episode_silence_plan () =
-  let module C = Chaos.Make (Bfs_builder.P) in
+  let module C = Chaos.Make (Bfs_builder.P) (Engine.Make (Bfs_builder.P)) in
   let g = Generators.random_connected (seed 12) ~n:16 ~m:24 in
   let tel = Telemetry.create ~record_phi:false () in
   let plan = Fault.Plan.make (Fault.Plan.Random_nodes 3) in
@@ -304,7 +304,7 @@ let test_episode_silence_plan () =
     (List.length (Telemetry.recoveries tel))
 
 let test_episode_periodic_plan () =
-  let module C = Chaos.Make (Spt_builder.P) in
+  let module C = Chaos.Make (Spt_builder.P) (Engine.Make (Spt_builder.P)) in
   let g = Generators.random_connected (seed 14) ~n:16 ~m:24 in
   let plan =
     Fault.Plan.make (Fault.Plan.Random_nodes 2) ~timing:(Fault.Plan.Periodic 4)

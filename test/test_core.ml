@@ -1645,12 +1645,12 @@ let oracle_registers rng g =
         (* A token addressed to a neighbor whose cut agreement backs it. *)
         let u, _ = nbrs.(Random.State.int rng (Array.length nbrs)) in
         let c = cut () in
-        sts.(v) <- { s with sw = Some { Mst_builder.cut = c; next = u } };
+        sts.(v) <- { s with sw = Some { Local_search.cut = c; next = u } };
         sts.(u) <-
           { sts.(u) with cut_agg = Some { Aggregate.value = c; hops = Random.State.int rng n } }
     | _ ->
         sts.(v) <-
-          { s with sw = Some { Mst_builder.cut = cut (); next = Random.State.int rng (n + 1) - 1 } }
+          { s with sw = Some { Local_search.cut = cut (); next = Random.State.int rng (n + 1) - 1 } }
   done;
   sts
 

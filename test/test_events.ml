@@ -171,7 +171,7 @@ let test_chaos_silence_attribution () =
   (* At-silence plan: the pre-fault configuration is silent, so EVERY
      recovery move must be causally attributed to the injection — none
      may be root-spontaneous. *)
-  let module C = Chaos.Make (Bfs_builder.P) in
+  let module C = Chaos.Make (Bfs_builder.P) (Engine.Make (Bfs_builder.P)) in
   let g = Generators.random_connected (seed 40) ~n:16 ~m:24 in
   let sink = Events.ring ~capacity:1_000_000 () in
   let e =
@@ -199,7 +199,7 @@ let test_chaos_periodic_attribution () =
   (* Periodic plan: phase-1 convergence moves are root-spontaneous;
      anything tainted must postdate the first injection, and at least
      one recovery move is attributed. *)
-  let module C = Chaos.Make (Spt_builder.P) in
+  let module C = Chaos.Make (Spt_builder.P) (Engine.Make (Spt_builder.P)) in
   let g = Generators.random_connected (seed 42) ~n:16 ~m:24 in
   let sink = Events.ring ~capacity:1_000_000 () in
   let e =
@@ -282,6 +282,65 @@ let test_stream_roundtrip_explain () =
             (String.length html > 0
             && String.sub html 0 15 = "<!DOCTYPE html>"))
 
+(* A meta whose edge list names a node outside [0, n) leaves the trace
+   without cone radii; [explain] must not index or allocate by it. *)
+let test_explain_bad_meta_edges () =
+  List.iter
+    (fun meta ->
+      let contents =
+        String.concat "\n"
+          [
+            meta;
+            {|{"ev":"fault","id":0,"round":0,"node":2}|};
+            {|{"ev":"move","id":1,"step":1,"round":0,"node":2,"bits":[4,4],"causes":[0]}|};
+          ]
+      in
+      Alcotest.(check bool) ("validates: " ^ meta) true (Schema.validate_trace contents = Ok 2);
+      match Explain.parse contents with
+      | Error msg -> Alcotest.failf "parse failed: %s" msg
+      | Ok t ->
+          let report = Explain.analyze t in
+          Alcotest.(check bool) ("no cone radius: " ^ meta) true
+            (List.for_all (fun c -> c.Explain.cone_radius = None) report.Explain.cones
+            && report.Explain.cones <> []))
+    [
+      {|{"ev":"meta","edges":[[-1,2,1]]}|};
+      {|{"ev":"meta","n":4,"edges":[[0,1000000000,1]]}|};
+    ]
+
+(* Ids increase over every event kind, causes name earlier faults,
+   churns or moves (never rounds), and every event line is counted. *)
+let test_validate_trace_ids () =
+  let trace lines = String.concat "\n" ({|{"ev":"meta","algo":"x"}|} :: lines) in
+  let rejected lines = Result.is_error (Schema.validate_trace (trace lines)) in
+  Alcotest.(check bool) "churn repeats id 0" true
+    (rejected
+       [
+         {|{"ev":"churn","id":0,"round":0,"node":1,"op":"join"}|};
+         {|{"ev":"churn","id":0,"round":0,"node":2,"op":"join"}|};
+       ]);
+  Alcotest.(check bool) "cause is a round" true
+    (rejected
+       [
+         {|{"ev":"round","id":0,"round":0,"enabled":1}|};
+         {|{"ev":"move","id":1,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[0]}|};
+       ]);
+  Alcotest.(check bool) "round id out of line order" true
+    (rejected
+       [
+         {|{"ev":"move","id":1,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[]}|};
+         {|{"ev":"round","id":0,"round":1,"enabled":0}|};
+       ]);
+  Alcotest.(check bool) "every event line counts" true
+    (Schema.validate_trace
+       (trace
+          [
+            {|{"ev":"fault","id":0,"round":0,"node":1}|};
+            {|{"ev":"churn","id":1,"round":0,"node":2,"op":"join"}|};
+            {|{"ev":"move","id":2,"step":1,"round":0,"node":1,"bits":[1,1],"causes":[0,1]}|};
+          ])
+    = Ok 3)
+
 (* ------------------------------------------------------------------ *)
 (* Profiling counters *)
 
@@ -330,6 +389,9 @@ let () =
           Alcotest.test_case "ring drops oldest, counts total" `Quick test_ring_capacity;
           Alcotest.test_case "stream -> Explain round trip" `Quick
             test_stream_roundtrip_explain;
+          Alcotest.test_case "explain: meta edges outside [0, n)" `Quick
+            test_explain_bad_meta_edges;
+          Alcotest.test_case "validate: ids over every event kind" `Quick test_validate_trace_ids;
         ] );
       ( "profile",
         [ Alcotest.test_case "counters account for the run" `Quick test_profile_counters ] );
