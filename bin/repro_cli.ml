@@ -25,6 +25,30 @@ let report (o : Builders.outcome) =
 
 open Cmdliner
 
+(* Every output file is opened before any simulation work, so an
+   unwritable path fails at once with its own exit code instead of
+   after the run as an uncaught exception. *)
+let exit_unwritable = 2
+
+let exits =
+  Cmd.Exit.info exit_unwritable ~doc:"when an output file or directory cannot be written."
+  :: Cmd.Exit.defaults
+
+let cannot_write path reason =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix reason then
+      String.sub reason (String.length prefix) (String.length reason - String.length prefix)
+    else reason
+  in
+  Format.eprintf "repro-cli: cannot write %s: %s@." path reason;
+  exit exit_unwritable
+
+let open_out_or_exit path = try open_out path with Sys_error reason -> cannot_write path reason
+
+(* An optional output path, paired with its opened channel. *)
+let open_opt = Option.map (fun path -> (path, open_out_or_exit path))
+
 (* Converters keep the name the user typed next to the value: it lands
    in metrics meta blocks and artifact headers. *)
 let named what by_name =
@@ -87,9 +111,9 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
-          "Attach a telemetry sink and write the per-round convergence series (enabled \
-           nodes, writes, register bits, potential phi) plus metric summaries as JSON to \
-           $(docv).")
+          "Write the per-round convergence series (enabled nodes, writes, register \
+           bits, potential phi) and its summary as JSON to $(docv). The series is folded \
+           from the same event sink as $(b,--trace-out), so tracing never changes it.")
 
 let jobs_arg =
   Arg.(
@@ -116,8 +140,9 @@ let run_cmd =
   let run b (family, gen) n seed (sched_name, sched) adversarial faults max_rounds
       metrics_out trace_out =
     (* The single [seed] determines the topology, the initial configuration,
-       and every scheduler/fault coin flip, so telemetry runs are exactly
+       and every scheduler/fault coin flip, so metrics runs are exactly
        reproducible; the seed is recorded in the metrics meta block. *)
+    let metrics = open_opt metrics_out and trace = open_opt trace_out in
     let rng = Random.State.make [| seed |] in
     let g = gen rng ~n in
     Format.printf "graph: %s n=%d m=%d@." family (Graph.n g) (Graph.m g);
@@ -129,43 +154,43 @@ let run_cmd =
           ("adversarial", Bool adversarial); ("faults", Int faults);
         ]
     in
-    (* One JSONL sink spans the whole invocation — initial run, --faults
-       injection (as Fault events), recovery run — so recovery moves'
-       cause chains reach back to the injection (see OBSERVABILITY.md). *)
-    let trace_oc = Option.map open_out trace_out in
+    (* One sink records the whole invocation — initial run, --faults
+       injection (as Fault events), recovery run — on one timeline, so
+       recovery moves' cause chains reach back to the injection (see
+       OBSERVABILITY.md) and the metrics series is folded from the same
+       events the trace holds. *)
+    let record_phi = metrics_out <> None || Builders.cheap_phi b in
     let events =
-      Option.map
-        (fun oc ->
-          let sink = Events.stream ~record_phi:(Builders.cheap_phi b) oc in
+      match trace with
+      | Some (_, oc) ->
+          let sink = Events.stream ~record_phi oc in
           Events.meta sink (meta @ [ ("edges", Campaign.edges_json g) ]);
-          sink)
-        trace_oc
+          Some sink
+      | None -> Option.map (fun _ -> Events.series ~record_phi ()) metrics
     in
-    let o =
-      Builders.run ~telemetry:(metrics_out <> None) ?events ~faults ~adversarial
-        ~max_rounds b g sched rng
-    in
+    let o = Builders.run ?events ~faults ~adversarial ~max_rounds b g sched rng in
     if o.injected then Format.printf "(injected %d faults after stabilization)@." faults
     else if faults > 0 then
       Format.eprintf
         "warning: --faults %d requested but the first run never stabilized (hit its \
          limits while non-silent); fault injection skipped@."
         faults;
-    (match (metrics_out, o.telemetry) with
-    | Some path, Some tel ->
-        Telemetry.write_json ~meta path tel;
-        Format.printf "metrics      : written to %s (%a)@." path Telemetry.pp tel
+    (match (events, metrics) with
+    | Some sink, Some (path, oc) ->
+        Metrics.Json.to_channel oc (Events.series_json ~meta sink);
+        close_out oc;
+        Format.printf "metrics      : written to %s (%a)@." path Events.pp_series sink
     | _ -> ());
-    (match (trace_out, events) with
-    | Some path, Some sink ->
-        Option.iter close_out trace_oc;
+    (match (events, trace) with
+    | Some sink, Some (path, oc) ->
+        close_out oc;
         Format.printf "trace        : %d events written to %s@." (Events.total sink) path
     | _ -> ());
     report o;
     if faults > 0 && not o.injected then exit 1
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits
        ~doc:
          "Run a construction and report statistics. Builders with a fixed-width codec \
           run on the packed engine, the others on the boxed one; both run the same \
@@ -385,22 +410,26 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
      $ max_rounds_arg $ stall_window_arg $ cycle_repeats_arg $ out_arg $ jobs_arg
      $ trace_dir_arg))
 
-let with_pool m ~jobs f =
+(* The artifact is opened and the trace directory made (if missing)
+   before any cell runs. *)
+let open_outputs m =
+  let oc = open_out_or_exit m.out in
   (match m.trace_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ());
-  Pool.with_pool ~jobs f
+  | Some dir when Sys.file_exists dir ->
+      if not (Sys.is_directory dir) then cannot_write dir "Not a directory"
+  | Some dir -> ( try Sys.mkdir dir 0o755 with Sys_error reason -> cannot_write dir reason)
+  | None -> ());
+  oc
 
 (* The cells come back in canonical order, so the listing and the
    artifact are byte-identical at any --jobs. Every failing cell is
    named before the hard exit: the full key identifies the episode to
    re-run and the watchdog verdict says how it died. *)
-let finish cmd m ~lines ~json ~cells ~failed =
+let finish cmd m oc ~lines ~json ~cells ~failed =
   (match m.trace_dir with
   | Some dir -> Format.printf "traces: one JSONL file per cell in %s@." dir
   | None -> ());
   List.iter (Format.printf "%s@.") lines;
-  let oc = open_out m.out in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Metrics.Json.to_channel oc json);
   let failures = List.length failed in
   Format.printf "%s: %d cells, %d recovered, %d failed -> %s@." cmd cells (cells - failures)
@@ -413,14 +442,15 @@ let finish cmd m ~lines ~json ~cells ~failed =
 
 let chaos_cmd =
   let chaos m plans max_injections =
+    let oc = open_outputs m in
     let cells =
-      with_pool m ~jobs:m.jobs (fun pool ->
+      Pool.with_pool ~jobs:m.jobs (fun pool ->
           Campaign.chaos_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds ~seed_base:m.seed
             ~algos:m.algos ~plans ~daemons:m.daemons ~max_rounds:m.max_rounds
             ~max_injections ~stall_window:m.stall_window ~cycle_repeats:m.cycle_repeats
             ?trace_dir:m.trace_dir ())
     in
-    finish "chaos" m
+    finish "chaos" m oc
       ~lines:(Campaign.csv_header :: List.map Campaign.csv_row cells)
       ~json:
         (Campaign.campaign_json ~family:m.family ~n:m.n ~seeds:m.seeds ~seed_base:m.seed
@@ -462,7 +492,7 @@ let chaos_cmd =
          from some adversarial configurations (see EXPERIMENTS.md E8)."
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "chaos" ~exits
        ~doc:
          "Run a seeded fault campaign (algorithms x fault plans x daemons x seeds); \
           write CHAOS_repro.json; exit 1 if any cell fails to recover.")
@@ -472,8 +502,9 @@ let serve_cmd =
   let serve m traces retry_budget max_retries queries_per_round big big_nmax queries
       query_jobs =
     let query_jobs = if query_jobs > 0 then query_jobs else Pool.default_jobs () in
+    let oc = open_outputs m in
     let cells, baselines =
-      with_pool m ~jobs:(max m.jobs query_jobs) (fun pool ->
+      Pool.with_pool ~jobs:(max m.jobs query_jobs) (fun pool ->
           let std =
             Service_campaign.churn_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds
               ~seed_base:m.seed ~algos:m.algos ~traces ~daemons:m.daemons
@@ -510,7 +541,7 @@ let serve_cmd =
         b.b_algo b.b_trace b.b_n b.b_snapshot_qps b.b_chase_qps
         (float_of_int b.b_snapshot_qps /. float_of_int (max 1 b.b_chase_qps))
     in
-    finish "serve" m
+    finish "serve" m oc
       ~lines:
         ((Service_campaign.csv_header :: List.map Service_campaign.csv_row cells)
         @ List.map baseline_line baselines)
@@ -607,7 +638,7 @@ let serve_cmd =
          distributed)."
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Run a service-mode churn campaign (tree builders x churn traces x daemons x \
           seeds): stabilize, stream topology edits against the live graph, serve reads \
@@ -627,14 +658,14 @@ let slurp path =
 
 let explain_cmd =
   let explain trace_file html top =
-    match Explain.parse (slurp trace_file) with
+    let html = open_opt html in
+    match Events.parse (slurp trace_file) with
     | Error msg -> `Error (false, Printf.sprintf "%s: %s" trace_file msg)
-    | Ok t ->
-        let report = Explain.analyze ~top t in
+    | Ok (meta, events) ->
+        let report = Explain.analyze ~top meta events in
         print_string (Explain.to_text report);
         (match html with
-        | Some path ->
-            let oc = open_out path in
+        | Some (path, oc) ->
             Fun.protect
               ~finally:(fun () -> close_out oc)
               (fun () -> output_string oc (Explain.to_html report));
@@ -664,7 +695,7 @@ let explain_cmd =
       & info [ "top" ] ~docv:"K" ~doc:"How many hot nodes to list (default 10).")
   in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits
        ~doc:
          "Render a convergence narrative from an event trace: per-rule move breakdown, \
           Φ milestones, hot nodes, activation-DAG shape, and one causal-cone summary \

@@ -116,18 +116,21 @@ module P = struct
       end
     end
 
-  let is_legal g sts =
+  (* The encoded spanning tree of [g]; arbitrary registers may encode a
+     tree over non-edges, which has no weight in [g]. *)
+  let tree_of g sts =
     let parent = Array.map (fun s -> s.parent) sts in
-    Tree.check_parents ~root:0 parent
-    && Mst.is_mst g (Tree.of_parents ~root:0 parent)
+    if Tree.check_parents ~root:0 parent then
+      let t = Tree.of_parents ~root:0 parent in
+      if Tree.in_graph t g then Some t else None
+    else None
+
+  let is_legal g sts = match tree_of g sts with Some t -> Mst.is_mst g t | None -> false
 
   (* Weight gap to the MST — 0 exactly on MSTs, so a silent-but-wrong
      fixpoint (the E9 failure mode) shows as a non-zero final phi. *)
   let potential g sts =
-    let parent = Array.map (fun s -> s.parent) sts in
-    if Tree.check_parents ~root:0 parent then
-      Some (Tree.weight (Tree.of_parents ~root:0 parent) g - Mst.mst_weight g)
-    else None
+    Option.map (fun t -> Tree.weight t g - Mst.mst_weight g) (tree_of g sts)
 
   let classify =
     Some

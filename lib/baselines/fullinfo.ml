@@ -23,9 +23,14 @@ module type INSTANCE = sig
   val tree_of : Graph.t -> state array -> Tree.t option
 end
 
-let tree_of _g sts =
+(* Only a tree over edges of [g] is a spanning tree the tasks can judge:
+   arbitrary registers may point parents at non-neighbours. *)
+let tree_of g sts =
   let parent = Array.map (fun s -> s.st.St_layer.parent) sts in
-  if Tree.check_parents ~root:0 parent then Some (Tree.of_parents ~root:0 parent) else None
+  if Tree.check_parents ~root:0 parent then
+    let t = Tree.of_parents ~root:0 parent in
+    if Tree.in_graph t g then Some t else None
+  else None
 
 module Make (T : TASK) : INSTANCE = struct
   module P = struct

@@ -135,7 +135,6 @@ type outcome = {
   note : string;
   verdict : string option;
   injected : bool;
-  telemetry : Telemetry.t option;
 }
 
 (* Packed iff the entry has a codec: both engines run the same loop
@@ -147,30 +146,27 @@ let engine (type s) (e : s entry) : (module Engine.S with type state = s) =
       let module P = (val e.protocol) in
       (module Engine.Make (P))
 
-let run_entry (type s) (e : s entry) ~telemetry ?events ~faults ~adversarial ~max_rounds g
-    sched rng =
+let run_entry (type s) (e : s entry) ?events ~faults ~adversarial ~max_rounds g sched rng =
   let module E = (val engine e) in
-  (* Each run gets fresh telemetry and watchdog, so after fault
-     injection the reported series is the recovery run's — the one
-     under study. The watchdog only observes: it classifies a
-     non-silent exit (livelock vs bare exhaustion) instead of just
-     reporting the hit limit. *)
+  (* Each run gets a fresh watchdog, so after fault injection the
+     verdict is the recovery run's — the one under study. The watchdog
+     only observes: it classifies a non-silent exit (livelock vs bare
+     exhaustion) instead of just reporting the hit limit. *)
   let observed ?init_causes ?(round_offset = 0) ?(step_offset = 0) ~init () =
-    let tel = if telemetry then Some (Telemetry.create ()) else None in
     let wd = Watchdog.create () in
     let on_round round states =
       Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states) ~phi:None
         ~snap:(fun () -> Marshal.to_string states [])
     in
     let r =
-      E.run ~max_rounds ?telemetry:tel ~on_round ?events ?init_causes ~round_offset
-        ~step_offset g sched rng ~init
+      E.run ~max_rounds ~on_round ?events ?init_causes ~round_offset ~step_offset g sched
+        rng ~init
     in
-    (r, tel, wd)
+    (r, wd)
   in
   let init = if adversarial then E.adversarial rng g else E.initial g in
-  let ((first, _, _) as run1) = observed ~init () in
-  let (r, tel, wd), injected =
+  let ((first, _) as run1) = observed ~init () in
+  let (r, wd), injected =
     if faults > 0 && first.E.silent then begin
       (* Pick first, corrupt second (same RNG stream as
          Fault.corrupt) so the fault events name the nodes actually
@@ -204,12 +200,10 @@ let run_entry (type s) (e : s entry) ~telemetry ?events ~faults ~adversarial ~ma
       (if silent then None
        else Some (Format.asprintf "%a" Watchdog.pp_verdict (Watchdog.verdict wd ~silent)));
     injected;
-    telemetry = tel;
   }
 
-let run ?(telemetry = false) ?events ?(faults = 0) ~adversarial ~max_rounds (Builder e) g
-    sched rng =
-  run_entry e ~telemetry ?events ~faults ~adversarial ~max_rounds g sched rng
+let run ?events ?(faults = 0) ~adversarial ~max_rounds (Builder e) g sched rng =
+  run_entry e ?events ~faults ~adversarial ~max_rounds g sched rng
 
 (* The same rule for service episodes: the packed service engine iff
    the entry has a codec. *)

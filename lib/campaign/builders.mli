@@ -111,8 +111,6 @@ type outcome = {
       (** the observe-only watchdog's classification of a non-silent
           exit (livelock vs bare exhaustion); [None] when silent *)
   injected : bool;  (** faults were injected after a silent first run *)
-  telemetry : Telemetry.t option;
-      (** the series of the last run (the recovery run after faults) *)
 }
 
 (** [run b g sched rng ~adversarial ~max_rounds] — stabilize [b] once
@@ -120,15 +118,15 @@ type outcome = {
     configuration, with an observe-only watchdog attached. [faults]
     [k > 0] corrupts [k] registers after a silent first run and runs
     again from there; a non-silent first run skips the injection
-    ([injected = false]). [telemetry] attaches a fresh
-    {!Repro_runtime.Telemetry} sink to each run. [events] streams the
-    whole invocation — first run, [Fault] events, recovery run — into
-    one sink, so recovery moves chain back to the injection.
+    ([injected = false]). [events] records the whole invocation — first
+    run, [Fault] events, recovery run — into one sink on one timeline
+    (the recovery run's rounds and steps follow the first run's), so
+    recovery moves chain back to the injection and the sink's series
+    spans both runs.
 
     Runs on the packed engine iff [b] has a codec (see the
     engine-selection rule above). *)
 val run :
-  ?telemetry:bool ->
   ?events:Events.t ->
   ?faults:int ->
   adversarial:bool ->

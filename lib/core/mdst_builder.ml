@@ -432,7 +432,7 @@ let is_legal g sts =
 (* The Section VIII potential of the encoded tree: n·Δ_T + |{v : deg_T(v)
    = Δ_T}| (the lexicographic (Δ, N_Δ) pair of Lemma 7.1 flattened to one
    integer, as in experiment E10). 0 is unreachable — a tree always has a
-   max-degree node — so the telemetry convention is phi = n·Δ + N_Δ
+   max-degree node — so the recorded series convention is phi = n·Δ + N_Δ
    relative to the FR fixpoint: we report the raw value and let the
    trajectory's plateau mark silence. *)
 let potential g sts =

@@ -330,7 +330,13 @@ let rule_order =
 
 (* ------------------------------------------------------------------ *)
 
-let tree_of = LS.tree_of
+(* Arbitrary registers can encode a tree whose parent pointers are no
+   edges of [g]; the MST check and the prover would weigh edges that do
+   not exist, so such a tree is no spanning tree of [g] here. *)
+let tree_of g sts =
+  match LS.tree_of g sts with
+  | Some t when Repro_graph.Tree.in_graph t g -> Some t
+  | _ -> None
 
 let is_legal g sts =
   match tree_of g sts with None -> false | Some t -> Mst.is_mst g t

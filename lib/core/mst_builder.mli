@@ -91,7 +91,8 @@ module Engine : module type of Repro_runtime.Engine.Make (P)
     engine; see SCALING.md. *)
 module Codec : Repro_runtime.Protocol.CODEC with type state = state
 
-(** The tree currently encoded by the registers, if any. *)
+(** The tree currently encoded by the registers, if any and if every
+    parent pointer is an edge of the graph. *)
 val tree_of : Repro_graph.Graph.t -> state array -> Repro_graph.Tree.t option
 
 (** Global legality: the registers encode the (unique) MST with all label

@@ -29,7 +29,7 @@ module Engine_packed : module type of Repro_runtime.Engine_packed.Make (Packed)
 
 (** Weighted single-source distances from [src]: Dijkstra with an int
     binary heap over the CSR arrays. It backs the potential ({!potential},
-    [watch_phi], telemetry, the greedy daemons); legality no longer needs
+    [watch_phi], round events, the greedy daemons); legality no longer needs
     it. Edge weights must be non-negative. *)
 val dijkstra : Repro_graph.Graph.t -> src:int -> int array
 

@@ -134,6 +134,12 @@ let fundamental_cycle t ~e:(x, y) =
   if mem_edge t x y then invalid_arg "Tree.fundamental_cycle: tree edge";
   tree_path t x y
 
+let in_graph t g =
+  let rec from v =
+    v >= n t || ((v = t.root || Graph.has_edge g v t.parent.(v)) && from (v + 1))
+  in
+  from 0
+
 let tree_edges t g =
   let acc = ref [] in
   for v = 0 to n t - 1 do

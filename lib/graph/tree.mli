@@ -49,6 +49,10 @@ val degree : t -> int -> int
 (** Maximum {!degree} over all nodes — the paper's [deg(T)]. *)
 val max_degree : t -> int
 
+(** [in_graph t g] — every tree edge is an edge of [g] (a tree decoded
+    from arbitrary parent registers need not be a subgraph). *)
+val in_graph : t -> Graph.t -> bool
+
 (** [tree_edges t g] are the edges of [t] with weights looked up in [g].
     @raise Not_found if some tree edge is absent from [g]. *)
 val tree_edges : t -> Graph.t -> Graph.Edge.t list

@@ -9,15 +9,6 @@ type injection = {
   touched : int;
 }
 
-let injection_to_recovery (i : injection) : Telemetry.recovery =
-  {
-    Telemetry.injection_round = i.round;
-    injected_nodes = i.nodes;
-    fault_gap = i.gap;
-    containment_radius = i.radius;
-    touched = i.touched;
-  }
-
 module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
 
   type episode = {
@@ -39,8 +30,8 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     fun v -> List.fold_left (fun acc d -> min acc d.(v)) max_int dists
 
   let run_episode ?(max_steps = 2_000_000) ?(max_rounds = 20_000) ?(stall_window = 64)
-      ?(cycle_repeats = 3) ?(max_injections = 3) ?(watch_phi = false) ?telemetry ?events
-      g sched rng (plan : Fault.Plan.t) =
+      ?(cycle_repeats = 3) ?(max_injections = 3) ?(watch_phi = false) ?events g sched rng
+      (plan : Fault.Plan.t) =
     let wd = Watchdog.create ~stall_window ~cycle_repeats () in
     let stop_when () = Watchdog.tripped wd <> None in
     (* Config history for stale-replay payloads: most recent boundary
@@ -91,9 +82,6 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
             }
           in
           injections := record :: !injections;
-          (match telemetry with
-          | Some t -> Telemetry.on_recovery t (injection_to_recovery record)
-          | None -> ());
           Hashtbl.reset seg_writers;
           current := None
     in
@@ -150,7 +138,12 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
       do
         let nodes, corrupted = inject ~at_round:!rounds_off !states in
         let run_base = !rounds_off in
-        (* This corruption happens outside the engine (the recovery run
+        (* The trace runs on one timeline: fault-phase rounds and steps
+           are shifted past the base run's, so rounds never go back and
+           step numbers never repeat. (The injection records keep
+           fault-phase-relative rounds.)
+
+           This corruption happens outside the engine (the recovery run
            starts from the corrupted configuration), so emit its fault
            events here and seed the engine's provenance: the pre-fault
            configuration was silent, hence every node the corrupted one
@@ -159,7 +152,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
            [?adversary] hook and get their fault events from the engine. *)
         let init_causes =
           Events.emit_sources events g nodes ~emit:(fun sink v ->
-              Events.emit_fault sink ~node:v ~round:run_base)
+              Events.emit_fault sink ~node:v ~round:(base.E.rounds + run_base))
         in
         let fires abs =
           abs > run_base
@@ -182,8 +175,10 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
         let on_step v _ = Hashtbl.replace seg_writers v () in
         let r =
           E.run ~max_steps ~max_rounds:(max_rounds - run_base) ~on_round ~on_step
-            ~adversary ~stop_when ?events ?init_causes ~round_offset:run_base
-            ~step_offset:!steps_total g sched rng ~init:corrupted
+            ~adversary ~stop_when ?events ?init_causes
+            ~round_offset:(base.E.rounds + run_base)
+            ~step_offset:(base.E.steps + !steps_total)
+            g sched rng ~init:corrupted
         in
         states := r.E.states;
         rounds_off := run_base + r.E.rounds;

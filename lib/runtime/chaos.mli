@@ -37,8 +37,6 @@ type injection = {
   touched : int;  (** distinct nodes that wrote during recovery *)
 }
 
-val injection_to_recovery : injection -> Telemetry.recovery
-
 (** [Make (P) (E)] — episodes of [P] on engine [E], either store:
     both run the same executor loop and hooks, so episodes are identical
     on either. *)
@@ -59,22 +57,24 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
   (** [run_episode g sched rng plan] — run one episode. [watch_phi]
       (default [false]) feeds the live [P.potential] to the watchdog's
       stall detector; leave it off for protocols whose potential is
-      expensive. A [telemetry] sink, when given, is fed the per-injection
-      {!Telemetry.recovery} records. Defaults: [max_steps] = 2_000_000,
-      [max_rounds] = 20_000, [stall_window] = 64, [cycle_repeats] = 3,
+      expensive. Defaults: [max_steps] = 2_000_000, [max_rounds] =
+      20_000, [stall_window] = 64, [cycle_repeats] = 3,
       [max_injections] = 3 (mid-run timings only; [silence] plans always
       inject exactly once).
 
       An [events] sink receives the full causal trace of the episode on
-      one id-monotone timeline (rounds/steps offset across the engine
-      runs a fault phase spans): the stabilization moves, one [Fault]
+      one timeline: ids increase, rounds never decrease and steps
+      strictly increase across the base run and every engine run of the
+      fault phase (the fault phase is shifted by the base run's rounds
+      and steps; [injection.round] stays fault-phase-relative). It
+      holds the stabilization moves, one [Fault]
       event per corrupted register, and every recovery move with its
       enabling causes — silence-timed corruptions happen outside the
       engine, so the harness emits their fault events itself and seeds
       the recovery run's [init_causes] with them (the pre-fault
       configuration being silent makes the attribution exact). Recovery
       moves therefore chain back to the injection that caused them; see
-      OBSERVABILITY.md. Neither sink consumes RNG draws: campaign
+      OBSERVABILITY.md. The sink consumes no RNG draws: campaign
       results are bit-identical with or without tracing. *)
   val run_episode :
     ?max_steps:int ->
@@ -83,7 +83,6 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
     ?cycle_repeats:int ->
     ?max_injections:int ->
     ?watch_phi:bool ->
-    ?telemetry:Telemetry.t ->
     ?events:Events.t ->
     Repro_graph.Graph.t ->
     Scheduler.t ->

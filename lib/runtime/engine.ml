@@ -5,7 +5,6 @@ type ('state, 'k) runner =
   ?max_rounds:int ->
   ?track_legal:bool ->
   ?stop_when_legal:bool ->
-  ?telemetry:Telemetry.t ->
   ?on_round:(int -> 'state array -> unit) ->
   ?on_step:(int -> 'state array -> unit) ->
   ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
@@ -129,9 +128,8 @@ module Loop (St : STORE) = struct
     go 0
 
   let run ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?(track_legal = false)
-      ?(stop_when_legal = false) ?telemetry ?on_round ?on_step ?adversary ?stop_when
-      ?events ?profile ?init_causes ?(round_offset = 0) ?(step_offset = 0) g sched rng
-      ~init =
+      ?(stop_when_legal = false) ?on_round ?on_step ?adversary ?stop_when ?events ?profile
+      ?init_causes ?(round_offset = 0) ?(step_offset = 0) g sched rng ~init =
     let st = St.create ?profile g init in
     let n = Graph.n g in
     let row = Graph.csr_row g and col = Graph.csr_col g in
@@ -256,7 +254,6 @@ module Loop (St : STORE) = struct
       last_step_time.(v) <- !steps;
       let bits = St.bits st v in
       if bits > !max_bits then max_bits := bits;
-      (match telemetry with Some t -> Telemetry.on_write t ~bits | None -> ());
       (match profile with Some p -> Profile.on_move ?rule p | None -> ());
       (match events with
       | Some sink ->
@@ -288,16 +285,6 @@ module Loop (St : STORE) = struct
       poll_stop ()
     in
     let round_boundary () =
-      (match telemetry with
-      | Some t ->
-          let mx, total = St.bits_summary st in
-          let phi =
-            if Telemetry.wants_phi t then P.potential g (St.config st) else None
-          in
-          Telemetry.on_round t ~round:!rounds
-            ~enabled:(Enabled_set.cardinal enabled)
-            ~max_bits:mx ~total_bits:total ~phi
-      | None -> ());
       (match events with
       | Some sink ->
           let phi =
@@ -306,7 +293,7 @@ module Loop (St : STORE) = struct
           Events.emit_round sink
             ~round:(round_offset + !rounds)
             ~enabled:(Enabled_set.cardinal enabled)
-            ~phi
+            ~bits:(St.bits_summary st) ~phi
       | None -> ());
       (match on_round with Some f -> f !rounds (St.config st) | None -> ());
       (if (track_legal || stop_when_legal) && !first_legal = None then
@@ -578,8 +565,8 @@ module Make (P : Protocol.S) = struct
      both stores (test_engine_equiv, test_packed). *)
 
   let run_reference ?(max_steps = 10_000_000) ?(max_rounds = 200_000)
-      ?(track_legal = false) ?(stop_when_legal = false) ?telemetry ?on_round ?on_step
-      ?adversary ?stop_when g sched rng ~init =
+      ?(track_legal = false) ?(stop_when_legal = false) ?on_round ?on_step ?adversary
+      ?stop_when g sched rng ~init =
     let net = net_of g in
     let states = Array.copy init in
     let n = Graph.n g in
@@ -610,9 +597,9 @@ module Make (P : Protocol.S) = struct
       Array.iter recompute net.ids.(v)
     in
     (* Transient faults: adversary writes at a round boundary are not
-       protocol steps — no step count, no [on_step], no telemetry write —
-       but the corrupted registers are observed for [max_bits] and
-       invalidate the activation flags of their closed neighborhoods. *)
+       protocol steps — no step count, no [on_step] — but the corrupted
+       registers are observed for [max_bits] and invalidate the
+       activation flags of their closed neighborhoods. *)
     let inject () =
       match adversary with
       | None -> ()
@@ -640,27 +627,12 @@ module Make (P : Protocol.S) = struct
       states.(v) <- s;
       incr steps;
       last_step_time.(v) <- !steps;
-      let bits = P.size_bits n s in
-      max_bits := max !max_bits bits;
-      (match telemetry with Some t -> Telemetry.on_write t ~bits | None -> ());
+      max_bits := max !max_bits (P.size_bits n s);
       touch v;
       (match on_step with Some f -> f v states | None -> ());
       poll_stop ()
     in
     let round_boundary () =
-      (match telemetry with
-      | Some t ->
-          let mx = ref 0 and total = ref 0 in
-          Array.iter
-            (fun s ->
-              let b = P.size_bits n s in
-              if b > !mx then mx := b;
-              total := !total + b)
-            states;
-          let phi = if Telemetry.wants_phi t then P.potential g states else None in
-          Telemetry.on_round t ~round:!rounds ~enabled:!enabled_count ~max_bits:!mx
-            ~total_bits:!total ~phi
-      | None -> ());
       (match on_round with Some f -> f !rounds states | None -> ());
       (if (track_legal || stop_when_legal) && !first_legal = None then
         if P.is_legal g states then begin

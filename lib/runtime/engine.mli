@@ -30,7 +30,6 @@ type ('state, 'k) runner =
   ?max_rounds:int ->
   ?track_legal:bool ->
   ?stop_when_legal:bool ->
-  ?telemetry:Telemetry.t ->
   ?on_round:(int -> 'state array -> unit) ->
   ?on_step:(int -> 'state array -> unit) ->
   ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
@@ -72,17 +71,14 @@ module type S = sig
       on fresh views; short-circuits on the first enabled node. *)
   val silent : Repro_graph.Graph.t -> state array -> bool
 
-  (** [run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?telemetry
+  (** [run ?max_steps ?max_rounds ?track_legal ?stop_when_legal
       ?on_round ?on_step g sched rng ~init] executes until silence or a
       limit is hit. [on_round] is called with the round index and the
       current configuration at every round boundary (round 0 = the
       initial configuration); [on_step] is called after {e every}
       individual register write with the acting node and the live
       configuration — used by invariant monitors such as the loop-freedom
-      check. A [telemetry] sink additionally receives, at every round
-      boundary, the enabled-node count, register-write count, max/total
-      register bits, and (unless the sink opts out) the live
-      [P.potential] — see {!Telemetry}. If [stop_when_legal] is set,
+      check. If [stop_when_legal] is set,
       execution stops at the first legal round boundary — used for
       non-silent baselines that never terminate on their own. Defaults:
       [max_steps] = 10_000_000, [max_rounds] = 200_000,
@@ -94,7 +90,7 @@ module type S = sig
       invoked at every round boundary (including round 0) with the round
       index and the live configuration, and returns register overwrites
       [(node, state)] to apply {e as faults}: they count as neither steps
-      nor telemetry writes and do not fire [on_step], but they invalidate
+      nor [Move] events and do not fire [on_step], but they invalidate
       the affected guards, are observed for [max_bits], and the round
       accounting restarts from the resulting enabled set — so recovery is
       measured from live intermediate configurations, not only from
@@ -113,11 +109,14 @@ module type S = sig
       Observability hooks (all off by default; attaching none of them
       leaves the execution bit-identical — none consume RNG draws):
 
-      [events] streams one structured event per write / fault / round
-      boundary into an {!Events} sink, with causal provenance: every
-      move carries the ids of the writes that (re-)enabled it, read off
-      the executor's own wakeup path (see {!Events} and
-      OBSERVABILITY.md). [init_causes v] supplies the cause ids for
+      [events] is the run's one recording: one structured event per
+      write / fault / round boundary into an {!Events} sink, with causal
+      provenance — every move carries the ids of the writes that
+      (re-)enabled it, read off the executor's own wakeup path (see
+      {!Events} and OBSERVABILITY.md). A round event carries the
+      enabled-node count, the (max, total) register bits and, when the
+      sink asks for it, the live [P.potential]; the sink folds these
+      into the per-round series ({!Events.samples}). [init_causes v] supplies the cause ids for
       nodes the {e initial} configuration enables (chaos uses it to
       attribute recovery to fault events it emitted before the run);
       nodes not covered are root-spontaneous. [round_offset] /
@@ -228,7 +227,6 @@ module Make (P : Protocol.S) : sig
     ?max_rounds:int ->
     ?track_legal:bool ->
     ?stop_when_legal:bool ->
-    ?telemetry:Telemetry.t ->
     ?on_round:(int -> P.state array -> unit) ->
     ?on_step:(int -> P.state array -> unit) ->
     ?adversary:(round:int -> P.state array -> (int * P.state) list) ->

@@ -13,10 +13,10 @@
     to the boxed store and to [run_reference] on shared seeds.
 
     Every hook is supported. Those that read boxed states ([on_round],
-    [on_step], [adversary], Φ for telemetry or events, legality
-    tracking, rule tags for [events] or [profile]) re-box registers: the
-    whole configuration on the first read, then only the registers
-    written since the previous read. [max_bits] is the fixed register
+    [on_step], [adversary], Φ for events, legality tracking, rule tags
+    for [events] or [profile]) re-box registers: the whole configuration
+    on the first read, then only the registers written since the
+    previous read. [max_bits] is the fixed register
     width [P.size_bits n _]. *)
 
 module Make (P : Protocol.PACKED) : sig

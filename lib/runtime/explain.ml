@@ -1,123 +1,6 @@
 module Json = Metrics.Json
 module ISet = Set.Make (Int)
 
-type move = {
-  id : int;
-  step : int;
-  round : int;
-  node : int;
-  rule : string option;
-  bits_before : int;
-  bits_after : int;
-  dphi : int option;
-  causes : int list;
-}
-
-type fault = { id : int; round : int; node : int }
-type churn = { id : int; round : int; node : int; op : string }
-type round_rec = { round : int; enabled : int; phi : int option }
-
-type trace = {
-  meta : (string * Json.t) list option;
-  moves : move list;
-  faults : fault list;
-  churns : churn list;
-  rounds : round_rec list;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-let int_field j k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-
-let req_int j k =
-  match int_field j k with Some i -> i | None -> failwith (Printf.sprintf "missing %S" k)
-
-let parse_line j =
-  match Json.member "ev" j with
-  | Some (Json.Str "meta") -> (
-      match j with
-      | Json.Obj fields -> `Meta (List.filter (fun (k, _) -> k <> "ev") fields)
-      | _ -> failwith "meta is not an object")
-  | Some (Json.Str "move") ->
-      let rule = match Json.member "rule" j with Some (Json.Str r) -> Some r | _ -> None in
-      let bits_before, bits_after =
-        match Json.member "bits" j with
-        | Some (Json.List [ Json.Int b0; Json.Int b1 ]) -> (b0, b1)
-        | _ -> failwith "missing bits pair"
-      in
-      let causes =
-        match Json.member "causes" j with
-        | Some (Json.List l) ->
-            List.map (function Json.Int c -> c | _ -> failwith "non-int cause") l
-        | _ -> failwith "missing causes"
-      in
-      `Move
-        {
-          id = req_int j "id";
-          step = req_int j "step";
-          round = req_int j "round";
-          node = req_int j "node";
-          rule;
-          bits_before;
-          bits_after;
-          dphi = int_field j "dphi";
-          causes;
-        }
-  | Some (Json.Str "fault") ->
-      `Fault
-        ({ id = req_int j "id"; round = req_int j "round"; node = req_int j "node" }
-          : fault)
-  | Some (Json.Str "churn") ->
-      let op =
-        match Json.member "op" j with
-        | Some (Json.Str o) -> o
-        | _ -> failwith "missing \"op\" field"
-      in
-      `Churn
-        ({ id = req_int j "id"; round = req_int j "round"; node = req_int j "node"; op }
-          : churn)
-  | Some (Json.Str "round") ->
-      `Round
-        {
-          round = req_int j "round";
-          enabled = req_int j "enabled";
-          phi = int_field j "phi";
-        }
-  | Some (Json.Str k) -> failwith (Printf.sprintf "unknown event kind %S" k)
-  | _ -> failwith "missing \"ev\" field"
-
-let parse contents =
-  let lines = String.split_on_char '\n' contents in
-  let meta = ref None in
-  let moves = ref [] and faults = ref [] and churns = ref [] and rounds = ref [] in
-  let err = ref None in
-  List.iteri
-    (fun i line ->
-      if !err = None && String.trim line <> "" then
-        match Json.of_string (String.trim line) with
-        | None -> err := Some (Printf.sprintf "line %d: not valid JSON" (i + 1))
-        | Some j -> (
-            match parse_line j with
-            | `Meta f -> meta := Some f
-            | `Move m -> moves := m :: !moves
-            | `Fault f -> faults := f :: !faults
-            | `Churn c -> churns := c :: !churns
-            | `Round r -> rounds := r :: !rounds
-            | exception Failure msg -> err := Some (Printf.sprintf "line %d: %s" (i + 1) msg)))
-    lines;
-  match !err with
-  | Some e -> Error e
-  | None ->
-      Ok
-        {
-          meta = !meta;
-          moves = List.rev !moves;
-          faults = List.rev !faults;
-          churns = List.rev !churns;
-          rounds = List.rev !rounds;
-        }
-
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
 
@@ -201,26 +84,10 @@ let bfs_from adj sources =
   done;
   dist
 
-let analyze ?(top = 10) (t : trace) =
-  let total_moves = List.length t.moves in
-  let total_faults = List.length t.faults in
-  let total_churns = List.length t.churns in
-  (* Churn events are DAG sources exactly like faults — same-round
-     grouping, same cone accounting — so project them into the fault
-     shape and run one source list through the attribution pass. *)
-  let sources : fault list =
-    List.sort
-      (fun (a : fault) (b : fault) -> compare a.id b.id)
-      (t.faults
-      @ List.map (fun (c : churn) -> { id = c.id; round = c.round; node = c.node }) t.churns
-      )
-  in
-  let total_rounds =
-    let m = List.fold_left (fun acc (r : round_rec) -> max acc r.round) 0 t.rounds in
-    let m = List.fold_left (fun acc (mv : move) -> max acc mv.round) m t.moves in
-    List.fold_left (fun acc (f : fault) -> max acc f.round) m sources
-  in
-  (* per-node and per-rule counts *)
+let analyze ?(top = 10) meta (events : Events.event list) =
+  let total_moves = ref 0 and total_faults = ref 0 and total_churns = ref 0 in
+  let total_rounds = ref 0 in
+  let see_round r = if r > !total_rounds then total_rounds := r in
   let node_counts = Hashtbl.create 64 in
   let rule_counts = Hashtbl.create 16 in
   let bump tbl k =
@@ -228,31 +95,99 @@ let analyze ?(top = 10) (t : trace) =
     | Some c -> incr c
     | None -> Hashtbl.add tbl k (ref 1)
   in
+  let phi_obs = ref [] in
+  (* Activation DAG: per-event transitive injection sets and chain
+     depth. Faults and churn events are DAG sources alike, and the
+     sources of one round form one injection. *)
+  let inj_index = Hashtbl.create 8 in
+  let inj_rounds = ref [] in
+  let injected = Hashtbl.create 8 in
+  let origin = Hashtbl.create 256 in
+  let depth = Hashtbl.create 256 in
+  let cause_edges = ref 0 in
+  let root_spontaneous = ref 0 in
+  let fault_attributed = ref 0 in
+  let max_chain = ref 0 in
+  let per_inj_moves = Hashtbl.create 8 in
+  let source id ~node ~round =
+    see_round round;
+    let i =
+      match Hashtbl.find_opt inj_index round with
+      | Some i -> i
+      | None ->
+          let i = List.length !inj_rounds in
+          Hashtbl.add inj_index round i;
+          inj_rounds := round :: !inj_rounds;
+          Hashtbl.add injected i (ref ISet.empty);
+          i
+    in
+    let nodes = Hashtbl.find injected i in
+    nodes := ISet.add node !nodes;
+    Hashtbl.replace origin id (ISet.singleton i)
+  in
+  let move id ~node ~round ~rule ~causes =
+    incr total_moves;
+    see_round round;
+    bump node_counts node;
+    bump rule_counts (Option.value rule ~default:"?");
+    cause_edges := !cause_edges + List.length causes;
+    let o =
+      List.fold_left
+        (fun acc c ->
+          match Hashtbl.find_opt origin c with Some s -> ISet.union acc s | None -> acc)
+        ISet.empty causes
+    in
+    let d =
+      1
+      + List.fold_left
+          (fun acc c ->
+            match Hashtbl.find_opt depth c with Some d -> max acc d | None -> acc)
+          0 causes
+    in
+    Hashtbl.replace origin id o;
+    Hashtbl.replace depth id d;
+    if d > !max_chain then max_chain := d;
+    if ISet.is_empty o then incr root_spontaneous
+    else begin
+      incr fault_attributed;
+      ISet.iter
+        (fun i ->
+          let c, nodes =
+            match Hashtbl.find_opt per_inj_moves i with
+            | Some x -> x
+            | None ->
+                let x = (ref 0, ref ISet.empty) in
+                Hashtbl.add per_inj_moves i x;
+                x
+          in
+          incr c;
+          nodes := ISet.add node !nodes)
+        o
+    end
+  in
   List.iter
-    (fun (m : move) ->
-      bump node_counts m.node;
-      bump rule_counts (Option.value m.rule ~default:"?"))
-    t.moves;
+    (fun ({ id; kind } : Events.event) ->
+      match kind with
+      | Events.Move { node; round; rule; causes; _ } -> move id ~node ~round ~rule ~causes
+      | Events.Fault { node; round } ->
+          incr total_faults;
+          source id ~node ~round
+      | Events.Churn { node; round; _ } ->
+          incr total_churns;
+          source id ~node ~round
+      | Events.Round { round; phi; _ } -> (
+          see_round round;
+          match phi with Some p -> phi_obs := (round, p) :: !phi_obs | None -> ()))
+    events;
   let sorted_counts tbl =
     Hashtbl.fold (fun k c acc -> (k, !c) :: acc) tbl []
     |> List.sort (fun (ka, ca) (kb, cb) ->
            match compare cb ca with 0 -> compare ka kb | c -> c)
   in
-  let rule_breakdown = sorted_counts rule_counts in
-  let hot_nodes =
-    let l = sorted_counts node_counts in
-    List.filteri (fun i _ -> i < top) l
-  in
-  let distinct_movers = Hashtbl.length node_counts in
   (* Φ milestones: the first observed value, each crossing of 1/2, 1/4,
      1/10, 1/100 of it, zero, and the last observed value. *)
   let phi_milestones =
-    let obs =
-      List.filter_map
-        (fun (r : round_rec) -> match r.phi with Some p -> Some (r.round, p) | None -> None)
-        t.rounds
-    in
-    match obs with
+    match List.rev !phi_obs with
     | [] -> []
     | (r0, p0) :: rest ->
         let thresholds = ref [ p0 / 2; p0 / 4; p0 / 10; p0 / 100; 0 ] in
@@ -269,89 +204,16 @@ let analyze ?(top = 10) (t : trace) =
             in
             cross ())
           rest;
-        (match List.rev rest with
+        (match !phi_obs with
         | (rl, pl) :: _ when not (List.mem (rl, pl) !acc) -> acc := (rl, pl) :: !acc
         | _ -> ());
         List.rev !acc
   in
-  (* Activation DAG: per-event transitive fault-injection sets and chain
-     depth, one pass in id order (causes always precede). *)
-  let inj_round = Hashtbl.create 8 in
-  let inj_rounds = ref [] in
-  List.iter
-    (fun (f : fault) ->
-      if not (Hashtbl.mem inj_round f.round) then begin
-        Hashtbl.add inj_round f.round (List.length !inj_rounds);
-        inj_rounds := f.round :: !inj_rounds
-      end)
-    sources;
-  let inj_rounds = List.rev !inj_rounds in
-  let origin = Hashtbl.create 256 in
-  (* event id -> ISet of injection indices *)
-  let depth = Hashtbl.create 256 in
-  let cause_edges = ref 0 in
-  let root_spontaneous = ref 0 in
-  let fault_attributed = ref 0 in
-  let max_chain = ref 0 in
-  let tagged =
-    List.merge
-      (fun a b -> compare (fst a) (fst b))
-      (List.map (fun (f : fault) -> (f.id, `F f)) sources)
-      (List.map (fun (m : move) -> (m.id, `M m)) t.moves)
-  in
-  let per_inj_moves = Hashtbl.create 8 in
-  (* inj index -> (count ref, node set ref) *)
-  List.iter
-    (fun (_, e) ->
-      match e with
-      | `F (f : fault) ->
-          Hashtbl.replace origin f.id (ISet.singleton (Hashtbl.find inj_round f.round))
-      | `M (m : move) ->
-          cause_edges := !cause_edges + List.length m.causes;
-          let o =
-            List.fold_left
-              (fun acc c ->
-                match Hashtbl.find_opt origin c with
-                | Some s -> ISet.union acc s
-                | None -> acc)
-              ISet.empty m.causes
-          in
-          let d =
-            1
-            + List.fold_left
-                (fun acc c ->
-                  match Hashtbl.find_opt depth c with Some d -> max acc d | None -> acc)
-                0 m.causes
-          in
-          Hashtbl.replace origin m.id o;
-          Hashtbl.replace depth m.id d;
-          if d > !max_chain then max_chain := d;
-          if ISet.is_empty o then incr root_spontaneous
-          else begin
-            incr fault_attributed;
-            ISet.iter
-              (fun i ->
-                let c, nodes =
-                  match Hashtbl.find_opt per_inj_moves i with
-                  | Some x -> x
-                  | None ->
-                      let x = (ref 0, ref ISet.empty) in
-                      Hashtbl.add per_inj_moves i x;
-                      x
-                in
-                incr c;
-                nodes := ISet.add m.node !nodes)
-              o
-          end)
-    tagged;
-  let adj = adjacency_of_meta t.meta in
+  let adj = adjacency_of_meta meta in
   let cones =
     List.mapi
       (fun i r ->
-        let injected =
-          List.filter_map (fun (f : fault) -> if f.round = r then Some f.node else None) sources
-          |> List.sort_uniq compare
-        in
+        let injected = ISet.elements !(Hashtbl.find injected i) in
         let count, nodes =
           match Hashtbl.find_opt per_inj_moves i with
           | Some (c, ns) -> (!c, ISet.elements !ns)
@@ -375,18 +237,18 @@ let analyze ?(top = 10) (t : trace) =
           cone_nodes = nodes;
           cone_radius;
         })
-      inj_rounds
+      (List.rev !inj_rounds)
   in
   {
-    header = Option.value t.meta ~default:[];
-    total_moves;
-    total_faults;
-    total_churns;
-    total_rounds;
-    distinct_movers;
-    rule_breakdown;
+    header = Option.value meta ~default:[];
+    total_moves = !total_moves;
+    total_faults = !total_faults;
+    total_churns = !total_churns;
+    total_rounds = !total_rounds;
+    distinct_movers = Hashtbl.length node_counts;
+    rule_breakdown = sorted_counts rule_counts;
     phi_milestones;
-    hot_nodes;
+    hot_nodes = List.filteri (fun i _ -> i < top) (sorted_counts node_counts);
     cause_edges = !cause_edges;
     root_spontaneous = !root_spontaneous;
     fault_attributed = !fault_attributed;

@@ -1,7 +1,8 @@
 (** Convergence narratives from {!Events} traces.
 
-    Parses a JSONL trace (as written by [Engine.run ~events] through a
-    {!Events.stream} sink, or re-serialized from a ring) and renders an
+    Takes a trace's meta header and events (as {!Events.parse} reads
+    them back from the JSONL that [Engine.run ~events] writes through a
+    {!Events.stream} sink, or straight from a ring) and renders an
     explanation of {e how} the run converged: per-rule move breakdown,
     Φ trajectory milestones, the hottest nodes, the activation DAG's
     shape, and — for chaos traces — one causal-cone summary per fault
@@ -18,37 +19,6 @@
     to the edit that caused them.
     Cone radii need the graph; they are computed when the trace's meta
     header carries an ["edges"] list (the CLI writes one). *)
-
-type move = {
-  id : int;
-  step : int;
-  round : int;
-  node : int;
-  rule : string option;
-  bits_before : int;
-  bits_after : int;
-  dphi : int option;
-  causes : int list;
-}
-
-type fault = { id : int; round : int; node : int }
-
-(** A topology edit (service mode); a DAG source like {!fault}. *)
-type churn = { id : int; round : int; node : int; op : string }
-
-type round_rec = { round : int; enabled : int; phi : int option }
-
-type trace = {
-  meta : (string * Metrics.Json.t) list option;
-  moves : move list;  (** chronological *)
-  faults : fault list;  (** chronological *)
-  churns : churn list;  (** chronological *)
-  rounds : round_rec list;  (** chronological *)
-}
-
-(** Parse the full contents of a JSONL trace file. [Error] carries the
-    1-based line number and what was wrong with it. *)
-val parse : string -> (trace, string) result
 
 (** Per-injection causal cone. *)
 type cone = {
@@ -76,7 +46,10 @@ type report = {
   cones : cone list;
 }
 
-val analyze : ?top:int -> trace -> report
+(** [analyze meta events] — one pass over [events] in id order (a
+    trace's line order). [top] (default 10) bounds [hot_nodes]. *)
+val analyze :
+  ?top:int -> (string * Metrics.Json.t) list option -> Events.event list -> report
 val pp_text : Format.formatter -> report -> unit
 val to_text : report -> string
 

@@ -212,159 +212,3 @@ module Json = struct
     | Obj fields -> List.assoc_opt key fields
     | _ -> None
 end
-
-(* ------------------------------------------------------------------ *)
-
-type counter = { mutable c : int }
-type gauge = { mutable g : int; mutable g_set : bool }
-
-(* 64 log-scale buckets: index 0 = values <= 0; index i >= 1 = values
-   with exactly i significant bits, i.e. [2^(i-1), 2^i - 1]. max_int has
-   62 bits, so no bucket bound ever overflows. *)
-type histogram = {
-  mutable count : int;
-  mutable sum : int;
-  mutable mn : int;
-  mutable mx : int;
-  bkts : int array;
-}
-
-type instrument = C of counter | G of gauge | H of histogram
-
-type t = { tbl : (string, instrument) Hashtbl.t; mutable order : string list (* reverse *) }
-
-let create () = { tbl = Hashtbl.create 16; order = [] }
-
-let register t name make wrap unwrap kind =
-  match Hashtbl.find_opt t.tbl name with
-  | Some inst -> (
-      match unwrap inst with
-      | Some x -> x
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Metrics: %S already registered as a different kind (%s)" name
-               kind))
-  | None ->
-      let x = make () in
-      Hashtbl.replace t.tbl name (wrap x);
-      t.order <- name :: t.order;
-      x
-
-let counter t name =
-  register t name
-    (fun () -> { c = 0 })
-    (fun c -> C c)
-    (function C c -> Some c | _ -> None)
-    "counter"
-
-let gauge t name =
-  register t name
-    (fun () -> { g = 0; g_set = false })
-    (fun g -> G g)
-    (function G g -> Some g | _ -> None)
-    "gauge"
-
-let histogram t name =
-  register t name
-    (fun () -> { count = 0; sum = 0; mn = 0; mx = 0; bkts = Array.make 64 0 })
-    (fun h -> H h)
-    (function H h -> Some h | _ -> None)
-    "histogram"
-
-let incr ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
-
-let set g v =
-  g.g <- v;
-  g.g_set <- true
-
-let gauge_value g = if g.g_set then Some g.g else None
-
-let bucket_index v =
-  if v <= 0 then 0
-  else begin
-    let bits = ref 0 in
-    let x = ref v in
-    while !x <> 0 do
-      bits := !bits + 1;
-      x := !x lsr 1
-    done;
-    !bits
-  end
-
-let bucket_lower i = if i <= 0 then 0 else 1 lsl (i - 1)
-
-let observe h v =
-  if h.count = 0 then begin
-    h.mn <- v;
-    h.mx <- v
-  end
-  else begin
-    if v < h.mn then h.mn <- v;
-    if v > h.mx then h.mx <- v
-  end;
-  h.count <- h.count + 1;
-  h.sum <- h.sum + v;
-  let i = bucket_index v in
-  h.bkts.(i) <- h.bkts.(i) + 1
-
-let hist_count h = h.count
-let hist_sum h = h.sum
-let hist_min h = if h.count = 0 then None else Some h.mn
-let hist_max h = if h.count = 0 then None else Some h.mx
-
-let buckets h =
-  let acc = ref [] in
-  for i = Array.length h.bkts - 1 downto 0 do
-    if h.bkts.(i) > 0 then acc := (bucket_lower i, h.bkts.(i)) :: !acc
-  done;
-  !acc
-
-let fold_instruments t f =
-  List.fold_left (fun acc name -> f acc name (Hashtbl.find t.tbl name)) []
-    (List.rev t.order)
-  |> List.rev
-
-let to_json t =
-  let pick f = fold_instruments t (fun acc name i -> match f name i with Some x -> x :: acc | None -> acc) in
-  let counters = pick (fun name -> function C c -> Some (name, Json.Int c.c) | _ -> None) in
-  let gauges =
-    pick (fun name -> function
-      | G g -> Some (name, if g.g_set then Json.Int g.g else Json.Null)
-      | _ -> None)
-  in
-  let histograms =
-    pick (fun name -> function
-      | H h ->
-          let bs =
-            List.map
-              (fun (ge, count) -> Json.Obj [ ("ge", Json.Int ge); ("count", Json.Int count) ])
-              (buckets h)
-          in
-          Some
-            ( name,
-              Json.Obj
-                [
-                  ("count", Json.Int h.count);
-                  ("sum", Json.Int h.sum);
-                  ("min", match hist_min h with Some v -> Json.Int v | None -> Json.Null);
-                  ("max", match hist_max h with Some v -> Json.Int v | None -> Json.Null);
-                  ("buckets", Json.List bs);
-                ] )
-      | _ -> None)
-  in
-  Json.Obj
-    [ ("counters", Json.Obj counters); ("gauges", Json.Obj gauges); ("histograms", Json.Obj histograms) ]
-
-let pp ppf t =
-  List.iter
-    (fun name ->
-      match Hashtbl.find t.tbl name with
-      | C c -> Format.fprintf ppf "%s: %d@." name c.c
-      | G g ->
-          if g.g_set then Format.fprintf ppf "%s: %d@." name g.g
-          else Format.fprintf ppf "%s: (unset)@." name
-      | H h ->
-          Format.fprintf ppf "%s: count=%d sum=%d%s@." name h.count h.sum
-            (if h.count = 0 then "" else Printf.sprintf " min=%d max=%d" h.mn h.mx))
-    (List.rev t.order)

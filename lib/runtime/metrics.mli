@@ -1,15 +1,6 @@
-(** Zero-dependency metrics primitives for the telemetry layer.
-
-    A {!t} is a string-keyed registry of counters, gauges, and
-    log-scale histograms, rendered to JSON by a hand-rolled writer
-    ({!Json}) — no external serialization dependency. The registry is
-    what {!Telemetry} aggregates into and what the CLI / bench harness
-    serialize next to per-round samples.
-
-    Registration is idempotent: asking twice for the same name returns
-    the same instrument, so independent layers can share a registry
-    without coordination. Asking for a name already registered as a
-    different kind raises [Invalid_argument]. *)
+(** The repository's one JSON writer and parser ({!Json}), with no
+    external serialization dependency: the artifacts, the metrics
+    series and the {!Events} trace lines all go through it. *)
 
 (** Minimal JSON tree with a writer and a strict parser — the parser
     exists so tests (and downstream tooling) can round-trip the writer's
@@ -42,51 +33,3 @@ module Json : sig
   (** [member key j] — field lookup when [j] is an [Obj]. *)
   val member : string -> t -> t option
 end
-
-type t
-type counter
-type gauge
-type histogram
-
-val create : unit -> t
-
-val counter : t -> string -> counter
-val gauge : t -> string -> gauge
-val histogram : t -> string -> histogram
-
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
-
-val set : gauge -> int -> unit
-
-(** [None] until the first {!set}. *)
-val gauge_value : gauge -> int option
-
-val observe : histogram -> int -> unit
-val hist_count : histogram -> int
-val hist_sum : histogram -> int
-val hist_min : histogram -> int option
-val hist_max : histogram -> int option
-
-(** Non-empty log-scale buckets as [(lower_bound, count)], ascending.
-    Bucket 0 ([lower_bound = 0]) holds values [<= 0]; bucket [i >= 1]
-    holds values in [[2^(i-1), 2^i - 1]] — so 1 is alone in its bucket
-    and [max_int] lands in bucket 62 without overflow. *)
-val buckets : histogram -> (int * int) list
-
-(** The bucket a value falls into: [0] for [v <= 0], otherwise the
-    number of significant bits of [v]. Exposed for the edge-case
-    tests. *)
-val bucket_index : int -> int
-
-(** Inclusive lower bound of a bucket: [0] for bucket 0, [2^(i-1)]
-    otherwise. *)
-val bucket_lower : int -> int
-
-(** Registry snapshot:
-    [{"counters": {..}, "gauges": {..}, "histograms": {name: {"count",
-    "sum", "min", "max", "buckets": [{"ge", "count"}, ..]}, ..}}].
-    Instruments appear in registration order. *)
-val to_json : t -> Json.t
-
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,7 @@
     a fixed set of worker {!Domain}s and hands the results back {e in
     submission order}, so a campaign's artifact is byte-identical
     regardless of how many workers raced over its cells (the caller
-    merges per-cell telemetry; workers never write shared registries).
+    merges per-cell results; workers never write shared state).
 
     Scheduling is work-stealing over an atomic cursor: workers (and the
     submitting domain, which participates) repeatedly claim the next

@@ -43,16 +43,6 @@ let hit_rate t =
   let denom = t.moves + t.guard_evals in
   if denom = 0 then 0. else float_of_int t.moves /. float_of_int denom
 
-let export t m =
-  let bump name v = Metrics.incr ~by:v (Metrics.counter m name) in
-  bump "engine.moves" t.moves;
-  bump "engine.guard_evals" t.guard_evals;
-  bump "engine.refreshes" t.refreshes;
-  bump "engine.touches" t.touches;
-  bump "engine.flushes" t.flushes;
-  bump "engine.churn" t.churn;
-  List.iter (fun (r, c) -> bump ("engine.rule." ^ r) c) (rule_counts t)
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<h>moves=%d guard_evals=%d hit=%.2f refreshes=%d touches=%d flushes=%d churn=%d%a@]"

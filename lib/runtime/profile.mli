@@ -6,10 +6,12 @@
     re-pointed, how often the enabled set churned, and a per-rule move
     breakdown (via {!Protocol.S.classify}).
 
-    Pass a fresh {!t} to [Engine.run ~profile]; read it afterwards, or
-    {!export} it into a {!Metrics.t} registry next to the telemetry
-    counters. Counting is plain mutable-int increments — cheap enough
-    for benchmarking, and entirely absent when no profile is attached. *)
+    Pass a fresh {!t} to [Engine.run ~profile] and read it afterwards.
+    It stays apart from the {!Events} stream because it counts engine
+    work no event records (guard evaluations, view refreshes, wakeups,
+    flushes), and because [bench/perf] reads its fields directly.
+    Counting is plain mutable-int increments — cheap enough for
+    benchmarking, and entirely absent when no profile is attached. *)
 
 type t = {
   mutable moves : int;  (** register writes applied (cached-move hits) *)
@@ -36,11 +38,5 @@ val rule_counts : t -> (string * int) list
     scheduler picks served by the move cache without re-evaluating the
     guard. [0.] before any activity. *)
 val hit_rate : t -> float
-
-(** Register the counters in [m] under ["engine.moves"],
-    ["engine.guard_evals"], ["engine.refreshes"], ["engine.touches"],
-    ["engine.flushes"], ["engine.churn"] and ["engine.rule.<tag>"],
-    adding the profiled values. *)
-val export : t -> Metrics.t -> unit
 
 val pp : Format.formatter -> t -> unit

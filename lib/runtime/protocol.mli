@@ -43,7 +43,8 @@ module type S = sig
       executions and is 0 exactly on the stable family). [None] when the
       protocol has no potential or the configuration is outside its
       domain (e.g. the registers do not encode a tree). Observational
-      only — consumed by {!Telemetry}, never by [step]. *)
+      only — recorded in {!Events} round events and read by the
+      watchdog and the greedy daemons, never by [step]. *)
   val potential : Repro_graph.Graph.t -> state array -> int option
 
   (** [classify old new_] names the rule (or phase) responsible for the

@@ -298,30 +298,43 @@ let validate_service j =
 
 module ISet = Set.Make (Int)
 
-(* [Explain.parse] checks each line's grammar; then the event lines are
-   re-walked in file order: ids strictly increase whatever the kind,
-   and every cause names an earlier fault, churn or move. *)
+(* [Events.parse] checks each line's grammar; then one fold over the
+   events in line order checks the timeline: ids strictly increase
+   whatever the kind, move steps strictly increase, rounds never
+   decrease (consecutive runs share a boundary), nodes are
+   non-negative (service joins grow n past the meta's, so there is no
+   upper bound), and every cause names an earlier fault, churn or
+   move. *)
+type timeline = { id : int; step : int; round : int; sources : ISet.t }
+
 let validate_trace contents =
-  let* (_ : Explain.trace) = Explain.parse contents in
-  let event acc line =
-    let* last, sources, count = acc in
-    match Json.of_string (String.trim line) with
-    | Some j when Json.member "ev" j <> Some (Json.Str "meta") ->
-        let* id = int_field j "id" in
-        let causes = match Json.member "causes" j with Some (Json.List l) -> l | _ -> [] in
-        if id <= last then Error (Printf.sprintf "event id %d not increasing" id)
-        else if List.exists (function Json.Int c -> not (ISet.mem c sources) | _ -> true) causes
-        then
-          Error (Printf.sprintf "event %d has a cause that is no earlier fault, churn or move" id)
-        else
-          let round = Json.member "ev" j = Some (Json.Str "round") in
-          Ok (id, (if round then sources else ISet.add id sources), count + 1)
-    | _ -> acc
+  let* _, events = Events.parse contents in
+  let check acc ({ id; kind } : Events.event) =
+    let* t = acc in
+    let round, node, step, causes, source =
+      match kind with
+      | Events.Move { round; node; step; causes; _ } -> (round, node, Some step, causes, true)
+      | Events.Fault { round; node } | Events.Churn { round; node; _ } ->
+          (round, node, None, [], true)
+      | Events.Round { round; _ } -> (round, 0, None, [], false)
+    in
+    let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" id m)) fmt in
+    if id <= t.id then Error (Printf.sprintf "event id %d not increasing" id)
+    else if round < t.round then fail "round %d after round %d" round t.round
+    else if node < 0 then fail "negative node %d" node
+    else if List.exists (fun c -> not (ISet.mem c t.sources)) causes then
+      fail "a cause is no earlier fault, churn or move"
+    else
+      match step with
+      | Some s when s <= t.step -> fail "step %d after step %d" s t.step
+      | _ ->
+          let step = Option.value step ~default:t.step in
+          Ok { id; step; round; sources = (if source then ISet.add id t.sources else t.sources) }
   in
-  let* _, _, count =
-    List.fold_left event (Ok (-1, ISet.empty, 0)) (String.split_on_char '\n' contents)
+  let* (_ : timeline) =
+    List.fold_left check (Ok { id = -1; step = 0; round = min_int; sources = ISet.empty }) events
   in
-  Ok count
+  Ok (List.length events)
 
 let sniff contents =
   let first_line =

@@ -30,9 +30,11 @@ val validate_chaos : Metrics.Json.t -> (int, string) result
 val validate_service : Metrics.Json.t -> (int, string) result
 
 (** Validate a whole JSONL trace from its file {e contents}: every line
-    parses ({!Explain.parse}'s grammar), event ids strictly increase in
-    line order whatever the kind, and every cause names an earlier
-    fault, churn or move. The count is the number of event lines. *)
+    parses ({!Events.parse}), and in line order event ids strictly
+    increase whatever the kind, move steps strictly increase, rounds
+    never decrease, nodes are non-negative, and every cause names an
+    earlier fault, churn or move. The count is the number of event
+    lines. *)
 val validate_trace : string -> (int, string) result
 
 (** Sniff which validator a file's contents call for: a JSONL trace

@@ -171,22 +171,27 @@ let test_fault_injection_invalidates_cache () =
     (fun v s -> Alcotest.(check int) (Printf.sprintf "state %d" v) b.EMax.states.(v) s)
     a.EMax.states
 
-(* Unit: the two executors report identical per-round telemetry series
-   (round boundaries, enabled counts, write counts, register bits). *)
+(* Unit: the two executors report identical per-round series (round
+   boundaries, enabled counts, write counts, register bits), built by
+   the oracle Telemetry from each executor's [on_round]/[on_step]
+   hooks. *)
 let test_telemetry_series_identical () =
   let g = Generators.gnp (seed 4) ~n:14 ~p:0.3 in
   let series eng =
-    let t = Telemetry.create () in
+    let t, on_round, on_step = Builder_oracle.Telemetry_hooks.attach (module MaxProp) g in
     let init = EMax.adversarial (seed 5) g in
-    ignore (eng ~telemetry:t g (Scheduler.Central Scheduler.Round_robin) (seed 6) ~init);
+    ignore (eng ~on_round ~on_step g (Scheduler.Central Scheduler.Round_robin) (seed 6) ~init);
     List.map
-      (fun (s : Telemetry.sample) ->
+      (fun (s : Builder_oracle.Telemetry.sample) ->
         (s.round, s.enabled, s.writes, s.writes_total, s.max_bits, s.total_bits))
-      (Telemetry.samples t)
+      (Builder_oracle.Telemetry.samples t)
   in
-  let a = series (fun ~telemetry g s rng ~init -> EMax.run ~telemetry g s rng ~init) in
+  let a =
+    series (fun ~on_round ~on_step g s rng ~init -> EMax.run ~on_round ~on_step g s rng ~init)
+  in
   let b =
-    series (fun ~telemetry g s rng ~init -> EMax.run_reference ~telemetry g s rng ~init)
+    series (fun ~on_round ~on_step g s rng ~init ->
+        EMax.run_reference ~on_round ~on_step g s rng ~init)
   in
   Alcotest.(check int) "same number of samples" (List.length b) (List.length a);
   List.iter2

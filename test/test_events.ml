@@ -161,6 +161,14 @@ let tainted_moves evs =
       | Events.Round _ -> None)
     evs
 
+(* The base run and the fault phase share one timeline: the episode's
+   trace passes the validator's step/round monotonicity checks. *)
+let check_one_timeline evs =
+  let lines = List.map (fun e -> Metrics.Json.to_string (Events.event_json e)) evs in
+  match Schema.validate_trace (String.concat "\n" lines) with
+  | Ok n -> Alcotest.(check int) "every event validated" (List.length evs) n
+  | Error msg -> Alcotest.failf "episode trace is not one timeline: %s" msg
+
 let first_fault_id evs =
   List.find_map
     (fun (ev : Events.event) ->
@@ -182,6 +190,7 @@ let test_chaos_silence_attribution () =
   Alcotest.(check bool) "recovered" true e.C.recovered;
   let evs = Events.events sink in
   Alcotest.(check bool) "DAG invariant holds across the episode" true (dag_ok g evs);
+  check_one_timeline evs;
   let fid = match first_fault_id evs with Some i -> i | None -> Alcotest.fail "no fault event" in
   let tainted = tainted_moves evs in
   let recovery_moves =
@@ -210,6 +219,7 @@ let test_chaos_periodic_attribution () =
   Alcotest.(check bool) "recovered" true e.C.recovered;
   let evs = Events.events sink in
   Alcotest.(check bool) "DAG invariant holds across the episode" true (dag_ok g evs);
+  check_one_timeline evs;
   let fid = match first_fault_id evs with Some i -> i | None -> Alcotest.fail "no fault event" in
   let tainted = tainted_moves evs in
   Alcotest.(check bool) "some recovery move is attributed" true (tainted <> []);
@@ -259,13 +269,17 @@ let test_stream_roundtrip_explain () =
           ~finally:(fun () -> close_in ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      match Explain.parse contents with
+      match Events.parse contents with
       | Error msg -> Alcotest.failf "parse failed: %s" msg
-      | Ok t ->
+      | Ok (meta, events) ->
           Alcotest.(check int) "all moves survive the round trip" r.E.steps
-            (List.length t.Explain.moves);
-          Alcotest.(check bool) "meta header read back" true (t.Explain.meta <> None);
-          let report = Explain.analyze t in
+            (List.length
+               (List.filter
+                  (fun (e : Events.event) ->
+                    match e.Events.kind with Events.Move _ -> true | _ -> false)
+                  events));
+          Alcotest.(check bool) "meta header read back" true (meta <> None);
+          let report = Explain.analyze meta events in
           Alcotest.(check int) "report counts the moves" r.E.steps report.Explain.total_moves;
           Alcotest.(check int) "rule breakdown sums to the moves" r.E.steps
             (List.fold_left (fun a (_, c) -> a + c) 0 report.Explain.rule_breakdown);
@@ -296,10 +310,10 @@ let test_explain_bad_meta_edges () =
           ]
       in
       Alcotest.(check bool) ("validates: " ^ meta) true (Schema.validate_trace contents = Ok 2);
-      match Explain.parse contents with
+      match Events.parse contents with
       | Error msg -> Alcotest.failf "parse failed: %s" msg
-      | Ok t ->
-          let report = Explain.analyze t in
+      | Ok (header, events) ->
+          let report = Explain.analyze header events in
           Alcotest.(check bool) ("no cone radius: " ^ meta) true
             (List.for_all (fun c -> c.Explain.cone_radius = None) report.Explain.cones
             && report.Explain.cones <> []))
@@ -322,14 +336,14 @@ let test_validate_trace_ids () =
   Alcotest.(check bool) "cause is a round" true
     (rejected
        [
-         {|{"ev":"round","id":0,"round":0,"enabled":1}|};
+         {|{"ev":"round","id":0,"round":0,"enabled":1,"bits":[1,1]}|};
          {|{"ev":"move","id":1,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[0]}|};
        ]);
   Alcotest.(check bool) "round id out of line order" true
     (rejected
        [
          {|{"ev":"move","id":1,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[]}|};
-         {|{"ev":"round","id":0,"round":1,"enabled":0}|};
+         {|{"ev":"round","id":0,"round":1,"enabled":0,"bits":[1,1]}|};
        ]);
   Alcotest.(check bool) "every event line counts" true
     (Schema.validate_trace
@@ -340,6 +354,80 @@ let test_validate_trace_ids () =
             {|{"ev":"move","id":2,"step":1,"round":0,"node":1,"bits":[1,1],"causes":[0,1]}|};
           ])
     = Ok 3)
+
+(* The timeline: move steps strictly increase, rounds never decrease
+   (consecutive runs share a boundary round), nodes are non-negative. *)
+let test_validate_trace_timeline () =
+  let trace lines = String.concat "\n" ({|{"ev":"meta","algo":"x"}|} :: lines) in
+  let rejected lines = Result.is_error (Schema.validate_trace (trace lines)) in
+  Alcotest.(check bool) "repeated step" true
+    (rejected
+       [
+         {|{"ev":"move","id":0,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[]}|};
+         {|{"ev":"move","id":1,"step":1,"round":0,"node":1,"bits":[1,1],"causes":[]}|};
+       ]);
+  Alcotest.(check bool) "decreasing round" true
+    (rejected
+       [
+         {|{"ev":"round","id":0,"round":3,"enabled":1,"bits":[1,2]}|};
+         {|{"ev":"fault","id":1,"round":2,"node":0}|};
+       ]);
+  Alcotest.(check bool) "negative node" true
+    (rejected [ {|{"ev":"fault","id":0,"round":0,"node":-5}|} ]);
+  Alcotest.(check bool) "a shared boundary round is legal" true
+    (Schema.validate_trace
+       (trace
+          [
+            {|{"ev":"move","id":0,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[]}|};
+            {|{"ev":"round","id":1,"round":1,"enabled":0,"bits":[1,2]}|};
+            {|{"ev":"fault","id":2,"round":1,"node":7}|};
+            {|{"ev":"round","id":3,"round":1,"enabled":1,"bits":[1,2]}|};
+            {|{"ev":"move","id":4,"step":2,"round":1,"node":1,"bits":[1,1],"causes":[2]}|};
+          ])
+    = Ok 5)
+
+(* [Events.parse] inverts [Events.event_json] and the meta header, for
+   all four kinds, with and without the optional fields. *)
+let event_gen =
+  let open QCheck2.Gen in
+  let nat = int_bound 1_000 in
+  let opt g = option g in
+  let kind =
+    oneof
+      [
+        (let* node = nat and* step = nat and* round = nat in
+         let* rule = opt (oneofl [ "size"; "heavy"; "reparent"; "a \"quoted\" tag" ]) in
+         let* bits_before = nat and* bits_after = nat in
+         let* dphi = opt (int_range (-50) 50) and* causes = list_size (int_bound 4) nat in
+         return
+           (Events.Move { node; step; round; rule; bits_before; bits_after; dphi; causes }));
+        map2 (fun node round -> Events.Fault { node; round }) nat nat;
+        map3
+          (fun node round op -> Events.Churn { node; round; op })
+          nat nat (oneofl [ "join"; "del:2+5"; "add:1+3+7" ]);
+        (let* round = nat and* enabled = nat and* mx = nat and* total = nat in
+         let* phi = opt nat in
+         return (Events.Round { round; enabled; bits = (mx, total); phi }));
+      ]
+  in
+  let* kinds = list_size (int_bound 12) kind in
+  let* meta = opt (list_size (int_bound 3) (pair (oneofl [ "algo"; "n"; "seed" ]) nat)) in
+  return
+    ( Option.map (List.map (fun (k, v) -> (k, Metrics.Json.Int v))) meta,
+      List.mapi (fun id kind -> { Events.id; kind }) kinds )
+
+let prop_parse_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"Events.parse inverts the written lines" event_gen
+       (fun (meta, events) ->
+         let line j = Metrics.Json.to_string j in
+         let lines =
+           (match meta with
+           | Some fields -> [ line (Metrics.Json.Obj (("ev", Metrics.Json.Str "meta") :: fields)) ]
+           | None -> [])
+           @ List.map (fun e -> line (Events.event_json e)) events
+         in
+         Events.parse (String.concat "\n" lines) = Ok (meta, events)))
 
 (* ------------------------------------------------------------------ *)
 (* Profiling counters *)
@@ -356,11 +444,7 @@ let test_profile_counters () =
     (List.fold_left (fun a (_, c) -> a + c) 0 (Profile.rule_counts p));
   Alcotest.(check bool) "guards were evaluated" true (p.Profile.guard_evals > 0);
   Alcotest.(check bool) "hit rate in [0,1]" true
-    (Profile.hit_rate p >= 0.0 && Profile.hit_rate p <= 1.0);
-  let m = Metrics.create () in
-  Profile.export p m;
-  Alcotest.(check int) "exported into the metrics registry" r.E.steps
-    (Metrics.counter_value (Metrics.counter m "engine.moves"))
+    (Profile.hit_rate p >= 0.0 && Profile.hit_rate p <= 1.0)
 
 let () =
   QCheck_base_runner.set_seed 20260704;
@@ -392,6 +476,9 @@ let () =
           Alcotest.test_case "explain: meta edges outside [0, n)" `Quick
             test_explain_bad_meta_edges;
           Alcotest.test_case "validate: ids over every event kind" `Quick test_validate_trace_ids;
+          Alcotest.test_case "validate: steps, rounds and nodes on one timeline" `Quick
+            test_validate_trace_timeline;
+          prop_parse_roundtrip;
         ] );
       ( "profile",
         [ Alcotest.test_case "counters account for the run" `Quick test_profile_counters ] );

@@ -185,28 +185,26 @@ let test_packed_vs_incremental () =
         (Array.for_all2 Bfs_builder.P.equal_state a.Ep.states b.En.states))
     full_roster
 
-(* Telemetry series must line up too (rounds, writes, register bits are
-   computed from the flat bank without re-boxing). *)
+(* The event sinks' per-round series must line up too (rounds, writes,
+   register bits are computed from the flat bank without re-boxing). *)
 let test_telemetry_identical () =
   let module Ep = Engine_packed.Make (Spt_builder.Packed) in
   let module En = Spt_builder.Engine in
   let g = Generators.random_connected (seed 51) ~n:20 ~m:40 in
   let init = Ep.adversarial (seed 52) g in
   let series run =
-    let t = Telemetry.create () in
-    run t;
+    let events = Events.series () in
+    run events;
     List.map
-      (fun (s : Telemetry.sample) ->
+      (fun (s : Events.sample) ->
         (s.round, s.enabled, s.writes, s.writes_total, s.max_bits, s.total_bits))
-      (Telemetry.samples t)
+      (Events.samples events)
   in
   let a =
-    series (fun t ->
-        ignore (Ep.run ~telemetry:t g Scheduler.Synchronous (seed 53) ~init))
+    series (fun events -> ignore (Ep.run ~events g Scheduler.Synchronous (seed 53) ~init))
   in
   let b =
-    series (fun t ->
-        ignore (En.run ~telemetry:t g Scheduler.Synchronous (seed 53) ~init))
+    series (fun events -> ignore (En.run ~events g Scheduler.Synchronous (seed 53) ~init))
   in
   Alcotest.(check int) "same number of samples" (List.length b) (List.length a);
   List.iter2
@@ -218,7 +216,7 @@ let test_telemetry_identical () =
 (* ------------------------------------------------------------------ *)
 (* Allocation-freedom: the steady-state packed loop (guard
    re-evaluation, daemon pick, move apply, round accounting — no
-   telemetry, no legality tracking, deterministic daemon) must not
+   event sink, no legality tracking, deterministic daemon) must not
    allocate. Measured from inside the run through the [stop_when] poll,
    which fires after every write: the minor-word counter between two
    polls hundreds of steps apart must not move. (Setup and the final
@@ -250,16 +248,16 @@ let test_allocation_free () =
    same executor loop over the other register store. From adversarial
    starts on the extended daemon roster, with an event ring (Φ at
    rounds and moves), an adversary corrupting two nodes at round 2,
-   [init_causes] and both offsets, an [on_step] log, an [on_round] log,
-   telemetry and a profile all attached at once — run to silence and cut
-   short by [stop_when] after 25 writes — both engines must emit
-   the same event JSON lines, hook logs, result fields, telemetry JSON
-   and profile counters ([refreshes] counts boxed view refreshes, so it
+   [init_causes] and both offsets, an [on_step] log, an [on_round] log
+   and a profile all attached at once — run to silence and cut short by
+   [stop_when] after 25 writes — both engines must emit the same event
+   JSON lines, hook logs, result fields, series JSON and profile
+   counters ([refreshes] counts boxed view refreshes, so it
    is the one counter left out). *)
 let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
     (module E : Engine.S with type state = s) g sched ~sd ~init ~faults ~cut =
   let events = Events.ring ~record_phi:true ~move_phi:true () in
-  let profile = Profile.create () and telemetry = Telemetry.create () in
+  let profile = Profile.create () in
   let log = Buffer.create 1024 and steps = ref 0 in
   let on_step v sts =
     incr steps;
@@ -270,7 +268,7 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   let init_causes v = [ v; 1000 + v ] in
   let stop_when () = cut && !steps >= 25 in
   let r =
-    E.run ~max_steps:20_000 ~max_rounds:2_000 ~track_legal:true ~telemetry ~on_round ~on_step
+    E.run ~max_steps:20_000 ~max_rounds:2_000 ~track_legal:true ~on_round ~on_step
       ~adversary ~stop_when ~events ~profile ~init_causes ~round_offset:7 ~step_offset:11 g
       sched
       (Random.State.make [| sd; 31 |])
@@ -284,7 +282,7 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
     List.map (Format.asprintf "%a" B.pp_state) (Array.to_list r.E.states),
     lines (Events.events events),
     Buffer.contents log,
-    Metrics.Json.to_string (Telemetry.to_json telemetry),
+    Metrics.Json.to_string (Events.series_json events),
     counters profile )
 
 let hooks_equal (type s) (module B : Protocol.PACKED with type state = s) (sd, g) =

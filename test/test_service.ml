@@ -298,12 +298,18 @@ let test_episode_churn_attribution () =
       (match Schema.validate_trace contents with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "trace validation failed: %s" msg);
-      match Explain.parse contents with
+      match Events.parse contents with
       | Error msg -> Alcotest.failf "trace parse failed: %s" msg
-      | Ok t ->
-          Alcotest.(check bool) "churn events present" true (t.Explain.churns <> []);
-          let report = Explain.analyze t in
-          Alcotest.(check int) "report counts them" (List.length t.Explain.churns)
+      | Ok (meta, events) ->
+          let churns =
+            List.filter
+              (fun (e : Events.event) ->
+                match e.Events.kind with Events.Churn _ -> true | _ -> false)
+              events
+          in
+          Alcotest.(check bool) "churn events present" true (churns <> []);
+          let report = Explain.analyze meta events in
+          Alcotest.(check int) "report counts them" (List.length churns)
             report.Explain.total_churns;
           Alcotest.(check bool) "churn cones anchored" true (report.Explain.cones <> []);
           Alcotest.(check bool) "recovery moves attributed to the edits" true

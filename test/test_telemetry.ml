@@ -1,76 +1,19 @@
-(* Tests for the telemetry layer: Metrics histogram bucketing edge cases,
-   JSON writer/parser round-trips, Telemetry round accounting, and the
-   per-round phi trajectory of a synchronous MST run (non-increasing once
-   the configuration is legal, ending at 0). *)
+(* Tests for the metrics series and its JSON: writer/parser
+   round-trips, the per-round series an event sink folds (round
+   accounting, and the per-round phi trajectory of a synchronous MST run:
+   non-increasing once the configuration is legal, ending at 0), and a
+   property pinning that fold to the pre-refactor Telemetry sink, kept
+   verbatim in test/oracle and driven from the engine's public hooks. *)
 
 open Repro_graph
 open Repro_runtime
 open Repro_core
 module Json = Metrics.Json
+module Builders = Repro_campaign.Builders
+module Telemetry = Builder_oracle.Telemetry
+module Telemetry_hooks = Builder_oracle.Telemetry_hooks
 
 let seed i = Random.State.make [| 0x7E1E; i |]
-
-(* ------------------------------------------------------------------ *)
-(* Metrics: histogram bucketing *)
-
-let test_bucket_index () =
-  Alcotest.(check int) "0 -> bucket 0" 0 (Metrics.bucket_index 0);
-  Alcotest.(check int) "negative -> bucket 0" 0 (Metrics.bucket_index (-5));
-  Alcotest.(check int) "min_int -> bucket 0" 0 (Metrics.bucket_index min_int);
-  Alcotest.(check int) "1 -> bucket 1" 1 (Metrics.bucket_index 1);
-  Alcotest.(check int) "2 -> bucket 2" 2 (Metrics.bucket_index 2);
-  Alcotest.(check int) "3 -> bucket 2" 2 (Metrics.bucket_index 3);
-  Alcotest.(check int) "4 -> bucket 3" 3 (Metrics.bucket_index 4);
-  Alcotest.(check int) "max_int -> bucket 62" 62 (Metrics.bucket_index max_int);
-  Alcotest.(check int) "lower of bucket 0" 0 (Metrics.bucket_lower 0);
-  Alcotest.(check int) "lower of bucket 1" 1 (Metrics.bucket_lower 1);
-  Alcotest.(check int) "lower of bucket 62" (1 lsl 61) (Metrics.bucket_lower 62);
-  (* Every positive value lands in the bucket [2^(i-1), 2^i - 1]. *)
-  List.iter
-    (fun v ->
-      let lower = Metrics.bucket_lower (Metrics.bucket_index v) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d >= its bucket lower bound" v)
-        true (v >= lower);
-      Alcotest.(check bool)
-        (Printf.sprintf "%d/2 < its bucket lower bound" v)
-        true (v lsr 1 < lower))
-    [ 1; 2; 3; 4; 7; 8; 1000; 65535; 65536; max_int ]
-
-let test_histogram_observe () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg "h" in
-  Alcotest.(check (option int)) "empty min" None (Metrics.hist_min h);
-  Alcotest.(check (option int)) "empty max" None (Metrics.hist_max h);
-  List.iter (Metrics.observe h) [ 0; 1; max_int ];
-  Alcotest.(check int) "count" 3 (Metrics.hist_count h);
-  Alcotest.(check (option int)) "min" (Some 0) (Metrics.hist_min h);
-  Alcotest.(check (option int)) "max" (Some max_int) (Metrics.hist_max h);
-  Alcotest.(check (list (pair int int)))
-    "buckets: one value in each of 0, 1, 2^61"
-    [ (0, 1); (1, 1); (1 lsl 61, 1) ]
-    (Metrics.buckets h)
-
-let test_registry () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter reg "runs" in
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  Alcotest.(check int) "counter" 5 (Metrics.counter_value c);
-  Alcotest.(check int) "idempotent registration" 5
-    (Metrics.counter_value (Metrics.counter reg "runs"));
-  let g = Metrics.gauge reg "phi" in
-  Alcotest.(check (option int)) "gauge unset" None (Metrics.gauge_value g);
-  Metrics.set g 42;
-  Alcotest.(check (option int)) "gauge set" (Some 42) (Metrics.gauge_value g);
-  Alcotest.check_raises "kind collision" (Invalid_argument
-    "Metrics: \"runs\" already registered as a different kind (gauge)") (fun () ->
-      ignore (Metrics.gauge reg "runs"));
-  match Json.member "counters" (Metrics.to_json reg) with
-  | Some (Json.Obj fields) ->
-      Alcotest.(check bool) "counter in json" true
-        (List.assoc_opt "runs" fields = Some (Json.Int 5))
-  | _ -> Alcotest.fail "no counters object"
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trips *)
@@ -168,43 +111,39 @@ let test_json_unicode_escapes () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry accounting on a real run *)
+(* The series an event sink folds, on a real run *)
 
 module ME = Mst_builder.Engine
 
 let mst_run () =
   let rng = seed 1 in
   let g = Generators.random_connected rng ~n:12 ~m:24 in
-  let telemetry = Telemetry.create () in
+  let sink = Events.series () in
   let r =
-    ME.run ~track_legal:true g Scheduler.Synchronous rng ~init:(ME.initial g) ~telemetry
+    ME.run ~track_legal:true g Scheduler.Synchronous rng ~init:(ME.initial g) ~events:sink
   in
-  (g, r, telemetry)
+  (g, r, sink)
 
-let test_telemetry_accounting () =
-  let _g, r, tel = mst_run () in
+let test_round_accounting () =
+  let _g, r, sink = mst_run () in
   Alcotest.(check bool) "silent" true r.ME.silent;
-  let samples = Telemetry.samples tel in
+  let samples = Events.samples sink in
   Alcotest.(check bool) "one sample per round boundary" true
     (List.length samples = r.ME.rounds + 1);
-  let last = Option.get (Telemetry.last tel) in
-  Alcotest.(check int) "writes_total = engine steps" r.ME.steps last.Telemetry.writes_total;
-  Alcotest.(check int) "no node enabled at the end" 0 last.Telemetry.enabled;
-  let sum_writes =
-    List.fold_left (fun acc s -> acc + s.Telemetry.writes) 0 samples
-  in
+  let last = List.nth samples (List.length samples - 1) in
+  Alcotest.(check int) "writes_total = engine steps" r.ME.steps last.Events.writes_total;
+  Alcotest.(check int) "no node enabled at the end" 0 last.Events.enabled;
+  let sum_writes = List.fold_left (fun acc s -> acc + s.Events.writes) 0 samples in
   Alcotest.(check int) "per-round writes sum to the total" r.ME.steps sum_writes;
   Alcotest.(check bool) "round-boundary max_bits <= engine max_bits" true
-    (List.for_all (fun s -> s.Telemetry.max_bits <= r.ME.max_bits) samples);
-  (* CSV: header + one line per sample. *)
-  let lines = String.split_on_char '\n' (String.trim (Telemetry.to_csv tel)) in
-  Alcotest.(check int) "csv line count" (List.length samples + 1) (List.length lines)
+    (List.for_all (fun s -> s.Events.max_bits <= r.ME.max_bits) samples);
+  Alcotest.(check int) "a series sink retains no events" 0 (Events.retained sink)
 
-let test_telemetry_json_roundtrip () =
-  let _g, _r, tel = mst_run () in
-  let j = Telemetry.to_json ~meta:[ ("algo", Json.Str "mst") ] tel in
+let test_series_json_roundtrip () =
+  let _g, _r, sink = mst_run () in
+  let j = Events.series_json ~meta:[ ("algo", Json.Str "mst") ] sink in
   match Json.of_string (Json.to_string j) with
-  | None -> Alcotest.fail "telemetry json does not parse"
+  | None -> Alcotest.fail "series json does not parse"
   | Some j' ->
       Alcotest.(check bool) "round-trip equal" true (j = j');
       (match Json.member "summary" j' with
@@ -218,13 +157,13 @@ let test_telemetry_json_roundtrip () =
       | _ -> Alcotest.fail "no rounds series")
 
 let test_phi_non_increasing_after_legal () =
-  let _g, r, tel = mst_run () in
+  let _g, r, sink = mst_run () in
   let first_legal =
     match r.ME.first_legal_round with
     | Some x -> x
     | None -> Alcotest.fail "run never became legal"
   in
-  let phis = Telemetry.phi_series tel in
+  let phis = Events.phi_series sink in
   Alcotest.(check bool) "phi defined on some rounds" true (phis <> []);
   let _, final = List.nth phis (List.length phis - 1) in
   Alcotest.(check int) "phi ends at 0" 0 final;
@@ -244,22 +183,76 @@ let test_phi_non_increasing_after_legal () =
 let test_record_phi_opt_out () =
   let rng = seed 2 in
   let g = Generators.random_connected rng ~n:10 ~m:20 in
-  let telemetry = Telemetry.create ~record_phi:false () in
-  let r = ME.run g Scheduler.Synchronous rng ~init:(ME.initial g) ~telemetry in
+  let sink = Events.series ~record_phi:false () in
+  let r = ME.run g Scheduler.Synchronous rng ~init:(ME.initial g) ~events:sink in
   Alcotest.(check bool) "silent" true r.ME.silent;
-  Alcotest.(check (list (pair int int))) "no phi recorded" [] (Telemetry.phi_series telemetry)
+  Alcotest.(check (list (pair int int))) "no phi recorded" [] (Events.phi_series sink)
+
+(* ------------------------------------------------------------------ *)
+(* The fold equals the pre-refactor sink. For every builder on the
+   engine the registry picks for it, under every daemon of the extended
+   roster, from the designated and from an adversarial start, with an
+   adversary corrupting two nodes at round 2, run to its limits and cut
+   short by [stop_when] after 25 writes: the event sink's series and
+   summary JSON equal what the oracle Telemetry computes from the
+   [on_round]/[on_step] hooks of the same run. Limits stay low: some
+   builder/daemon pairs livelock by design (MST under max-id). *)
+
+let series_match (Builders.Builder e) (sd, g) =
+  let module E = (val Builders.engine e) in
+  let module P = (val e.Builders.protocol) in
+  let n = Graph.n g in
+  let frng = Random.State.make [| sd; 9 |] in
+  let faults = List.map (fun v -> (v, P.random_state frng g v)) [ 0; n - 1 ] in
+  let adversary ~round _ = if round = 2 then faults else [] in
+  let run sched ~adversarial ~cut =
+    let init =
+      if adversarial then E.adversarial (Random.State.make [| sd; 7 |]) g else E.initial g
+    in
+    let tel, on_round, on_write = Telemetry_hooks.attach (module P) g in
+    let steps = ref 0 in
+    let on_step v sts =
+      incr steps;
+      on_write v sts
+    in
+    let stop_when () = cut && !steps >= 25 in
+    let sink = Events.series () in
+    ignore
+      (E.run ~max_steps:2_000 ~max_rounds:200 ~on_round ~on_step ~adversary ~stop_when
+         ~events:sink g sched
+         (Random.State.make [| sd; 31 |])
+         ~init);
+    let ours = Events.series_json sink and theirs = Telemetry.to_json tel in
+    List.for_all (fun k -> Json.member k ours = Json.member k theirs) [ "rounds"; "summary" ]
+  in
+  List.for_all
+    (fun (name, sched) ->
+      List.for_all
+        (fun (adversarial, cut) ->
+          run sched ~adversarial ~cut
+          || QCheck2.Test.fail_reportf "%s under %s (n=%d, adversarial %b, cut %b)"
+               e.Builders.name name n adversarial cut)
+        [ (false, false); (true, false); (false, true); (true, true) ])
+    Scheduler.extended
+
+let prop_series_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:12
+       ~name:"event-sink series = oracle Telemetry (every builder x extended roster)"
+       QCheck2.Gen.(
+         let* n = int_range 2 8 in
+         let* extra = int_range 0 n in
+         let* sd = int_bound 1_000_000 in
+         return
+           (sd, Generators.random_connected (Random.State.make [| sd |]) ~n ~m:(n - 1 + extra)))
+       (fun case -> List.for_all (fun b -> series_match b case) Builders.all))
 
 (* ------------------------------------------------------------------ *)
 
 let () =
+  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_telemetry"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "bucket index edge cases" `Quick test_bucket_index;
-          Alcotest.test_case "histogram observe 0/1/max_int" `Quick test_histogram_observe;
-          Alcotest.test_case "registry" `Quick test_registry;
-        ] );
       ( "json",
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
@@ -269,11 +262,12 @@ let () =
         ] );
       ( "telemetry",
         [
-          Alcotest.test_case "round accounting + csv" `Quick test_telemetry_accounting;
+          Alcotest.test_case "round accounting" `Quick test_round_accounting;
           Alcotest.test_case "json round-trip, phi_final = 0" `Quick
-            test_telemetry_json_roundtrip;
+            test_series_json_roundtrip;
           Alcotest.test_case "phi non-increasing after legality" `Quick
             test_phi_non_increasing_after_legal;
           Alcotest.test_case "record_phi opt-out" `Quick test_record_phi_opt_out;
+          prop_series_oracle;
         ] );
     ]
