@@ -13,7 +13,8 @@
    keyed by (trace, algo, n0), carry no wall_ns (0), and the big-tier
    cells carry qps. *)
 
-module Json = Repro_runtime.Metrics.Json
+open Repro_runtime
+module Json = Metrics.Json
 
 type record = {
   exp : string;
@@ -35,47 +36,39 @@ let pp_key ppf k =
 (* ------------------------------------------------------------------ *)
 (* Loading *)
 
-let record_of_json j =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  match (str "exp", str "algo", int "n", int "rounds", int "steps", int "max_bits",
-         int "wall_ns")
-  with
-  | Some exp, Some algo, Some n, Some rounds, Some steps, Some max_bits, Some wall_ns
-    -> Some { exp; algo; n; rounds; steps; max_bits; wall_ns; qps = int "qps" }
-  | _ -> None
+(* [Artifact.read] of the record list checks every record against its
+   declaration, so a malformed record fails with the validator's
+   message, and the field reads below cannot fail. *)
+let field f j = Result.get_ok (Artifact.read f j)
+
+let bench_record j =
+  let open Bench_record.Fields in
+  let get f = field f j in
+  { exp = get exp; algo = get algo; n = get n; rounds = get rounds; steps = get steps;
+    max_bits = get max_bits; wall_ns = get wall_ns; qps = None }
 
 (* A SERVICE_repro.json cell mapped onto the record shape: the churn
    trace plays the experiment name, n0 the size; there is no per-cell
    wall time (0 = never breaches), and big-tier cells carry qps. *)
-let record_of_service_cell j =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  match (str "trace", str "algo", int "n0", int "rounds", int "steps", int "max_bits")
-  with
-  | Some exp, Some algo, Some n, Some rounds, Some steps, Some max_bits ->
-      Some { exp; algo; n; rounds; steps; max_bits; wall_ns = 0; qps = int "qps" }
-  | _ -> None
+let service_record j =
+  let open Repro_campaign.Service_campaign.Fields in
+  let get f = field f j in
+  { exp = get trace; algo = get algo; n = get n0; rounds = get rounds; steps = get steps;
+    max_bits = get max_bits; wall_ns = 0; qps = get qps }
 
 let load path =
+  let records list record j = Result.map (List.map record) (Artifact.read list j) in
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | contents -> (
-      match Json.of_string contents with
-      | None -> Error (path ^ ": not valid JSON")
-      | Some j -> (
-          match (Json.member "experiments" j, Json.member "cells" j) with
-          | Some (Json.List items), _ ->
-              let records = List.filter_map record_of_json items in
-              if List.length records <> List.length items then
-                Error (path ^ ": malformed experiment record")
-              else Ok records
-          | None, Some (Json.List items) ->
-              let records = List.filter_map record_of_service_cell items in
-              if List.length records <> List.length items then
-                Error (path ^ ": malformed service cell")
-              else Ok records
-          | _ -> Error (path ^ ": missing \"experiments\" or \"cells\" list")))
+  | contents ->
+      Result.map_error
+        (fun msg -> path ^ ": " ^ msg)
+        (match (Json.of_string contents, Schema.sniff contents) with
+        | None, _ -> Error "not valid JSON"
+        | Some j, Some `Bench -> records Bench_record.experiments bench_record j
+        | Some j, Some `Service ->
+            records Repro_campaign.Service_campaign.cells service_record j
+        | Some _, _ -> Error "not a BENCH or SERVICE artifact")
 
 (* Records keyed by (exp, algo, n) with a running occurrence index, so
    repeated configurations (E2 runs gnp-16 twice) stay distinguishable

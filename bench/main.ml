@@ -15,6 +15,7 @@ open Repro_runtime
 open Repro_labels
 open Repro_core
 open Repro_baselines
+open Repro_bench
 module E = Graph.Edge
 
 (* [--seed N] replaces the default RNG seed base; [--out FILE] redirects
@@ -59,7 +60,7 @@ let selected id = exp_args = [] || List.mem id exp_args
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_repro.json: every engine run an experiment performs is recorded
-   as {exp, algo, n, tier, rounds, steps, max_bits, wall_ns} and the
+   as one [Bench_record.t] (the artifact's declaration) and the
    collection is written at exit — the machine-readable trajectory perf
    PRs diff against. [tier] is "std" for the classic small-n cells and
    "big" for the BIG experiment's 10^3..10^5 cells (the @bigbench
@@ -68,16 +69,10 @@ let selected id = exp_args = [] || List.mem id exp_args
    aggregates across every domain and inflates each record as soon as
    cells run in parallel. *)
 
-let bench_records : Metrics.Json.t list ref = ref []
+let bench_records : Bench_record.t list ref = ref []
 
 let record ?(tier = "std") ~exp ~algo ~n ~rounds ~steps ~max_bits ~wall_ns () =
-  Metrics.Json.(
-    Obj
-      [
-        ("exp", Str exp); ("algo", Str algo); ("n", Int n); ("tier", Str tier);
-        ("rounds", Int rounds); ("steps", Int steps); ("max_bits", Int max_bits);
-        ("wall_ns", Int wall_ns);
-      ])
+  { Bench_record.exp; algo; n; tier; rounds; steps; max_bits; wall_ns }
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -115,16 +110,8 @@ let par_rows items f =
 
 let write_bench_repro () =
   let path = out_path in
-  let json =
-    Metrics.Json.(
-      Obj
-        [
-          ("seed", Int seed_base);
-          ("experiments", List (List.rev !bench_records));
-        ])
-  in
   let oc = open_out path in
-  Metrics.Json.to_channel oc json;
+  Metrics.Json.to_channel oc (Bench_record.to_json ~seed:seed_base (List.rev !bench_records));
   close_out oc;
   Format.printf "%s: %d engine-run records written@." path (List.length !bench_records)
 

@@ -734,9 +734,9 @@ let validate_cmd =
               | None -> Error "not valid JSON"
               | Some j -> (
                   match k with
-                  | `Bench -> Schema.validate_bench j
-                  | `Chaos -> Schema.validate_chaos j
-                  | `Service -> Schema.validate_service j))
+                  | `Bench -> Repro_bench.Bench_record.validate j
+                  | `Chaos -> Campaign.validate j
+                  | `Service -> Service_campaign.validate j))
         in
         match result with
         | Ok count ->

@@ -147,57 +147,86 @@ let csv_row c =
     c.seed_index c.recovered c.verdict c.base_rounds c.rounds c.steps
     (List.length c.injections)
 
-let injection_json (i : Chaos.injection) =
-  let opt_int = function Some v -> Json.Int v | None -> Json.Null in
-  Json.Obj
+(* ------------------------------------------------------------------ *)
+(* CHAOS_repro.json, declared once: the writer ([campaign_json]) and
+   the validator ([validate]) are both derived from these fields. *)
+
+let tiers = [ "std"; "big" ]
+
+type artifact = {
+  family : string;
+  size : int;
+  seeds : int;
+  seed_base : int;
+  max_rounds : int;
+  max_injections : int;
+  cells : cell list;
+}
+
+let injection : Chaos.injection Artifact.t =
+  Artifact.
     [
-      ("round", Json.Int i.Chaos.round);
-      ("nodes", Json.List (List.map (fun v -> Json.Int v) i.Chaos.nodes));
-      ("gap", opt_int i.Chaos.gap);
-      ("radius", opt_int i.Chaos.radius);
-      ("touched", Json.Int i.Chaos.touched);
+      F (field "round" int (fun i -> i.Chaos.round));
+      F (field "nodes" (list int) (fun i -> i.Chaos.nodes));
+      F (field "gap" (nullable int) (fun i -> i.Chaos.gap));
+      F (field "radius" (nullable int) (fun i -> i.Chaos.radius));
+      F (field "touched" int (fun i -> i.Chaos.touched));
     ]
 
-let cell_json c =
-  Json.Obj
+let cell : cell Artifact.t =
+  Artifact.
     [
-      ("algo", Json.Str c.algo);
-      ("plan", Json.Str c.plan_name);
-      ("sched", Json.Str c.sched_name);
-      ("seed", Json.Int c.seed_index);
-      ("n", Json.Int c.n);
-      ("m", Json.Int c.m);
-      ("base_rounds", Json.Int c.base_rounds);
-      ("rounds", Json.Int c.rounds);
-      ("steps", Json.Int c.steps);
-      ("silent", Json.Bool c.silent);
-      ("legal", Json.Bool c.legal);
-      ("recovered", Json.Bool c.recovered);
-      ("verdict", Json.Str c.verdict);
-      ("max_bits", Json.Int c.max_bits);
-      ("injections", Json.List (List.map injection_json c.injections));
+      F (field "algo" string (fun c -> c.algo));
+      F (field "plan" string (fun c -> c.plan_name));
+      F (field "sched" string (fun c -> c.sched_name));
+      F (field "seed" int (fun c -> c.seed_index));
+      F (field "n" int (fun c -> c.n));
+      F (field "m" int (fun c -> c.m));
+      F (field "base_rounds" int (fun c -> c.base_rounds));
+      F (field "rounds" int (fun c -> c.rounds));
+      F (field "steps" int (fun c -> c.steps));
+      F (field "silent" bool (fun c -> c.silent));
+      F (field "legal" bool (fun c -> c.legal));
+      F (field "recovered" bool (fun c -> c.recovered));
+      F (field "verdict" (enum Watchdog.verdict_names) (fun c -> c.verdict));
+      F (field "max_bits" int (fun c -> c.max_bits));
+      F (field "injections" (list (obj injection)) (fun c -> c.injections));
+    ]
+
+let cells = Artifact.(field "cells" (list (obj cell)) (fun a -> a.cells))
+
+let artifact : artifact Artifact.t =
+  Artifact.
+    [
+      F
+        (field "meta"
+           (obj
+              [
+                F (field "experiment" string (fun _ -> "E8-chaos"));
+                F (field "graph" string (fun a -> a.family));
+                F (field "n" int (fun a -> a.size));
+                F (field "seeds" int (fun a -> a.seeds));
+                F (field "seed_base" int (fun a -> a.seed_base));
+                F (field "max_rounds" int (fun a -> a.max_rounds));
+                F (field "max_injections" int (fun a -> a.max_injections));
+              ])
+           Fun.id);
+      F cells;
+      F
+        (field "summary"
+           (obj
+              [
+                F (field "cells" int List.length);
+                F (field "recovered" int (fun cs -> List.length cs - failed cs));
+                F (field "failed" int failed);
+              ])
+           (fun a -> a.cells));
     ]
 
 let campaign_json ~family ~n ~seeds ~seed_base ~max_rounds ~max_injections cells =
-  Json.Obj
-    [
-      ( "meta",
-        Json.Obj
-          [
-            ("experiment", Json.Str "E8-chaos");
-            ("graph", Json.Str family);
-            ("n", Json.Int n);
-            ("seeds", Json.Int seeds);
-            ("seed_base", Json.Int seed_base);
-            ("max_rounds", Json.Int max_rounds);
-            ("max_injections", Json.Int max_injections);
-          ] );
-      ("cells", Json.List (List.map cell_json cells));
-      ( "summary",
-        Json.Obj
-          [
-            ("cells", Json.Int (List.length cells));
-            ("recovered", Json.Int (List.length cells - failed cells));
-            ("failed", Json.Int (failed cells));
-          ] );
-    ]
+  Artifact.to_json artifact
+    { family; size = n; seeds; seed_base; max_rounds; max_injections; cells }
+
+let validate j =
+  Result.bind (Artifact.check artifact j) (fun () ->
+      Result.map List.length (Artifact.read cells j))

@@ -116,9 +116,19 @@ val failure_line : cell -> string
 val csv_header : string
 val csv_row : cell -> string
 
-(** The CHAOS_repro.json document: [{meta, cells, summary}], field
-    order pinned (the smoke gate compares artifacts byte-for-byte
-    across [--jobs]). *)
+(** {2 The CHAOS_repro.json artifact}
+
+    [{meta, cells, summary}], each cell with its [injections] records,
+    declared once ({!Repro_runtime.Artifact}) in a pinned field order
+    (the smoke gate compares artifacts byte-for-byte across [--jobs]).
+    {!campaign_json} and {!validate} are derived from that
+    declaration. *)
+
+(** The bench tiers, ["std"] (the pinned repro cells) and ["big"] (the
+    scaling tier): the values of a BENCH record's or a SERVICE cell's
+    optional ["tier"] field. *)
+val tiers : string list
+
 val campaign_json :
   family:string ->
   n:int ->
@@ -128,3 +138,8 @@ val campaign_json :
   max_injections:int ->
   cell list ->
   Repro_runtime.Metrics.Json.t
+
+(** [repro_cli validate --kind chaos]: [Ok cells] or the first
+    violation, e.g. [cell 3: injection 0: field "gap" is not an int or
+    null]. *)
+val validate : Repro_runtime.Metrics.Json.t -> (int, string) result

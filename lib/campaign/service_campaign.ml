@@ -198,126 +198,144 @@ let csv_header =
   "algo,trace,sched,fallback,seed,recovered,verdict,base_rounds,rounds,steps,\
    events,queries,stale,violations,retries,escalations,restarts,crashes"
 
-let totals (r : Service.report) =
-  List.fold_left
-    (fun (q, st, vl, re, es, rs, cr) (e : Service.event_outcome) ->
-      ( q + e.Service.queries,
-        st + e.Service.stale,
-        vl + e.Service.violations,
-        re + e.Service.retries,
-        es + e.Service.escalations,
-        rs + e.Service.restarts,
-        cr + e.Service.crashes ))
-    (0, 0, 0, 0, 0, 0, 0) r.Service.events
+let sum f events = List.fold_left (fun acc (e : Service.event_outcome) -> acc + f e) 0 events
+
+(* The per-event counters, in the order the CSV row and the artifact's
+   event records and cell totals list them. *)
+let counters : (string * (Service.event_outcome -> int)) list =
+  [
+    ("queries", fun e -> e.Service.queries);
+    ("stale", fun e -> e.Service.stale);
+    ("violations", fun e -> e.Service.violations);
+    ("retries", fun e -> e.Service.retries);
+    ("escalations", fun e -> e.Service.escalations);
+    ("restarts", fun e -> e.Service.restarts);
+    ("crashes", fun e -> e.Service.crashes);
+  ]
 
 let csv_row c =
   let r = c.report in
-  let q, st, vl, re, es, rs, cr = totals r in
-  Printf.sprintf "%s,%s,%s,%s,%d,%b,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d" c.algo
-    c.trace_name c.sched_name c.fallback_name c.seed_index r.Service.recovered
+  Printf.sprintf "%s,%s,%s,%s,%d,%b,%s,%d,%d,%d,%d,%s" c.algo c.trace_name c.sched_name
+    c.fallback_name c.seed_index r.Service.recovered
     (Watchdog.verdict_name r.Service.verdict)
     r.Service.base_rounds r.Service.rounds r.Service.steps
     (List.length r.Service.events)
-    q st vl re es rs cr
+    (String.concat ","
+       (List.map (fun (_, get) -> string_of_int (sum get r.Service.events)) counters))
 
-let event_json (e : Service.event_outcome) =
-  Json.Obj
+(* ------------------------------------------------------------------ *)
+(* SERVICE_repro.json, declared once: the writer ([campaign_json]), the
+   validator ([validate]) and bench-diff's reads ([Fields]) are all
+   derived from these fields. *)
+
+type artifact = {
+  family : string;
+  size : int;
+  seeds : int;
+  seed_base : int;
+  traces : Churn.t list;
+  retry_budget : int;
+  max_retries : int;
+  queries_per_round : int;
+  cells : cell list;
+}
+
+let event : Service.event_outcome Artifact.t =
+  Artifact.(
     [
-      ("op", Json.Str e.Service.op);
-      ("round", Json.Int e.Service.apply_round);
-      ("gap", match e.Service.gap with Some g -> Json.Int g | None -> Json.Null);
-      ("steps", Json.Int e.Service.steps);
-      ("queries", Json.Int e.Service.queries);
-      ("stale", Json.Int e.Service.stale);
-      ("violations", Json.Int e.Service.violations);
-      ("retries", Json.Int e.Service.retries);
-      ("escalations", Json.Int e.Service.escalations);
-      ("restarts", Json.Int e.Service.restarts);
-      ("crashes", Json.Int e.Service.crashes);
-      ("recovered", Json.Bool e.Service.recovered);
+      F (field "op" string (fun e -> e.Service.op));
+      F (field "round" int (fun e -> e.Service.apply_round));
+      F (field "gap" (nullable int) (fun e -> e.Service.gap));
+      F (field "steps" int (fun (e : Service.event_outcome) -> e.steps));
+    ]
+    @ List.map (fun (name, get) -> F (field name int get)) counters
+    @ [ F (field "recovered" bool (fun (e : Service.event_outcome) -> e.recovered)) ])
+
+let totals : Service.event_outcome list Artifact.t =
+  List.map (fun (name, get) -> Artifact.(F (field name int (sum get)))) counters
+
+(* The cell fields bench-diff reads; {!cell} lists them in place. *)
+module Fields = struct
+  open Artifact
+
+  let algo = field "algo" string (fun c -> c.algo)
+  let trace = field "trace" string (fun c -> c.trace_name)
+  let n0 = field "n0" int (fun c -> c.n0)
+  let rounds = field "rounds" int (fun c -> c.report.Service.rounds)
+  let steps = field "steps" int (fun c -> c.report.Service.steps)
+  let max_bits = field "max_bits" int (fun c -> c.report.Service.max_bits)
+  let qps = field "qps" (optional int) (fun c -> c.qps)
+end
+
+let cell : cell Artifact.t =
+  Artifact.
+    [
+      F Fields.algo;
+      F Fields.trace;
+      F (field "sched" string (fun c -> c.sched_name));
+      F (field "fallback" string (fun c -> c.fallback_name));
+      F (field "seed" int (fun c -> c.seed_index));
+      F (field "tier" (optional (enum Campaign.tiers)) (fun c -> Some c.tier));
+      F Fields.n0;
+      F (field "m0" int (fun c -> c.m0));
+      F (field "n_final" int (fun c -> c.report.Service.n_final));
+      F (field "m_final" int (fun c -> c.report.Service.m_final));
+      F (field "base_rounds" int (fun c -> c.report.Service.base_rounds));
+      F Fields.rounds;
+      F Fields.steps;
+      F (field "recovered" bool recovered);
+      F
+        (field "verdict" (enum Watchdog.verdict_names) (fun c ->
+             Watchdog.verdict_name c.report.Service.verdict));
+      F Fields.max_bits;
+      F Fields.qps;
+      F (field "totals" (obj totals) (fun c -> c.report.Service.events));
+      F (field "events" (list (obj event)) (fun c -> c.report.Service.events));
     ]
 
-let cell_json c =
-  let r = c.report in
-  let q, st, vl, re, es, rs, cr = totals r in
-  Json.Obj
-    ([
-       ("algo", Json.Str c.algo);
-       ("trace", Json.Str c.trace_name);
-       ("sched", Json.Str c.sched_name);
-       ("fallback", Json.Str c.fallback_name);
-       ("seed", Json.Int c.seed_index);
-       ("tier", Json.Str c.tier);
-       ("n0", Json.Int c.n0);
-       ("m0", Json.Int c.m0);
-       ("n_final", Json.Int r.Service.n_final);
-       ("m_final", Json.Int r.Service.m_final);
-       ("base_rounds", Json.Int r.Service.base_rounds);
-       ("rounds", Json.Int r.Service.rounds);
-       ("steps", Json.Int r.Service.steps);
-       ("recovered", Json.Bool r.Service.recovered);
-       ("verdict", Json.Str (Watchdog.verdict_name r.Service.verdict));
-       ("max_bits", Json.Int r.Service.max_bits);
-     ]
-    @ (match c.qps with Some rate -> [ ("qps", Json.Int rate) ] | None -> [])
-    @ [
-        ( "totals",
-          Json.Obj
-            [
-              ("queries", Json.Int q);
-              ("stale", Json.Int st);
-              ("violations", Json.Int vl);
-              ("retries", Json.Int re);
-              ("escalations", Json.Int es);
-              ("restarts", Json.Int rs);
-              ("crashes", Json.Int cr);
-            ] );
-        ("events", Json.List (List.map event_json r.Service.events));
-      ])
+let cells = Artifact.(field "cells" (list (obj cell)) (fun a -> a.cells))
+
+let artifact : artifact Artifact.t =
+  let all_events cs = List.concat_map (fun c -> c.report.Service.events) cs in
+  let escalations e = e.Service.escalations and restarts e = e.Service.restarts in
+  Artifact.
+    [
+      F
+        (field "meta"
+           (obj
+              [
+                F (field "experiment" string (fun _ -> "E13-service"));
+                F (field "graph" string (fun a -> a.family));
+                F (field "n" int (fun a -> a.size));
+                F (field "seeds" int (fun a -> a.seeds));
+                F (field "seed_base" int (fun a -> a.seed_base));
+                F (field "retry_budget" int (fun a -> a.retry_budget));
+                F (field "max_retries" int (fun a -> a.max_retries));
+                F (field "queries_per_round" int (fun a -> a.queries_per_round));
+                F (field "traces" (list string) (fun a -> List.map Churn.name a.traces));
+              ])
+           Fun.id);
+      F cells;
+      F
+        (field "summary"
+           (obj
+              [
+                F (field "cells" int List.length);
+                F (field "recovered" int (fun cs -> List.length cs - failed cs));
+                F (field "failed" int failed);
+                F (field "events" int (fun cs -> List.length (all_events cs)));
+                F (field "escalations" int (fun cs -> sum escalations (all_events cs)));
+                F (field "restarts" int (fun cs -> sum restarts (all_events cs)));
+              ])
+           (fun a -> a.cells));
+    ]
 
 let campaign_json ~family ~n ~seeds ~seed_base ~traces ~retry_budget ~max_retries
     ~queries_per_round cells =
-  let sum f =
-    List.fold_left (fun acc c -> acc + f c.report) 0 cells
-  in
-  let n_events = sum (fun r -> List.length r.Service.events) in
-  let n_escalations =
-    sum (fun r ->
-        List.fold_left
-          (fun a (e : Service.event_outcome) -> a + e.Service.escalations)
-          0 r.Service.events)
-  in
-  let n_restarts =
-    sum (fun r ->
-        List.fold_left
-          (fun a (e : Service.event_outcome) -> a + e.Service.restarts)
-          0 r.Service.events)
-  in
-  Json.Obj
-    [
-      ( "meta",
-        Json.Obj
-          [
-            ("experiment", Json.Str "E13-service");
-            ("graph", Json.Str family);
-            ("n", Json.Int n);
-            ("seeds", Json.Int seeds);
-            ("seed_base", Json.Int seed_base);
-            ("retry_budget", Json.Int retry_budget);
-            ("max_retries", Json.Int max_retries);
-            ("queries_per_round", Json.Int queries_per_round);
-            ( "traces",
-              Json.List (List.map (fun t -> Json.Str (Churn.name t)) traces) );
-          ] );
-      ("cells", Json.List (List.map cell_json cells));
-      ( "summary",
-        Json.Obj
-          [
-            ("cells", Json.Int (List.length cells));
-            ("recovered", Json.Int (List.length cells - failed cells));
-            ("failed", Json.Int (failed cells));
-            ("events", Json.Int n_events);
-            ("escalations", Json.Int n_escalations);
-            ("restarts", Json.Int n_restarts);
-          ] );
-    ]
+  Artifact.to_json artifact
+    { family; size = n; seeds; seed_base; traces; retry_budget; max_retries;
+      queries_per_round; cells }
+
+let validate j =
+  Result.bind (Artifact.check artifact j) (fun () ->
+      Result.map List.length (Artifact.read cells j))

@@ -136,8 +136,15 @@ val failed : cell list -> int
     every failing cell before exiting 1. *)
 val failure_line : cell -> string
 
-(** The SERVICE_repro.json artifact (schema:
-    {!Repro_runtime.Schema.validate_service}). *)
+(** {2 The SERVICE_repro.json artifact}
+
+    Declared once ({!Repro_runtime.Artifact}): [{meta, cells,
+    summary}], the meta naming the churn traces, each cell carrying
+    its final topology, verdict, [qps] on the big tier only, the
+    [totals] of its per-event counters and its per-event recovery
+    records. {!campaign_json}, {!validate} and [bench-diff]'s reads
+    ({!Fields}) are all derived from that declaration. *)
+
 val campaign_json :
   family:string ->
   n:int ->
@@ -149,3 +156,28 @@ val campaign_json :
   queries_per_round:int ->
   cell list ->
   Repro_runtime.Metrics.Json.t
+
+(** [repro_cli validate --kind service]: [Ok cells] or the first
+    violation, e.g. [cell 0: event 1: field "recovered" is not a
+    bool]. *)
+val validate : Repro_runtime.Metrics.Json.t -> (int, string) result
+
+(** The cell fields [bench-diff] reads, as declared. *)
+module Fields : sig
+  type 'r f := (cell, 'r, 'r) Repro_runtime.Artifact.field
+
+  val algo : string f
+  val trace : string f
+  val n0 : int f
+  val rounds : int f
+  val steps : int f
+  val max_bits : int f
+  val qps : int option f
+end
+
+(** A whole SERVICE_repro.json document. *)
+type artifact
+
+(** Its ["cells"]: [Artifact.read] hands back each checked cell
+    object. *)
+val cells : (artifact, cell list, Repro_runtime.Metrics.Json.t list) Repro_runtime.Artifact.field

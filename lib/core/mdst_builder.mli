@@ -46,10 +46,20 @@
       detached subtree checks both endpoint degrees and starts the switch
       chain that removes a tree edge at the candidate node.
 
-    At silence the register marking is exactly an FR witness: every
-    degree-Δ node is bad, every degree ≤ Δ−2 node is good, fragments are
-    consistently labeled, and no graph edge joins good nodes of different
-    fragments — so the stable tree is an FR-tree. *)
+    At silence the marking rules are at their fixpoint: every node of
+    degree ≤ Δ−2 is good and good tree neighbours share a fragment id;
+    in every measured run, degree-Δ nodes were bad as well. The register
+    marking is {e not} always an FR witness, though: the closure can
+    stop with a non-tree edge joining good nodes of two fragments. For
+    example, [Generators.gnp (Random.State.make [|3|]) ~n:9 ~p:0.35]
+    run under [Synchronous] from [Engine.initial] ends silent and legal,
+    yet [Min_degree.is_fr_tree g t (marking_of states)] is false: the
+    non-tree edge [{1,6}] joins good nodes of fragments 1 and 6 (in a
+    sweep of 80 connected gnp graphs, n 6–15, mixed daemons and starts,
+    about three silent legal runs in ten end this way). So {!is_legal}
+    searches for a marking itself, and this builder cannot yet verify
+    through [Fr_pls]. Nor does silence imply legality: the veto block
+    can leave a silent non-FR tree (E13). *)
 
 module E = Repro_graph.Graph.Edge
 module Nca = Repro_labels.Nca_labels

@@ -95,8 +95,11 @@ module Codec : Repro_runtime.Protocol.CODEC with type state = state
     parent pointer is an edge of the graph. *)
 val tree_of : Repro_graph.Graph.t -> state array -> Repro_graph.Tree.t option
 
-(** Global legality: the registers encode the (unique) MST with all label
-    layers at their fixpoint and no pending session. *)
+(** Global legality: the parent pointers ({!tree_of}) encode a spanning
+    tree of the graph that is an MST ([Mst.is_mst]). Nothing else is
+    checked: the label layers ([frags], [size], [heavy], [seq]) need not
+    be at their fixpoint and a switch session may still be pending, so
+    a legal configuration need not be silent. *)
 val is_legal : Repro_graph.Graph.t -> state array -> bool
 
 (** The Section VI potential of the currently encoded tree (via

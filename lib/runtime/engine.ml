@@ -3,8 +3,6 @@ module Graph = Repro_graph.Graph
 type ('state, 'k) runner =
   ?max_steps:int ->
   ?max_rounds:int ->
-  ?track_legal:bool ->
-  ?stop_when_legal:bool ->
   ?on_round:(int -> 'state array -> unit) ->
   ?on_step:(int -> 'state array -> unit) ->
   ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
@@ -29,7 +27,6 @@ module type S = sig
     silent : bool;
     legal : bool;
     max_bits : int;
-    first_legal_round : int option;
   }
 
   val initial : Graph.t -> state array
@@ -112,7 +109,6 @@ module Loop (St : STORE) = struct
     silent : bool;
     legal : bool;
     max_bits : int;
-    first_legal_round : int option;
   }
 
   let initial g = Array.init (Graph.n g) (fun v -> P.initial g v)
@@ -127,16 +123,15 @@ module Loop (St : STORE) = struct
     let rec go v = v >= n || (P.step (view_net net states v) = None && go (v + 1)) in
     go 0
 
-  let run ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?(track_legal = false)
-      ?(stop_when_legal = false) ?on_round ?on_step ?adversary ?stop_when ?events ?profile
-      ?init_causes ?(round_offset = 0) ?(step_offset = 0) g sched rng ~init =
+  let run ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?on_round ?on_step ?adversary
+      ?stop_when ?events ?profile ?init_causes ?(round_offset = 0) ?(step_offset = 0) g sched
+      rng ~init =
     let st = St.create ?profile g init in
     let n = Graph.n g in
     let row = Graph.csr_row g and col = Graph.csr_col g in
     let steps = ref 0 in
     let rounds = ref 0 in
     let max_bits = ref (fst (St.bits_summary st)) in
-    let first_legal = ref None in
     let stop = ref false in
     let poll_stop () =
       match stop_when with Some f -> if f () then stop := true | None -> ()
@@ -296,11 +291,6 @@ module Loop (St : STORE) = struct
             ~bits:(St.bits_summary st) ~phi
       | None -> ());
       (match on_round with Some f -> f !rounds (St.config st) | None -> ());
-      (if (track_legal || stop_when_legal) && !first_legal = None then
-         if P.is_legal g (St.config st) then begin
-           first_legal := Some !rounds;
-           if stop_when_legal then stop := true
-         end);
       poll_stop ();
       if not !stop then inject ()
     in
@@ -445,7 +435,6 @@ module Loop (St : STORE) = struct
       silent = Enabled_set.is_empty enabled;
       legal = P.is_legal g states;
       max_bits = !max_bits;
-      first_legal_round = !first_legal;
     }
 end
 
@@ -564,16 +553,14 @@ module Make (P : Protocol.S) = struct
      incremental [run] ([Loop]) can be property-tested against it on
      both stores (test_engine_equiv, test_packed). *)
 
-  let run_reference ?(max_steps = 10_000_000) ?(max_rounds = 200_000)
-      ?(track_legal = false) ?(stop_when_legal = false) ?on_round ?on_step ?adversary
-      ?stop_when g sched rng ~init =
+  let run_reference ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?on_round ?on_step
+      ?adversary ?stop_when g sched rng ~init =
     let net = net_of g in
     let states = Array.copy init in
     let n = Graph.n g in
     let steps = ref 0 in
     let rounds = ref 0 in
     let max_bits = ref (max_bits_of states) in
-    let first_legal = ref None in
     let stop = ref false in
     let poll_stop () =
       match stop_when with Some f -> if f () then stop := true | None -> ()
@@ -634,11 +621,6 @@ module Make (P : Protocol.S) = struct
     in
     let round_boundary () =
       (match on_round with Some f -> f !rounds states | None -> ());
-      (if (track_legal || stop_when_legal) && !first_legal = None then
-        if P.is_legal g states then begin
-          first_legal := Some !rounds;
-          if stop_when_legal then stop := true
-        end);
       poll_stop ();
       if not !stop then inject ()
     in
@@ -775,6 +757,5 @@ module Make (P : Protocol.S) = struct
       silent;
       legal = P.is_legal g states;
       max_bits = !max_bits;
-      first_legal_round = !first_legal;
     }
 end

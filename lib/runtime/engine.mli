@@ -28,8 +28,6 @@
 type ('state, 'k) runner =
   ?max_steps:int ->
   ?max_rounds:int ->
-  ?track_legal:bool ->
-  ?stop_when_legal:bool ->
   ?on_round:(int -> 'state array -> unit) ->
   ?on_step:(int -> 'state array -> unit) ->
   ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
@@ -55,9 +53,6 @@ module type S = sig
     silent : bool;  (** no node enabled at the end *)
     legal : bool;  (** [P.is_legal] holds at the end *)
     max_bits : int;  (** max register size (bits) ever observed *)
-    first_legal_round : int option;
-        (** first round boundary at which the configuration was legal; only
-            tracked when [run] is called with [~track_legal:true] *)
   }
 
   (** [initial g] is the designated boot configuration. *)
@@ -71,18 +66,14 @@ module type S = sig
       on fresh views; short-circuits on the first enabled node. *)
   val silent : Repro_graph.Graph.t -> state array -> bool
 
-  (** [run ?max_steps ?max_rounds ?track_legal ?stop_when_legal
-      ?on_round ?on_step g sched rng ~init] executes until silence or a
-      limit is hit. [on_round] is called with the round index and the
+  (** [run ?max_steps ?max_rounds ?on_round ?on_step g sched rng
+      ~init] executes until silence or a limit is hit. [on_round] is called with the round index and the
       current configuration at every round boundary (round 0 = the
       initial configuration); [on_step] is called after {e every}
       individual register write with the acting node and the live
       configuration — used by invariant monitors such as the loop-freedom
-      check. If [stop_when_legal] is set,
-      execution stops at the first legal round boundary — used for
-      non-silent baselines that never terminate on their own. Defaults:
-      [max_steps] = 10_000_000, [max_rounds] = 200_000,
-      [track_legal] = false.
+      check. Defaults: [max_steps] = 10_000_000, [max_rounds] =
+      200_000.
 
       Two chaos-harness hooks:
 
@@ -195,7 +186,6 @@ module Loop (St : STORE) : sig
     silent : bool;
     legal : bool;
     max_bits : int;
-    first_legal_round : int option;
   }
 
   val initial : Repro_graph.Graph.t -> St.P.state array
@@ -225,8 +215,6 @@ module Make (P : Protocol.S) : sig
   val run_reference :
     ?max_steps:int ->
     ?max_rounds:int ->
-    ?track_legal:bool ->
-    ?stop_when_legal:bool ->
     ?on_round:(int -> P.state array -> unit) ->
     ?on_step:(int -> P.state array -> unit) ->
     ?adversary:(round:int -> P.state array -> (int * P.state) list) ->

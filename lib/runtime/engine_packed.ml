@@ -121,17 +121,14 @@ module Make (P : Protocol.PACKED) = struct
     done;
     bank
 
-  let run_bank ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?on_round ?on_step
-      ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset ?step_offset g sched
-      rng ~bank =
-    run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?on_round ?on_step ?adversary
-      ?stop_when ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng
-      ~init:bank
+  let run_bank ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events
+      ?profile ?init_causes ?round_offset ?step_offset g sched rng ~bank =
+    run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events ?profile
+      ?init_causes ?round_offset ?step_offset g sched rng ~init:bank
 
-  let run ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?on_round ?on_step
-      ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset ?step_offset g sched
-      rng ~init =
-    run_bank ?max_steps ?max_rounds ?track_legal ?stop_when_legal ?on_round ?on_step
-      ?adversary ?stop_when ?events ?profile ?init_causes ?round_offset ?step_offset g sched
-      rng ~bank:(pack_bank ~n:(Graph.n g) init)
+  let run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events ?profile
+      ?init_causes ?round_offset ?step_offset g sched rng ~init =
+    run_bank ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events
+      ?profile ?init_causes ?round_offset ?step_offset g sched rng
+      ~bank:(pack_bank ~n:(Graph.n g) init)
 end

@@ -10,6 +10,8 @@ let verdict_name = function
   | Stalled _ -> "stalled"
   | Exhausted _ -> "exhausted"
 
+let verdict_names = [ "converged"; "livelock"; "stalled"; "exhausted" ]
+
 let pp_verdict ppf = function
   | Converged -> Format.pp_print_string ppf "converged"
   | Livelock { round; period } ->

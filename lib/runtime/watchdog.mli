@@ -30,6 +30,9 @@ type verdict =
       (** limits hit with no recognized pattern *)
 
 val verdict_name : verdict -> string
+
+(** Every name {!verdict_name} returns. *)
+val verdict_names : string list
 val pp_verdict : Format.formatter -> verdict -> unit
 
 type t

@@ -2,8 +2,8 @@
    views, intrusive enabled set, bitset round accounting) must be
    trajectory-identical to the naive executor (Engine.run_reference).
    Property: for random graphs x every scheduler x all four builders,
-   both produce the same {states; steps; rounds; silent; legal} (plus
-   max_bits and first_legal_round) from the same seed. Unit cases pin
+   both produce the same {states; steps; rounds; silent; legal;
+   max_bits} from the same seed. Unit cases pin
    the move-cache invalidation paths: a neighbor's write re-enables a
    cached-disabled node (touch), and a corrupted configuration rebuilds
    the cache from the faulty registers (fault injection). *)
@@ -23,15 +23,15 @@ let seed i = Random.State.make [| 0xF00D; i |]
 let equiv (type s) (module P : Protocol.S with type state = s) g sched ~init ~sd =
   let module En = Engine.Make (P) in
   let limits f =
-    f ~max_steps:20_000 ~max_rounds:2_000 ~track_legal:true g sched
+    f ~max_steps:20_000 ~max_rounds:2_000 g sched
       (Random.State.make [| sd; 31 |])
       ~init
   in
-  let a = limits (fun ~max_steps ~max_rounds ~track_legal g sched rng ~init ->
-      En.run ~max_steps ~max_rounds ~track_legal g sched rng ~init)
+  let a = limits (fun ~max_steps ~max_rounds g sched rng ~init ->
+      En.run ~max_steps ~max_rounds g sched rng ~init)
   in
-  let b = limits (fun ~max_steps ~max_rounds ~track_legal g sched rng ~init ->
-      En.run_reference ~max_steps ~max_rounds ~track_legal g sched rng ~init)
+  let b = limits (fun ~max_steps ~max_rounds g sched rng ~init ->
+      En.run_reference ~max_steps ~max_rounds g sched rng ~init)
   in
   let states_eq =
     Array.length a.En.states = Array.length b.En.states
@@ -41,16 +41,13 @@ let equiv (type s) (module P : Protocol.S with type state = s) g sched ~init ~sd
     states_eq && a.En.steps = b.En.steps && a.En.rounds = b.En.rounds
     && a.En.silent = b.En.silent && a.En.legal = b.En.legal
     && a.En.max_bits = b.En.max_bits
-    && a.En.first_legal_round = b.En.first_legal_round
   in
   if not ok then
     QCheck2.Test.fail_reportf
       "divergence under %a: steps %d/%d rounds %d/%d silent %b/%b legal %b/%b \
-       max_bits %d/%d first_legal %s/%s states_eq %b"
+       max_bits %d/%d states_eq %b"
       Scheduler.pp sched a.En.steps b.En.steps a.En.rounds b.En.rounds a.En.silent
       b.En.silent a.En.legal b.En.legal a.En.max_bits b.En.max_bits
-      (match a.En.first_legal_round with Some r -> string_of_int r | None -> "-")
-      (match b.En.first_legal_round with Some r -> string_of_int r | None -> "-")
       states_eq;
   true
 

@@ -139,10 +139,16 @@ let test_fr_strict_subclass () =
   Alcotest.(check bool) "FR degree <= 3" true (Tree.max_degree t <= 3)
 
 (* ------------------------------------------------------------------ *)
-(* BFS PLS (the Section III scheme as a standalone prover/verifier) *)
+(* BFS PLS (the Section III scheme): the BFS builder's registers built
+   from a tree (parent, root, tree depth) are legal iff the tree is a
+   BFS tree, and its verifier rejects exactly where a graph neighbor is
+   more than one hop closer. *)
 
-module Bp = Repro_labels.Bfs_pls
-module Pls = Repro_labels.Pls
+module BE = Bfs_builder.Engine
+
+let registers t =
+  Array.init (Tree.n t) (fun v ->
+      { St_layer.parent = Tree.parent t v; root = Tree.root t; dist = Tree.depth t v })
 
 let test_bfs_pls_accepts_bfs_trees () =
   List.iter
@@ -150,28 +156,30 @@ let test_bfs_pls_accepts_bfs_trees () =
       let st = seed (130 + i) in
       let g = Generators.random_connected st ~n:(10 + i) ~m:(22 + i) in
       let bfs = Tree.of_graph_bfs g ~root:0 in
-      Alcotest.(check bool) "BFS tree accepted" true (Bp.accepts_tree g bfs))
+      Alcotest.(check bool) "BFS tree accepted" true (Bfs_builder.P.is_legal g (registers bfs)))
     [ 0; 1; 2; 3 ]
 
 let test_bfs_pls_rejects_deep_trees () =
   (* A path-shaped spanning tree of a ring with a chord is not BFS. *)
   let g = Graph.of_edges 5 [ (0, 1, 1); (1, 2, 2); (2, 3, 3); (3, 4, 4); (0, 4, 5) ] in
-  let path = Tree.of_parents ~root:0 [| -1; 0; 1; 2; 3 |] in
-  Alcotest.(check bool) "deep tree rejected" false (Bp.accepts_tree g path);
-  (* and the rejection identifies the paper's swap at node 4: e={0,4},
-     f={4,3}. *)
-  let labels = Bp.prover path in
-  let ctx = Pls.ctx_of g ~parent:(Tree.parents path) ~labels 4 in
-  Alcotest.(check (option (pair int int))) "swap identified" (Some (0, 3)) (Bp.violation ctx)
+  let sts = registers (Tree.of_parents ~root:0 [| -1; 0; 1; 2; 3 |]) in
+  Alcotest.(check bool) "deep tree rejected" false (Bfs_builder.P.is_legal g sts);
+  (* Only node 4 rejects, and its closer neighbor is 0: the paper's swap
+     e={0,4}, f={4,3}. *)
+  Alcotest.(check (list int)) "rejecting nodes" [ 4 ]
+    (List.filter (fun v -> not (Bfs_builder.verify (BE.view g sts v))) [ 0; 1; 2; 3; 4 ]);
+  Alcotest.(check (list int)) "closer neighbor" [ 0 ]
+    (Array.to_list (Graph.neighbors g 4)
+    |> List.filter_map (fun (u, _) ->
+           if sts.(u).St_layer.dist < sts.(4).St_layer.dist - 1 then Some u else None))
 
 let test_bfs_pls_sound_corruption () =
   let st = seed 140 in
   let g = Generators.gnp st ~n:12 ~p:0.4 in
-  let bfs = Tree.of_graph_bfs g ~root:0 in
-  let labels = Bp.prover bfs in
-  labels.(3) <- { labels.(3) with Bp.dist = labels.(3).Bp.dist + 2 };
-  Alcotest.(check bool) "corruption rejected" false
-    (Pls.accepts g ~parent:(Tree.parents bfs) ~labels Bp.verify)
+  let sts = registers (Tree.of_graph_bfs g ~root:0) in
+  Alcotest.(check bool) "BFS tree accepted" true (Bfs_builder.P.is_legal g sts);
+  sts.(3) <- { (sts.(3)) with St_layer.dist = sts.(3).St_layer.dist + 2 };
+  Alcotest.(check bool) "corruption rejected" false (Bfs_builder.P.is_legal g sts)
 
 (* ------------------------------------------------------------------ *)
 (* Minimum-degree Steiner trees (the original Fürer–Raghavachari

@@ -69,25 +69,26 @@ let test_distance_sound_corruption () =
     (Pls.accepts g ~parent ~labels Distance_pls.verify)
 
 (* ------------------------------------------------------------------ *)
-(* Size PLS *)
+(* Size PLS: the size facet of Nca_pls (size(v) = 1 + Σ size(child),
+   the root's size = n) *)
 
 let test_size_complete () =
   for i = 0 to 9 do
     let g = sample_graph i in
-    Alcotest.(check bool) "accepts" true (Size_pls.accepts_tree g (sample_tree g))
+    Alcotest.(check bool) "accepts" true (Nca_pls.accepts_tree g (sample_tree g))
   done
 
 let test_size_sound () =
   let g = sample_graph 4 in
   let t = sample_tree g in
   let parent = Tree.parents t in
-  let labels = Size_pls.prover t in
+  let labels = Nca_pls.prover t in
   let v = if Tree.root t = 1 then 2 else 1 in
-  labels.(v) <- { labels.(v) with Size_pls.size = labels.(v).Size_pls.size + 1 };
+  labels.(v) <- { labels.(v) with Nca_pls.size = labels.(v).Nca_pls.size + 1 };
   Alcotest.(check bool) "rejects bad size" false
-    (Pls.accepts g ~parent ~labels Size_pls.verify);
+    (Pls.accepts g ~parent ~labels Nca_pls.verify);
   Alcotest.(check bool) "rejects cycle" false
-    (Pls.accepts g ~parent:(broken_parents g) ~labels:(Size_pls.prover t) Size_pls.verify)
+    (Pls.accepts g ~parent:(broken_parents g) ~labels:(Nca_pls.prover t) Nca_pls.verify)
 
 (* ------------------------------------------------------------------ *)
 (* Redundant malleable PLS (Lemma 4.1) *)
@@ -622,7 +623,7 @@ let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:60 ~
 
 let prop_all_schemes_complete =
   prop "all PLS accept their prover on any spanning tree" gen_gt (fun (g, t) ->
-      Distance_pls.accepts_tree g t && Size_pls.accepts_tree g t
+      Distance_pls.accepts_tree g t
       && Redundant_pls.accepts_tree g t
       && Interval_labels.accepts_tree g t
       && Nca_pls.accepts_tree g t

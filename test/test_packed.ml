@@ -113,15 +113,15 @@ let equiv_packed (type s) (module B : Protocol.PACKED with type state = s) g sch
   let module En = Engine.Make (B) in
   let module Ep = Engine_packed.Make (B) in
   let limits f =
-    f ~max_steps:20_000 ~max_rounds:2_000 ~track_legal:true g sched
+    f ~max_steps:20_000 ~max_rounds:2_000 g sched
       (Random.State.make [| sd; 31 |])
       ~init
   in
-  let a = limits (fun ~max_steps ~max_rounds ~track_legal g sched rng ~init ->
-      Ep.run ~max_steps ~max_rounds ~track_legal g sched rng ~init)
+  let a = limits (fun ~max_steps ~max_rounds g sched rng ~init ->
+      Ep.run ~max_steps ~max_rounds g sched rng ~init)
   in
-  let b = limits (fun ~max_steps ~max_rounds ~track_legal g sched rng ~init ->
-      En.run_reference ~max_steps ~max_rounds ~track_legal g sched rng ~init)
+  let b = limits (fun ~max_steps ~max_rounds g sched rng ~init ->
+      En.run_reference ~max_steps ~max_rounds g sched rng ~init)
   in
   let states_eq =
     Array.length a.Ep.states = Array.length b.En.states
@@ -131,16 +131,13 @@ let equiv_packed (type s) (module B : Protocol.PACKED with type state = s) g sch
     states_eq && a.Ep.steps = b.En.steps && a.Ep.rounds = b.En.rounds
     && a.Ep.silent = b.En.silent && a.Ep.legal = b.En.legal
     && a.Ep.max_bits = b.En.max_bits
-    && a.Ep.first_legal_round = b.En.first_legal_round
   in
   if not ok then
     QCheck2.Test.fail_reportf
       "packed/reference divergence under %a: steps %d/%d rounds %d/%d silent \
-       %b/%b legal %b/%b max_bits %d/%d first_legal %s/%s states_eq %b"
+       %b/%b legal %b/%b max_bits %d/%d states_eq %b"
       Scheduler.pp sched a.Ep.steps b.En.steps a.Ep.rounds b.En.rounds a.Ep.silent
       b.En.silent a.Ep.legal b.En.legal a.Ep.max_bits b.En.max_bits
-      (match a.Ep.first_legal_round with Some r -> string_of_int r | None -> "-")
-      (match b.En.first_legal_round with Some r -> string_of_int r | None -> "-")
       states_eq;
   true
 
@@ -176,8 +173,8 @@ let test_packed_vs_incremental () =
   let init = Ep.adversarial (seed 42) g in
   List.iter
     (fun sched ->
-      let a = Ep.run ~track_legal:true g sched (seed 43) ~init in
-      let b = En.run ~track_legal:true g sched (seed 43) ~init in
+      let a = Ep.run g sched (seed 43) ~init in
+      let b = En.run g sched (seed 43) ~init in
       Alcotest.(check int) "steps" b.En.steps a.Ep.steps;
       Alcotest.(check int) "rounds" b.En.rounds a.Ep.rounds;
       Alcotest.(check int) "max_bits" b.En.max_bits a.Ep.max_bits;
@@ -268,7 +265,7 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   let init_causes v = [ v; 1000 + v ] in
   let stop_when () = cut && !steps >= 25 in
   let r =
-    E.run ~max_steps:20_000 ~max_rounds:2_000 ~track_legal:true ~on_round ~on_step
+    E.run ~max_steps:20_000 ~max_rounds:2_000 ~on_round ~on_step
       ~adversary ~stop_when ~events ~profile ~init_causes ~round_offset:7 ~step_offset:11 g
       sched
       (Random.State.make [| sd; 31 |])
@@ -278,7 +275,7 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   let counters (p : Profile.t) =
     (p.moves, p.guard_evals, p.touches, p.flushes, p.churn, Profile.rule_counts p)
   in
-  ( (r.E.steps, r.E.rounds, r.E.silent, r.E.legal, r.E.max_bits, r.E.first_legal_round),
+  ( (r.E.steps, r.E.rounds, r.E.silent, r.E.legal, r.E.max_bits),
     List.map (Format.asprintf "%a" B.pp_state) (Array.to_list r.E.states),
     lines (Events.events events),
     Buffer.contents log,

@@ -84,7 +84,7 @@ module EColor = Engine.Make (Coloring)
 
 (* ------------------------------------------------------------------ *)
 (* Toy protocol 3: perpetually enabled, always legal. Exercises engine
-   limits and the stop_when_legal escape hatch. *)
+   limits. *)
 
 module Restless = struct
   type state = int
@@ -235,25 +235,6 @@ let test_limits () =
   in
   Alcotest.(check int) "hit step limit" 100 r2.ERestless.steps
 
-let test_stop_when_legal () =
-  let st = seed 9 in
-  let g = Generators.ring st ~n:6 in
-  let r =
-    ERestless.run g Scheduler.Synchronous st ~stop_when_legal:true
-      ~init:(ERestless.initial g)
-  in
-  Alcotest.(check (option int)) "legal at round 0" (Some 0) r.ERestless.first_legal_round;
-  Alcotest.(check int) "stopped immediately" 0 r.ERestless.steps
-
-let test_track_legal () =
-  let st = seed 10 in
-  let g = Generators.path st ~n:8 in
-  let init = Array.make 8 0 in
-  let r = EDist.run g Scheduler.Synchronous st ~track_legal:true ~init in
-  (match r.EDist.first_legal_round with
-  | Some k -> Alcotest.(check bool) "legal round recorded" true (k <= r.EDist.rounds)
-  | None -> Alcotest.fail "expected legality to be reached")
-
 let test_enabled_and_silent () =
   let st = seed 11 in
   let g = Generators.ring st ~n:8 in
@@ -353,8 +334,6 @@ let () =
           Alcotest.test_case "rounds: adversary" `Quick test_round_accounting_adversary;
           Alcotest.test_case "on_round callback" `Quick test_on_round_callback;
           Alcotest.test_case "limits" `Quick test_limits;
-          Alcotest.test_case "stop_when_legal" `Quick test_stop_when_legal;
-          Alcotest.test_case "track_legal" `Quick test_track_legal;
           Alcotest.test_case "enabled/silent" `Quick test_enabled_and_silent;
         ] );
       ( "fault",

@@ -103,7 +103,7 @@ let stabilized_parents (type s) (module P : Service.TREE_PROTOCOL with type stat
   let module En = Engine.Make (P) in
   let rng = Random.State.make [| sd; 3 |] in
   let init = En.adversarial rng g in
-  let r = En.run ~track_legal:true g Scheduler.Synchronous rng ~init in
+  let r = En.run g Scheduler.Synchronous rng ~init in
   if not r.En.silent then QCheck2.Test.fail_report "builder did not stabilize";
   Array.map (fun s -> P.parent_of s) r.En.states
 
@@ -263,7 +263,7 @@ let mdst_silent_illegal rng ~n ~m =
   let g = Generators.random_connected rng ~n ~m in
   let init = En.adversarial rng g in
   let r =
-    En.run ~max_steps:2_000_000 ~max_rounds:20_000 ~track_legal:true g
+    En.run ~max_steps:2_000_000 ~max_rounds:20_000 g
       (Scheduler.Central Scheduler.Random_daemon)
       rng ~init
   in
@@ -311,7 +311,7 @@ let test_mdst_known_failure_e13_cell () =
   let module En = Engine.Make (Mdst_builder.P) in
   let init = En.adversarial rng g in
   let r =
-    En.run ~max_steps:2_000_000 ~max_rounds:20_000 ~track_legal:true g
+    En.run ~max_steps:2_000_000 ~max_rounds:20_000 g
       (Scheduler.Central Scheduler.Random_daemon)
       rng ~init
   in

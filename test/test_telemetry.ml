@@ -115,17 +115,21 @@ let test_json_unicode_escapes () =
 
 module ME = Mst_builder.Engine
 
+(* Also returns the first round boundary at which the configuration was
+   legal. *)
 let mst_run () =
   let rng = seed 1 in
   let g = Generators.random_connected rng ~n:12 ~m:24 in
   let sink = Events.series () in
-  let r =
-    ME.run ~track_legal:true g Scheduler.Synchronous rng ~init:(ME.initial g) ~events:sink
+  let first_legal = ref None in
+  let on_round round sts =
+    if !first_legal = None && Mst_builder.P.is_legal g sts then first_legal := Some round
   in
-  (g, r, sink)
+  let r = ME.run ~on_round g Scheduler.Synchronous rng ~init:(ME.initial g) ~events:sink in
+  (r, sink, !first_legal)
 
 let test_round_accounting () =
-  let _g, r, sink = mst_run () in
+  let r, sink, _ = mst_run () in
   Alcotest.(check bool) "silent" true r.ME.silent;
   let samples = Events.samples sink in
   Alcotest.(check bool) "one sample per round boundary" true
@@ -140,7 +144,7 @@ let test_round_accounting () =
   Alcotest.(check int) "a series sink retains no events" 0 (Events.retained sink)
 
 let test_series_json_roundtrip () =
-  let _g, _r, sink = mst_run () in
+  let _, sink, _ = mst_run () in
   let j = Events.series_json ~meta:[ ("algo", Json.Str "mst") ] sink in
   match Json.of_string (Json.to_string j) with
   | None -> Alcotest.fail "series json does not parse"
@@ -157,9 +161,9 @@ let test_series_json_roundtrip () =
       | _ -> Alcotest.fail "no rounds series")
 
 let test_phi_non_increasing_after_legal () =
-  let _g, r, sink = mst_run () in
+  let _, sink, first_legal = mst_run () in
   let first_legal =
-    match r.ME.first_legal_round with
+    match first_legal with
     | Some x -> x
     | None -> Alcotest.fail "run never became legal"
   in
