@@ -5,6 +5,24 @@ module Space = Repro_runtime.Space
 
 type state = { parent : int; dist : int }
 
+(* Lanes: 0=parent, 1=dist (see SCALING.md). *)
+let pack (s : state) = [| s.parent; s.dist |]
+
+(* The per-node certificate of adhoc_bfs.mli on the lanes: [dist(0) =
+   0]; elsewhere a parent that is a graph neighbour one hop closer; and
+   no neighbour more than one hop closer. *)
+let certify g bank v =
+  let par = bank.(0) and dis = bank.(1) in
+  let row = Graph.csr_row g and col = Graph.csr_col g in
+  let d = dis.(v) in
+  let ok = ref (v <> 0 || d = 0) and tight = ref (v = 0) in
+  for i = row.(v) to row.(v + 1) - 1 do
+    let u = col.(i) in
+    if dis.(u) < d - 1 then ok := false
+    else if u = par.(v) && dis.(u) + 1 = d then tight := true
+  done;
+  !ok && !tight
+
 module P = struct
   type nonrec state = state
 
@@ -49,17 +67,9 @@ module P = struct
     if keep then None else if equal_state s fresh then None else Some fresh
 
   let is_legal g sts =
-    let d = Traversal.bfs_distances g ~src:0 in
-    let ok = ref true in
-    Array.iteri
-      (fun v (s : state) ->
-        if s.dist <> d.(v) then ok := false;
-        if v <> 0 then
-          match s.parent with
-          | p when p >= 0 && Graph.has_edge g v p && d.(p) + 1 = d.(v) -> ()
-          | _ -> ok := false)
-      sts;
-    !ok
+    Repro_runtime.Protocol.certified ~words:2 ~pack:(fun ~n:_ s -> pack s) ~certify
+      ~certify_tree:(fun _ _ -> true)
+      g sts
 
   (* Same distance-defect potential as the PLS-guided BFS: Σ_v |d(v) −
      dist_G(v, 0)|, capped per node. *)
@@ -83,9 +93,8 @@ module Engine = Repro_runtime.Engine.Make (P)
 module Packed = struct
   include P
 
-  (* Lanes: 0=parent, 1=dist (see SCALING.md). *)
   let words = 2
-  let pack ~n:_ (s : state) = [| s.parent; s.dist |]
+  let pack ~n:_ s = pack s
   let unpack ~n:_ a = { parent = a.(0); dist = a.(1) }
 
   let step_packed (pv : Repro_runtime.Pview.t) =
@@ -140,6 +149,14 @@ module Packed = struct
       pv.Pview.move.(1) <- !fd;
       true
     end
+
+  let certify = certify
+  let certify_tree _ _ = true
+
+  (* The guards read [n] in the TTL test [d + 1 <= n] on the minimum
+     neighbour distance and as the fallback distance [n] it selects, so
+     a neighbour whose dist lane is at least [min n n'] may flip them. *)
+  let n_sensitive ~n ~n' bank u = bank.(1).(u) + 1 > min n n'
 end
 
 module Engine_packed = Repro_runtime.Engine_packed.Make (Packed)

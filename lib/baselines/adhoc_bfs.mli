@@ -8,6 +8,17 @@
 
 type state = { parent : int; dist : int }
 
+(** [P.is_legal g sts] — [dist] is the hop distance to node 0 and every
+    [v <> 0] has a graph-neighbour parent one hop closer. It is decided
+    by a per-node certificate ([Packed.certify], on the lanes): [dist(0)
+    = 0]; at [v <> 0], a parent that is a graph neighbour [u] with
+    [dist(u) + 1 = dist(v)]; and [dist(u) >= dist(v) − 1] on every
+    edge. {e Equivalence} (connected graph): the edge bound and
+    [dist(0) = 0] give [dist(v) <= d(v)] along a shortest path; [dist]
+    drops by one per parent step, so a parent chain cannot cycle and
+    ends at node 0 after [dist(v)] hops, so [d(v) <= dist(v)]; true
+    distances satisfy every conjunct. A qcheck property pins it to the
+    reference-BFS definition (test_core). *)
 module P : Repro_runtime.Protocol.S with type state = state
 
 module Engine : module type of Repro_runtime.Engine.Make (P)

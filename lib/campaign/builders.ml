@@ -153,13 +153,9 @@ let run_entry (type s) (e : s entry) ?events ~faults ~adversarial ~max_rounds g 
      only observes: it classifies a non-silent exit (livelock vs bare
      exhaustion) instead of just reporting the hit limit. *)
   let observed ?init_causes ?(round_offset = 0) ?(step_offset = 0) ~init () =
-    let wd = Watchdog.create () in
-    let on_round round states =
-      Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states) ~phi:None
-        ~snap:(fun () -> Marshal.to_string states [])
-    in
+    let wd = Watchdog.create ~observe_only:true () in
     let r =
-      E.run ~max_rounds ~on_round ?events ?init_causes ~round_offset ~step_offset g sched
+      E.run ~max_rounds ~watchdog:wd ?events ?init_causes ~round_offset ~step_offset g sched
         rng ~init
     in
     (r, wd)

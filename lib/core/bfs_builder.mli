@@ -37,9 +37,12 @@ val verify : St_layer.t Repro_runtime.View.t -> bool
     min-id node with [dist] equal to the true graph distances.
 
     It is decided by a local certificate in one O(n+m) pass, with no
-    reference BFS: {!St_layer.is_legal} (itself local), then on every
-    edge [{u,v}] [|dist(u) − dist(v)| <= 1] (the {!verify} PLS at both
-    ends), and every [v <> 0] has a graph neighbor with [dist(v) − 1].
+    reference BFS: at every node [v], {!St_layer.certify} (the layer's
+    own conjunct), [dist(u) >= dist(v) − 1] on every edge [{u,v}] (the
+    {!verify} PLS), and a graph neighbor with [dist(v) − 1] when [v <>
+    0] — a conjunction of per-node predicates reading [v]'s closed
+    neighbourhood, its parent and [n], which [Packed.certify] decides
+    on the lanes (the boxed predicate packs and calls it).
     {e Equivalence:} the edge bound and [dist(0) = 0] give [dist(v) <=
     d(v)] along a shortest path; following closer neighbors from [v]
     reaches a [dist]-0 node, which the layer pins to node 0, in [dist(v)]

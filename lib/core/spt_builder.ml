@@ -79,6 +79,31 @@ let potential g sts =
     sts;
   !total
 
+(* Lanes: 0=parent, 1=root, 2=wdist, 3=hops (see SCALING.md). *)
+let pack (s : state) = [| s.parent; s.root; s.wdist; s.hops |]
+
+(* The per-node certificate of spt_builder.mli on the lanes, no heap. An
+   edge sum can overflow only next to a [wdist] above the total weight,
+   and that node's own conjunct already fails. *)
+let certify g bank v =
+  let par = bank.(0) and wdi = bank.(2) in
+  let w = wdi.(v) in
+  bank.(1).(v) = 0
+  && w >= 0
+  && w <= Graph.total_weight g
+  && (v <> 0 || w = 0)
+  &&
+  let row = Graph.csr_row g and col = Graph.csr_col g and wgt = Graph.csr_wgt g in
+  let ok = ref true and tight = ref (v = 0) in
+  for i = row.(v) to row.(v + 1) - 1 do
+    let u = col.(i) in
+    let via = wdi.(u) + wgt.(i) in
+    if via < w then ok := false else if u = par.(v) && via = w then tight := true
+  done;
+  !ok && !tight
+
+let certify_tree _ bank = Repro_graph.Tree.check_parents ~root:0 bank.(0)
+
 module P = struct
   type nonrec state = state
 
@@ -154,31 +179,9 @@ module P = struct
       if equal_state fresh s then None else Some fresh
     end
 
-  (* The local certificate of spt_builder.mli, no heap: a first pass
-     bounds every [wdist] by the total weight (true distances obey it),
-     so the edge sums of the second pass cannot overflow. *)
   let is_legal g sts =
-    let n = Graph.n g and bound = Graph.total_weight g in
-    Array.length sts = n
-    && Repro_graph.Tree.check_parents ~root:0 (Array.map (fun s -> s.parent) sts)
-    && sts.(0).wdist = 0
-    && Array.for_all (fun s -> s.root = 0 && s.wdist >= 0 && s.wdist <= bound) sts
-    &&
-    let row = Graph.csr_row g and col = Graph.csr_col g and wgt = Graph.csr_wgt g in
-    let ok = ref true and v = ref 0 in
-    while !ok && !v < n do
-      let s = sts.(!v) in
-      let tight = ref (!v = 0) in
-      for i = row.(!v) to row.(!v + 1) - 1 do
-        let u = col.(i) in
-        let via = sts.(u).wdist + wgt.(i) in
-        if via < s.wdist then ok := false
-        else if u = s.parent && via = s.wdist then tight := true
-      done;
-      if not !tight then ok := false;
-      incr v
-    done;
-    !ok
+    Repro_runtime.Protocol.certified ~words:4 ~pack:(fun ~n:_ s -> pack s) ~certify
+      ~certify_tree g sts
 
   let potential g sts = Some (potential g sts)
 
@@ -195,9 +198,8 @@ end
 module Packed = struct
   include P
 
-  (* Lanes: 0=parent, 1=root, 2=wdist, 3=hops (see SCALING.md). *)
   let words = 4
-  let pack ~n:_ (s : state) = [| s.parent; s.root; s.wdist; s.hops |]
+  let pack ~n:_ s = pack s
   let unpack ~n:_ a = { parent = a.(0); root = a.(1); wdist = a.(2); hops = a.(3) }
 
   (* [P.step] on the flat bank: same usable predicate, same lexicographic
@@ -274,6 +276,14 @@ module Packed = struct
         true
       end
     end
+
+  let certify = certify
+  let certify_tree = certify_tree
+
+  (* [usable]'s TTL test on the hops lane. *)
+  let n_sensitive ~n ~n' bank u =
+    let h = bank.(3).(u) in
+    (h + 1 <= n - 1) <> (h + 1 <= n' - 1)
 end
 
 module Engine = Repro_runtime.Engine.Make (P)

@@ -46,7 +46,22 @@ val dijkstra : Repro_graph.Graph.t -> src:int -> int array
     certificate above). {e Equivalence} (non-negative weights): tight
     tree edges make [wdist(v)] the weight of a real path, so [wdist(v) >=
     d(v)]; no relaxing edge and [wdist(0) = 0] give [wdist(v) <= d(v)]
-    along a shortest path; true distances satisfy every condition. *)
+    along a shortest path; true distances satisfy every condition.
+
+    {b On the lanes} ([Packed.certify], [Packed.certify_tree]; the boxed
+    predicate packs and calls them). Every condition but the parents'
+    acyclicity is a per-node conjunct at [v], reading [v]'s lanes, its
+    neighbours' [wdist] and the edge weights, plus [0 <= wdist(v) <=
+    W] with [W] the total weight (it keeps the edge sums from
+    overflowing). [Tree.check_parents] stays a full pass: with
+    zero-weight edges, tight edges alone do not exclude a parent
+    cycle. The bound is the one conjunct that reads a global input
+    other than [n]; a change of [W] cannot flip it at a node whose
+    other inputs are unchanged unless the whole certificate fails
+    elsewhere: when every other conjunct holds everywhere, [wdist] is
+    the true distance, which is at most [W]. So after an edit a
+    re-check of the per-node conjunct near the edit, plus the tree
+    pass, decides legality exactly. *)
 val is_spt : Repro_graph.Graph.t -> state array -> bool
 
 (** The potential [Σ_v |wdist(v) − dist_w(v)|], capped per node. *)

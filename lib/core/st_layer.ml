@@ -193,24 +193,28 @@ let step_packed (pv : Repro_runtime.Pview.t) ~keep_shape =
     not (mv.(0) = s_parent && mv.(1) = s_root && mv.(2) = s_dist)
   end
 
-(* The local certificate of st_layer.mli, one pass over the registers. *)
-let is_legal g sts =
+(* The layer's per-node certificate of st_layer.mli, on the lanes. *)
+let certify g bank v =
   let n = Graph.n g in
-  Array.length sts = n
-  && sts.(0).parent = -1
-  && sts.(0).dist = 0
+  let par = bank.(0) and dis = bank.(2) in
+  bank.(1).(v) = 0
   &&
-  let ok = ref true and v = ref 0 in
-  while !ok && !v < n do
-    let s = sts.(!v) in
-    if s.root <> 0 then ok := false
-    else if !v > 0 then begin
-      let p = s.parent in
-      if p < 0 || p >= n || s.dist <> sts.(p).dist + 1 then ok := false
-    end;
-    incr v
-  done;
-  !ok
+  if v = 0 then par.(0) = -1 && dis.(0) = 0
+  else
+    let p = par.(v) in
+    p >= 0 && p < n && dis.(v) = dis.(p) + 1
+
+let is_legal g sts =
+  Repro_runtime.Protocol.certified ~words
+    ~pack:(fun ~n:_ s -> pack s)
+    ~certify
+    ~certify_tree:(fun _ _ -> true)
+    g sts
+
+(* [usable]'s TTL test on the dist lane, under either node count. *)
+let n_sensitive ~n ~n' bank u =
+  let x = bank.(2).(u) in
+  (x + 1 <= n - 1) <> (x + 1 <= n' - 1)
 
 let tree_of g sts =
   let parent = Array.map (fun s -> s.parent) sts in

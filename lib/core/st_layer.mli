@@ -63,15 +63,27 @@ val step_packed : Repro_runtime.Pview.t -> keep_shape:bool -> bool
     spanning tree rooted at node 0 (the min id), every [root] is 0, and
     [dist] is the tree depth. Parents need not be graph neighbors.
 
-    It is decided by a local certificate in one O(n) pass: [parent(0) =
-    -1], [dist(0) = 0], every [root = 0], and for [v <> 0],
-    [0 <= parent(v) < n] with [dist(v) = dist(parent(v)) + 1].
+    It is decided by a local certificate in one O(n) pass, {!certify} at
+    every node: [parent(0) = -1], [dist(0) = 0], every [root = 0], and
+    for [v <> 0], [0 <= parent(v) < n] with [dist(v) =
+    dist(parent(v)) + 1].
     {e Equivalence:} [dist] drops by exactly one per parent step, so no
     parent chain can cycle and each must stop at the only node without an
     in-range parent, node 0, whose [dist] is 0 — so the chains form a
     tree rooted at 0 and [dist] counts the steps, i.e. the depth; the
     converse is immediate. *)
 val is_legal : Repro_graph.Graph.t -> t array -> bool
+
+(** [certify g bank v] — the layer's conjunct at node [v] on the packed
+    lanes (0 = parent, 1 = root, 2 = dist): it reads [v]'s lanes, its
+    parent's [dist] and [n] ({!Repro_runtime.Protocol.PACKED.certify}). *)
+val certify : Repro_graph.Graph.t -> int array array -> int -> bool
+
+(** [n_sensitive ~n ~n' bank u] — [u]'s dist lane passes the guards'
+    TTL test [dist + 1 <= n - 1] under one node count and fails it under
+    the other ({!Repro_runtime.Protocol.PACKED.n_sensitive}); the test
+    is the only way the layer's guards read [n]. *)
+val n_sensitive : n:int -> n':int -> int array array -> int -> bool
 
 (** [tree_of g sts] — the encoded tree, when legal. *)
 val tree_of : Repro_graph.Graph.t -> t array -> Repro_graph.Tree.t option

@@ -33,25 +33,31 @@ let check_parents ~root parent =
   root >= 0 && n > 0 && root < n
   && parent.(root) = -1
   &&
-  (* Every non-root chain must reach the root without revisiting a node;
-     a bounded walk of length n suffices to detect cycles. *)
-  let ok = ref true in
-  let reached = Array.make n false in
-  reached.(root) <- true;
-  for v = 0 to n - 1 do
-    if !ok && not reached.(v) then begin
-      let rec walk x steps visited =
-        if reached.(x) then List.iter (fun y -> reached.(y) <- true) visited
-        else if steps > n then ok := false
-        else
-          let p = parent.(x) in
-          if p < 0 || p >= n then ok := false
-          else walk p (steps + 1) (x :: visited)
-      in
-      walk v 0 []
-    end
+  (* Every non-root chain must reach the root without revisiting a node.
+     [mark]: 0 = not yet seen, 1 = known to reach the root, 2 = on the
+     chain being walked (meeting a 2 again is a cycle). Each node is
+     walked once, with no allocation beyond [mark]. *)
+  let mark = Bytes.make n '\000' in
+  Bytes.set mark root '\001';
+  let ok = ref true and v = ref 0 in
+  while !ok && !v < n do
+    let x = ref !v in
+    while !ok && Bytes.get mark !x = '\000' do
+      Bytes.set mark !x '\002';
+      let p = parent.(!x) in
+      if p < 0 || p >= n then ok := false else x := p
+    done;
+    if !ok && Bytes.get mark !x = '\002' then ok := false;
+    if !ok then begin
+      let y = ref !v in
+      while Bytes.get mark !y = '\002' do
+        Bytes.set mark !y '\001';
+        y := parent.(!y)
+      done
+    end;
+    incr v
   done;
-  !ok && Array.for_all (fun b -> b) reached
+  !ok
 
 let build ~root parent =
   let n = Array.length parent in

@@ -32,8 +32,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
   let run_episode ?(max_steps = 2_000_000) ?(max_rounds = 20_000) ?(stall_window = 64)
       ?(cycle_repeats = 3) ?(max_injections = 3) ?(watch_phi = false) ?events g sched rng
       (plan : Fault.Plan.t) =
-    let wd = Watchdog.create ~stall_window ~cycle_repeats () in
-    let stop_when () = Watchdog.tripped wd <> None in
+    let wd = Watchdog.create ~stall_window ~cycle_repeats ~watch_phi () in
     (* Config history for stale-replay payloads: most recent boundary
        first, trimmed to the depth the plan can ask for. *)
     let history_depth =
@@ -41,13 +40,11 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     in
     let history = ref [] in
     let push_history states =
-      if history_depth > 0 then begin
-        let rec take k = function
-          | x :: tl when k > 0 -> x :: take (k - 1) tl
-          | _ -> []
-        in
-        history := take history_depth (Array.copy states :: !history)
-      end
+      let rec take k = function
+        | x :: tl when k > 0 -> x :: take (k - 1) tl
+        | _ -> []
+      in
+      history := take history_depth (Array.copy states :: !history)
     in
     let stale d = List.nth_opt !history (max 0 (d - 1)) in
     (* Fault-phase bookkeeping. Rounds are cumulative over the whole
@@ -85,13 +82,13 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
           Hashtbl.reset seg_writers;
           current := None
     in
-    let inject ~at_round states =
+    let inject ?round_base ~at_round states =
       let nodes, corrupted =
         Fault.apply_plan rng ~random_state:P.random_state ~stale g states plan
       in
       incr inj_count;
       current := Some (at_round, nodes);
-      Watchdog.reset wd;
+      Watchdog.reset ?round_base wd;
       (nodes, corrupted)
     in
     let cap =
@@ -99,17 +96,16 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
       | Fault.Plan.At_silence -> 1
       | Fault.Plan.Periodic _ | Fault.Plan.Poisson _ -> max max_injections 1
     in
-    let observe round states =
-      (* [snap] verifies hash recurrences against the full configuration,
-         so a fingerprint collision cannot build up a false Livelock. *)
-      Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states)
-        ~snap:(fun () -> Marshal.to_string states [])
-        ~phi:(if watch_phi then P.potential g states else None);
-      push_history states
+    (* The engine observes the watchdog; a per-round hook (which makes
+       a packed run re-box) is attached only for stale-replay plans. *)
+    let on_round =
+      if history_depth > 0 then Some (fun _ states -> push_history states) else None
     in
-    (* Phase 1: stabilize from an adversarial configuration. *)
-    let base = E.run ~max_steps ~max_rounds ~on_round:observe ~stop_when ?events g sched
-        rng ~init:(E.adversarial rng g)
+    (* Phase 1: stabilize from an adversarial configuration; the
+       watchdog counts rounds from its start. *)
+    let base =
+      E.run ~max_steps ~max_rounds ?on_round ~watchdog:wd ?events g sched rng
+        ~init:(E.adversarial rng g)
     in
     if not (base.E.silent && base.E.legal) then
       {
@@ -136,8 +132,10 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
       let last = ref base in
       while !inj_count < cap && !last.E.silent && !last.E.legal && !rounds_off < max_rounds
       do
-        let nodes, corrupted = inject ~at_round:!rounds_off !states in
         let run_base = !rounds_off in
+        (* From here the watchdog counts rounds from the fault phase's
+           start. *)
+        let nodes, corrupted = inject ~round_base:run_base ~at_round:run_base !states in
         (* The trace runs on one timeline: fault-phase rounds and steps
            are shifted past the base run's, so rounds never go back and
            step numbers never repeat. (The injection records keep
@@ -171,11 +169,10 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
           end
           else []
         in
-        let on_round round sts = observe (run_base + round) sts in
         let on_step v _ = Hashtbl.replace seg_writers v () in
         let r =
-          E.run ~max_steps ~max_rounds:(max_rounds - run_base) ~on_round ~on_step
-            ~adversary ~stop_when ?events ?init_causes
+          E.run ~max_steps ~max_rounds:(max_rounds - run_base) ?on_round ~on_step
+            ~adversary ~watchdog:wd ?events ?init_causes
             ~round_offset:(base.E.rounds + run_base)
             ~step_offset:(base.E.steps + !steps_total)
             g sched rng ~init:corrupted

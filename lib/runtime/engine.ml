@@ -7,6 +7,8 @@ type ('state, 'k) runner =
   ?on_step:(int -> 'state array -> unit) ->
   ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
   ?stop_when:(unit -> bool) ->
+  ?watchdog:Watchdog.t ->
+  ?warm:int array ->
   ?events:Events.t ->
   ?profile:Profile.t ->
   ?init_causes:(int -> int list) ->
@@ -16,6 +18,8 @@ type ('state, 'k) runner =
   Scheduler.t ->
   Random.State.t ->
   'k
+
+type stats = { steps : int; rounds : int; silent : bool; legal : bool; max_bits : int }
 
 module type S = sig
   type state
@@ -41,7 +45,7 @@ module type STORE = sig
   type regs
   type t
 
-  val create : ?profile:Profile.t -> Graph.t -> regs -> t
+  val create : ?profile:Profile.t -> watched:bool -> Graph.t -> regs -> t
   val probe : t -> int -> bool
   val commit : t -> int -> bool
   val overwrite : t -> int -> P.state -> bool
@@ -50,6 +54,10 @@ module type STORE = sig
   val bits : t -> int -> int
   val bits_summary : t -> int * int
   val config : t -> P.state array
+  val fingerprint : t -> int
+  val serialize : t -> string
+  val legal : t -> Graph.t -> Bitset.t option -> bool
+  val rollback : t -> unit
 end
 
 (* ------------------------------------------------------------------ *)
@@ -123,10 +131,8 @@ module Loop (St : STORE) = struct
     let rec go v = v >= n || (P.step (view_net net states v) = None && go (v + 1)) in
     go 0
 
-  let run ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?on_round ?on_step ?adversary
-      ?stop_when ?events ?profile ?init_causes ?(round_offset = 0) ?(step_offset = 0) g sched
-      rng ~init =
-    let st = St.create ?profile g init in
+  let loop ~max_steps ~max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+      ?events ?profile ?init_causes ~round_offset ~step_offset g sched rng st =
     let n = Graph.n g in
     let row = Graph.csr_row g and col = Graph.csr_col g in
     let steps = ref 0 in
@@ -134,8 +140,14 @@ module Loop (St : STORE) = struct
     let max_bits = ref (fst (St.bits_summary st)) in
     let stop = ref false in
     let poll_stop () =
-      match stop_when with Some f -> if f () then stop := true | None -> ()
+      (match stop_when with Some f -> if f () then stop := true | None -> ());
+      match watchdog with Some wd -> if Watchdog.stops wd then stop := true | None -> ()
     in
+    (* After a warm start, the nodes whose registers this run writes
+       (moves and faults): with the seeds, they bound where legality
+       can have changed. *)
+    let written = Bitset.create (if warm = None then 0 else n) in
+    let wrote v = if warm <> None then Bitset.add written v in
     (* Causal provenance (allocated only when an event sink is attached):
        [cause_buf.(v)] accumulates the ids of the events whose writes
        dirtied [v]'s view since [v]'s guard last consumed them;
@@ -168,18 +180,20 @@ module Loop (St : STORE) = struct
       (match profile with Some p -> if was <> now then Profile.on_churn p | None -> ());
       if now then Enabled_set.add enabled v else Enabled_set.remove enabled v
     in
-    for v = 0 to n - 1 do
-      recompute v
-    done;
+    (* A warm start probes only the seeds: the caller vouches that
+       every other node is disabled (see [?warm] in engine.mli). *)
+    (match warm with
+    | None ->
+        for v = 0 to n - 1 do
+          recompute v
+        done
+    | Some seeds -> Array.iter recompute seeds);
     (* Seed provenance for nodes the *initial configuration* enables:
        the caller knows why they are enabled (e.g. chaos injected faults
        into a silent configuration and emitted the fault events itself).
        Nodes the callback maps to [] stay root-spontaneous. *)
     (match init_causes with
-    | Some f when tracing ->
-        for v = 0 to n - 1 do
-          if Enabled_set.mem enabled v then enablers.(v) <- f v
-        done
+    | Some f when tracing -> Enabled_set.iter (fun v -> enablers.(v) <- f v) enabled
     | _ -> ());
     if move_phi then last_phi := P.potential g (St.config st);
     let dirty = Bitset.create n in
@@ -219,6 +233,7 @@ module Loop (St : STORE) = struct
           List.iter
             (fun (v, s) ->
               if St.overwrite st v s then begin
+                wrote v;
                 max_bits := max !max_bits (St.bits st v);
                 (* A mid-run corruption is a DAG source: the fault event
                    becomes the cause of every move it wakes up. *)
@@ -245,6 +260,7 @@ module Loop (St : STORE) = struct
       in
       let bits_before = if tracing then St.bits st v else 0 in
       let changed = St.commit st v in
+      wrote v;
       incr steps;
       last_step_time.(v) <- !steps;
       let bits = St.bits st v in
@@ -289,6 +305,14 @@ module Loop (St : STORE) = struct
             ~round:(round_offset + !rounds)
             ~enabled:(Enabled_set.cardinal enabled)
             ~bits:(St.bits_summary st) ~phi
+      | None -> ());
+      (match watchdog with
+      | Some wd ->
+          Watchdog.observe_round wd
+            ~round:(Watchdog.round_base wd + !rounds)
+            ~hash:(St.fingerprint st)
+            ~snap:(fun () -> St.serialize st)
+            ~phi:(if Watchdog.watches_phi wd then P.potential g (St.config st) else None)
       | None -> ());
       (match on_round with Some f -> f !rounds (St.config st) | None -> ());
       poll_stop ();
@@ -427,14 +451,59 @@ module Loop (St : STORE) = struct
           Bitset.iter apply_live chosen);
       prune_pending ()
     done;
-    let states = St.config st in
+    let legal =
+      match warm with
+      | None -> St.legal st g None
+      | Some seeds ->
+          (* Only the closed neighbourhoods of the seeds and of the
+             written nodes can have changed their legality conjuncts. *)
+          let near = Bitset.create n in
+          let close v =
+            Bitset.add near v;
+            for i = row.(v) to row.(v + 1) - 1 do
+              Bitset.add near col.(i)
+            done
+          in
+          Array.iter close seeds;
+          Bitset.iter close written;
+          St.legal st g (Some near)
+    in
+    ({
+       steps = !steps;
+       rounds = !rounds;
+       silent = Enabled_set.is_empty enabled;
+       legal;
+       max_bits = !max_bits;
+     }
+      : stats)
+
+  let exec ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?on_round ?on_step ?adversary
+      ?stop_when ?watchdog ?warm ?events ?profile ?init_causes ?(round_offset = 0)
+      ?(step_offset = 0) g sched rng ~init =
+    let st = St.create ?profile ~watched:(watchdog <> None) g init in
+    match
+      loop ~max_steps ~max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+        ?events ?profile ?init_causes ~round_offset ~step_offset g sched rng st
+    with
+    | s -> (st, s)
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        St.rollback st;
+        Printexc.raise_with_backtrace e bt
+
+  let run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+      ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~init =
+    let st, (s : stats) =
+      exec ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+        ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~init
+    in
     {
-      states;
-      steps = !steps;
-      rounds = !rounds;
-      silent = Enabled_set.is_empty enabled;
-      legal = P.is_legal g states;
-      max_bits = !max_bits;
+      states = St.config st;
+      steps = s.steps;
+      rounds = s.rounds;
+      silent = s.silent;
+      legal = s.legal;
+      max_bits = s.max_bits;
     }
 end
 
@@ -478,7 +547,7 @@ module Make (P : Protocol.S) = struct
       profile : Profile.t option;
     }
 
-    let create ?profile g init =
+    let create ?profile ~watched:_ g init =
       let net = net_of g in
       let states = Array.copy init in
       let n = Graph.n g in
@@ -541,6 +610,12 @@ module Make (P : Protocol.S) = struct
       (!mx, !total)
 
     let config t = t.states
+    let fingerprint t = Watchdog.config_hash t.states
+    let serialize t = Marshal.to_string t.states []
+    let legal t g _ = P.is_legal g t.states
+
+    (* [create] copied the caller's registers: nothing to undo. *)
+    let rollback _ = ()
   end
 
   include Loop (Store)

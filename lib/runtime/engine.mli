@@ -32,6 +32,8 @@ type ('state, 'k) runner =
   ?on_step:(int -> 'state array -> unit) ->
   ?adversary:(round:int -> 'state array -> (int * 'state) list) ->
   ?stop_when:(unit -> bool) ->
+  ?watchdog:Watchdog.t ->
+  ?warm:int array ->
   ?events:Events.t ->
   ?profile:Profile.t ->
   ?init_causes:(int -> int list) ->
@@ -41,6 +43,11 @@ type ('state, 'k) runner =
   Scheduler.t ->
   Random.State.t ->
   'k
+
+(** A run's counts without its configuration: what
+    {!Engine_packed.Make.run_bank} returns, the registers being left
+    in the caller's bank. Fields as in {!S.result}. *)
+type stats = { steps : int; rounds : int; silent : bool; legal : bool; max_bits : int }
 
 (** What both engines expose ({!Make} and {!Engine_packed.Make}). *)
 module type S = sig
@@ -93,9 +100,31 @@ module type S = sig
       write and at every round boundary; when it first returns [true]
       the run aborts where it stands (remaining writes of a synchronous
       or distributed batch are skipped, and no further faults are
-      injected). The convergence watchdog ({!Watchdog}) uses it to cut
-      livelocked or stalled runs short instead of burning the round
-      budget.
+      injected).
+
+      [watchdog] is the run's convergence watchdog ({!Watchdog}). The
+      engine observes it at every round boundary, before [on_round]:
+      the round is [Watchdog.round_base w] plus the run-relative round,
+      the hash is the store's fingerprint (on the packed store a sum of
+      per-node lane hashes kept current by every write, so observing
+      costs O(1) and boxes nothing; on the boxed store
+      {!Watchdog.config_hash}), a repeated hash is verified against an
+      exact serialization of the registers, and [Φ] is computed only
+      when the watchdog watches it. The run stops where it stands,
+      like [stop_when], once {!Watchdog.stops} holds — so a livelocked
+      or stalled run is cut short instead of burning the round budget.
+
+      [warm] is a warm start: the caller vouches that the starting
+      configuration was silent and legal before an edit that changed
+      only the views of the [warm] nodes (their ids, edges, neighbours,
+      or an n they are sensitive to). The initial guard scan then probes
+      only [warm] instead of all n nodes, and the final legality check
+      covers only the closed neighbourhoods of [warm] and of the nodes
+      the run wrote, where the store has a per-node certificate
+      ({!Protocol.PACKED.certify}); the boxed store checks
+      [P.is_legal] in full. Trajectories are those of a cold start
+      whenever the promise holds (a qcheck property in test_service
+      pins the warm-started enabled set to the full scan's).
 
       Observability hooks (all off by default; attaching none of them
       leaves the execution bit-identical — none consume RNG draws):
@@ -119,8 +148,9 @@ module type S = sig
       a {!Profile} record.
 
       Every hook that reads the configuration ([on_round], [on_step],
-      [adversary], Φ, legality, rule tags) sees boxed states: the packed
-      store re-boxes only the registers written since the last such read.
+      [adversary], Φ, rule tags) sees boxed states: the packed store
+      re-boxes only the registers written since the last such read.
+      Legality and the watchdog's fingerprint read the store directly.
       [run_reference] stays the uninstrumented oracle. Under the
       synchronous daemon the executor coalesces guard re-probes per
       batch, so a move's [causes] name every adjacent write of the
@@ -144,9 +174,10 @@ module type STORE = sig
 
   type t
 
-  (** [create ?profile g regs] — the run's store (a boxed store copies
-      [regs]; a packed bank is used in place). *)
-  val create : ?profile:Profile.t -> Repro_graph.Graph.t -> regs -> t
+  (** [create ?profile ~watched g regs] — the run's store (a boxed
+      store copies [regs]; a packed bank is used in place). [watched]:
+      a watchdog will read {!fingerprint} at every round boundary. *)
+  val create : ?profile:Profile.t -> watched:bool -> Repro_graph.Graph.t -> regs -> t
 
   (** [probe t v] evaluates [v]'s guard on the live registers and
       caches the move; [true] iff [v] is enabled. *)
@@ -174,6 +205,24 @@ module type STORE = sig
   (** The live configuration, boxed. Callers may write a slot only to
       restore it before the next store call. *)
   val config : t -> P.state array
+
+  (** The configuration's fingerprint for the watchdog (only read on a
+      [watched] store), and an exact serialization that verifies a
+      repeated fingerprint. *)
+  val fingerprint : t -> int
+
+  val serialize : t -> string
+
+  (** [legal t g near] — [P.is_legal] on the live registers. With
+      [Some near], the caller vouches that every per-node legality
+      conjunct outside [near] held before the run and reads nothing the
+      run changed, so a store with a per-node certificate checks only
+      [near] (plus its non-local conjuncts). *)
+  val legal : t -> Repro_graph.Graph.t -> Bitset.t option -> bool
+
+  (** Undo the run's writes to the caller's registers (the loop calls
+      it when the run raises). *)
+  val rollback : t -> unit
 end
 
 (** The incremental executor over store [St]: [run] is {!S.run} on
@@ -191,6 +240,13 @@ module Loop (St : STORE) : sig
   val initial : Repro_graph.Graph.t -> St.P.state array
   val adversarial : Random.State.t -> Repro_graph.Graph.t -> St.P.state array
   val silent : Repro_graph.Graph.t -> St.P.state array -> bool
+
+  (** [exec] runs the loop and returns the store with the counts,
+      boxing nothing for the result; a raising run rolls the store back
+      ({!STORE.rollback}) and re-raises. [run] is [exec] plus the boxed
+      final configuration. *)
+  val exec : (St.P.state, init:St.regs -> St.t * stats) runner
+
   val run : (St.P.state, init:St.regs -> result) runner
 end
 

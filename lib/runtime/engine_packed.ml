@@ -1,7 +1,23 @@
 module Graph = Repro_graph.Graph
 
+(* A 63-bit finalizer for the per-node lane hashes of the watchdog's
+   fingerprint. Collisions only cost a serialization: the watchdog
+   verifies every repeated fingerprint against the exact bank. *)
+let mix x =
+  let x = (x lxor (x lsr 29)) * 0x2545F4914F6CDD1D in
+  let x = (x lxor (x lsr 32)) * 0x1CE4E5B9AE5B in
+  x lxor (x lsr 29)
+
 module Make (P : Protocol.PACKED) = struct
   type state = P.state
+
+  type stats = Engine.stats = {
+    steps : int;
+    rounds : int;
+    silent : bool;
+    legal : bool;
+    max_bits : int;
+  }
 
   (* The packed store. Registers live in a bank of [P.words] int lanes
      ([bank.(f).(v)]), moves are cached as packed words ([mv.(f).(v)]
@@ -12,7 +28,13 @@ module Make (P : Protocol.PACKED) = struct
      Hooks that read boxed states get [mirror], built on the first
      such read and then kept current lazily: a commit only marks the
      node [stale], and the next read re-boxes the marked nodes. A run
-     with no such hook never boxes a register until its result.
+     with no such hook never boxes a register.
+
+     On a watched store [fp] is the bank's fingerprint, the sum of
+     [node_hash] over all nodes, kept current by every write in
+     O(words). A bank the caller owns ([run_bank]) is journaled: the
+     first write to a node saves its lanes into [jbuf], so a raising
+     run can be rolled back without copying the bank up front.
 
      [size_bits] is content-independent (PACKED contract), so register
      bits are the constant [reg_bits], and a packed move always differs
@@ -21,7 +43,8 @@ module Make (P : Protocol.PACKED) = struct
   module Store = struct
     module P = P
 
-    type regs = int array array
+    (* The bank, and whether the caller owns it (journal its writes). *)
+    type regs = int array array * bool
 
     type t = {
       n : int;
@@ -32,6 +55,11 @@ module Make (P : Protocol.PACKED) = struct
       reg_bits : int;
       mutable mirror : P.state array;
       stale : Bitset.t;
+      watched : bool;
+      mutable fp : int;
+      saved : Bitset.t;
+      mutable jbuf : int array;
+      mutable jlen : int;
     }
 
     let unbox t lanes v =
@@ -40,7 +68,23 @@ module Make (P : Protocol.PACKED) = struct
       done;
       P.unpack ~n:t.n t.tmp
 
-    let create ?profile:_ g bank =
+    (* A multiply-add chain over the node's id and lanes, finalized
+       once. *)
+    let node_hash bank v =
+      let h = ref (v + 1) in
+      for f = 0 to P.words - 1 do
+        h := (!h * 0x1E3779B97F4A7C15) + bank.(f).(v)
+      done;
+      mix !h
+
+    let bank_fingerprint bank n =
+      let fp = ref 0 in
+      for v = 0 to n - 1 do
+        fp := !fp + node_hash bank v
+      done;
+      !fp
+
+    let create ?profile:_ ~watched g (bank, journal) =
       let n = Graph.n g in
       if Array.length bank <> P.words || Array.exists (fun lane -> Array.length lane <> n) bank
       then invalid_arg "Engine_packed.run_bank: bank shape is not words x n";
@@ -56,6 +100,11 @@ module Make (P : Protocol.PACKED) = struct
         reg_bits;
         mirror = [||];
         stale = Bitset.create n;
+        watched;
+        fp = (if watched then bank_fingerprint bank n else 0);
+        saved = Bitset.create (if journal then n else 0);
+        jbuf = (if journal then Array.make (16 * (P.words + 1)) 0 else [||]);
+        jlen = 0;
       }
 
     let probe t v =
@@ -69,10 +118,33 @@ module Make (P : Protocol.PACKED) = struct
            true
          end
 
+    (* Bookkeeping around a write of [v]'s lanes: journal the first
+       write, and swap [v]'s hash in the fingerprint. *)
+    let before_write t v =
+      if Bitset.capacity t.saved > 0 && not (Bitset.mem t.saved v) then begin
+        Bitset.add t.saved v;
+        let w = P.words + 1 in
+        if t.jlen + w > Array.length t.jbuf then begin
+          let grown = Array.make (2 * Array.length t.jbuf) 0 in
+          Array.blit t.jbuf 0 grown 0 t.jlen;
+          t.jbuf <- grown
+        end;
+        t.jbuf.(t.jlen) <- v;
+        for f = 0 to P.words - 1 do
+          t.jbuf.(t.jlen + 1 + f) <- t.bank.(f).(v)
+        done;
+        t.jlen <- t.jlen + w
+      end;
+      if t.watched then t.fp <- t.fp - node_hash t.bank v
+
+    let after_write t v = if t.watched then t.fp <- t.fp + node_hash t.bank v
+
     let commit t v =
+      before_write t v;
       for f = 0 to P.words - 1 do
         t.bank.(f).(v) <- t.mv.(f).(v)
       done;
+      after_write t v;
       if Array.length t.mirror > 0 then Bitset.add t.stale v;
       true
 
@@ -96,14 +168,36 @@ module Make (P : Protocol.PACKED) = struct
       && begin
            mirror.(v) <- s;
            let a = P.pack ~n:t.n s in
+           before_write t v;
            for f = 0 to P.words - 1 do
              t.bank.(f).(v) <- a.(f)
            done;
+           after_write t v;
            true
          end
 
     let bits t _ = t.reg_bits
     let bits_summary t = (t.reg_bits, t.n * t.reg_bits)
+    let fingerprint t = t.fp
+    let serialize t = Marshal.to_string t.bank []
+
+    let legal t g = function
+      | None ->
+          Protocol.certified_bank ~certify:P.certify ~certify_tree:P.certify_tree g t.bank
+      | Some near ->
+          P.certify_tree g t.bank
+          && Bitset.fold (fun ok v -> ok && P.certify g t.bank v) true near
+
+    let rollback t =
+      let w = P.words + 1 in
+      let i = ref 0 in
+      while !i < t.jlen do
+        let v = t.jbuf.(!i) in
+        for f = 0 to P.words - 1 do
+          t.bank.(f).(v) <- t.jbuf.(!i + 1 + f)
+        done;
+        i := !i + w
+      done
   end
 
   include Engine.Loop (Store)
@@ -121,14 +215,35 @@ module Make (P : Protocol.PACKED) = struct
     done;
     bank
 
-  let run_bank ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events
-      ?profile ?init_causes ?round_offset ?step_offset g sched rng ~bank =
-    run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events ?profile
-      ?init_causes ?round_offset ?step_offset g sched rng ~init:bank
+  let seeds bank g ~old_n affected =
+    let n = Graph.n g in
+    let mark = Bitset.create n in
+    List.iter (Bitset.add mark) affected;
+    if n <> old_n then begin
+      let row = Graph.csr_row g and col = Graph.csr_col g in
+      for u = 0 to n - 1 do
+        if P.n_sensitive ~n:old_n ~n':n bank u then begin
+          Bitset.add mark u;
+          for i = row.(u) to row.(u + 1) - 1 do
+            Bitset.add mark col.(i)
+          done
+        end
+      done
+    end;
+    Array.of_list (Bitset.to_list mark)
 
-  let run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events ?profile
-      ?init_causes ?round_offset ?step_offset g sched rng ~init =
-    run_bank ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?events
-      ?profile ?init_causes ?round_offset ?step_offset g sched rng
-      ~bank:(pack_bank ~n:(Graph.n g) init)
+  let run_bank ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog
+      ?warm ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~bank =
+    snd
+      (exec ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+         ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng
+         ~init:(bank, true))
+
+  (* A fresh bank nobody else holds: no journal, and the result boxes
+     the final configuration once. *)
+  let run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+      ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~init =
+    run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
+      ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng
+      ~init:(pack_bank ~n:(Graph.n g) init, false)
 end

@@ -26,4 +26,28 @@ module type PACKED = sig
   val pack : n:int -> state -> int array
   val unpack : n:int -> int array -> state
   val step_packed : Pview.t -> bool
+  val certify : Repro_graph.Graph.t -> int array array -> int -> bool
+  val certify_tree : Repro_graph.Graph.t -> int array array -> bool
+  val n_sensitive : n:int -> n':int -> int array array -> int -> bool
 end
+
+let certified_bank ~certify ~certify_tree g bank =
+  certify_tree g bank
+  &&
+  let n = Repro_graph.Graph.n g in
+  let rec go v = v >= n || (certify g bank v && go (v + 1)) in
+  go 0
+
+let certified ~words ~pack ~certify ~certify_tree g sts =
+  let n = Repro_graph.Graph.n g in
+  Array.length sts = n
+  &&
+  let bank = Array.init words (fun _ -> Array.make n 0) in
+  Array.iteri
+    (fun v s ->
+      let a = pack ~n s in
+      for f = 0 to words - 1 do
+        bank.(f).(v) <- a.(f)
+      done)
+    sts;
+  certified_bank ~certify ~certify_tree g bank

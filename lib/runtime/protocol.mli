@@ -98,4 +98,47 @@ module type PACKED = sig
   val pack : n:int -> state -> int array
   val unpack : n:int -> int array -> state
   val step_packed : Pview.t -> bool
+
+  (** Legality on the lanes — one certificate per builder. [is_legal g
+      sts] holds iff [certify_tree g bank] and [certify g bank v] for
+      every node [v], where [bank] packs [sts]; every packed builder
+      derives its boxed [is_legal] so ({!certified}). [certify g bank
+      v] is a per-node conjunct: it reads [v]'s id, edges and lanes, its
+      neighbours' lanes, its parent's lanes and [n] (plus, for SPT, the
+      total weight, see spt_builder.mli). [certify_tree] holds the
+      conjuncts that are not per-node ([fun _ _ -> true] when there
+      are none). The packed engine decides legality on these, and
+      after a warm start re-checks [certify] only near the edit. *)
+  val certify : Repro_graph.Graph.t -> int array array -> int -> bool
+
+  val certify_tree : Repro_graph.Graph.t -> int array array -> bool
+
+  (** [n_sensitive ~n ~n' bank u] — whether a guard may read node [u]'s
+      lanes differently under node count [n] than under [n'] (a TTL
+      test on a distance lane). After a join or leave, only the closed
+      neighbourhoods of these nodes, besides the nodes whose views the
+      edit changed, can change their guards: a warm start seeds them. *)
+  val n_sensitive : n:int -> n':int -> int array array -> int -> bool
 end
+
+(** [certified_bank ~certify ~certify_tree g bank] — the lane
+    certificate over every node. *)
+val certified_bank :
+  certify:(Repro_graph.Graph.t -> int array array -> int -> bool) ->
+  certify_tree:(Repro_graph.Graph.t -> int array array -> bool) ->
+  Repro_graph.Graph.t ->
+  int array array ->
+  bool
+
+(** [certified ~words ~pack ~certify ~certify_tree g sts] — the lane
+    certificate decided on boxed registers: [sts] has one register per
+    node and its packed bank passes {!certified_bank}. The boxed
+    [is_legal] of every packed builder. *)
+val certified :
+  words:int ->
+  pack:(n:int -> 'state -> int array) ->
+  certify:(Repro_graph.Graph.t -> int array array -> int -> bool) ->
+  certify_tree:(Repro_graph.Graph.t -> int array array -> bool) ->
+  Repro_graph.Graph.t ->
+  'state array ->
+  bool

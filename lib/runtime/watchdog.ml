@@ -33,6 +33,10 @@ type bucket = { mutable bsnap : string option; mutable bcount : int; mutable bla
 type t = {
   stall_window : int;
   cycle_repeats : int;
+  watch_phi : bool;
+  observe_only : bool;
+  mutable round_base : int;
+  mutable observed : int;
   (* hash -> occurrence buckets; separate tables so
      the per-write probe cannot double-count the round-boundary
      configuration (the boundary config IS the config after the round's
@@ -47,10 +51,15 @@ type t = {
   mutable tripped : verdict option;
 }
 
-let create ?(stall_window = 64) ?(cycle_repeats = 3) () =
+let create ?(stall_window = 64) ?(cycle_repeats = 3) ?(watch_phi = false)
+    ?(observe_only = false) () =
   {
     stall_window;
     cycle_repeats;
+    watch_phi;
+    observe_only;
+    round_base = 0;
+    observed = 0;
     round_seen = Hashtbl.create 256;
     step_seen = Hashtbl.create 1024;
     step_index = 0;
@@ -61,7 +70,9 @@ let create ?(stall_window = 64) ?(cycle_repeats = 3) () =
     tripped = None;
   }
 
-let reset t =
+let reset ?round_base t =
+  Option.iter (fun b -> t.round_base <- b) round_base;
+  t.observed <- 0;
   Hashtbl.reset t.round_seen;
   Hashtbl.reset t.step_seen;
   t.best_phi <- None;
@@ -116,6 +127,7 @@ let cycle tbl ~repeats ~index ~hash ~snap =
 
 let observe_round ?snap t ~round ~hash ~phi =
   t.last_round <- round;
+  t.observed <- t.observed + 1;
   (match cycle t.round_seen ~repeats:t.cycle_repeats ~index:round ~hash ~snap with
   | Some period -> trip t (Livelock { round; period })
   | None -> ());
@@ -141,6 +153,10 @@ let observe_step ?snap t ~hash =
   | None -> ()
 
 let tripped t = t.tripped
+let round_base t = t.round_base
+let watches_phi t = t.watch_phi
+let stops t = (not t.observe_only) && t.tripped <> None
+let observed t = t.observed
 
 let verdict t ~silent =
   if silent then Converged

@@ -13,11 +13,17 @@
       ({!Protocol.S.potential}) but no {e new minimum} of [Φ] has been
       observed for [stall_window] consecutive rounds.
 
-    The watchdog is engine-agnostic: feed it through [on_round] /
-    [on_step] closures and hand {!tripped} to [Engine.run ~stop_when]
-    to abort a doomed run early. After a mid-run fault injection call
-    {!reset} — the old hashes and the old [Φ] floor describe a
-    configuration the fault just destroyed. *)
+    The engine observes it: hand it to a run as [Engine.run ~watchdog]
+    and the executor feeds it at every round boundary — the register
+    store's fingerprint as the hash (an incrementally maintained sum of
+    per-node lane hashes on the packed bank, {!config_hash} of the
+    boxed configuration otherwise), an exact serialization of the
+    registers as the collision verifier, and the live [Φ] when the
+    watchdog watches it — and stops the run at the first trip unless
+    the watchdog is observe-only. {!observe_round} stays public for
+    callers that drive a watchdog by hand. After a mid-run fault
+    injection call {!reset} — the old hashes and the old [Φ] floor
+    describe a configuration the fault just destroyed. *)
 
 type verdict =
   | Converged  (** the run reached silence *)
@@ -41,8 +47,18 @@ type t
     number of rounds without a new [Φ] minimum that counts as a stall;
     [cycle_repeats] (default 3) is how many times a configuration hash
     must be seen before declaring a livelock (3 tolerates one benign
-    hash collision). *)
-val create : ?stall_window:int -> ?cycle_repeats:int -> unit -> t
+    hash collision). [watch_phi] (default [false]) makes an observing
+    engine compute the live potential at every round boundary — on the
+    packed engine that re-boxes the configuration, so leave it off for
+    expensive potentials. An [observe_only] watchdog (default [false])
+    classifies a run without stopping it. *)
+val create :
+  ?stall_window:int ->
+  ?cycle_repeats:int ->
+  ?watch_phi:bool ->
+  ?observe_only:bool ->
+  unit ->
+  t
 
 (** [observe_round t ~round ~hash ~phi] — feed one round boundary:
     [hash] fingerprints the configuration (see {!config_hash}), [phi]
@@ -69,8 +85,24 @@ val observe_round :
 val observe_step : ?snap:(unit -> string) -> t -> hash:int -> unit
 
 (** [reset t] forgets all hashes and the [Φ] floor; call immediately
-    after a fault injection. A previously tripped verdict is cleared. *)
-val reset : t -> unit
+    after a fault injection. A previously tripped verdict is cleared.
+    [round_base] (kept when omitted; 0 at creation) is what an observing
+    engine adds to its run-relative round numbers, so each caller picks
+    its own round origin (a run, a fault phase, a service episode). *)
+val reset : ?round_base:int -> t -> unit
+
+(** The round origin an observing engine reports from (see {!reset}). *)
+val round_base : t -> int
+
+(** Whether an observing engine feeds [Φ] (see {!create}). *)
+val watches_phi : t -> bool
+
+(** [stops t] — the watchdog has tripped and is not observe-only: an
+    observing engine aborts the run where it stands. *)
+val stops : t -> bool
+
+(** Round boundaries observed since the last {!reset}. *)
+val observed : t -> int
 
 (** [tripped t] — the verdict detected so far, if any. Suitable as an
     early-abort predicate: [~stop_when:(fun () -> tripped w <> None)]. *)

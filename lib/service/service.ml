@@ -67,20 +67,11 @@ let answer parents v =
 (* ------------------------------------------------------------------ *)
 (* The episode driver, shared between the boxed and packed engines.
    Everything engine-specific — how registers are stored, booted,
-   migrated across churn, projected to parents, and run for one
-   watchdog-guarded segment — is behind [BACKEND]; the ladder, the
-   watchdog, the committed-snapshot read serving and the staleness
-   closure are written once. *)
-
-(* Normalized per-segment result (the engines' result records differ
-   only in the configuration field, which stays backend-private). *)
-type seg = {
-  seg_steps : int;
-  seg_rounds : int;
-  seg_silent : bool;
-  seg_legal : bool;
-  seg_bits : int;
-}
+   migrated across churn, projected to parents, warm-started, and run
+   for one watchdog-guarded segment — is behind [BACKEND]; the ladder,
+   the watchdog, the committed-snapshot read serving and the staleness
+   closure are written once. A segment's result is its counts
+   ([Engine.stats]); the configuration stays backend-private. *)
 
 module type BACKEND = sig
   module P : TREE_PROTOCOL
@@ -98,14 +89,21 @@ module type BACKEND = sig
   (** The parent projection the commits are built from. *)
   val parents : regs -> int array
 
-  (** One engine segment. A raising run must leave [regs] equal to the
-      pre-segment registers (crash containment retries from them). *)
+  (** [seeds regs g' ~old_n affected] — after an edit of a silent legal
+      configuration into [regs] on [g'] (with [old_n] nodes before the
+      edit; [affected] from {!Topology.affected}), the nodes a warm
+      start must probe, or [None] to scan all of them. *)
+  val seeds : regs -> Graph.t -> old_n:int -> int list -> int array option
+
+  (** One engine segment under [watchdog]. A raising run must leave
+      [regs] equal to the pre-segment registers (crash containment
+      retries from them). *)
   val run :
     max_steps:int ->
     max_rounds:int ->
-    on_round:(int -> P.state array -> unit) ->
+    watchdog:Watchdog.t ->
+    warm:int array option ->
     on_step:(int -> P.state array -> unit) option ->
-    stop_when:(unit -> bool) ->
     events:Events.t option ->
     init_causes:(int -> int list) option ->
     round_offset:int ->
@@ -114,7 +112,7 @@ module type BACKEND = sig
     Scheduler.t ->
     Random.State.t ->
     regs ->
-    regs * seg
+    regs * Engine.stats
 end
 
 module Driver (B : BACKEND) = struct
@@ -127,8 +125,7 @@ module Driver (B : BACKEND) = struct
     (* Canned generators expand against the starting topology, before
        any engine run, so the op list is pinned by the seed alone. *)
     let ops = Churn.expand rng g0 trace.Churn.spec in
-    let wd = Watchdog.create ~stall_window ~cycle_repeats () in
-    let stop_when () = Watchdog.tripped wd <> None in
+    let wd = Watchdog.create ~stall_window ~cycle_repeats ~watch_phi () in
     let g = ref g0 in
     let regs = ref (B.boot rng g0) in
     let round_off = ref 0 in
@@ -144,16 +141,20 @@ module Driver (B : BACKEND) = struct
     let seg_crashes = ref 0 in
     let seg_violations = ref 0 in
     let monitor_armed = ref false in
-    let observe r sts =
-      Watchdog.observe_round wd ~round:r ~hash:(Watchdog.config_hash sts)
-        ~snap:(fun () -> Marshal.to_string sts [])
-        ~phi:(if watch_phi then P.potential !g sts else None);
+    (* The reads of the round boundaries [from, from + count): the pairs
+       depend on the round number alone, and the front snapshot cannot
+       change during a recovery (commits happen between events), so a
+       segment's reads are served after it from its round numbers — no
+       per-round hook, so the packed engine never re-boxes for them. *)
+    let serve_reads ~from ~count =
       if !serving && Snapshot.ready snap then begin
         let n = Snapshot.n snap in
-        for q = 0 to queries_per_round - 1 do
-          let v = ((r * 7) + q) mod n in
-          let u = ((r * 13) + (5 * q) + 1) mod n in
-          served := (v, u, Snapshot.answer snap ~v ~u) :: !served
+        for r = from to from + count - 1 do
+          for q = 0 to queries_per_round - 1 do
+            let v = ((r * 7) + q) mod n in
+            let u = ((r * 13) + (5 * q) + 1) mod n in
+            served := (v, u, Snapshot.answer snap ~v ~u) :: !served
+          done
         done
       end
     in
@@ -178,7 +179,7 @@ module Driver (B : BACKEND) = struct
        episode's global budgets. Raising runs are contained and counted
        as crashes (the machine-level failure mode the ladder exists
        for); only genuinely fatal conditions propagate. *)
-    let attempt ~daemon ~budget ?init_causes () =
+    let attempt ~daemon ~budget ?init_causes ?warm () =
       let budget = min budget (max_rounds - !round_off) in
       let steps_left = max_steps - !steps_total in
       if budget <= 0 || steps_left <= 0 then begin
@@ -187,32 +188,39 @@ module Driver (B : BACKEND) = struct
         None
       end
       else begin
-        Watchdog.reset wd;
         let run_base = !round_off in
-        let on_round r sts = observe (run_base + r) sts in
-        match
-          B.run ~max_steps:steps_left ~max_rounds:budget ~on_round
-            ~on_step:(if !monitor_armed then Some on_step else None)
-            ~stop_when ~events ~init_causes ~round_offset:run_base
-            ~step_offset:!steps_total !g daemon rng !regs
-        with
-        | regs', s ->
+        Watchdog.reset ~round_base:run_base wd;
+        let outcome =
+          match
+            B.run ~max_steps:steps_left ~max_rounds:budget ~watchdog:wd ~warm
+              ~on_step:(if !monitor_armed then Some on_step else None)
+              ~events ~init_causes ~round_offset:run_base ~step_offset:!steps_total !g
+              daemon rng !regs
+          with
+          | r -> Ok r
+          | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+          | exception _ -> Error ()
+        in
+        (* The engine observed the watchdog at every round boundary the
+           segment reached, crashed or not. *)
+        serve_reads ~from:run_base ~count:(Watchdog.observed wd);
+        match outcome with
+        | Ok (regs', (s : Engine.stats)) ->
             regs := regs';
-            round_off := run_base + s.seg_rounds;
-            steps_total := !steps_total + s.seg_steps;
-            max_bits := max !max_bits s.seg_bits;
-            last_silent := s.seg_silent;
-            last_ok := s.seg_silent && s.seg_legal;
+            round_off := run_base + s.rounds;
+            steps_total := !steps_total + s.steps;
+            max_bits := max !max_bits s.max_bits;
+            last_silent := s.silent;
+            last_ok := s.silent && s.legal;
             Some s
-        | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-        | exception _ ->
+        | Error () ->
             incr seg_crashes;
             last_silent := false;
             last_ok := false;
             None
       end
     in
-    let ok = function Some s -> s.seg_silent && s.seg_legal | None -> false in
+    let ok = function Some (s : Engine.stats) -> s.silent && s.legal | None -> false in
     (* Phase 1: stabilize from adversarial, full budget, no ladder —
        the same contract as a chaos episode's base phase. *)
     let base = attempt ~daemon:sched ~budget:max_rounds () in
@@ -251,10 +259,14 @@ module Driver (B : BACKEND) = struct
             seg_crashes := 0;
             seg_violations := 0;
             served := [];
+            let old_n = Graph.n !g and was_ok = !last_ok in
             let g', mig = Topology.apply !g op in
             let affected = Topology.affected !g op mig in
             g := g';
             regs := B.migrate !regs g' mig rng;
+            (* The edit landed on a silent legal configuration: only the
+               guards it can have flipped need a probe. *)
+            let warm = if was_ok then B.seeds !regs g' ~old_n affected else None in
             (* The edit happens outside the engine, so emit its churn
                events here and seed the recovery run's provenance: every
                node a changed view enables was woken by the edit. *)
@@ -265,7 +277,7 @@ module Driver (B : BACKEND) = struct
             monitor_armed := P.loop_free;
             serving := true;
             let recovered =
-              if ok (attempt ~daemon:sched ~budget:first_budget ?init_causes ()) then
+              if ok (attempt ~daemon:sched ~budget:first_budget ?init_causes ?warm ()) then
                 true
               else begin
                 let rec retry k =
@@ -345,19 +357,22 @@ module Make (P : TREE_PROTOCOL) = struct
 
     let parents regs = Array.map P.parent_of regs
 
-    let run ~max_steps ~max_rounds ~on_round ~on_step ~stop_when ~events
-        ~init_causes ~round_offset ~step_offset g sched rng regs =
+    (* No declaration of the guards' global inputs: always a full scan. *)
+    let seeds _ _ ~old_n:_ _ = None
+
+    let run ~max_steps ~max_rounds ~watchdog ~warm:_ ~on_step ~events ~init_causes
+        ~round_offset ~step_offset g sched rng regs =
       let r =
-        E.run ~max_steps ~max_rounds ~on_round ?on_step ~stop_when ?events ?init_causes
-          ~round_offset ~step_offset g sched rng ~init:regs
+        E.run ~max_steps ~max_rounds ~watchdog ?on_step ?events ?init_causes ~round_offset
+          ~step_offset g sched rng ~init:regs
       in
       ( r.E.states,
         {
-          seg_steps = r.E.steps;
-          seg_rounds = r.E.rounds;
-          seg_silent = r.E.silent;
-          seg_legal = r.E.legal;
-          seg_bits = r.E.max_bits;
+          Engine.steps = r.E.steps;
+          rounds = r.E.rounds;
+          silent = r.E.silent;
+          legal = r.E.legal;
+          max_bits = r.E.max_bits;
         } )
   end)
 
@@ -367,9 +382,11 @@ end
 (* ------------------------------------------------------------------ *)
 (* Packed backend: registers live in the struct-of-arrays bank for the
    whole episode — engine segments mutate it in place, churn migration
-   copies surviving lanes verbatim ([Topology.migrate_bank]), and the
-   hooks observe re-boxed configurations, so an episode is
-   draw-for-draw and observation-for-observation identical to the
+   copies surviving lanes verbatim ([Topology.migrate_bank]), a
+   recovery after a clean event is warm-started from the edit's seeds,
+   and only the hooks that read states (the loop monitor, events, a
+   Φ-watching watchdog) observe re-boxed configurations, so an episode
+   is draw-for-draw and observation-for-observation identical to the
    boxed [Make] (pinned by test_serve's equivalence suite). *)
 
 module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
@@ -395,28 +412,16 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
           done;
           P.parent_of (P.unpack ~n tmp))
 
-    let run ~max_steps ~max_rounds ~on_round ~on_step ~stop_when ~events
-        ~init_causes ~round_offset ~step_offset g sched rng bank =
-      (* Crash-containment parity: the boxed engine never mutates its
-         [init], so a contained crash retries from the pre-segment
-         registers. [run_bank] mutates in place — restore on raise. *)
-      let saved = Array.map Array.copy bank in
-      match
-        E.run_bank ~max_steps ~max_rounds ~on_round ?on_step ~stop_when ?events
-          ?init_causes ~round_offset ~step_offset g sched rng ~bank
-      with
-      | r ->
-          ( bank,
-            {
-              seg_steps = r.E.steps;
-              seg_rounds = r.E.rounds;
-              seg_silent = r.E.silent;
-              seg_legal = r.E.legal;
-              seg_bits = r.E.max_bits;
-            } )
-      | exception e ->
-          Array.iteri (fun f lane -> Array.blit lane 0 bank.(f) 0 (Array.length lane)) saved;
-          raise e
+    let seeds bank g' ~old_n affected = Some (E.seeds bank g' ~old_n affected)
+
+    (* Crash-containment parity with the boxed engine, which never
+       mutates its [init]: [run_bank] journals its writes and leaves the
+       bank as it found it when it raises. *)
+    let run ~max_steps ~max_rounds ~watchdog ~warm ~on_step ~events ~init_causes
+        ~round_offset ~step_offset g sched rng bank =
+      ( bank,
+        E.run_bank ~max_steps ~max_rounds ~watchdog ?warm ?on_step ?events ?init_causes
+          ~round_offset ~step_offset g sched rng ~bank )
   end)
 
   let run = D.run

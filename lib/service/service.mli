@@ -9,7 +9,9 @@
     the {e committed} label snapshot ({!Snapshot} — the flattened tree
     taken at the last silent legal configuration).
 
-    {b Degradation ladder.} Every recovery runs under a {!Watchdog}.
+    {b Degradation ladder.} Every recovery runs under a {!Watchdog},
+    which the engine itself observes at every round boundary
+    ([Engine.run ~watchdog]; rounds counted over the whole episode).
     The first attempt gets the timing policy's budget ([every:R] = an
     R-round deadline; [silence] = the full retry budget); when it
     fails — budget exhausted, livelock or stall tripped, or the run
@@ -26,7 +28,10 @@
     [queries_per_round] deterministic {e pair} queries [(v, u)] are
     answered from the committed snapshot: parent, root, tree degree,
     ancestry, nearest common ancestor, and tree route length (see
-    {!Snapshot.answer}). When the event closes, the new configuration
+    {!Snapshot.answer}). The pairs depend on the round number alone and
+    a recovery never commits, so they are served after each engine
+    segment, one batch per round boundary it reached ({!Watchdog.observed}),
+    with no per-round hook. When the event closes, the new configuration
     is committed and each answer is re-evaluated against it; answers
     that differ (or name a node that left) count as {e stale} — the
     staleness window made concrete.
@@ -39,6 +44,16 @@
     with the same hooks (events with provenance, the loop monitor), so
     episodes, reports and event traces are identical between the two
     on shared seeds (pinned by the service equivalence suite).
+
+    {b Warm start} ({!Make_packed} only). When an edit lands on a silent
+    legal configuration, the event's first recovery run probes only the
+    seeds ({!Repro_runtime.Engine_packed.Make.seeds}: the nodes whose
+    views the edit changed, plus those a change of n can flip) and
+    re-checks legality only near the seeds and the nodes it wrote;
+    retries, escalations and restarts scan in full. The trajectory is
+    the cold one (qcheck-pinned in test_service), so reports do not
+    change. With [watch_phi] off and no loop monitor, a recovery then
+    boxes no register.
 
     {b Loop-freedom monitor.} For builders declaring [loop_free], every
     register write during churn recovery is checked: if the writer's
@@ -159,9 +174,12 @@ end
     engine segments mutate it in place, churn migration copies
     surviving lanes verbatim ({!Topology.migrate_bank}) and boots
     joiners adversarially in-bank — so big-n episodes never round-trip
-    the configuration through boxed states. Same episode semantics, RNG
-    draw order, reports and event traces as {!Make}: the watchdog, the
-    loop monitor and the event sink observe re-boxed registers. *)
+    the configuration through boxed states, and a recovery after a
+    clean event is warm-started. Same episode semantics, RNG draw order,
+    reports and event traces as {!Make}: the watchdog reads the bank's
+    fingerprint (and re-boxed registers only to watch Φ), the loop
+    monitor and the event sink observe re-boxed registers. A run that
+    raises leaves the bank as it was (run_bank's journal). *)
 module Make_packed (P : PACKED_TREE_PROTOCOL) : sig
   module E : module type of Repro_runtime.Engine_packed.Make (P)
 

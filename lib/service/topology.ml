@@ -119,9 +119,17 @@ let affected g (op : Churn.op) mig =
         [ u; v ]
     | Churn.Join anchors, Grow id -> id :: List.map fst anchors
     | Churn.Leave v, Swap { removed; renamed_from } ->
+        (* The removed node's neighbours lost an edge. When the leave
+           renames the last node into the hole, that node's id changed
+           and so did its neighbours' views of it (a neighbour id, and a
+           parent pointer to the old id now dangles). *)
         let rename x = if x = renamed_from then removed else x in
-        Graph.neighbors g v |> Array.to_list
-        |> List.filter_map (fun (u, _) -> if u = v then None else Some (rename u))
+        let around x =
+          Graph.neighbors g x |> Array.to_list
+          |> List.filter_map (fun (u, _) -> if u = v then None else Some (rename u))
+        in
+        if removed = renamed_from then around v
+        else (removed :: around v) @ around renamed_from
     | (Churn.Join _ | Churn.Leave _), _ ->
         invalid_arg "Topology.affected: op/migration mismatch"
   in

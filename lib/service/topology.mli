@@ -64,8 +64,15 @@ val migrate_bank :
 
 (** [affected g op mig] — the nodes, named in the {e edited} graph's
     id space, whose local views the edit changed: the endpoints of an
-    edge edit, the fresh node and its anchors for a join, the old
-    neighbors (post-rename) of the removed node for a leave. [g] is
-    the {e pre-edit} graph; the result is sorted and deduplicated.
-    These are the churn-event emission sites. *)
+    edge edit (or reweight), the fresh node and its anchors for a join;
+    for a leave, the old neighbors (post-rename) of the removed node
+    and, when the leave renames the old highest id into the hole, the
+    renamed node itself (its id changed) and its neighbors (a neighbor
+    id changed, and a parent pointer to the old id now dangles). [g]
+    is the {e pre-edit} graph; the result is sorted and deduplicated.
+    These are the churn-event emission sites. A view also carries the
+    node count, so a join or leave changes every view's [n]; the
+    builders declare which registers that can matter to
+    ({!Repro_runtime.Protocol.PACKED.n_sensitive}), and the service's
+    warm start adds them to this set. *)
 val affected : Repro_graph.Graph.t -> Churn.op -> migration -> int list

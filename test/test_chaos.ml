@@ -118,6 +118,99 @@ let test_watchdog_exhausted_without_signal () =
   | Watchdog.Exhausted _ -> ()
   | v -> Alcotest.failf "expected exhausted, got %s" (Watchdog.verdict_name v)
 
+(* Packed twins of the two non-converging toys: one lane holding the
+   register, for the packed store's fingerprint path. *)
+module Lane_toy (P : Protocol.S with type state = int) (F : sig
+  val next : int -> int
+end) =
+struct
+  include P
+
+  let words = 1
+  let pack ~n:_ s = [| s |]
+  let unpack ~n:_ a = a.(0)
+
+  let step_packed pv =
+    pv.Pview.move.(0) <- F.next pv.Pview.bank.(0).(pv.Pview.focus);
+    true
+
+  let certify _ _ _ = false
+  let certify_tree _ _ = true
+  let n_sensitive ~n:_ ~n':_ _ _ = false
+end
+
+module Pingpong_lanes = Lane_toy (Pingpong) (struct let next s = 1 - s end)
+module Counter_lanes = Lane_toy (Counter) (struct let next s = s + 1 end)
+
+(* The watchdog the engine observes ([Engine.run ~watchdog]) must give
+   the verdict — its round numbers included — and the cut that a
+   watchdog fed by hand from [on_round] with {!Watchdog.config_hash}
+   gave, on both stores, from a shifted round base, stopping the run or
+   observe-only. *)
+let verdict_pair (type s) (module P : Protocol.S with type state = s)
+    (module E : Engine.S with type state = s) g ~max_rounds ~stall_window ~watch_phi
+    ~observe_only ~base =
+  let finish wd (r : E.result) =
+    (r.E.silent, r.E.rounds, r.E.steps, Watchdog.verdict wd ~silent:r.E.silent)
+  in
+  let run ?on_round ?stop_when ?watchdog () =
+    E.run ~max_rounds ~max_steps:100_000 ?on_round ?stop_when ?watchdog g
+      Scheduler.Synchronous (seed 1) ~init:(E.initial g)
+  in
+  let by_hand =
+    let wd = Watchdog.create ~stall_window () in
+    let on_round round states =
+      Watchdog.observe_round wd ~round:(base + round) ~hash:(Watchdog.config_hash states)
+        ~snap:(fun () -> Marshal.to_string states [])
+        ~phi:(if watch_phi then P.potential g states else None)
+    in
+    let stop_when () = (not observe_only) && Watchdog.tripped wd <> None in
+    finish wd (run ~on_round ~stop_when ())
+  in
+  let observed =
+    let wd = Watchdog.create ~stall_window ~watch_phi ~observe_only () in
+    Watchdog.reset ~round_base:base wd;
+    finish wd (run ~watchdog:wd ())
+  in
+  (by_hand, observed)
+
+let test_engine_observed_verdicts () =
+  let g = Generators.path (seed 2) ~n:6 in
+  let module Toy = struct
+    module type S = Protocol.PACKED with type state = int
+  end in
+  let cases =
+    [
+      ("livelock", (module Pingpong_lanes : Toy.S), 5_000, 1_000, false);
+      ("stalled", (module Counter_lanes : Toy.S), 5_000, 16, true);
+      ("exhausted", (module Counter_lanes : Toy.S), 50, 1_000, false);
+    ]
+  in
+  List.iter
+    (fun (name, (module B : Toy.S), max_rounds, stall_window, watch_phi) ->
+      List.iter
+        (fun (store, (module E : Engine.S with type state = int)) ->
+          List.iter
+            (fun (observe_only, base) ->
+              let by_hand, observed =
+                verdict_pair (module B) (module E) g ~max_rounds ~stall_window ~watch_phi
+                  ~observe_only ~base
+              in
+              let _, _, _, v = by_hand in
+              let label =
+                Printf.sprintf "%s on the %s store (observe-only %b, base %d): %s" name store
+                  observe_only base (Format.asprintf "%a" Watchdog.pp_verdict v)
+              in
+              Alcotest.(check string) (label ^ " is the expected verdict") name
+                (Watchdog.verdict_name v);
+              Alcotest.(check bool) label true (by_hand = observed))
+            [ (false, 0); (false, 7); (true, 0); (true, 7) ])
+        [
+          ("boxed", (module Engine.Make (B) : Engine.S with type state = int));
+          ("packed", (module Engine_packed.Make (B)));
+        ])
+    cases
+
 let test_watchdog_reset () =
   let wd = Watchdog.create ~cycle_repeats:3 () in
   Watchdog.observe_round wd ~round:0 ~hash:7 ~phi:None;
@@ -339,6 +432,8 @@ let () =
             test_watchdog_collision_true_cycle_still_trips;
           Alcotest.test_case "alternating configurations still livelock" `Quick
             test_watchdog_collision_alternating_cycle;
+          Alcotest.test_case "engine-observed verdicts = hand-fed verdicts" `Quick
+            test_engine_observed_verdicts;
         ] );
       ( "adversary hook",
         [

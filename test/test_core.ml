@@ -713,7 +713,7 @@ let prop_bfs_self_stabilizes =
 
 (* ------------------------------------------------------------------ *)
 (* Legality oracles: the global definitions the local certificates of
-   St_layer / Bfs_builder / Spt_builder replaced, kept verbatim (a tree
+   St_layer / Bfs_builder / Spt_builder / Adhoc_bfs replaced, kept verbatim (a tree
    build, a reference BFS, a Set-based Dijkstra). *)
 
 let old_st_is_legal g (sts : St_layer.t array) =
@@ -778,6 +778,21 @@ let old_spt_is_legal g (sts : Spt_builder.state array) =
       | None -> ok := false
     end
   done;
+  !ok
+
+(* Ad-hoc BFS legality before its per-node certificate: true distances
+   from a reference BFS, and a graph-neighbour parent one hop closer. *)
+let old_adhoc_is_legal g (sts : Repro_baselines.Adhoc_bfs.state array) =
+  let d = Traversal.bfs_distances g ~src:0 in
+  let ok = ref true in
+  Array.iteri
+    (fun v (s : Repro_baselines.Adhoc_bfs.state) ->
+      if s.dist <> d.(v) then ok := false;
+      if v <> 0 then
+        match s.parent with
+        | p when p >= 0 && Graph.has_edge g v p && d.(p) + 1 = d.(v) -> ()
+        | _ -> ok := false)
+    sts;
   !ok
 
 (* Inputs for the exactness property: a random connected graph — half
@@ -931,6 +946,14 @@ let prop_legality_certificates_exact =
         let sts = st_configuration rng g in
         if St_layer.is_legal g sts <> old_st_is_legal g sts then ok := false;
         if Bfs_builder.is_bfs_tree g sts <> old_is_bfs_tree g sts then ok := false;
+        let adhoc =
+          Array.map
+            (fun (s : St_layer.t) ->
+              { Repro_baselines.Adhoc_bfs.parent = s.parent; dist = s.dist })
+            sts
+        in
+        if Repro_baselines.Adhoc_bfs.P.is_legal g adhoc <> old_adhoc_is_legal g adhoc then
+          ok := false;
         let spt = spt_configuration rng g in
         if Spt_builder.P.is_legal g spt <> old_spt_is_legal g spt then ok := false
       done;

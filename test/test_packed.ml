@@ -264,10 +264,14 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   let adversary ~round _ = if round = 2 then faults else [] in
   let init_causes v = [ v; 1000 + v ] in
   let stop_when () = cut && !steps >= 25 in
+  (* The stores fingerprint differently; the verdict, its rounds and the
+     Φ floor must not depend on it. *)
+  let watchdog = Watchdog.create ~watch_phi:true ~observe_only:true () in
+  Watchdog.reset ~round_base:5 watchdog;
   let r =
     E.run ~max_steps:20_000 ~max_rounds:2_000 ~on_round ~on_step
-      ~adversary ~stop_when ~events ~profile ~init_causes ~round_offset:7 ~step_offset:11 g
-      sched
+      ~adversary ~stop_when ~watchdog ~events ~profile ~init_causes ~round_offset:7
+      ~step_offset:11 g sched
       (Random.State.make [| sd; 31 |])
       ~init
   in
@@ -276,6 +280,7 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
     (p.moves, p.guard_evals, p.touches, p.flushes, p.churn, Profile.rule_counts p)
   in
   ( (r.E.steps, r.E.rounds, r.E.silent, r.E.legal, r.E.max_bits),
+    (Watchdog.verdict watchdog ~silent:r.E.silent, Watchdog.observed watchdog),
     List.map (Format.asprintf "%a" B.pp_state) (Array.to_list r.E.states),
     lines (Events.events events),
     Buffer.contents log,
@@ -300,6 +305,70 @@ let hooks_equal (type s) (module B : Protocol.PACKED with type state = s) (sd, g
           true)
         [ false; true ])
     Scheduler.extended
+
+(* ------------------------------------------------------------------ *)
+(* The packed store on its own: the watchdog's fingerprint is kept per
+   write, and a journaled bank is restored on rollback. From an
+   adversarial bank, commit enabled nodes in random order and overwrite
+   random nodes with fresh registers (a fault); after every write the
+   incremental fingerprint must equal the one a fresh store computes
+   from scratch, and rolling back must give the starting bank. *)
+
+let fingerprint_tracks (type s) (module B : Protocol.PACKED with type state = s) (sd, g) =
+  let module Ep = Engine_packed.Make (B) in
+  let module St = Ep.Store in
+  let n = Graph.n g in
+  let rng = Random.State.make [| sd; 41 |] in
+  let bank = Ep.pack_bank ~n (Ep.adversarial rng g) in
+  let start = Array.map Array.copy bank in
+  let st = St.create ~watched:true g (bank, true) in
+  let from_scratch () = St.fingerprint (St.create ~watched:true g (bank, false)) in
+  let check what =
+    if St.fingerprint st <> from_scratch () then
+      QCheck2.Test.fail_reportf "fingerprint drifted after %s (n=%d)" what n
+  in
+  check "create";
+  for _ = 1 to 4 * n do
+    let v = Random.State.int rng n in
+    if Random.State.int rng 4 = 0 then begin
+      ignore (St.overwrite st v (B.random_state rng g v));
+      check "an overwrite"
+    end
+    else if St.probe st v then begin
+      ignore (St.commit st v);
+      check "a commit"
+    end
+  done;
+  St.rollback st;
+  if bank <> start then QCheck2.Test.fail_reportf "rollback did not restore the bank";
+  true
+
+(* [run_bank] leaves the caller's bank as it found it when the run
+   raises (here an [on_step] hook, after some writes). *)
+let test_run_bank_rollback () =
+  let module Ep = Engine_packed.Make (Spt_builder.Packed) in
+  let g = Generators.random_connected (seed 71) ~n:60 ~m:120 in
+  let bank = Ep.pack_bank ~n:60 (Ep.adversarial (seed 72) g) in
+  let start = Array.map Array.copy bank in
+  let writes = ref 0 in
+  let on_step _ _ =
+    incr writes;
+    if !writes = 40 then failwith "hook"
+  in
+  (match Ep.run_bank ~on_step g Scheduler.Synchronous (seed 73) ~bank with
+  | _ -> Alcotest.fail "the hook did not raise"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "bank restored" true (bank = start)
+
+let store_props =
+  [
+    prop ~count:30 "bfs: incremental fingerprint = from scratch" (gen_graph 2 30)
+      (fingerprint_tracks (module Bfs_builder.Packed));
+    prop ~count:30 "spt: incremental fingerprint = from scratch" (gen_graph 2 30)
+      (fingerprint_tracks (module Spt_builder.Packed));
+    prop ~count:30 "adhoc-bfs: incremental fingerprint = from scratch" (gen_graph 2 30)
+      (fingerprint_tracks (module Adhoc_bfs.Packed));
+  ]
 
 let hook_props =
   [
@@ -336,4 +405,10 @@ let () =
             test_allocation_free;
         ] );
       ("engine-hooks", hook_props);
+      ( "store",
+        store_props
+        @ [
+            Alcotest.test_case "run_bank rolls the bank back on raise" `Quick
+              test_run_bank_rollback;
+          ] );
     ]

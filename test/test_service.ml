@@ -329,7 +329,206 @@ let test_episode_churn_attribution () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Churn provenance and the warm start *)
+
+(* [Some op] of the given kind that {!Topology.check} accepts on [g],
+   drawn at random; [None] when there is none. *)
+let pick_op rng g kind =
+  let n = Graph.n g in
+  let shuffled l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+  in
+  let first ops = List.find_opt (fun op -> Topology.check g op = Ok ()) (shuffled ops) in
+  let edges = Array.to_list (Graph.edges g) in
+  let weight () = 1 + Random.State.int rng 9 in
+  match kind with
+  | `Add ->
+      first
+        (List.concat_map
+           (fun u -> List.init n (fun v -> Churn.Add_edge (u, v, weight ())))
+           (List.init n Fun.id))
+  | `Del -> first (List.map (fun (e : Graph.Edge.t) -> Churn.Del_edge (e.u, e.v)) edges)
+  | `Reweight ->
+      first (List.map (fun (e : Graph.Edge.t) -> Churn.Reweight (e.u, e.v, weight ())) edges)
+  | `Join ->
+      let anchors = List.sort_uniq compare (List.init 2 (fun _ -> Random.State.int rng n)) in
+      first [ Churn.Join (List.map (fun a -> (a, weight ())) anchors) ]
+  | `Leave_renaming -> first (List.init (n - 1) (fun v -> Churn.Leave v))
+  | `Leave_last -> first [ Churn.Leave (n - 1) ]
+
+let op_kinds = [ `Add; `Del; `Reweight; `Join; `Leave_renaming; `Leave_last ]
+
+(* From a silent legal configuration in [bank] on [g], after edit [op]:
+   the warm-started enabled set (the seeds' guards,
+   [Engine_packed.seeds]) equals the full scan's; the warm-started
+   recovery is the cold one (counts and final bank); and its local
+   legality verdict equals the full [is_legal], kept here as the
+   oracle. Returns the full scan's enabled set and the affected set. *)
+let check_warm_edit (type s) (module B : Service.PACKED_TREE_PROTOCOL with type state = s)
+    ~sd rng g bank op =
+  let module Ep = Engine_packed.Make (B) in
+  let module Eb = Engine.Make (B) in
+  let boxed bank =
+    let n = Array.length bank.(0) in
+    Array.init n (fun v -> B.unpack ~n (Array.map (fun lane -> lane.(v)) bank))
+  in
+  let ids l = String.concat "," (List.map string_of_int l) in
+  let g', mig = Topology.apply g op in
+  let n' = Graph.n g' in
+  let edited =
+    Topology.migrate_bank bank mig ~fresh:(fun id -> B.pack ~n:n' (B.random_state rng g' id))
+  in
+  let affected = Topology.affected g op mig in
+  let seeds = Ep.seeds edited g' ~old_n:(Graph.n g) affected in
+  let states = boxed edited in
+  let warm =
+    List.filter (fun v -> B.step (Eb.view g' states v) <> None) (Array.to_list seeds)
+  in
+  let full = Eb.enabled g' states in
+  if warm <> full then
+    QCheck2.Test.fail_reportf "%s: warm enabled set [%s] <> full scan [%s]"
+      (Churn.op_name op) (ids warm) (ids full);
+  List.iter
+    (fun sched ->
+      let draws = Random.State.make [| sd; 6 |] in
+      let cold_bank = Array.map Array.copy edited in
+      let warm_bank = Array.map Array.copy edited in
+      let cold = Ep.run_bank g' sched (Random.State.copy draws) ~bank:cold_bank in
+      let hot = Ep.run_bank ~warm:seeds g' sched (Random.State.copy draws) ~bank:warm_bank in
+      if cold <> hot || cold_bank <> warm_bank then
+        QCheck2.Test.fail_reportf "%s: warm recovery diverged from the cold one"
+          (Churn.op_name op);
+      if hot.Ep.legal <> B.is_legal g' (boxed warm_bank) then
+        QCheck2.Test.fail_reportf "%s: local legality %b <> full is_legal" (Churn.op_name op)
+          hot.Ep.legal)
+    [ Scheduler.Synchronous; Scheduler.Central Scheduler.Random_daemon ];
+  (full, affected)
+
+(* [check_warm_edit] after every edit kind, from the silent legal
+   configuration an adversarial start stabilizes to. Paths and
+   lollipops put registers at the TTL bound. *)
+let warm_start_exact (type s) (module B : Service.PACKED_TREE_PROTOCOL with type state = s)
+    (sd, shape, n) =
+  let module Ep = Engine_packed.Make (B) in
+  let rng = Random.State.make [| sd; 5 |] in
+  let g =
+    match shape with
+    | 0 -> Generators.path rng ~n
+    | 1 -> Generators.lollipop rng ~clique:3 ~tail:(n - 3)
+    | _ -> Generators.random_connected rng ~n ~m:(n - 1 + Random.State.int rng n)
+  in
+  let bank = Ep.pack_bank ~n (Ep.adversarial rng g) in
+  let base = Ep.run_bank g Scheduler.Synchronous rng ~bank in
+  if not (base.Ep.silent && base.Ep.legal) then
+    QCheck2.Test.fail_reportf "base run did not stabilize (n=%d)" n;
+  List.iter
+    (fun kind ->
+      Option.iter
+        (fun op -> ignore (check_warm_edit (module B) ~sd rng g bank op))
+        (pick_op rng g kind))
+    op_kinds;
+  true
+
+(* The TTL test biting far from the edit. The shortest-path tree of
+   this graph is the path 0-1-5-2-3-4 (the edge {1,2} is heavy), so node
+   4 sits at hops 5 = n - 1. When node 5 leaves (n: 6 -> 5), node 3 at
+   hops 4 fails the test [hops + 1 <= n - 1], so its child 4 — not a
+   neighbour of the leaver — is enabled: only the declared n-sensitivity
+   puts it among the seeds. *)
+let test_warm_start_ttl () =
+  let module Ep = Engine_packed.Make (Repro_campaign.Builders.Spt_tree) in
+  let g =
+    Graph.of_edges 6 [ (0, 1, 1); (1, 5, 1); (5, 2, 1); (2, 3, 1); (3, 4, 1); (1, 2, 100) ]
+  in
+  let rng = seed 40 in
+  let bank = Ep.pack_bank ~n:6 (Ep.adversarial rng g) in
+  let base = Ep.run_bank g Scheduler.Synchronous rng ~bank in
+  Alcotest.(check bool) "base silent and legal" true (base.Ep.silent && base.Ep.legal);
+  Alcotest.(check int) "node 4 at hops n - 1" 5 bank.(3).(4);
+  let full, affected =
+    check_warm_edit (module Repro_campaign.Builders.Spt_tree) ~sd:40 rng g bank
+      (Churn.Leave 5)
+  in
+  Alcotest.(check bool) "node 4 is enabled" true (List.mem 4 full);
+  Alcotest.(check bool) "node 4 is not next to the edit" false (List.mem 4 affected)
+
+let gen_warm =
+  QCheck2.Gen.(
+    let* sd = int_bound 1_000_000 in
+    let* shape = int_bound 2 in
+    let* n = int_range 5 16 in
+    return (sd, shape, n))
+
+let warm_props =
+  let prop name m =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60 ~name gen_warm (warm_start_exact m))
+  in
+  [
+    prop "bfs: warm start = full scan, local legality = is_legal"
+      (module Repro_campaign.Builders.Bfs_tree);
+    prop "spt: warm start = full scan, local legality = is_legal"
+      (module Repro_campaign.Builders.Spt_tree);
+    prop "adhoc-bfs: warm start = full scan, local legality = is_legal"
+      (module Repro_campaign.Builders.Adhoc_tree);
+  ]
+
+(* After an at-silence edit every recovery move is caused, transitively,
+   by one of the edit's churn events: the pre-edit configuration was
+   silent, so only a node whose view the edit changed can move first.
+   Node 14 hangs off node 15 alone, so it is a child of 15 in every
+   spanning tree: a renaming leave moves 15, the highest id, into the
+   hole while it has a child whose parent pointer now dangles. *)
+let test_churn_moves_all_attributed () =
+  let base = Generators.random_connected (seed 30) ~n:14 ~m:22 in
+  let edges =
+    List.map (fun (e : Graph.Edge.t) -> (e.u, e.v, e.w)) (Array.to_list (Graph.edges base))
+    @ [ (15, 3, 2); (15, 9, 5); (14, 15, 1) ]
+  in
+  let g = Graph.of_edges 16 edges in
+  let rng = seed 31 in
+  let ops =
+    List.filter_map (pick_op rng g) [ `Add; `Del; `Reweight; `Join; `Leave_renaming ]
+  in
+  Alcotest.(check int) "one op of every kind" 5 (List.length ops);
+  let moves = ref 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun op ->
+          let sink = Events.ring ~capacity:1_000_000 () in
+          let trace = { Churn.spec = Churn.Ops [ op ]; timing = Churn.At_silence } in
+          let r =
+            Repro_campaign.Builders.serve ~events:sink b g ~sched:Scheduler.Synchronous
+              ~fallback:(Distributed 0.5) (seed 32) trace
+          in
+          let what = Repro_campaign.Builders.name b ^ " after " ^ Churn.op_name op in
+          Alcotest.(check bool) (what ^ ": recovered") true r.Service.recovered;
+          let causal = Hashtbl.create 64 in
+          let after_edit = ref false and spontaneous = ref [] in
+          List.iter
+            (fun (ev : Events.event) ->
+              match ev.Events.kind with
+              | Events.Churn _ ->
+                  after_edit := true;
+                  Hashtbl.replace causal ev.Events.id ()
+              | Events.Move { node; causes; _ } when !after_edit ->
+                  incr moves;
+                  if List.exists (Hashtbl.mem causal) causes then
+                    Hashtbl.replace causal ev.Events.id ()
+                  else spontaneous := node :: !spontaneous
+              | _ -> ())
+            (Events.events sink);
+          if !spontaneous <> [] then
+            Alcotest.failf "%s: root-spontaneous recovery moves at nodes [%s]" what
+              (String.concat "," (List.map string_of_int (List.rev !spontaneous))))
+        ops)
+    Repro_campaign.Builders.[ bfs; spt ];
+  Alcotest.(check bool) "recovery moves happened" true (!moves > 0)
+
 let () =
+  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_service"
     [
       ( "grammar",
@@ -369,5 +568,13 @@ let () =
             test_episode_sink_draws_no_rng;
           Alcotest.test_case "churn events anchor causal attribution" `Quick
             test_episode_churn_attribution;
+          Alcotest.test_case "at-silence churn: every recovery move attributed" `Quick
+            test_churn_moves_all_attributed;
         ] );
+      ( "warm start",
+        warm_props
+        @ [
+            Alcotest.test_case "spt: a leave flips the TTL test far from the edit" `Quick
+              test_warm_start_ttl;
+          ] );
     ]
