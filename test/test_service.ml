@@ -571,7 +571,7 @@ let () =
           Alcotest.test_case "at-silence churn: every recovery move attributed" `Quick
             test_churn_moves_all_attributed;
         ] );
-      ( "warm start",
+      ( "warmstart",
         warm_props
         @ [
             Alcotest.test_case "spt: a leave flips the TTL test far from the edit" `Quick
