@@ -157,6 +157,7 @@ module Packed = struct
      neighbour distance and as the fallback distance [n] it selects, so
      a neighbour whose dist lane is at least [min n n'] may flip them. *)
   let n_sensitive ~n ~n' bank u = bank.(1).(u) + 1 > min n n'
+  let parent_lane = 0
 end
 
 module Engine_packed = Repro_runtime.Engine_packed.Make (Packed)

@@ -24,7 +24,12 @@ module P : Repro_runtime.Protocol.S with type state = state
 module Engine : module type of Repro_runtime.Engine.Make (P)
 
 (** The same protocol on a 2-lane register bank ([parent], [dist]), for
-    the struct-of-arrays engine (see SCALING.md). *)
-module Packed : Repro_runtime.Protocol.PACKED with type state = state
+    the struct-of-arrays engine (see SCALING.md). [parent_lane] is the
+    [parent] lane. *)
+module Packed : sig
+  include Repro_runtime.Protocol.PACKED with type state = state
+
+  val parent_lane : int
+end
 
 module Engine_packed : module type of Repro_runtime.Engine_packed.Make (Packed)

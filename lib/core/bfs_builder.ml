@@ -3,27 +3,22 @@ module Traversal = Repro_graph.Traversal
 module View = Repro_runtime.View
 
 (* The per-node certificate of bfs_builder.mli on the lanes (0 =
-   parent, 1 = root, 2 = dist): the layer's own conjunct, the [verify]
+   parent, 1 = (root, dist)): the layer's own conjunct, the [verify]
    PLS, and a neighbor one hop closer at every non-root. *)
 let certify g bank v =
   St_layer.certify g bank v
   &&
   let row = Graph.csr_row g and col = Graph.csr_col g in
-  let dis = bank.(2) in
-  let d = dis.(v) in
+  let rdi = bank.(1) in
+  let d = St_layer.lo rdi.(v) in
   let ok = ref true and closer = ref (v = 0) in
   for i = row.(v) to row.(v + 1) - 1 do
-    let du = dis.(col.(i)) in
+    let du = St_layer.lo rdi.(col.(i)) in
     if du < d - 1 then ok := false else if du = d - 1 then closer := true
   done;
   !ok && !closer
 
-let is_bfs_tree g sts =
-  Repro_runtime.Protocol.certified ~words:St_layer.words
-    ~pack:(fun ~n:_ s -> St_layer.pack s)
-    ~certify
-    ~certify_tree:(fun _ _ -> true)
-    g sts
+let is_bfs_tree g sts = St_layer.certified ~certify g sts
 
 let potential g sts =
   let d = Traversal.bfs_distances g ~src:0 in
@@ -58,10 +53,11 @@ module Packed = struct
   let words = St_layer.words
   let pack ~n:_ s = St_layer.pack s
   let unpack ~n:_ a = St_layer.unpack a
-  let step_packed pv = St_layer.step_packed pv ~keep_shape:false
+  let step_packed = St_layer.step_packed
   let certify = certify
   let certify_tree _ _ = true
   let n_sensitive = St_layer.n_sensitive
+  let parent_lane = 0
 end
 
 module Engine_packed = Repro_runtime.Engine_packed.Make (Packed)

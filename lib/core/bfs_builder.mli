@@ -18,9 +18,14 @@ module P : Repro_runtime.Protocol.S with type state = St_layer.t
 
 module Engine : module type of Repro_runtime.Engine.Make (P)
 
-(** The same protocol with the 3-lane {!St_layer} codec, for the
-    struct-of-arrays engine (the big-n bench tier; see SCALING.md). *)
-module Packed : Repro_runtime.Protocol.PACKED with type state = St_layer.t
+(** The same protocol with the 2-lane {!St_layer} codec, for the
+    struct-of-arrays engine (the big-n bench tier; see SCALING.md).
+    [parent_lane] is the [parent] lane. *)
+module Packed : sig
+  include Repro_runtime.Protocol.PACKED with type state = St_layer.t
+
+  val parent_lane : int
+end
 
 module Engine_packed : module type of Repro_runtime.Engine_packed.Make (Packed)
 

@@ -79,8 +79,19 @@ let potential g sts =
     sts;
   !total
 
-(* Lanes: 0=parent, 1=root, 2=wdist, 3=hops (see SCALING.md). *)
-let pack (s : state) = [| s.parent; s.root; s.wdist; s.hops |]
+(* Lanes: 0 = parent, 1 = (root, hops) as {!St_layer}'s 31-bit pair,
+   2 = wdist (see spt_builder.mli for the range, SCALING.md for the
+   layout). [wdist] keeps a whole lane: an adversarial start plus edge
+   sums can exceed 2^30. *)
+let words = 3
+
+let pack (s : state) =
+  if not (St_layer.fits s.root && St_layer.fits s.hops) then
+    invalid_arg "Spt_builder.pack: root or hops outside 31 signed bits";
+  [| s.parent; St_layer.pair s.root s.hops; s.wdist |]
+
+let unpack a =
+  { parent = a.(0); root = St_layer.hi a.(1); wdist = a.(2); hops = St_layer.lo a.(1) }
 
 (* The per-node certificate of spt_builder.mli on the lanes, no heap. An
    edge sum can overflow only next to a [wdist] above the total weight,
@@ -88,7 +99,7 @@ let pack (s : state) = [| s.parent; s.root; s.wdist; s.hops |]
 let certify g bank v =
   let par = bank.(0) and wdi = bank.(2) in
   let w = wdi.(v) in
-  bank.(1).(v) = 0
+  St_layer.hi bank.(1).(v) = 0
   && w >= 0
   && w <= Graph.total_weight g
   && (v <> 0 || w = 0)
@@ -179,9 +190,13 @@ module P = struct
       if equal_state fresh s then None else Some fresh
     end
 
+  (* Legality reads no hops and pins root to 0, so a register whose root
+     the codec cannot hold is not legal and hops is packed as 0. *)
   let is_legal g sts =
-    Repro_runtime.Protocol.certified ~words:4 ~pack:(fun ~n:_ s -> pack s) ~certify
-      ~certify_tree g sts
+    Array.for_all (fun s -> St_layer.fits s.root) sts
+    && Repro_runtime.Protocol.certified ~words
+         ~pack:(fun ~n:_ s -> pack { s with hops = 0 })
+         ~certify ~certify_tree g sts
 
   let potential g sts = Some (potential g sts)
 
@@ -195,12 +210,21 @@ module P = struct
         else "hops")
 end
 
+(* [St_layer.hi] and [St_layer.lo], restated so that the guard below,
+   which decodes two fields per neighbour, inlines them: dune's default
+   profile compiles each module opaquely, so a call into St_layer stays
+   a call. The codec round-trip and packed-equivalence properties
+   (test_packed) pin them to [St_layer.pair]. *)
+let hi lane = lane asr 31
+let lo lane = (lane land 0x7FFF_FFFF) - 0x4000_0000
+
 module Packed = struct
   include P
 
-  let words = 4
+  let words = words
   let pack ~n:_ s = pack s
-  let unpack ~n:_ a = { parent = a.(0); root = a.(1); wdist = a.(2); hops = a.(3) }
+  let unpack ~n:_ a = unpack a
+  let parent_lane = 0
 
   (* [P.step] on the flat bank: same usable predicate, same lexicographic
      (root, wdist+w, hops+1, id) best, same tie-breaking. Pinned against
@@ -208,38 +232,40 @@ module Packed = struct
   let step_packed (pv : Repro_runtime.Pview.t) =
     let open Repro_runtime in
     let bank = pv.Pview.bank in
-    let par = bank.(0) and roo = bank.(1) and wdi = bank.(2) and hop = bank.(3) in
+    let par = bank.(0) and rho = bank.(1) and wdi = bank.(2) in
     let id = pv.Pview.focus in
     let n = pv.Pview.n in
     let row = pv.Pview.row and col = pv.Pview.col and wgt = pv.Pview.wgt in
-    let s_parent = par.(id) and s_root = roo.(id) in
-    let s_wdist = wdi.(id) and s_hops = hop.(id) in
-    (* usable u := roo.(u) >= 0 && wdi.(u) >= 0 && hop.(u) + 1 <= n - 1,
+    let s_parent = par.(id) and s_rh = rho.(id) and s_wdist = wdi.(id) in
+    let s_root = hi s_rh in
+    (* usable u := root(u) >= 0 && wdi.(u) >= 0 && hops(u) + 1 <= n - 1,
        spelled out at each use — a local predicate closure would
-       allocate on the hot path. *)
+       allocate on the hot path. A lane is negative iff its root is,
+       and a usable neighbour's lane plus one is (root, hops + 1). *)
     let p_idx =
       if s_parent = -1 then -1
       else match Pview.index pv s_parent with i -> i | exception Not_found -> -1
     in
     let valid =
-      if s_parent = -1 then s_root = id && s_wdist = 0 && s_hops = 0
+      if s_parent = -1 then s_rh = St_layer.pair id 0 && s_wdist = 0
       else
         p_idx >= 0
         &&
         let p = col.(p_idx) in
-        roo.(p) >= 0
+        let p_rh = rho.(p) in
+        p_rh >= 0
         && wdi.(p) >= 0
-        && hop.(p) + 1 <= n - 1
-        && s_root = roo.(p)
+        && lo p_rh + 1 <= n - 1
+        && s_rh = p_rh + 1
         && s_wdist = wdi.(p) + wgt.(p_idx)
-        && s_hops = hop.(p) + 1
     in
     let has_best = ref false in
     let br = ref 0 and bwd = ref 0 and bh = ref 0 and bu = ref 0 in
     for i = row.(id) to row.(id + 1) - 1 do
       let u = col.(i) in
-      if roo.(u) >= 0 && wdi.(u) >= 0 && hop.(u) + 1 <= n - 1 then begin
-        let r = roo.(u) and wd = wdi.(u) + wgt.(i) and h = hop.(u) + 1 in
+      let rh = rho.(u) in
+      if rh >= 0 && wdi.(u) >= 0 && lo rh + 1 <= n - 1 then begin
+        let r = hi rh and wd = wdi.(u) + wgt.(i) and h = lo rh + 1 in
         if
           (not !has_best)
           || r < !br
@@ -267,12 +293,12 @@ module Packed = struct
         fwd := !bwd;
         fh := !bh
       end;
-      if !fp = s_parent && !fr = s_root && !fwd = s_wdist && !fh = s_hops then false
+      let f_rh = St_layer.pair !fr !fh in
+      if !fp = s_parent && f_rh = s_rh && !fwd = s_wdist then false
       else begin
         pv.Pview.move.(0) <- !fp;
-        pv.Pview.move.(1) <- !fr;
+        pv.Pview.move.(1) <- f_rh;
         pv.Pview.move.(2) <- !fwd;
-        pv.Pview.move.(3) <- !fh;
         true
       end
     end
@@ -280,9 +306,9 @@ module Packed = struct
   let certify = certify
   let certify_tree = certify_tree
 
-  (* [usable]'s TTL test on the hops lane. *)
+  (* [usable]'s TTL test on the hops field. *)
   let n_sensitive ~n ~n' bank u =
-    let h = bank.(3).(u) in
+    let h = St_layer.lo bank.(1).(u) in
     (h + 1 <= n - 1) <> (h + 1 <= n' - 1)
 end
 

@@ -20,10 +20,25 @@ module P : Repro_runtime.Protocol.S with type state = state
 
 module Engine : module type of Repro_runtime.Engine.Make (P)
 
-(** The same protocol on a 4-lane register bank
-    ([parent], [root], [wdist], [hops]), for the struct-of-arrays engine
-    (the big-n bench tier; see SCALING.md). *)
-module Packed : Repro_runtime.Protocol.PACKED with type state = state
+(** The same protocol on a 3-lane register bank, for the
+    struct-of-arrays engine (the big-n bench tier; see SCALING.md):
+    lane 0 = [parent] ([parent_lane]), lane 1 = ([root], [hops]) as one
+    {!St_layer.pair}, lane 2 = [wdist].
+
+    {e Range.} [root] and [hops] share a lane as two 31-bit signed
+    fields. Every value a run can reach lies in [[-2^16, n + 2^16]]:
+    [random_state] draws both in [[0, n]]; a move copies a neighbour's
+    [root], writes its own id, or adds 1 to [hops] under the TTL bound
+    [hops + 1 <= n - 1]; and a {!Repro_runtime.Fault.bitflip} toggles
+    one of the low 16 bits. So every reachable register fits for [n <
+    2^29]. [wdist] keeps a whole lane: an adversarial start plus edge
+    sums can exceed [2^30]. [pack] raises [Invalid_argument] when
+    [root] or [hops] is out of range; it never clamps. *)
+module Packed : sig
+  include Repro_runtime.Protocol.PACKED with type state = state
+
+  val parent_lane : int
+end
 
 module Engine_packed : module type of Repro_runtime.Engine_packed.Make (Packed)
 

@@ -103,44 +103,55 @@ let step view ~get ~keep_shape =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Packed representation: lanes 0=parent, 1=root, 2=dist. The layer's
-   fields are plain small ints, so the codec is the identity on each
-   field (see SCALING.md for the bank layout and PAPER_MAP.md for the
-   bits accounting). *)
+(* Packed representation: lane 0 = parent, lane 1 = (root, dist) as two
+   31-bit signed fields, so a guard reads a neighbour's (root, dist) in
+   one word (see st_layer.mli for the range and SCALING.md for the bank
+   layout). The low field is stored biased by 2^30, which keeps it
+   non-negative: a lane orders like its pair, lexicographically, and it
+   is negative iff its high field is. *)
 
-let words = 3
-let pack (s : t) = [| s.parent; s.root; s.dist |]
-let unpack a = { parent = a.(0); root = a.(1); dist = a.(2) }
+let half = 0x4000_0000
+let fits x = x >= -half && x < half
+let pair hi lo = (hi lsl 31) lor (lo + half)
+let hi lane = lane asr 31
+let lo lane = (lane land 0x7FFF_FFFF) - half
+let words = 2
 
-(* [step ~get:Fun.id] translated to int lanes: same usable predicate,
-   same lexicographic (root, dist+1, id) best-join, same tie-breaking.
-   Pinned against the boxed step pointwise and whole-run by
-   test_packed. *)
-let step_packed (pv : Repro_runtime.Pview.t) ~keep_shape =
+let pack (s : t) =
+  if not (fits s.root && fits s.dist) then
+    invalid_arg "St_layer.pack: root or dist outside 31 signed bits";
+  [| s.parent; pair s.root s.dist |]
+
+let unpack a = { parent = a.(0); root = hi a.(1); dist = lo a.(1) }
+
+(* [step ~get:Fun.id ~keep_shape:false] translated to int lanes: same
+   usable predicate, same lexicographic (root, dist+1, id) best-join,
+   same tie-breaking. Pinned against the boxed step pointwise and
+   whole-run by test_packed. *)
+let step_packed (pv : Repro_runtime.Pview.t) =
   let open Repro_runtime in
   let bank = pv.Pview.bank in
-  let par = bank.(0) and roo = bank.(1) and dis = bank.(2) in
+  let par = bank.(0) and rdi = bank.(1) in
   let id = pv.Pview.focus in
   let n = pv.Pview.n in
   let row = pv.Pview.row and col = pv.Pview.col in
-  let s_parent = par.(id) and s_root = roo.(id) and s_dist = dis.(id) in
+  let s_parent = par.(id) and s_rd = rdi.(id) in
+  let s_root = hi s_rd and s_dist = lo s_rd in
   (* Best joinable neighbor, lexicographic on (root, dist+1, id); the
-     CSR segment is in increasing neighbor order like View.nbr_ids. *)
+     CSR segment is in increasing neighbor order like View.nbr_ids. A
+     usable neighbour's dist + 1 stays in range, so its lane plus one
+     is the pair (root, dist + 1) and orders like it. *)
   let has_best = ref false in
-  let br = ref 0 and bd = ref 0 and bu = ref 0 in
+  let bkey = ref 0 and bu = ref 0 in
   for i = row.(id) to row.(id + 1) - 1 do
     let u = col.(i) in
-    let ur = roo.(u) and ud = dis.(u) in
-    if ur >= 0 && ud >= 0 && ud + 1 <= n - 1 then begin
-      let d = ud + 1 in
-      if
-        (not !has_best)
-        || ur < !br
-        || (ur = !br && (d < !bd || (d = !bd && u < !bu)))
-      then begin
+    let rd = rdi.(u) in
+    let ud = lo rd in
+    if rd >= 0 && ud >= 0 && ud + 1 <= n - 1 then begin
+      let key = rd + 1 in
+      if (not !has_best) || key < !bkey || (key = !bkey && u < !bu) then begin
         has_best := true;
-        br := ur;
-        bd := d;
+        bkey := key;
         bu := u
       end
     end
@@ -149,71 +160,56 @@ let step_packed (pv : Repro_runtime.Pview.t) ~keep_shape =
     if s_parent = -1 then -1
     else match Pview.index pv s_parent with i -> i | exception Not_found -> -1
   in
-  let parent_usable =
-    p_idx >= 0
-    &&
-    let p = col.(p_idx) in
-    roo.(p) >= 0 && dis.(p) >= 0 && dis.(p) + 1 <= n - 1
-  in
+  let p_rd = if p_idx >= 0 then rdi.(col.(p_idx)) else -1 in
+  let parent_usable = p_rd >= 0 && lo p_rd >= 0 && lo p_rd + 1 <= n - 1 in
   let valid =
     if s_parent = -1 then s_root = id && s_dist = 0
-    else
-      parent_usable
-      &&
-      let p = col.(p_idx) in
-      s_root = roo.(p) && s_dist = dis.(p) + 1
+    else parent_usable && s_rd = p_rd + 1
   in
-  let better_exists =
-    id < s_root
-    || (!has_best
-       &&
-       if keep_shape then !br < s_root
-       else !br < s_root || (!br = s_root && !bd < s_dist))
-  in
+  let better_exists = id < s_root || (!has_best && !bkey < s_rd) in
   if valid && not better_exists then false
   else begin
-    let r_best = if !has_best then min id !br else id in
-    (* fresh defaults to self_root id; built directly in the move
-       scratch (allocation-free — the engine only reads it on [true]). *)
+    (* fresh is the best join when its root is below id, else
+       self_root id; built directly in the move scratch (allocation-free
+       — the engine only reads it on [true]). *)
     let mv = pv.Pview.move in
-    mv.(0) <- -1;
-    mv.(1) <- id;
-    mv.(2) <- 0;
-    if r_best <> id then
-      if keep_shape && parent_usable && roo.(col.(p_idx)) = r_best then begin
-        mv.(0) <- s_parent;
-        mv.(1) <- r_best;
-        mv.(2) <- dis.(col.(p_idx)) + 1
-      end
-      else if !has_best && !br = r_best then begin
-        mv.(0) <- !bu;
-        mv.(1) <- !br;
-        mv.(2) <- !bd
-      end;
-    not (mv.(0) = s_parent && mv.(1) = s_root && mv.(2) = s_dist)
+    if !has_best && hi !bkey < id then begin
+      mv.(0) <- !bu;
+      mv.(1) <- !bkey
+    end
+    else begin
+      mv.(0) <- -1;
+      mv.(1) <- pair id 0
+    end;
+    not (mv.(0) = s_parent && mv.(1) = s_rd)
   end
 
 (* The layer's per-node certificate of st_layer.mli, on the lanes. *)
 let certify g bank v =
   let n = Graph.n g in
-  let par = bank.(0) and dis = bank.(2) in
-  bank.(1).(v) = 0
+  let par = bank.(0) and rdi = bank.(1) in
+  hi rdi.(v) = 0
   &&
-  if v = 0 then par.(0) = -1 && dis.(0) = 0
+  if v = 0 then par.(0) = -1 && lo rdi.(0) = 0
   else
     let p = par.(v) in
-    p >= 0 && p < n && dis.(v) = dis.(p) + 1
+    p >= 0 && p < n && lo rdi.(v) = lo rdi.(p) + 1
 
-let is_legal g sts =
-  Repro_runtime.Protocol.certified ~words
-    ~pack:(fun ~n:_ s -> pack s)
-    ~certify
-    ~certify_tree:(fun _ _ -> true)
-    g sts
+(* A register the codec cannot hold is never legal: legality pins root
+   to 0 and dist to [0, n). *)
+let certified ~certify g sts =
+  Array.for_all (fun s -> fits s.root && fits s.dist) sts
+  && Repro_runtime.Protocol.certified ~words
+       ~pack:(fun ~n:_ s -> pack s)
+       ~certify
+       ~certify_tree:(fun _ _ -> true)
+       g sts
+
+let is_legal g sts = certified ~certify g sts
 
 (* [usable]'s TTL test on the dist lane, under either node count. *)
 let n_sensitive ~n ~n' bank u =
-  let x = bank.(2).(u) in
+  let x = lo bank.(1).(u) in
   (x + 1 <= n - 1) <> (x + 1 <= n' - 1)
 
 let tree_of g sts =

@@ -45,19 +45,44 @@ val valid : 'a Repro_runtime.View.t -> get:('a -> t) -> bool
 
 (** {2 Packed representation}
 
-    The layer's register is three int lanes — 0 = [parent], 1 = [root],
-    2 = [dist] — shared by every packed protocol that embeds it (see
-    SCALING.md). *)
+    The layer's register is two int lanes — 0 = [parent], 1 = the pair
+    ([root], [dist]) — so a guard reads everything it needs from a
+    neighbour in one word (see SCALING.md). A pair holds two 31-bit
+    signed fields, each in [[-2^30, 2^30)].
+
+    {e Range.} Every field a run can reach lies in [[-2^16, n + 2^16]]:
+    [random] draws [root] and [dist] in [[0, n]]; a move copies a
+    neighbour's field, writes its own id, or adds 1 under the TTL bound
+    [dist + 1 <= n - 1]; and a {!Repro_runtime.Fault.bitflip} toggles
+    one of the low 16 bits. So every reachable register fits for
+    [n < 2^29]. [pack] raises [Invalid_argument] on a register outside
+    the range; it never clamps. *)
+
+(** [fits x] — [x] fits a 31-bit signed pair field. *)
+val fits : int -> bool
+
+(** [pair hi lo] packs two fields that {!fits} into one lane. The lane
+    orders like the pair, lexicographically, and is negative iff [hi]
+    is. *)
+val pair : int -> int -> int
+
+(** The fields of a {!pair}. *)
+val hi : int -> int
+
+val lo : int -> int
 
 val words : int
 
+(** @raise Invalid_argument if [root] or [dist] does not {!fits}. *)
 val pack : t -> int array
+
 val unpack : int array -> t
 
-(** [step ~get:Fun.id] on the flat bank: same guard, same tie-breaking,
+(** [step ~get:Fun.id ~keep_shape:false] (the BFS shape, the only
+    packed one) on the flat bank: same guard, same tie-breaking,
     writing the packed move into [pv.move] (the {!Repro_runtime.Protocol.PACKED}
     convention). Equivalence with {!step} is a qcheck property. *)
-val step_packed : Repro_runtime.Pview.t -> keep_shape:bool -> bool
+val step_packed : Repro_runtime.Pview.t -> bool
 
 (** [is_legal g sts] — global legality of the layer: the parents form a
     spanning tree rooted at node 0 (the min id), every [root] is 0, and
@@ -75,9 +100,19 @@ val step_packed : Repro_runtime.Pview.t -> keep_shape:bool -> bool
 val is_legal : Repro_graph.Graph.t -> t array -> bool
 
 (** [certify g bank v] — the layer's conjunct at node [v] on the packed
-    lanes (0 = parent, 1 = root, 2 = dist): it reads [v]'s lanes, its
+    lanes (0 = parent, 1 = (root, dist)): it reads [v]'s lanes, its
     parent's [dist] and [n] ({!Repro_runtime.Protocol.PACKED.certify}). *)
 val certify : Repro_graph.Graph.t -> int array array -> int -> bool
+
+(** [certified ~certify g sts] — the boxed legality predicate of a
+    builder whose register is this layer's: [sts] packs and every node
+    passes [certify]. A register {!pack} rejects is not legal (legality
+    pins [root] to 0 and [dist] to [[0, n)]). *)
+val certified :
+  certify:(Repro_graph.Graph.t -> int array array -> int -> bool) ->
+  Repro_graph.Graph.t ->
+  t array ->
+  bool
 
 (** [n_sensitive ~n ~n' bank u] — [u]'s dist lane passes the guards'
     TTL test [dist + 1 <= n - 1] under one node count and fails it under

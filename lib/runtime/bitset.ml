@@ -35,9 +35,22 @@ let clear t =
   Array.fill t.words 0 (Array.length t.words) 0;
   t.card <- 0
 
+(* Set bits of a 32-bit word, SWAR: pair, nibble and byte sums, then the
+   byte sums gathered into the top byte by one multiply. *)
 let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+  let x = x - ((x lsr 1) land 0x5555_5555) in
+  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F in
+  ((x * 0x0101_0101) lsr 24) land 0xFF
+
+(* Index of a 32-bit power of two: multiplying by the de Bruijn
+   sequence 0x077CB531 puts a distinct 5-bit window in the top bits of
+   the low 32, and the table maps each window back to its shift. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let bit_index b = debruijn.(((b * 0x077C_B531) land 0xFFFF_FFFF) lsr 27)
 
 let iter f t =
   let words = t.words in
@@ -45,10 +58,8 @@ let iter f t =
     let bits = ref words.(w) in
     while !bits <> 0 do
       let b = !bits land - !bits in
-      (* lowest set bit *)
-      let rec log2 i x = if x = 1 then i else log2 (i + 1) (x lsr 1) in
-      f ((w lsl 5) lor log2 0 b);
-      bits := !bits land lnot b
+      f ((w lsl 5) lor bit_index b);
+      bits := !bits lxor b
     done
   done
 
@@ -59,21 +70,20 @@ let fold f init t =
 
 let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
 
+(* Whole words are skipped by popcount; inside the word that holds the
+   answer, the [k] lower members are cleared one by one. *)
 let nth t k =
   if k < 0 || k >= t.card then invalid_arg "Bitset.nth";
-  let remaining = ref k in
-  let result = ref (-1) in
-  (try
-     iter
-       (fun v ->
-         if !remaining = 0 then begin
-           result := v;
-           raise Exit
-         end
-         else decr remaining)
-       t
-   with Exit -> ());
-  !result
+  let w = ref 0 and k = ref k in
+  while popcount t.words.(!w) <= !k do
+    k := !k - popcount t.words.(!w);
+    incr w
+  done;
+  let bits = ref t.words.(!w) in
+  for _ = 1 to !k do
+    bits := !bits land (!bits - 1)
+  done;
+  (!w lsl 5) lor bit_index (!bits land - !bits)
 
 let copy_from ~src ~dst =
   if src.capacity <> dst.capacity then invalid_arg "Bitset.copy_from";

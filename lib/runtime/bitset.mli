@@ -30,8 +30,10 @@ val clear : t -> unit
 val cardinal : t -> int
 val is_empty : t -> bool
 
-(** [iter f t] applies [f] to the members in increasing order. [f] must
-    not mutate [t]. *)
+(** [iter f t] applies [f] to the members in increasing order, in
+    [O(capacity/32 + cardinal)]: each member's index comes from a de
+    Bruijn multiply on its word's lowest set bit. [f] must not mutate
+    [t]. *)
 val iter : (int -> unit) -> t -> unit
 
 (** [fold f init t] folds over the members in increasing order. *)
@@ -40,7 +42,8 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 (** Members in increasing order. *)
 val to_list : t -> int list
 
-(** [nth t k] is the [k]-th smallest member (0-based).
+(** [nth t k] is the [k]-th smallest member (0-based), in
+    [O(capacity/32)]: whole words are skipped by popcount.
     @raise Invalid_argument if [k < 0] or [k >= cardinal t]. *)
 val nth : t -> int -> int
 

@@ -68,12 +68,16 @@ end
      time [v]'s view changed ([St.probe]), so a write applies the cached
      register ([St.commit]) instead of re-running the guard; membership
      in [enabled] says whether the cached move is live.
-   - Enabled set: an intrusive doubly-linked list + bitset mirror
-     ({!Enabled_set}) — O(1) insert/remove, O(Δ) guard probes per
-     write, and daemons enumerate only the enabled nodes instead of
-     rescanning all n.
+   - Enabled set: one bitset — O(1) insert/remove, O(Δ) guard probes
+     per write, and a daemon pick scans n/32 words plus the enabled
+     nodes (a de Bruijn multiply per member) instead of probing all n
+     guards. Every pick enumerates it in increasing node order.
    - Round accounting: [pending] is a bitset; pruning it is a
      word-wise AND against the enabled set.
+   - Per-run O(n) scratch: the enabled, dirty, pending and batch
+     bitsets (n/32 words each) and the store's own arrays; the
+     LIFO daemon's step clock and the tracing arrays exist only in the
+     runs that read them.
 
    Under the synchronous daemon the guard re-probes of a whole batch
    of writes are coalesced: marking is O(Δ) per write, and each node
@@ -166,10 +170,10 @@ module Loop (St : STORE) = struct
     (* Rule tags re-box the old register and the move; only a sink or a
        profile reads them. *)
     let classify = if tracing || profile <> None then P.classify else None in
-    let enabled = Enabled_set.create n in
+    let enabled = Bitset.create n in
     let recompute v =
       (match profile with Some p -> Profile.on_guard p | None -> ());
-      let was = Enabled_set.mem enabled v in
+      let was = Bitset.mem enabled v in
       let now = St.probe st v in
       if tracing then begin
         if now && ((not was) || just_moved.(v)) then enablers.(v) <- List.rev cause_buf.(v)
@@ -178,7 +182,7 @@ module Loop (St : STORE) = struct
         cause_buf.(v) <- []
       end;
       (match profile with Some p -> if was <> now then Profile.on_churn p | None -> ());
-      if now then Enabled_set.add enabled v else Enabled_set.remove enabled v
+      if now then Bitset.add enabled v else Bitset.remove enabled v
     in
     (* A warm start probes only the seeds: the caller vouches that
        every other node is disabled (see [?warm] in engine.mli). *)
@@ -193,7 +197,7 @@ module Loop (St : STORE) = struct
        into a silent configuration and emitted the fault events itself).
        Nodes the callback maps to [] stay root-spontaneous. *)
     (match init_causes with
-    | Some f when tracing -> Enabled_set.iter (fun v -> enablers.(v) <- f v) enabled
+    | Some f when tracing -> Bitset.iter (fun v -> enablers.(v) <- f v) enabled
     | _ -> ());
     if move_phi then last_phi := P.potential g (St.config st);
     let dirty = Bitset.create n in
@@ -248,8 +252,13 @@ module Loop (St : STORE) = struct
           if move_phi then last_phi := P.potential g (St.config st);
           flush ()
     in
-    (* Adversary bookkeeping. *)
-    let last_step_time = Array.make n (-1) in
+    (* Adversary bookkeeping: the LIFO daemon's step clock. *)
+    let last_step_time =
+      match sched with
+      | Scheduler.Central Scheduler.Lifo_adversary -> Array.make n (-1)
+      | _ -> [||]
+    in
+    let lifo = Array.length last_step_time > 0 in
     let rr_cursor = ref 0 in
     let pending = Bitset.create n in
     let apply ~defer v =
@@ -262,7 +271,7 @@ module Loop (St : STORE) = struct
       let changed = St.commit st v in
       wrote v;
       incr steps;
-      last_step_time.(v) <- !steps;
+      if lifo then last_step_time.(v) <- !steps;
       let bits = St.bits st v in
       if bits > !max_bits then max_bits := bits;
       (match profile with Some p -> Profile.on_move ?rule p | None -> ());
@@ -303,7 +312,7 @@ module Loop (St : STORE) = struct
           in
           Events.emit_round sink
             ~round:(round_offset + !rounds)
-            ~enabled:(Enabled_set.cardinal enabled)
+            ~enabled:(Bitset.cardinal enabled)
             ~bits:(St.bits_summary st) ~phi
       | None -> ());
       (match watchdog with
@@ -320,11 +329,11 @@ module Loop (St : STORE) = struct
     in
     round_boundary ();
     (* Daemon picks. The published semantics enumerate candidates in
-       increasing node order ([run_reference] builds its list that way),
-       so the order-sensitive picks — random's index draw, the
-       distributed coin flips, the synchronous batch — go through the
-       sorted bitset enumeration; the extremal picks scan the linked
-       list, since their result is order-independent. *)
+       increasing node order ([run_reference] builds its list that way);
+       the bitset enumerates in that order, so random's index draw, the
+       distributed coin flips and the synchronous batch read it
+       directly, and the extremal picks, whose result is
+       order-independent, scan it with hoisted closures. *)
     let batch = Bitset.create n in
     let scan_best = ref (-1) in
     let max_scan v = if v > !scan_best then scan_best := v in
@@ -344,14 +353,13 @@ module Loop (St : STORE) = struct
     in
     let scan f =
       scan_best := -1;
-      Enabled_set.iter f enabled;
+      Bitset.iter f enabled;
       !scan_best
     in
     let pick_central strategy =
       match strategy with
       | Scheduler.Random_daemon ->
-          Enabled_set.nth_sorted enabled
-            (Random.State.int rng (Enabled_set.cardinal enabled))
+          Bitset.nth enabled (Random.State.int rng (Bitset.cardinal enabled))
       | Scheduler.Max_id -> scan max_scan
       | Scheduler.Min_id -> scan min_scan
       | Scheduler.Round_robin ->
@@ -396,26 +404,26 @@ module Loop (St : STORE) = struct
                 | None -> Some (v, sc)
                 | Some (_, bs) ->
                     if (if maximize then sc > bs else sc < bs) then Some (v, sc) else best)
-              None (Enabled_set.sorted enabled)
+              None (Bitset.to_list enabled)
           in
           fst (Option.get best)
     in
-    let reset_pending () = Enabled_set.snapshot enabled pending in
+    let reset_pending () = Bitset.copy_from ~src:enabled ~dst:pending in
     reset_pending ();
     let prune_pending () =
       (* Drop every pending node no longer activatable; nodes that
          stepped were removed by [apply]. *)
-      Bitset.inter_inplace pending (Enabled_set.bits enabled);
+      Bitset.inter_inplace pending enabled;
       if Bitset.is_empty pending then begin
         incr rounds;
         round_boundary ();
-        if not (Enabled_set.is_empty enabled) then reset_pending ()
+        if not (Bitset.is_empty enabled) then reset_pending ()
       end
     in
     let apply_deferred v = if not !stop then apply ~defer:true v in
     (* A write earlier in the same distributed batch may have disabled
        this candidate: its cached move is no longer live. *)
-    let apply_live v = if (not !stop) && Enabled_set.mem enabled v then apply ~defer:false v in
+    let apply_live v = if (not !stop) && Bitset.mem enabled v then apply ~defer:false v in
     (* Distributed daemon: one coin flip per candidate in increasing node
        order, then a fallback index draw if none was chosen; the chosen
        nodes then act one after another on the live configuration (the
@@ -428,7 +436,7 @@ module Loop (St : STORE) = struct
     let flip v = if Random.State.float rng 1.0 < dist_p then Bitset.add chosen v in
     while
       (not !stop)
-      && (not (Enabled_set.is_empty enabled))
+      && (not (Bitset.is_empty enabled))
       && !steps < max_steps && !rounds < max_rounds
     do
       (match sched with
@@ -438,12 +446,12 @@ module Loop (St : STORE) = struct
              engine evaluates moves on — apply the frozen round-top
              movers directly and re-probe the dirtied closed
              neighborhoods once at the end of the batch. *)
-          Enabled_set.snapshot enabled batch;
+          Bitset.copy_from ~src:enabled ~dst:batch;
           Bitset.iter apply_deferred batch;
           flush ()
       | Scheduler.Central strategy -> apply ~defer:false (pick_central strategy)
       | Scheduler.Distributed _ ->
-          Enabled_set.snapshot enabled batch;
+          Bitset.copy_from ~src:enabled ~dst:batch;
           Bitset.clear chosen;
           Bitset.iter flip batch;
           if Bitset.is_empty chosen then
@@ -471,7 +479,7 @@ module Loop (St : STORE) = struct
     ({
        steps = !steps;
        rounds = !rounds;
-       silent = Enabled_set.is_empty enabled;
+       silent = Bitset.is_empty enabled;
        legal;
        max_bits = !max_bits;
      }

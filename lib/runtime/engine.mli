@@ -10,10 +10,9 @@
     One incremental executor loop ({!Loop}) implements that semantics
     over a small register-store interface ({!STORE}). The loop memoizes
     each node's pending move (so a write applies the cached register
-    instead of re-running the guard), keeps the enabled set as an
-    intrusive doubly-linked list with a bitset mirror ({!Enabled_set})
+    instead of re-running the guard), keeps the enabled set as one {!Bitset.t}
     so a register write costs O(Δ) guard probes and a daemon pick
-    touches only the enabled nodes, and owns every hook. Two stores
+    scans [n/32] words plus the enabled nodes, and owns every hook. Two stores
     plug into it: {!Make}'s boxed store (a [P.state array] and one
     scratch {!View.t} per node, refreshed in place) and
     {!Engine_packed}'s struct-of-arrays bank. {!Make.run_reference} is

@@ -79,7 +79,10 @@ end
 
     Contract, on top of {!S}:
     - [pack ~n s] always returns exactly [words] ints, and
-      [unpack ~n (pack ~n s) = s];
+      [unpack ~n (pack ~n s) = s], for every register a run can reach
+      (random draws, moves, {!Fault.bitflip}); on a register outside
+      that range [pack] may raise [Invalid_argument], never clamp (the
+      bfs and spt codecs pair two 31-bit fields in one lane);
     - [size_bits n s] does not depend on [s] (fixed register width), so
       the packed engine can report [max_bits] without unpacking;
     - [step_packed pv] is extensionally [step]: with the bank holding

@@ -13,6 +13,7 @@ module type PACKED_TREE_PROTOCOL = sig
 
   val parent_of : state -> int
   val loop_free : bool
+  val parent_lane : int
 end
 
 type event_outcome = {
@@ -403,14 +404,7 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
       Topology.migrate_bank bank mig
         ~fresh:(fun id -> P.pack ~n:(Graph.n g') (P.random_state rng g' id))
 
-    let parents bank =
-      let n = Array.length bank.(0) in
-      let tmp = Array.make P.words 0 in
-      Array.init n (fun v ->
-          for f = 0 to P.words - 1 do
-            tmp.(f) <- bank.(f).(v)
-          done;
-          P.parent_of (P.unpack ~n tmp))
+    let parents bank = Array.copy bank.(P.parent_lane)
 
     let seeds bank g' ~old_n affected = Some (E.seeds bank g' ~old_n affected)
 

@@ -84,6 +84,10 @@ module type PACKED_TREE_PROTOCOL = sig
 
   val parent_of : state -> int
   val loop_free : bool
+
+  (** The lane that holds [parent_of] verbatim: a commit copies it
+      instead of unpacking every register. *)
+  val parent_lane : int
 end
 
 (** Per-churn-event accounting. *)

@@ -1,5 +1,5 @@
 (* The incremental engine (Engine.run: move cache, reusable scratch
-   views, intrusive enabled set, bitset round accounting) must be
+   views, bitset enabled set and round accounting) must be
    trajectory-identical to the naive executor (Engine.run_reference).
    Property: for random graphs x every scheduler x all four builders,
    both produce the same {states; steps; rounds; silent; legal;
@@ -92,6 +92,40 @@ let prop_mst =
 let prop_mdst =
   prop ~count:6 "mdst builder: run = run_reference (all daemons)" (gen_graph 2 8)
     (fun (sd, g) -> equiv_all_schedulers (module Mdst_builder.P) g ~sd ~adversarial:false)
+
+(* The properties above draw graphs of at most 16 nodes: one bitset
+   word. Here n is 65..160, so the enabled set, the pending set and the
+   daemons' scans span three to five words; both stores run under every
+   named daemon against the reference. *)
+let equiv_both_stores (type s) (module B : Protocol.PACKED with type state = s) (sd, g) =
+  let module Ep = Engine_packed.Make (B) in
+  let init = Ep.adversarial (Random.State.make [| sd; 7 |]) g in
+  List.for_all
+    (fun sched ->
+      equiv (module B) g sched ~init ~sd
+      &&
+      let module En = Engine.Make (B) in
+      let rng () = Random.State.make [| sd; 31 |] in
+      let a = Ep.run ~max_steps:20_000 ~max_rounds:2_000 g sched (rng ()) ~init in
+      let b = En.run_reference ~max_steps:20_000 ~max_rounds:2_000 g sched (rng ()) ~init in
+      let ok =
+        Array.for_all2 B.equal_state a.Ep.states b.En.states
+        && (a.Ep.steps, a.Ep.rounds, a.Ep.silent, a.Ep.legal, a.Ep.max_bits)
+           = (b.En.steps, b.En.rounds, b.En.silent, b.En.legal, b.En.max_bits)
+      in
+      if not ok then
+        QCheck2.Test.fail_reportf "packed store diverged under %a (n=%d)" Scheduler.pp sched
+          (Graph.n g);
+      true)
+    all_schedulers
+
+let prop_multiword =
+  [
+    prop ~count:4 "bfs, n > 64: both stores = reference" (gen_graph 65 160)
+      (equiv_both_stores (module Bfs_builder.Packed));
+    prop ~count:4 "spt, n > 64: both stores = reference" (gen_graph 65 160)
+      (equiv_both_stores (module Spt_builder.Packed));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Unit: the move cache is invalidated by a neighbor's write (touch).
@@ -210,5 +244,5 @@ let () =
           Alcotest.test_case "telemetry series identical" `Quick
             test_telemetry_series_identical;
         ] );
-      ("equivalence", [ prop_bfs; prop_spt; prop_mst; prop_mdst ]);
+      ("equivalence", [ prop_bfs; prop_spt; prop_mst; prop_mdst ] @ prop_multiword);
     ]

@@ -85,6 +85,68 @@ let codec_props =
       (fixed_width (module Adhoc_bfs.Packed));
   ]
 
+(* The bfs and spt codecs pack two fields into one lane and reject a
+   register outside the 31-bit range (st_layer.mli, spt_builder.mli).
+   Every register a run can reach must fit: random draws, the
+   registers of a boxed run that suffers bit flips at its first rounds
+   (sampled after every seventh write), and a bit flip of each of
+   those. *)
+let range_contract (type s) (module P : Protocol.PACKED with type state = s) (sd, g) =
+  let module En = Engine.Make (P) in
+  let n = Graph.n g in
+  let rng = Random.State.make [| sd; 17 |] and frng = Random.State.make [| sd; 19 |] in
+  let fits what s =
+    let s' = P.unpack ~n (P.pack ~n s) in
+    if not (P.equal_state s s') then
+      QCheck2.Test.fail_reportf "%s register %a came back as %a" what P.pp_state s P.pp_state
+        s'
+  in
+  let sample what s =
+    fits what s;
+    fits ("bit-flipped " ^ what) (Fault.bitflip frng s)
+  in
+  let init = Array.init n (P.random_state rng g) in
+  Array.iter (sample "random") init;
+  let writes = ref 0 in
+  let on_step _ sts =
+    incr writes;
+    if !writes mod 7 = 0 then Array.iter (sample "run") sts
+  in
+  let adversary ~round sts =
+    if round < 3 then List.init n (fun v -> (v, Fault.bitflip frng sts.(v))) else []
+  in
+  ignore
+    (En.run ~max_steps:5_000 ~on_step ~adversary g
+       (Scheduler.Central Scheduler.Random_daemon) rng ~init);
+  true
+
+let test_pack_rejects_out_of_range () =
+  let big = 1 lsl 40 in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: pack accepted a field of 2^40" what
+    | exception Invalid_argument _ -> ()
+  in
+  let st = { St_layer.parent = 0; root = big; dist = 1 } in
+  rejects "bfs root" (fun () -> Bfs_builder.Packed.pack ~n:8 st);
+  rejects "bfs dist" (fun () -> Bfs_builder.Packed.pack ~n:8 { st with root = 0; dist = big });
+  let sp = { Spt_builder.parent = 0; root = big; wdist = 3; hops = 1 } in
+  rejects "spt root" (fun () -> Spt_builder.Packed.pack ~n:8 sp);
+  rejects "spt hops" (fun () -> Spt_builder.Packed.pack ~n:8 { sp with root = 0; hops = big });
+  (* [wdist] keeps a whole lane. *)
+  let wide = { sp with root = 0; wdist = big } in
+  Alcotest.(check bool) "spt wdist of 2^40 round-trips" true
+    (Spt_builder.P.equal_state wide
+       (Spt_builder.Packed.unpack ~n:8 (Spt_builder.Packed.pack ~n:8 wide)))
+
+let range_props =
+  [
+    prop "bfs: reachable registers fit" (gen_graph 2 24)
+      (range_contract (module Bfs_builder.Packed));
+    prop "spt: reachable registers fit" (gen_graph 2 24)
+      (range_contract (module Spt_builder.Packed));
+  ]
+
 (* The adversarial draws above keep NCA sequences short; a stabilized
    run populates every label layer with real data (deep sequences,
    aggregates mid-flight are gone but label layers are full), so also
@@ -385,6 +447,12 @@ let () =
   Alcotest.run "packed"
     [
       ("codec", codec_props);
+      ( "codec-range",
+        range_props
+        @ [
+            Alcotest.test_case "pack rejects a field of 2^40" `Quick
+              test_pack_rejects_out_of_range;
+          ] );
       ( "codec-converged",
         [
           Alcotest.test_case "mst" `Quick

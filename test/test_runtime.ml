@@ -315,6 +315,58 @@ let prop_silence_is_stable =
       let r2 = EDist.run g Scheduler.Synchronous st ~init:r.EDist.states in
       r2.EDist.steps = 0 && r2.EDist.rounds = 0 && r2.EDist.silent)
 
+(* Bitset against a [bool array] model. Capacities 1..200 straddle the
+   32-bit word boundaries, and each set has its own density, from empty
+   to full. *)
+let gen_bitset_pair =
+  QCheck2.Gen.(
+    let* cap = int_range 1 200 in
+    let set =
+      let* density = int_bound 4 in
+      array_size (return cap) (map (fun x -> x < density) (int_bound 3))
+    in
+    let* a = set and* b = set in
+    return (cap, a, b))
+
+let bitset_of model =
+  let t = Bitset.create (Array.length model) in
+  (* Insert, insert again and remove the non-members, so [add] and
+     [remove] both see present and absent bits. *)
+  Array.iteri (fun v _ -> Bitset.add t v) model;
+  Array.iteri (fun v _ -> Bitset.add t v) model;
+  Array.iteri (fun v m -> if not m then Bitset.remove t v) model;
+  Array.iteri (fun v m -> if not m then Bitset.remove t v) model;
+  t
+
+let members model =
+  List.filter (fun v -> model.(v)) (List.init (Array.length model) Fun.id)
+
+let bitset_agrees t model =
+  let expect = members model in
+  let seen = ref [] in
+  Bitset.iter (fun v -> seen := v :: !seen) t;
+  List.rev !seen = expect
+  && Bitset.to_list t = expect
+  && Bitset.fold (fun acc v -> v :: acc) [] t = List.rev expect
+  && Bitset.cardinal t = List.length expect
+  && Bitset.is_empty t = (expect = [])
+  && List.for_all (fun v -> Bitset.mem t v = model.(v)) (List.init (Array.length model) Fun.id)
+  && List.for_all2 (fun k v -> Bitset.nth t k = v) (List.init (List.length expect) Fun.id) expect
+
+let prop_bitset_model =
+  prop "bitset = bool array model" gen_bitset_pair (fun (cap, a, b) ->
+      (* The top bit of every word is a member of [a]. *)
+      Array.iteri (fun v _ -> if v land 31 = 31 then a.(v) <- true) a;
+      let ta = bitset_of a and tb = bitset_of b in
+      let copy = Bitset.create cap in
+      Bitset.copy_from ~src:ta ~dst:copy;
+      let inter = Array.map2 ( && ) a b in
+      Bitset.inter_inplace ta tb;
+      bitset_agrees copy a && bitset_agrees tb b && bitset_agrees ta inter
+      && (match Bitset.nth ta (Bitset.cardinal ta) with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 let () =
   (* Deterministic property tests: fix the qcheck master seed. *)
   QCheck_base_runner.set_seed 20260704;
@@ -345,4 +397,5 @@ let () =
       ( "properties",
         [ prop_dist_self_stabilizes; prop_coloring_self_stabilizes; prop_silence_is_stable ]
       );
+      ("bitset", [ prop_bitset_model ]);
     ]

@@ -445,7 +445,8 @@ let test_warm_start_ttl () =
   let bank = Ep.pack_bank ~n:6 (Ep.adversarial rng g) in
   let base = Ep.run_bank g Scheduler.Synchronous rng ~bank in
   Alcotest.(check bool) "base silent and legal" true (base.Ep.silent && base.Ep.legal);
-  Alcotest.(check int) "node 4 at hops n - 1" 5 bank.(3).(4);
+  let node4 = Repro_core.Spt_builder.Packed.unpack ~n:6 (Array.map (fun lane -> lane.(4)) bank) in
+  Alcotest.(check int) "node 4 at hops n - 1" 5 node4.Repro_core.Spt_builder.hops;
   let full, affected =
     check_warm_edit (module Repro_campaign.Builders.Spt_tree) ~sd:40 rng g bank
       (Churn.Leave 5)
@@ -471,6 +472,61 @@ let warm_props =
     prop "spt: warm start = full scan, local legality = is_legal"
       (module Repro_campaign.Builders.Spt_tree);
     prop "adhoc-bfs: warm start = full scan, local legality = is_legal"
+      (module Repro_campaign.Builders.Adhoc_tree);
+  ]
+
+(* The packed service commits a snapshot's parents by copying the
+   builder's [parent_lane]. From a stabilized bank, after the migration
+   of every edit kind and after the recovery that follows, that lane
+   must be [parent_of] of every unpacked register. *)
+let parent_lane_exact (type s) (module B : Service.PACKED_TREE_PROTOCOL with type state = s)
+    (sd, shape, n) =
+  let module Ep = Engine_packed.Make (B) in
+  let rng = Random.State.make [| sd; 8 |] in
+  let g =
+    match shape with
+    | 0 -> Generators.path rng ~n
+    | 1 -> Generators.lollipop rng ~clique:3 ~tail:(n - 3)
+    | _ -> Generators.random_connected rng ~n ~m:(n - 1 + Random.State.int rng n)
+  in
+  let check what bank =
+    let n = Array.length bank.(0) in
+    let unpacked =
+      Array.init n (fun v -> B.parent_of (B.unpack ~n (Array.map (fun lane -> lane.(v)) bank)))
+    in
+    if bank.(B.parent_lane) <> unpacked then
+      QCheck2.Test.fail_reportf "parent lane <> parent_of after %s (n=%d)" what n
+  in
+  let bank = Ep.pack_bank ~n (Ep.adversarial rng g) in
+  check "boot" bank;
+  ignore (Ep.run_bank g Scheduler.Synchronous rng ~bank);
+  check "stabilization" bank;
+  List.iter
+    (fun kind ->
+      Option.iter
+        (fun op ->
+          let g', mig = Topology.apply g op in
+          let n' = Graph.n g' in
+          let edited =
+            Topology.migrate_bank bank mig ~fresh:(fun id ->
+                B.pack ~n:n' (B.random_state rng g' id))
+          in
+          check ("the migration of " ^ Churn.op_name op) edited;
+          ignore (Ep.run_bank g' Scheduler.Synchronous rng ~bank:edited);
+          check ("the recovery from " ^ Churn.op_name op) edited)
+        (pick_op rng g kind))
+    op_kinds;
+  true
+
+let projection_props =
+  let prop name m =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:30 ~name gen_warm (parent_lane_exact m))
+  in
+  [
+    prop "bfs: parent lane after every edit" (module Repro_campaign.Builders.Bfs_tree);
+    prop "spt: parent lane after every edit" (module Repro_campaign.Builders.Spt_tree);
+    prop "adhoc-bfs: parent lane after every edit"
       (module Repro_campaign.Builders.Adhoc_tree);
   ]
 
@@ -577,4 +633,5 @@ let () =
             Alcotest.test_case "spt: a leave flips the TTL test far from the edit" `Quick
               test_warm_start_ttl;
           ] );
+      ("lanes", projection_props);
     ]
