@@ -298,8 +298,8 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 (* E5 — Section III example: BFS construction *)
 
-module BE = Bfs_builder.Engine
-module AE = Adhoc_bfs.Engine
+module BE = Bfs_builder.Engine_packed
+module AE = Adhoc_bfs.Engine_packed
 
 let e5 () =
   header "E5" "BFS (Section III example): rounds, bits, vs the rooted ad-hoc baseline";
@@ -407,8 +407,9 @@ let e8 () =
     | rs -> string_of_int (List.fold_left max 0 rs)
   in
   let touched inj = List.fold_left (fun acc i -> acc + i.Chaos.touched) 0 inj in
-  let cell (type s) name (module P : Protocol.S with type state = s) sched plan =
-    let module C = Chaos.Make (P) (Engine.Make (P)) in
+  let cell (type s) name (module P : Protocol.S with type state = s)
+      (module E : Engine.S with type state = s) sched plan =
+    let module C = Chaos.Make (P) (E) in
     let rng = rng_of (801 + (Hashtbl.hash (name, Fault.Plan.name plan) mod 997)) in
     let e = C.run_episode g sched rng plan in
     Format.printf "%-5s %-30s %4d %8s %7s %8d  %s@." name (Fault.Plan.name plan)
@@ -421,16 +422,17 @@ let e8 () =
   let daemon = Scheduler.Central Scheduler.Random_daemon in
   List.iter
     (fun plan ->
-      cell "bfs" (module Bfs_builder.P) daemon plan;
-      cell "mst" (module Mst_builder.P) daemon plan;
-      cell "spt" (module Spt_builder.P) daemon plan)
+      cell "bfs" (module Bfs_builder.P) (module Bfs_builder.Engine_packed) daemon plan;
+      cell "mst" (module Mst_builder.P) (module Mst_builder.Engine) daemon plan;
+      cell "spt" (module Spt_builder.P) (module Spt_builder.Engine_packed) daemon plan)
     Fault.Plan.defaults;
   (* The potential-greedy daemons bracket the recovery cost of one cell:
      greedy-min descends Phi steepest, greedy-max drags recovery out. *)
   Format.printf "-- adversarial daemon drag (spt, random:3 at silence) --@.";
   List.iter
     (fun (label, d) ->
-      cell label (module Spt_builder.P) d (Fault.Plan.make (Fault.Plan.Random_nodes 3)))
+      cell label (module Spt_builder.P) (module Spt_builder.Engine_packed) d
+        (Fault.Plan.make (Fault.Plan.Random_nodes 3)))
     [ ("min", Scheduler.Central Scheduler.Greedy_min_phi);
       ("max", Scheduler.Central Scheduler.Greedy_max_phi) ];
   Format.printf
@@ -449,25 +451,25 @@ let e9 () =
   Format.printf "graph: n=%d m=%d@." (Graph.n g) (Graph.m g);
   Format.printf "%-16s %8s %8s %8s %8s  %s@." "algorithm" "silent" "legal" "rounds"
     "bits" "notes";
-  let row (type s) name (module P : Protocol.S with type state = s) ~adversarial ~notes =
-    let module En = Engine.Make (P) in
+  let row (type s) name (module En : Engine.S with type state = s) ~adversarial ~notes =
     let rng = rng_of 901 in
     let init = if adversarial then En.adversarial rng g else En.initial g in
     let r = En.run g Scheduler.Synchronous rng ~init in
     Format.printf "%-16s %8b %8b %8d %8d  %s@." name r.En.silent r.En.legal r.En.rounds
       r.En.max_bits notes
   in
-  row "pls-bfs" (module Bfs_builder.P) ~adversarial:true ~notes:"Section III";
-  row "adhoc-bfs" (module Adhoc_bfs.P) ~adversarial:true ~notes:"root known a priori";
-  row "pls-mst" (module Mst_builder.P) ~adversarial:false ~notes:"Corollary 6.1";
-  row "pls-mst(adv)" (module Mst_builder.P) ~adversarial:true ~notes:"from garbage";
-  row "compact-mst" (module Compact_mst.P) ~adversarial:false ~notes:"uncertified Boruvka";
+  row "pls-bfs" (module Bfs_builder.Engine_packed) ~adversarial:true ~notes:"Section III";
+  row "adhoc-bfs" (module Adhoc_bfs.Engine_packed) ~adversarial:true
+    ~notes:"root known a priori";
+  row "pls-mst" (module Mst_builder.Engine) ~adversarial:false ~notes:"Corollary 6.1";
+  row "pls-mst(adv)" (module Mst_builder.Engine) ~adversarial:true ~notes:"from garbage";
+  row "compact-mst" (module Compact_mst.Engine) ~adversarial:false ~notes:"uncertified Boruvka";
   row "fullinfo-mst"
-    (module Fullinfo.Mst_instance.P)
+    (module Fullinfo.Mst_instance.Engine)
     ~adversarial:false ~notes:"[15]-style, huge registers";
-  row "pls-mdst" (module Mdst_builder.P) ~adversarial:false ~notes:"Corollary 8.1";
+  row "pls-mdst" (module Mdst_builder.Engine) ~adversarial:false ~notes:"Corollary 8.1";
   row "fullinfo-mdst"
-    (module Fullinfo.Mdst_instance.P)
+    (module Fullinfo.Mdst_instance.Engine)
     ~adversarial:false ~notes:"[15]-style, huge registers";
   let fr = Compact_mst.failure_rate (rng_of 902) g ~trials:20 in
   Format.printf
@@ -556,7 +558,7 @@ let e10 () =
 (* ------------------------------------------------------------------ *)
 (* E11 — extension: silent self-stabilizing shortest-path trees *)
 
-module SE = Spt_builder.Engine
+module SE = Spt_builder.Engine_packed
 
 let e11 () =
   header "E11" "SPT extension: weighted shortest-path trees (related work [38],[44])";

@@ -152,16 +152,13 @@ let run_entry (type s) (e : s entry) ?events ~faults ~adversarial ~max_rounds g 
      verdict is the recovery run's — the one under study. The watchdog
      only observes: it classifies a non-silent exit (livelock vs bare
      exhaustion) instead of just reporting the hit limit. *)
-  let observed ?init_causes ?(round_offset = 0) ?(step_offset = 0) ~init () =
+  let observed ~init =
     let wd = Watchdog.create ~observe_only:true () in
-    let r =
-      E.run ~max_rounds ~watchdog:wd ?events ?init_causes ~round_offset ~step_offset g sched
-        rng ~init
-    in
+    let r = E.run ~max_rounds ~watchdog:wd ?events g sched rng ~init in
     (r, wd)
   in
   let init = if adversarial then E.adversarial rng g else E.initial g in
-  let ((first, _) as run1) = observed ~init () in
+  let ((first, _) as run1) = observed ~init in
   let (r, wd), injected =
     if faults > 0 && first.E.silent then begin
       (* Pick first, corrupt second (same RNG stream as
@@ -173,13 +170,9 @@ let run_entry (type s) (e : s entry) ?events ~faults ~adversarial ~max_rounds g 
       let corrupted =
         Fault.corrupt_nodes rng ~random_state:P.random_state g first.E.states picked
       in
-      let init_causes =
-        Events.emit_sources events g picked ~emit:(fun sink v ->
-            Events.emit_fault sink ~node:v ~round:first.E.rounds)
-      in
-      ( observed ?init_causes ~round_offset:first.E.rounds ~step_offset:first.E.steps
-          ~init:corrupted (),
-        true )
+      Events.emit_sources events picked ~emit:(fun sink v ->
+          Events.emit_fault sink ~node:v);
+      (observed ~init:corrupted, true)
     end
     else (run1, false)
   in

@@ -136,22 +136,17 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
         (* From here the watchdog counts rounds from the fault phase's
            start. *)
         let nodes, corrupted = inject ~round_base:run_base ~at_round:run_base !states in
-        (* The trace runs on one timeline: fault-phase rounds and steps
-           are shifted past the base run's, so rounds never go back and
-           step numbers never repeat. (The injection records keep
-           fault-phase-relative rounds.)
-
-           This corruption happens outside the engine (the recovery run
+        (* This corruption happens outside the engine (the recovery run
            starts from the corrupted configuration), so emit its fault
-           events here and seed the engine's provenance: the pre-fault
-           configuration was silent, hence every node the corrupted one
-           enables was woken by an injected register in its closed
-           neighborhood. Mid-run re-injections below go through the
-           [?adversary] hook and get their fault events from the engine. *)
-        let init_causes =
-          Events.emit_sources events g nodes ~emit:(fun sink v ->
-              Events.emit_fault sink ~node:v ~round:(base.E.rounds + run_base))
-        in
+           events here for the recovery run to take as the causes of
+           the nodes it starts enabled: the pre-fault configuration was
+           silent. Mid-run re-injections below go through the
+           [?adversary] hook and get their fault events from the engine.
+           The sink keeps the timeline, so the fault phase's rounds and
+           steps follow the base run's. (The injection records keep
+           fault-phase-relative rounds.) *)
+        Events.emit_sources events nodes ~emit:(fun sink v ->
+            Events.emit_fault sink ~node:v);
         let fires abs =
           abs > run_base
           &&
@@ -172,10 +167,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
         let on_step v _ = Hashtbl.replace seg_writers v () in
         let r =
           E.run ~max_steps ~max_rounds:(max_rounds - run_base) ?on_round ~on_step
-            ~adversary ~watchdog:wd ?events ?init_causes
-            ~round_offset:(base.E.rounds + run_base)
-            ~step_offset:(base.E.steps + !steps_total)
-            g sched rng ~init:corrupted
+            ~adversary ~watchdog:wd ?events g sched rng ~init:corrupted
         in
         states := r.E.states;
         rounds_off := run_base + r.E.rounds;

@@ -24,9 +24,9 @@
     at that boundary.
 
     A {!Watchdog} with the given thresholds rides along on every engine
-    run (reset at each injection) and aborts livelocked or stalled runs
-    early through [?stop_when]; its classification lands in
-    [episode.verdict]. *)
+    run (reset at each injection); the engine observes it at every
+    round boundary and stops a livelocked or stalled run early, and its
+    classification lands in [episode.verdict]. *)
 
 type injection = {
   round : int;  (** fault-phase round at which the fault landed *)
@@ -65,14 +65,15 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
       An [events] sink receives the full causal trace of the episode on
       one timeline: ids increase, rounds never decrease and steps
       strictly increase across the base run and every engine run of the
-      fault phase (the fault phase is shifted by the base run's rounds
-      and steps; [injection.round] stays fault-phase-relative). It
-      holds the stabilization moves, one [Fault]
-      event per corrupted register, and every recovery move with its
-      enabling causes — silence-timed corruptions happen outside the
-      engine, so the harness emits their fault events itself and seeds
-      the recovery run's [init_causes] with them (the pre-fault
-      configuration being silent makes the attribution exact). Recovery
+      fault phase (each run continues from the sink's clock;
+      [injection.round] stays fault-phase-relative). It holds the
+      stabilization moves, one [Fault] event per corrupted register,
+      and every recovery move with its enabling causes — silence-timed
+      corruptions happen outside the engine, so the harness emits their
+      fault events itself ({!Events.emit_sources}) and the recovery run
+      takes them as the causes of the nodes it starts enabled (the
+      pre-fault configuration being silent makes the attribution
+      exact). Recovery
       moves therefore chain back to the injection that caused them; see
       OBSERVABILITY.md. The sink consumes no RNG draws: campaign
       results are bit-identical with or without tracing. *)

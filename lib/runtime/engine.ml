@@ -11,9 +11,6 @@ type ('state, 'k) runner =
   ?warm:int array ->
   ?events:Events.t ->
   ?profile:Profile.t ->
-  ?init_causes:(int -> int list) ->
-  ?round_offset:int ->
-  ?step_offset:int ->
   Graph.t ->
   Scheduler.t ->
   Random.State.t ->
@@ -136,7 +133,7 @@ module Loop (St : STORE) = struct
     go 0
 
   let loop ~max_steps ~max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-      ?events ?profile ?init_causes ~round_offset ~step_offset g sched rng st =
+      ?events ?profile g sched rng st =
     let n = Graph.n g in
     let row = Graph.csr_row g and col = Graph.csr_col g in
     let steps = ref 0 in
@@ -159,6 +156,15 @@ module Loop (St : STORE) = struct
        appears, the ids that woke it — emitted as that move's [causes].
        [cur_eid] is the id of the write being propagated by [touch]. *)
     let tracing = events <> None in
+    (* The sink owns the timeline: this run's rounds and steps continue
+       from its clock, and the sources it recorded since the last run
+       are taken now, before a guard can raise. *)
+    let round_base, step_base, source_causes =
+      match events with
+      | Some sink ->
+          (Events.last_round sink, Events.writes_total sink, Events.take_sources sink g)
+      | None -> (0, 0, None)
+    in
     let cause_buf = if tracing then Array.make n [] else [||] in
     let enablers = if tracing then Array.make n [] else [||] in
     let just_moved = if tracing then Array.make n false else [||] in
@@ -193,12 +199,13 @@ module Loop (St : STORE) = struct
         done
     | Some seeds -> Array.iter recompute seeds);
     (* Seed provenance for nodes the *initial configuration* enables:
-       the caller knows why they are enabled (e.g. chaos injected faults
-       into a silent configuration and emitted the fault events itself).
-       Nodes the callback maps to [] stay root-spontaneous. *)
-    (match init_causes with
-    | Some f when tracing -> Bitset.iter (fun v -> enablers.(v) <- f v) enabled
-    | _ -> ());
+       the caller perturbed a silent configuration outside the engine
+       and emitted the source events itself ([Events.emit_sources]).
+       Nodes with no source in their closed neighbourhood stay
+       root-spontaneous. *)
+    Option.iter
+      (fun causes -> Bitset.iter (fun v -> enablers.(v) <- causes v) enabled)
+      source_causes;
     if move_phi then last_phi := P.potential g (St.config st);
     let dirty = Bitset.create n in
     let mark u =
@@ -242,8 +249,7 @@ module Loop (St : STORE) = struct
                 (* A mid-run corruption is a DAG source: the fault event
                    becomes the cause of every move it wakes up. *)
                 (match events with
-                | Some sink ->
-                    cur_eid := Events.emit_fault sink ~node:v ~round:(round_offset + !rounds)
+                | Some sink -> cur_eid := Events.emit_fault sink ~node:v
                 | None -> ());
                 touch v;
                 cur_eid := -1
@@ -289,8 +295,8 @@ module Loop (St : STORE) = struct
             else None
           in
           cur_eid :=
-            Events.emit_move sink ~node:v ~step:(step_offset + !steps)
-              ~round:(round_offset + !rounds) ?rule ~bits_before ~bits_after:bits ?dphi
+            Events.emit_move sink ~node:v ~step:(step_base + !steps)
+              ~round:(round_base + !rounds) ?rule ~bits_before ~bits_after:bits ?dphi
               ~causes:enablers.(v) ();
           enablers.(v) <- [];
           just_moved.(v) <- true
@@ -311,7 +317,7 @@ module Loop (St : STORE) = struct
             if Events.wants_phi sink then P.potential g (St.config st) else None
           in
           Events.emit_round sink
-            ~round:(round_offset + !rounds)
+            ~round:(round_base + !rounds)
             ~enabled:(Bitset.cardinal enabled)
             ~bits:(St.bits_summary st) ~phi
       | None -> ());
@@ -486,12 +492,11 @@ module Loop (St : STORE) = struct
       : stats)
 
   let exec ?(max_steps = 10_000_000) ?(max_rounds = 200_000) ?on_round ?on_step ?adversary
-      ?stop_when ?watchdog ?warm ?events ?profile ?init_causes ?(round_offset = 0)
-      ?(step_offset = 0) g sched rng ~init =
+      ?stop_when ?watchdog ?warm ?events ?profile g sched rng ~init =
     let st = St.create ?profile ~watched:(watchdog <> None) g init in
     match
       loop ~max_steps ~max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-        ?events ?profile ?init_causes ~round_offset ~step_offset g sched rng st
+        ?events ?profile g sched rng st
     with
     | s -> (st, s)
     | exception e ->
@@ -500,10 +505,10 @@ module Loop (St : STORE) = struct
         Printexc.raise_with_backtrace e bt
 
   let run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-      ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~init =
+      ?events ?profile g sched rng ~init =
     let st, (s : stats) =
       exec ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-        ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~init
+        ?events ?profile g sched rng ~init
     in
     {
       states = St.config st;

@@ -35,9 +35,6 @@ type ('state, 'k) runner =
   ?warm:int array ->
   ?events:Events.t ->
   ?profile:Profile.t ->
-  ?init_causes:(int -> int list) ->
-  ?round_offset:int ->
-  ?step_offset:int ->
   Repro_graph.Graph.t ->
   Scheduler.t ->
   Random.State.t ->
@@ -135,12 +132,17 @@ module type S = sig
       {!Events} and OBSERVABILITY.md). A round event carries the
       enabled-node count, the (max, total) register bits and, when the
       sink asks for it, the live [P.potential]; the sink folds these
-      into the per-round series ({!Events.samples}). [init_causes v] supplies the cause ids for
-      nodes the {e initial} configuration enables (chaos uses it to
-      attribute recovery to fault events it emitted before the run);
-      nodes not covered are root-spontaneous. [round_offset] /
-      [step_offset] shift the round/step fields of emitted events only
-      (never the semantics) so multi-run episodes share one timeline.
+      into the per-round series ({!Events.samples}). The sink owns
+      the timeline: the run numbers its rounds from the sink's
+      {!Events.last_round} (its round 0 shares the previous run's last
+      round) and its steps after the sink's {!Events.writes_total}, so
+      consecutive runs on one sink (a [--faults] run, a chaos or a
+      service episode) share one timeline; the semantics and the
+      result's counts stay run-relative. A run starts by taking the
+      sources the caller recorded with {!Events.emit_sources} (faults
+      or churn applied to a silent configuration outside the engine):
+      they become the causes of the initially enabled nodes in their
+      closed neighbourhoods; other nodes are root-spontaneous.
 
       [profile] counts guard evaluations, view refreshes (boxed store
       only), wakeups, flushes, enabled-set churn and per-rule moves into

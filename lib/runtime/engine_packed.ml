@@ -233,17 +233,16 @@ module Make (P : Protocol.PACKED) = struct
     Array.of_list (Bitset.to_list mark)
 
   let run_bank ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog
-      ?warm ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~bank =
+      ?warm ?events ?profile g sched rng ~bank =
     snd
       (exec ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-         ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng
-         ~init:(bank, true))
+         ?events ?profile g sched rng ~init:(bank, true))
 
   (* A fresh bank nobody else holds: no journal, and the result boxes
      the final configuration once. *)
   let run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-      ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng ~init =
+      ?events ?profile g sched rng ~init =
     run ?max_steps ?max_rounds ?on_round ?on_step ?adversary ?stop_when ?watchdog ?warm
-      ?events ?profile ?init_causes ?round_offset ?step_offset g sched rng
+      ?events ?profile g sched rng
       ~init:(pack_bank ~n:(Graph.n g) init, false)
 end

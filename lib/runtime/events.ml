@@ -38,11 +38,13 @@ type t = {
   move_phi : bool;
   mutable next_id : int;
   mutable total : int;
-  mutable header : (string * Json.t) list option;
   (* The series fold: samples newest first, and the move counts. *)
   mutable rev_samples : sample list;
   mutable writes_total : int;
   mutable writes_at_round : int;
+  (* Sources emitted by [emit_sources], (node, event id) in emission
+     order, until the next engine run takes them. *)
+  mutable sources : (int * int) list;
 }
 
 let make mode ~record_phi ~move_phi =
@@ -52,10 +54,10 @@ let make mode ~record_phi ~move_phi =
     move_phi;
     next_id = 0;
     total = 0;
-    header = None;
     rev_samples = [];
     writes_total = 0;
     writes_at_round = 0;
+    sources = [];
   }
 
 let ring ?(capacity = 65536) ?(record_phi = false) ?(move_phi = false) () =
@@ -135,7 +137,6 @@ let push t e =
   | Series -> ()
 
 let meta t fields =
-  t.header <- Some fields;
   match t.mode with
   | Ring _ | Series -> ()
   | Stream oc -> Json.to_channel oc (Json.Obj (("ev", Json.Str "meta") :: fields))
@@ -149,18 +150,23 @@ let emit t kind =
 let emit_move t ~node ~step ~round ?rule ~bits_before ~bits_after ?dphi ~causes () =
   emit t (Move { node; step; round; rule; bits_before; bits_after; dphi; causes })
 
-let emit_fault t ~node ~round = emit t (Fault { node; round })
-let emit_churn t ~node ~round ~op = emit t (Churn { node; round; op })
+(* The sink's clock: the round of the last [Round] event and the [Move]
+   events so far. *)
+let last_round t = match t.rev_samples with s :: _ -> s.round | [] -> 0
+let writes_total t = t.writes_total
+let emit_fault t ~node = emit t (Fault { node; round = last_round t })
+let emit_churn t ~node ~op = emit t (Churn { node; round = last_round t; op })
 
-let emit_sources sink g nodes ~emit =
-  Option.map
-    (fun sink ->
-      let eids = List.map (fun v -> (v, emit sink v)) nodes in
-      fun v ->
-        List.filter_map
-          (fun (u, e) -> if u = v || Repro_graph.Graph.has_edge g u v then Some e else None)
-          eids)
-    sink
+let emit_sources sink nodes ~emit =
+  Option.iter (fun t -> t.sources <- List.map (fun v -> (v, emit t v)) nodes) sink
+
+let take_sources t g =
+  match t.sources with
+  | [] -> None
+  | sources ->
+      t.sources <- [];
+      let near v u = u = v || Repro_graph.Graph.has_edge g u v in
+      Some (fun v -> List.filter_map (fun (u, e) -> if near v u then Some e else None) sources)
 
 let emit_round t ~round ~enabled ~bits ~phi =
   ignore (emit t (Round { round; enabled; bits; phi }))
@@ -170,7 +176,6 @@ let events t =
   | Ring { q; _ } -> List.of_seq (Queue.to_seq q)
   | Stream _ | Series -> []
 
-let meta_fields t = t.header
 let total t = t.total
 let retained t = match t.mode with Ring { q; _ } -> Queue.length q | Stream _ | Series -> 0
 
@@ -194,7 +199,6 @@ let sample_json s =
       ("phi", match s.phi with Some v -> Json.Int v | None -> Json.Null);
     ]
 
-let last_round t = match t.rev_samples with s :: _ -> s.round | [] -> 0
 let max_bits t = List.fold_left (fun acc s -> max acc s.max_bits) 0 t.rev_samples
 
 let series_json ?(meta = []) t =

@@ -30,9 +30,11 @@
     sources; recovery moves reached from one through cause edges are
     its measured causal cone (see [Explain] and OBSERVABILITY.md).
 
-    Ids are monotone and owned by the sink, so one sink can span several
-    engine runs (as chaos episodes do) without collisions; callers
-    shift rounds and steps so the runs share one timeline. *)
+    Ids are monotone and owned by the sink, and so is the timeline: one
+    sink can span several engine runs (a [--faults] run, a chaos or a
+    service episode) and each run attached to it numbers its rounds and
+    steps from the sink's clock ({!last_round}, {!writes_total}), so
+    the runs share one timeline without collisions. *)
 
 type kind =
   | Move of {
@@ -82,11 +84,10 @@ val series : ?record_phi:bool -> unit -> t
 val wants_phi : t -> bool
 val wants_move_phi : t -> bool
 
-(** [meta t fields] — record a trace header (kind ["meta"]) carrying
-    run identification: algo, graph family, [n], seed… and, for
+(** [meta t fields] — a trace header (kind ["meta"]) carrying run
+    identification: algo, graph family, [n], seed… and, for
     [Explain]'s causal-cone radii, the edge list under ["edges"].
-    Streamed sinks write it immediately; the others retain the last
-    one. *)
+    Streamed sinks write it immediately; the others ignore it. *)
 val meta : t -> (string * Metrics.Json.t) list -> unit
 
 val emit_move :
@@ -103,17 +104,27 @@ val emit_move :
   int
 (** Returns the fresh event's id (to thread into later causes). *)
 
-val emit_fault : t -> node:int -> round:int -> int
-val emit_churn : t -> node:int -> round:int -> op:string -> int
+(** A [Fault] or [Churn] event at the sink's current round
+    ({!last_round}). *)
+val emit_fault : t -> node:int -> int
 
-(** [emit_sources sink g nodes ~emit] — for a perturbation made
-    outside the engine (a corruption or a topology edit): emit one source
-    event per node of [nodes], in order, through [emit sink v], and
-    return the recovery run's [init_causes], mapping every node to the
-    ids of the events in its closed neighbourhood in [g]. [None] without
-    a sink. Draws no randomness. *)
-val emit_sources :
-  t option -> Repro_graph.Graph.t -> int list -> emit:(t -> int -> int) -> (int -> int list) option
+val emit_churn : t -> node:int -> op:string -> int
+
+(** [emit_sources sink nodes ~emit] — for a perturbation made outside
+    the engine (a corruption or a topology edit): emit one source event
+    per node of [nodes], in order, through [emit sink v], and record
+    them in the sink in place of any not yet taken. The next engine run
+    attached to it takes them ({!take_sources}). No-op without a sink;
+    draws no randomness. *)
+val emit_sources : t option -> int list -> emit:(t -> int -> int) -> unit
+
+(** [take_sources t g] — what an engine run on [g] does at its start:
+    forget the sources {!emit_sources} recorded and return the causes
+    of the nodes the run's initial configuration enables, mapping every
+    node to the ids of the sources in its closed neighbourhood in [g]
+    (the configuration before the perturbation was silent). [None] when
+    no sources are pending. *)
+val take_sources : t -> Repro_graph.Graph.t -> (int -> int list) option
 
 val emit_round : t -> round:int -> enabled:int -> bits:int * int -> phi:int option -> unit
 
@@ -121,9 +132,16 @@ val emit_round : t -> round:int -> enabled:int -> bits:int * int -> phi:int opti
     sinks). *)
 val events : t -> event list
 
-val meta_fields : t -> (string * Metrics.Json.t) list option
 val total : t -> int
 val retained : t -> int
+
+(** {2 The clock} *)
+
+(** The round of the last [Round] event (0 before any). *)
+val last_round : t -> int
+
+(** The [Move] events so far. *)
+val writes_total : t -> int
 
 (** {2 The per-round series} *)
 

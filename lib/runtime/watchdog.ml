@@ -2,7 +2,7 @@ type verdict =
   | Converged
   | Livelock of { round : int; period : int }
   | Stalled of { round : int; window : int }
-  | Exhausted of { rounds : int; steps : int }
+  | Exhausted of { rounds : int }
 
 let verdict_name = function
   | Converged -> "converged"
@@ -20,9 +20,8 @@ let pp_verdict ppf = function
   | Stalled { round; window } ->
       Format.fprintf ppf "stalled (no new potential minimum for %d rounds at round %d)"
         window round
-  | Exhausted { rounds; steps } ->
-      Format.fprintf ppf "exhausted (limits hit at %d rounds / %d steps, no pattern)"
-        rounds steps
+  | Exhausted { rounds } ->
+      Format.fprintf ppf "exhausted (limits hit at %d rounds, no pattern)" rounds
 
 (* One bucket per distinct configuration observed under a hash. [bsnap]
    is the serialized configuration when a verifier ([?snap]) is in use,
@@ -37,17 +36,11 @@ type t = {
   observe_only : bool;
   mutable round_base : int;
   mutable observed : int;
-  (* hash -> occurrence buckets; separate tables so
-     the per-write probe cannot double-count the round-boundary
-     configuration (the boundary config IS the config after the round's
-     last write). *)
+  (* hash -> occurrence buckets *)
   round_seen : (int, bucket list) Hashtbl.t;
-  step_seen : (int, bucket list) Hashtbl.t;
-  mutable step_index : int;
   mutable best_phi : int option;
   mutable best_phi_round : int;
   mutable last_round : int;
-  mutable last_steps : int;
   mutable tripped : verdict option;
 }
 
@@ -61,12 +54,9 @@ let create ?(stall_window = 64) ?(cycle_repeats = 3) ?(watch_phi = false)
     round_base = 0;
     observed = 0;
     round_seen = Hashtbl.create 256;
-    step_seen = Hashtbl.create 1024;
-    step_index = 0;
     best_phi = None;
     best_phi_round = 0;
     last_round = 0;
-    last_steps = 0;
     tripped = None;
   }
 
@@ -74,7 +64,6 @@ let reset ?round_base t =
   Option.iter (fun b -> t.round_base <- b) round_base;
   t.observed <- 0;
   Hashtbl.reset t.round_seen;
-  Hashtbl.reset t.step_seen;
   t.best_phi <- None;
   t.best_phi_round <- t.last_round;
   t.tripped <- None
@@ -145,13 +134,6 @@ let observe_round ?snap t ~round ~hash ~phi =
         trip t (Stalled { round; window = t.stall_window })
   | None -> ()
 
-let observe_step ?snap t ~hash =
-  t.step_index <- t.step_index + 1;
-  t.last_steps <- t.step_index;
-  match cycle t.step_seen ~repeats:t.cycle_repeats ~index:t.step_index ~hash ~snap with
-  | Some period -> trip t (Livelock { round = t.last_round; period })
-  | None -> ()
-
 let tripped t = t.tripped
 let round_base t = t.round_base
 let watches_phi t = t.watch_phi
@@ -163,7 +145,7 @@ let verdict t ~silent =
   else
     match t.tripped with
     | Some v -> v
-    | None -> Exhausted { rounds = t.last_round; steps = t.step_index }
+    | None -> Exhausted { rounds = t.last_round }
 
 (* A protocol-agnostic configuration fingerprint. [Hashtbl.hash]'s
    default traversal limits would make distinct deep registers collide

@@ -6,9 +6,8 @@
     episode:
 
     - {b livelock} — the execution revisits a configuration it has
-      already been in (detected as a repeated configuration hash, at
-      round {e and} at step granularity, so pure-step livelocks under
-      starving daemons that never complete a round are caught too);
+      already been in (detected as a repeated configuration hash at
+      round boundaries);
     - {b stalled potential} — the protocol exposes a potential [Φ]
       ({!Protocol.S.potential}) but no {e new minimum} of [Φ] has been
       observed for [stall_window] consecutive rounds.
@@ -32,8 +31,9 @@ type verdict =
           is the index distance between the last two occurrences *)
   | Stalled of { round : int; window : int }
       (** [Φ] made no new minimum for [window] consecutive rounds *)
-  | Exhausted of { rounds : int; steps : int }
-      (** limits hit with no recognized pattern *)
+  | Exhausted of { rounds : int }
+      (** limits hit with no recognized pattern; the run's own result
+          carries its steps *)
 
 val verdict_name : verdict -> string
 
@@ -77,12 +77,6 @@ val create :
     collision). *)
 val observe_round :
   ?snap:(unit -> string) -> t -> round:int -> hash:int -> phi:int option -> unit
-
-(** [observe_step t ~hash] — feed one register write. Kept in a table
-    separate from the round hashes so a round-boundary configuration is
-    not double-counted by the write that produced it. [snap] as in
-    {!observe_round}. *)
-val observe_step : ?snap:(unit -> string) -> t -> hash:int -> unit
 
 (** [reset t] forgets all hashes and the [Φ] floor; call immediately
     after a fault injection. A previously tripped verdict is cleared.

@@ -106,9 +106,6 @@ module type BACKEND = sig
     warm:int array option ->
     on_step:(int -> P.state array -> unit) option ->
     events:Events.t option ->
-    init_causes:(int -> int list) option ->
-    round_offset:int ->
-    step_offset:int ->
     Graph.t ->
     Scheduler.t ->
     Random.State.t ->
@@ -180,7 +177,7 @@ module Driver (B : BACKEND) = struct
        episode's global budgets. Raising runs are contained and counted
        as crashes (the machine-level failure mode the ladder exists
        for); only genuinely fatal conditions propagate. *)
-    let attempt ~daemon ~budget ?init_causes ?warm () =
+    let attempt ~daemon ~budget ?warm () =
       let budget = min budget (max_rounds - !round_off) in
       let steps_left = max_steps - !steps_total in
       if budget <= 0 || steps_left <= 0 then begin
@@ -195,8 +192,7 @@ module Driver (B : BACKEND) = struct
           match
             B.run ~max_steps:steps_left ~max_rounds:budget ~watchdog:wd ~warm
               ~on_step:(if !monitor_armed then Some on_step else None)
-              ~events ~init_causes ~round_offset:run_base ~step_offset:!steps_total !g
-              daemon rng !regs
+              ~events !g daemon rng !regs
           with
           | r -> Ok r
           | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
@@ -269,16 +265,15 @@ module Driver (B : BACKEND) = struct
                guards it can have flipped need a probe. *)
             let warm = if was_ok then B.seeds !regs g' ~old_n affected else None in
             (* The edit happens outside the engine, so emit its churn
-               events here and seed the recovery run's provenance: every
-               node a changed view enables was woken by the edit. *)
-            let init_causes =
-              Events.emit_sources events g' affected ~emit:(fun sink v ->
-                  Events.emit_churn sink ~node:v ~round:apply_round ~op:(Churn.op_name op))
-            in
+               events here for the recovery run to take as the causes of
+               the nodes it starts enabled: every node a changed view
+               enables was woken by the edit. *)
+            Events.emit_sources events affected ~emit:(fun sink v ->
+                Events.emit_churn sink ~node:v ~op:(Churn.op_name op));
             monitor_armed := P.loop_free;
             serving := true;
             let recovered =
-              if ok (attempt ~daemon:sched ~budget:first_budget ?init_causes ?warm ()) then
+              if ok (attempt ~daemon:sched ~budget:first_budget ?warm ()) then
                 true
               else begin
                 let rec retry k =
@@ -361,11 +356,9 @@ module Make (P : TREE_PROTOCOL) = struct
     (* No declaration of the guards' global inputs: always a full scan. *)
     let seeds _ _ ~old_n:_ _ = None
 
-    let run ~max_steps ~max_rounds ~watchdog ~warm:_ ~on_step ~events ~init_causes
-        ~round_offset ~step_offset g sched rng regs =
+    let run ~max_steps ~max_rounds ~watchdog ~warm:_ ~on_step ~events g sched rng regs =
       let r =
-        E.run ~max_steps ~max_rounds ~watchdog ?on_step ?events ?init_causes ~round_offset
-          ~step_offset g sched rng ~init:regs
+        E.run ~max_steps ~max_rounds ~watchdog ?on_step ?events g sched rng ~init:regs
       in
       ( r.E.states,
         {
@@ -411,11 +404,10 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) = struct
     (* Crash-containment parity with the boxed engine, which never
        mutates its [init]: [run_bank] journals its writes and leaves the
        bank as it found it when it raises. *)
-    let run ~max_steps ~max_rounds ~watchdog ~warm ~on_step ~events ~init_causes
-        ~round_offset ~step_offset g sched rng bank =
+    let run ~max_steps ~max_rounds ~watchdog ~warm ~on_step ~events g sched rng bank =
       ( bank,
-        E.run_bank ~max_steps ~max_rounds ~watchdog ?warm ?on_step ?events ?init_causes
-          ~round_offset ~step_offset g sched rng ~bank )
+        E.run_bank ~max_steps ~max_rounds ~watchdog ?warm ?on_step ?events g sched rng ~bank
+      )
   end)
 
   let run = D.run

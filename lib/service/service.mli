@@ -145,11 +145,13 @@ module Make (P : TREE_PROTOCOL) : sig
       private one is allocated.
 
       An [events] sink receives the full causal trace on one
-      id-monotone timeline: base stabilization, one [Churn] event per
-      node whose view an edit changed, and every recovery move —
-      seeded so moves chain back to the edit that caused them,
-      mirroring the chaos harness's fault attribution. Sinks consume
-      no RNG draws; episodes are bit-identical with or without one.
+      timeline: base stabilization, one [Churn] event per node whose
+      view an edit changed, and every recovery move — seeded so moves
+      chain back to the edit that caused them, mirroring the chaos
+      harness's fault attribution. Every segment continues from the
+      sink's clock, so a retry after a contained crash follows the
+      crashed segment's rounds and steps. Sinks consume no RNG draws;
+      episodes are bit-identical with or without one.
 
       @raise Invalid_argument if an explicit op list in [trace] fails
       {!Topology.check} (canned generators are valid by

@@ -90,27 +90,20 @@ let migrate states mig ~fresh =
       if removed < n' then out.(removed) <- states.(renamed_from);
       out
 
-(* The packed twin of [migrate]: same recipe, applied per int lane of a
-   register bank, so survivors are copied verbatim as flat words and
-   never round-trip through boxed states. [fresh id] supplies the
-   joiner's packed register (one adversarial draw, packed by the
-   caller). *)
+(* [migrate] applied lane by lane, so survivors are copied verbatim as
+   flat words and never round-trip through boxed states. The joiner's
+   packed register is drawn once, before any lane is copied. *)
 let migrate_bank bank mig ~fresh =
-  match mig with
-  | Unchanged -> Array.map Array.copy bank
-  | Grow id ->
-      let packed = fresh id in
-      if Array.length packed <> Array.length bank then
-        invalid_arg "Topology.migrate_bank: fresh register has the wrong width";
-      Array.mapi (fun f lane -> Array.append lane [| packed.(f) |]) bank
-  | Swap { removed; renamed_from } ->
-      Array.map
-        (fun lane ->
-          let n' = Array.length lane - 1 in
-          let out = Array.sub lane 0 n' in
-          if removed < n' then out.(removed) <- lane.(renamed_from);
-          out)
-        bank
+  let joiner =
+    match mig with
+    | Grow id ->
+        let packed = fresh id in
+        if Array.length packed <> Array.length bank then
+          invalid_arg "Topology.migrate_bank: fresh register has the wrong width";
+        packed
+    | Unchanged | Swap _ -> [||]
+  in
+  Array.mapi (fun f lane -> migrate lane mig ~fresh:(fun _ -> joiner.(f))) bank
 
 let affected g (op : Churn.op) mig =
   let nodes =

@@ -114,9 +114,14 @@ let test_watchdog_exhausted_without_signal () =
   in
   Alcotest.(check bool) "not silent" false silent;
   Alcotest.(check int) "ran to the budget" 50 rounds;
-  match verdict with
+  (match verdict with
   | Watchdog.Exhausted _ -> ()
-  | v -> Alcotest.failf "expected exhausted, got %s" (Watchdog.verdict_name v)
+  | v -> Alcotest.failf "expected exhausted, got %s" (Watchdog.verdict_name v));
+  (* The verdict names the rounds the watchdog saw; the run's own
+     result carries its steps. *)
+  Alcotest.(check string)
+    "verdict text" "exhausted (limits hit at 50 rounds, no pattern)"
+    (Format.asprintf "%a" Watchdog.pp_verdict verdict)
 
 (* Packed twins of the two non-converging toys: one lane holding the
    register, for the packed store's fingerprint path. *)

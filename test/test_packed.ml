@@ -306,8 +306,9 @@ let test_allocation_free () =
 (* The packed engine is the boxed engine with every hook attached: the
    same executor loop over the other register store. From adversarial
    starts on the extended daemon roster, with an event ring (Φ at
-   rounds and moves), an adversary corrupting two nodes at round 2,
-   [init_causes] and both offsets, an [on_step] log, an [on_round] log
+   rounds and moves) whose clock stands at round 7 after 11 moves and
+   which holds two pending fault sources, an adversary corrupting two
+   nodes at round 2, an [on_step] log, an [on_round] log
    and a profile all attached at once — run to silence and cut short by
    [stop_when] after 25 writes — both engines must emit the same event
    JSON lines, hook logs, result fields, series JSON and profile
@@ -324,7 +325,16 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   in
   let on_round r sts = Printf.bprintf log "round %d hash %d\n" r (Hashtbl.hash sts) in
   let adversary ~round _ = if round = 2 then faults else [] in
-  let init_causes v = [ v; 1000 + v ] in
+  (* The run continues the sink's timeline and takes its sources as
+     the causes of the nodes it starts enabled. *)
+  for step = 1 to 11 do
+    ignore
+      (Events.emit_move events ~node:0 ~step ~round:7 ~bits_before:0 ~bits_after:0
+         ~causes:[] ())
+  done;
+  Events.emit_round events ~round:7 ~enabled:0 ~bits:(0, 0) ~phi:None;
+  Events.emit_sources (Some events) [ 0; Graph.n g - 1 ] ~emit:(fun sink v ->
+      Events.emit_fault sink ~node:v);
   let stop_when () = cut && !steps >= 25 in
   (* The stores fingerprint differently; the verdict, its rounds and the
      Φ floor must not depend on it. *)
@@ -332,8 +342,7 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   Watchdog.reset ~round_base:5 watchdog;
   let r =
     E.run ~max_steps:20_000 ~max_rounds:2_000 ~on_round ~on_step
-      ~adversary ~stop_when ~watchdog ~events ~profile ~init_causes ~round_offset:7
-      ~step_offset:11 g sched
+      ~adversary ~stop_when ~watchdog ~events ~profile g sched
       (Random.State.make [| sd; 31 |])
       ~init
   in

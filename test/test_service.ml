@@ -583,6 +583,88 @@ let test_churn_moves_all_attributed () =
     Repro_campaign.Builders.[ bfs; spt ];
   Alcotest.(check bool) "recovery moves happened" true (!moves > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Crash containment: a guard that raises once, during the first
+   recovery of a flash crowd. The driver counts the crash,
+   retries the segment from the registers it started from, and the
+   episode still recovers; the streamed trace stays on one valid
+   timeline (the retry continues after the crashed segment's rounds
+   and steps instead of reusing them). *)
+
+let guard_calls = ref 0
+let crash_at = ref 0
+
+(* The guard calls of the first recovery of a flash crowd: the first
+   run of calls on views of [recovery_n] nodes (n0 + 1, the first
+   join). *)
+let recovery_n = ref 0
+let span = ref None
+let span_closed = ref false
+
+let guard_tick n =
+  incr guard_calls;
+  (if not !span_closed then
+     match !span with
+     | None -> if n = !recovery_n then span := Some (!guard_calls, !guard_calls)
+     | Some (first, _) ->
+         if n = !recovery_n then span := Some (first, !guard_calls) else span_closed := true);
+  if !guard_calls = !crash_at then failwith "guard crash"
+
+module Crashing_mst = Service.Make (struct
+  include Repro_campaign.Builders.Mst_tree
+
+  let step v =
+    guard_tick v.View.n;
+    step v
+end)
+
+module Crashing_bfs = Service.Make_packed (struct
+  include Repro_campaign.Builders.Bfs_tree
+
+  let step_packed pv =
+    guard_tick pv.Pview.n;
+    step_packed pv
+end)
+
+let contained_crash run () =
+  let n = 10 in
+  let g = Generators.random_connected (seed 40) ~n ~m:16 in
+  let episode events =
+    guard_calls := 0;
+    run ~events g ~sched:(Scheduler.Central Scheduler.Random_daemon)
+      ~fallback:(Scheduler.Distributed 0.5) (seed 41) (trace_of "flash-crowd:2")
+  in
+  (* A clean run locates the first recovery's guard calls; the guard
+     then raises at the last of them, after the segment's moves. *)
+  recovery_n := n + 1;
+  span := None;
+  span_closed := false;
+  crash_at := 0;
+  ignore (episode (Events.ring ()));
+  (match !span with
+  | Some (first, last) when first < last -> crash_at := last
+  | _ -> Alcotest.fail "no first recovery");
+  let file = Filename.temp_file "crash" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      crash_at := 0;
+      Sys.remove file)
+    (fun () ->
+      let r =
+        let oc = open_out file in
+        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> episode (Events.stream oc))
+      in
+      let crashes =
+        List.fold_left (fun acc (e : Service.event_outcome) -> acc + e.Service.crashes) 0
+          r.Service.events
+      in
+      Alcotest.(check int) "one contained crash" 1 crashes;
+      Alcotest.(check bool) "episode recovered" true r.Service.recovered;
+      let contents = In_channel.with_open_bin file In_channel.input_all in
+      match Schema.validate_trace contents with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "trace validation failed: %s" msg)
+
 let () =
   QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_service"
@@ -626,6 +708,10 @@ let () =
             test_episode_churn_attribution;
           Alcotest.test_case "at-silence churn: every recovery move attributed" `Quick
             test_churn_moves_all_attributed;
+          Alcotest.test_case "contained crash, boxed mst" `Quick
+            (contained_crash (fun ~events g -> Crashing_mst.run ~events g));
+          Alcotest.test_case "contained crash, packed bfs" `Quick
+            (contained_crash (fun ~events g -> Crashing_bfs.run ~events g));
         ] );
       ( "warmstart",
         warm_props
