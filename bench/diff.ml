@@ -63,7 +63,7 @@ let load path =
   | contents ->
       Result.map_error
         (fun msg -> path ^ ": " ^ msg)
-        (match (Json.of_string contents, Schema.sniff contents) with
+        (match (Json.of_string contents, Artifact.sniff contents) with
         | None, _ -> Error "not valid JSON"
         | Some j, Some `Bench -> records Bench_record.experiments bench_record j
         | Some j, Some `Service ->

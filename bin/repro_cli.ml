@@ -164,7 +164,7 @@ let run_cmd =
       match trace with
       | Some (_, oc) ->
           let sink = Events.stream ~record_phi oc in
-          Events.meta sink (meta @ [ ("edges", Campaign.edges_json g) ]);
+          Events.meta sink (meta @ Events.edges_meta g);
           Some sink
       | None -> Option.map (fun _ -> Events.series ~record_phi ()) metrics
     in
@@ -708,7 +708,7 @@ let validate_cmd =
     let kind =
       match kind with
       | `Auto -> (
-          match Schema.sniff contents with
+          match Artifact.sniff contents with
           | Some k -> Ok k
           | None ->
               Error
@@ -728,7 +728,7 @@ let validate_cmd =
         in
         let result =
           match k with
-          | `Trace -> Schema.validate_trace contents
+          | `Trace -> Result.map (fun (_, events) -> List.length events) (Events.parse contents)
           | (`Bench | `Chaos | `Service) as k -> (
               match Metrics.Json.of_string contents with
               | None -> Error "not valid JSON"

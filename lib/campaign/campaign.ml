@@ -35,12 +35,6 @@ let sanitize s =
     (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-') as c -> c | _ -> '-')
     s
 
-let edges_json g =
-  Json.List
-    (Array.to_list (Graph.edges g)
-    |> List.map (fun (e : Graph.Edge.t) ->
-           Json.List [ Json.Int e.u; Json.Int e.v; Json.Int e.w ]))
-
 let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
     ?(sched_meta = fun _ -> []) ?trace_dir cell =
   (* The cell list is enumerated sequentially in canonical order; the
@@ -93,8 +87,8 @@ let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
                     ("seed", Json.Int k.seed_index);
                     ("n", Json.Int (Graph.n g));
                     ("m", Json.Int (Graph.m g));
-                    ("edges", edges_json g);
-                  ]);
+                  ]
+                @ Events.edges_meta g);
               cell k p sched g rng (Some sink)))
     specs
 

@@ -29,10 +29,6 @@ type cell = {
   injections : Repro_runtime.Chaos.injection list;
 }
 
-(** The topology's edge list as [[u; v; w]] JSON triples, for trace
-    meta headers. *)
-val edges_json : Repro_graph.Graph.t -> Repro_runtime.Metrics.Json.t
-
 (** {2 The generic matrix driver} *)
 
 (** A cell coordinate: the builder, the perturbation (a fault plan or

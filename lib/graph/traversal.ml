@@ -1,26 +1,38 @@
-let bfs_with_parents g ~src =
+(* One BFS from every source at once, over the CSR arrays with an
+   int-array queue: hop distances to the nearest source. [reach x u]
+   runs when the scan of [u] first reaches [x]. *)
+let bfs g sources reach =
   let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-2) in
-  let q = Queue.create () in
-  dist.(src) <- 0;
-  parent.(src) <- -1;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Array.iter
-      (fun (v, _w) ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          parent.(v) <- u;
-          Queue.add v q
-        end)
-      (Graph.neighbors g u)
+  let row = Graph.csr_row g and col = Graph.csr_col g in
+  let dist = Array.make n max_int and queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  let visit x d =
+    if dist.(x) = max_int then begin
+      dist.(x) <- d;
+      queue.(!tail) <- x;
+      incr tail;
+      true
+    end
+    else false
+  in
+  List.iter (fun s -> ignore (visit s 0)) sources;
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for i = row.(u) to row.(u + 1) - 1 do
+      if visit col.(i) (dist.(u) + 1) then reach col.(i) u
+    done
   done;
-  (dist, parent)
+  dist
 
-let bfs_distances g ~src = fst (bfs_with_parents g ~src)
-let bfs_tree g ~src = snd (bfs_with_parents g ~src)
+let hop_distances g sources = bfs g sources (fun _ _ -> ())
+let bfs_distances g ~src = hop_distances g [ src ]
+
+let bfs_tree g ~src =
+  let parent = Array.make (Graph.n g) (-2) in
+  parent.(src) <- -1;
+  ignore (bfs g [ src ] (fun x u -> parent.(x) <- u));
+  parent
 
 let dfs_order g ~src =
   let n = Graph.n g in

@@ -8,6 +8,10 @@
     unreachable nodes get [max_int]. *)
 val bfs_distances : Graph.t -> src:int -> int array
 
+(** [hop_distances g sources] — hop distances to the nearest source, by
+    one BFS from all of them ([max_int] when unreachable). *)
+val hop_distances : Graph.t -> int list -> int array
+
 (** [bfs_tree g ~src] is a parent array of a BFS tree rooted at [src]:
     [parent.(src) = -1]; unreachable nodes get [-2]. *)
 val bfs_tree : Graph.t -> src:int -> int array

@@ -8,6 +8,7 @@ type ('w, 'r) kind =
   | Opt : [ `Null | `Omit ] * ('w, 'r) kind -> ('w option, 'r option) kind
       (** how [None] is written; either way absent or [null] reads [None] *)
   | List : ('w, 'r) kind -> ('w list, 'r list) kind
+  | Pair : ('w, 'r) kind -> ('w * 'w, 'r * 'r) kind
   | Obj : 'w t -> ('w, Json.t) kind
 
 and ('a, 'w, 'r) field = { name : string; kind : ('w, 'r) kind; get : 'a -> 'w }
@@ -22,6 +23,7 @@ let enum values = Enum values
 let nullable k = Opt (`Null, k)
 let optional k = Opt (`Omit, k)
 let list k = List k
+let pair k = Pair k
 let obj d = Obj d
 
 let rec encode : type w r. (w, r) kind -> w -> Json.t =
@@ -33,22 +35,28 @@ let rec encode : type w r. (w, r) kind -> w -> Json.t =
   | Bool -> Json.Bool v
   | Opt (_, k) -> ( match v with Some x -> encode k x | None -> Json.Null)
   | List k -> Json.List (List.map (encode k) v)
+  | Pair k ->
+      let a, b = v in
+      Json.List [ encode k a; encode k b ]
   | Obj d -> to_json d v
 
-and to_json : type a. a t -> a -> Json.t =
+and members : type a. a t -> a -> (string * Json.t) list =
  fun d x ->
   let member (F { name; kind; get }) =
     match (kind, get x) with
     | Opt (`Omit, _), None -> None
     | _, v -> Some (name, encode kind v)
   in
-  Json.Obj (List.filter_map member d)
+  List.filter_map member d
+
+and to_json : type a. a t -> a -> Json.t = fun d x -> Json.Obj (members d x)
 
 let rec noun : type w r. (w, r) kind -> string = function
   | Int -> "int"
   | Str | Enum _ -> "string"
   | Bool -> "bool"
   | List _ -> "list"
+  | Pair k -> noun k ^ " pair"
   | Obj _ -> "object"
   | Opt (_, k) -> noun k ^ " or null"
 
@@ -73,6 +81,8 @@ let rec decode : type w r. string -> (w, r) kind -> Json.t -> (r, failure) resul
   | Opt _, Json.Null -> Ok None
   | Opt (_, k), v -> Result.map Option.some (decode name k v)
   | List k, Json.List items -> elements name k items
+  | Pair k, Json.List [ a; b ] ->
+      Result.bind (decode name k a) (fun x -> Result.map (fun y -> (x, y)) (decode name k b))
   | Obj d, v -> (
       match check d v with Ok () -> Ok v | Error m -> Error (Invalid m))
   | _ -> Error Wrong_type
@@ -108,3 +118,24 @@ and check : type a. a t -> Json.t -> (unit, string) result =
   List.fold_left
     (fun acc (F f) -> Result.bind acc (fun () -> Result.map ignore (read f j)))
     (Ok ()) d
+
+let sniff contents =
+  let first_line =
+    match String.index_opt contents '\n' with
+    | Some i -> String.sub contents 0 i
+    | None -> contents
+  in
+  let categorize j =
+    if Json.member "ev" j <> None then Some `Trace
+    else if Json.member "experiments" j <> None then Some `Bench
+    else if Json.member "cells" j <> None then
+      (* Chaos and service artifacts both lead with cells; the service
+         meta header is the one that names its churn traces. *)
+      match Json.member "meta" j with
+      | Some meta when Json.member "traces" meta <> None -> Some `Service
+      | _ -> Some `Chaos
+    else None
+  in
+  match Json.of_string (String.trim first_line) with
+  | Some j -> categorize j
+  | None -> Option.bind (Json.of_string (String.trim contents)) categorize

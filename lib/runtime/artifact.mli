@@ -1,10 +1,11 @@
-(** Declarations of the committed JSON artifacts (BENCH_repro.json,
-    CHAOS_repro.json, SERVICE_repro.json).
+(** Declarations of the JSON the repository writes: the committed
+    artifacts (BENCH_repro.json, CHAOS_repro.json, SERVICE_repro.json),
+    the JSONL event trace and the metrics series ({!Events}).
 
-    An artifact record is declared once, next to the OCaml type it
-    serialises, as its fields in written order: a name, a {!kind} and a
-    getter. The writer ({!to_json}), the validator behind
-    [repro_cli validate] ({!check}) and [bench-diff]'s reads ({!read})
+    A record is declared once, next to the OCaml type it serialises, as
+    its fields in written order: a name, a {!kind} and a getter. The
+    writer ({!to_json}), the validator behind [repro_cli validate]
+    ({!check}) and the readers ({!read}: [bench-diff], {!Events.parse})
     are derived from that list, so each field is named in one place. *)
 
 (** ['w] is what the getter returns and the writer writes, ['r] what
@@ -36,11 +37,19 @@ val optional : ('w, 'r) kind -> ('w option, 'r option) kind
     and the index: [cell 3: injection 0: ...]. *)
 val list : ('w, 'r) kind -> ('w list, 'r list) kind
 
+(** Two values as a two-element list; anything else is
+    [field "NAME" is not an int pair]. *)
+val pair : ('w, 'r) kind -> ('w * 'w, 'r * 'r) kind
+
 (** A nested object, unprefixed in errors; {!read} hands back the
     checked JSON object. *)
 val obj : 'w t -> ('w, Metrics.Json.t) kind
 
 val to_json : 'a t -> 'a -> Metrics.Json.t
+
+(** The members {!to_json} writes, in order, for splicing into an
+    object that is not one declaration. *)
+val members : 'a t -> 'a -> (string * Metrics.Json.t) list
 
 (** [read f j] — field [f] of object [j], checked in full against its
     kind: [missing field "NAME"], [field "NAME" is not an int] ([a
@@ -50,3 +59,9 @@ val read : ('a, 'w, 'r) field -> Metrics.Json.t -> ('r, string) result
 
 (** Every field in order, first error wins; extra fields are allowed. *)
 val check : 'a t -> Metrics.Json.t -> (unit, string) result
+
+(** Sniff which validator a file's contents call for: a JSONL trace
+    (first line has an ["ev"] field), a bench artifact
+    (["experiments"]), a service artifact (["cells"] plus a meta
+    ["traces"] list) or a chaos artifact (any other ["cells"]). *)
+val sniff : string -> [ `Bench | `Chaos | `Service | `Trace ] option

@@ -24,11 +24,6 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     max_bits : int;
   }
 
-  (* min-over-sources hop distance, for the containment radius *)
-  let distance_to g sources =
-    let dists = List.map (fun s -> Traversal.bfs_distances g ~src:s) sources in
-    fun v -> List.fold_left (fun acc d -> min acc d.(v)) max_int dists
-
   let run_episode ?(max_steps = 2_000_000) ?(max_rounds = 20_000) ?(stall_window = 64)
       ?(cycle_repeats = 3) ?(max_injections = 3) ?(watch_phi = false) ?events g sched rng
       (plan : Fault.Plan.t) =
@@ -59,11 +54,11 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
       match !current with
       | None -> ()
       | Some (inj_round, nodes) ->
-          let dist = distance_to g nodes in
+          let dist = Traversal.hop_distances g nodes in
           let radius =
             Hashtbl.fold
               (fun v () acc ->
-                let d = dist v in
+                let d = dist.(v) in
                 match acc with
                 | None -> Some d
                 | Some r -> Some (max r d))

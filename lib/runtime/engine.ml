@@ -169,10 +169,6 @@ module Loop (St : STORE) = struct
     let enablers = if tracing then Array.make n [] else [||] in
     let just_moved = if tracing then Array.make n false else [||] in
     let cur_eid = ref (-1) in
-    let move_phi =
-      match events with Some e -> Events.wants_move_phi e | None -> false
-    in
-    let last_phi = ref None in
     (* Rule tags re-box the old register and the move; only a sink or a
        profile reads them. *)
     let classify = if tracing || profile <> None then P.classify else None in
@@ -206,7 +202,6 @@ module Loop (St : STORE) = struct
     Option.iter
       (fun causes -> Bitset.iter (fun v -> enablers.(v) <- causes v) enabled)
       source_causes;
-    if move_phi then last_phi := P.potential g (St.config st);
     let dirty = Bitset.create n in
     let mark u =
       Bitset.add dirty u;
@@ -255,7 +250,6 @@ module Loop (St : STORE) = struct
                 cur_eid := -1
               end)
             (f ~round:!rounds (St.config st));
-          if move_phi then last_phi := P.potential g (St.config st);
           flush ()
     in
     (* Adversary bookkeeping: the LIFO daemon's step clock. *)
@@ -283,20 +277,9 @@ module Loop (St : STORE) = struct
       (match profile with Some p -> Profile.on_move ?rule p | None -> ());
       (match events with
       | Some sink ->
-          let dphi =
-            if move_phi then begin
-              let np = P.potential g (St.config st) in
-              let d =
-                match (!last_phi, np) with Some a, Some b -> Some (b - a) | _ -> None
-              in
-              last_phi := np;
-              d
-            end
-            else None
-          in
           cur_eid :=
             Events.emit_move sink ~node:v ~step:(step_base + !steps)
-              ~round:(round_base + !rounds) ?rule ~bits_before ~bits_after:bits ?dphi
+              ~round:(round_base + !rounds) ?rule ~bits_before ~bits_after:bits
               ~causes:enablers.(v) ();
           enablers.(v) <- [];
           just_moved.(v) <- true

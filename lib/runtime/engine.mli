@@ -129,7 +129,9 @@ module type S = sig
       write / fault / round boundary into an {!Events} sink, with causal
       provenance — every move carries the ids of the writes that
       (re-)enabled it, read off the executor's own wakeup path (see
-      {!Events} and OBSERVABILITY.md). A round event carries the
+      {!Events} and OBSERVABILITY.md). A move event carries the
+      node, step, round, rule tag and register bits before and after;
+      Φ is never evaluated per move. A round event carries the
       enabled-node count, the (max, total) register bits and, when the
       sink asks for it, the live [P.potential]; the sink folds these
       into the per-round series ({!Events.samples}). The sink owns

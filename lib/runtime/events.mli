@@ -1,6 +1,14 @@
 (** The engine's one recording: structured per-move event traces with
     causal provenance, the per-round series folded from them, and the
-    JSONL trace format (writer and parser).
+    JSONL trace format.
+
+    {b The format.} Each trace line kind ([move], [fault], [churn],
+    [round]: an ["ev"] tag, the event's ["id"], then the kind's fields)
+    and the series' sample and summary are declared once in events.ml
+    as {!Artifact} field lists; the stream writer, {!event_json},
+    {!series_json} and the one reader, {!parse}, derive from them. A
+    [meta] line is the ["ev"] tag and the caller's fields
+    (OBSERVABILITY.md shows each line).
 
     The engine ({!Engine.Make.run}) emits one {!event} per register
     write (kind [Move]), per adversarial corruption (kind [Fault]) and
@@ -44,7 +52,6 @@ type kind =
       rule : string option;  (** {!Protocol.S.classify} tag *)
       bits_before : int;
       bits_after : int;
-      dphi : int option;  (** potential delta, when the sink asks for it *)
       causes : int list;  (** ids of the enabling events, oldest first *)
     }
   | Fault of { node : int; round : int }
@@ -64,17 +71,16 @@ type t
 
 (** [ring ()] — bounded in-memory sink. [capacity] (default 65536) is
     the number of retained events; older ones are dropped (the total
-    count is still tracked). [record_phi] asks the engine to evaluate
-    the protocol potential at every round boundary; [move_phi]
-    additionally at every move (expensive: one global [potential] per
-    write) — both default to [false]. *)
-val ring : ?capacity:int -> ?record_phi:bool -> ?move_phi:bool -> unit -> t
+    count is still tracked). [record_phi] (default [false]) asks the
+    engine to evaluate the protocol potential at every round
+    boundary. *)
+val ring : ?capacity:int -> ?record_phi:bool -> unit -> t
 
 (** [stream oc] — streaming JSONL sink: every event (and the optional
     {!meta} header) is written to [oc] as one compact JSON object per
     line; no event is retained in memory. The caller owns the
     channel. *)
-val stream : ?record_phi:bool -> ?move_phi:bool -> out_channel -> t
+val stream : ?record_phi:bool -> out_channel -> t
 
 (** [series ()] — a sink that keeps only the per-round series. Unlike
     the trace sinks, [record_phi] defaults to [true]: Φ is one of the
@@ -82,13 +88,22 @@ val stream : ?record_phi:bool -> ?move_phi:bool -> out_channel -> t
 val series : ?record_phi:bool -> unit -> t
 
 val wants_phi : t -> bool
-val wants_move_phi : t -> bool
 
 (** [meta t fields] — a trace header (kind ["meta"]) carrying run
     identification: algo, graph family, [n], seed… and, for
     [Explain]'s causal-cone radii, the edge list under ["edges"].
     Streamed sinks write it immediately; the others ignore it. *)
 val meta : t -> (string * Metrics.Json.t) list -> unit
+
+(** The ["edges"] member of a meta header, [[[u, v, w], ...]] in
+    {!Repro_graph.Graph.edges} order. *)
+val edges_meta : Repro_graph.Graph.t -> (string * Metrics.Json.t) list
+
+(** The graph a meta header names through its ["n"] and ["edges"]
+    members; [None] when either is missing or ill-typed, or the edges
+    do not make a graph on [n] nodes (out of range, self-loop,
+    duplicate, or not [[u, v, w]]). *)
+val meta_graph : (string * Metrics.Json.t) list -> Repro_graph.Graph.t option
 
 val emit_move :
   t ->
@@ -98,7 +113,6 @@ val emit_move :
   ?rule:string ->
   bits_before:int ->
   bits_after:int ->
-  ?dphi:int ->
   causes:int list ->
   unit ->
   int
@@ -176,8 +190,20 @@ val pp_series : Format.formatter -> t -> unit
 (** One event as the JSON object the JSONL stream writes. *)
 val event_json : event -> Metrics.Json.t
 
-(** [parse contents] — the meta header (the last one, if several) and
-    the events of a whole JSONL trace, in line order. [Error] carries
-    the 1-based line number and what was wrong with it. *)
+(** [parse contents] — the trace's one reader, behind both
+    [repro_cli validate] and [repro_cli explain]: the meta header (the
+    last one, if several) and the events of a whole JSONL trace, in
+    line order. Each line is checked against its kind's declared
+    fields, and the events against the timeline: in line order ids
+    strictly increase whatever the kind, move steps strictly increase,
+    rounds never decrease, nodes are non-negative, and every cause
+    names an earlier fault, churn or move. [Error] is
+    ["line L: MESSAGE"], L 1-based: [not valid JSON], a field error
+    ({!Artifact.read}: [missing field "node"], [field "step" is not an
+    int], [field "bits" is not an int pair], [field "causes" contains
+    a non-int], [unknown ev "KIND"]) or a timeline error
+    ([event id I not increasing], [event I: step S after step S'],
+    [event I: round R after round R'], [event I: negative node V],
+    [event I: a cause is no earlier fault, churn or move]). *)
 val parse :
   string -> ((string * Metrics.Json.t) list option * event list, string) result

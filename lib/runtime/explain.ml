@@ -1,4 +1,6 @@
 module Json = Metrics.Json
+module Graph = Repro_graph.Graph
+module Traversal = Repro_graph.Traversal
 module ISet = Set.Make (Int)
 
 (* ------------------------------------------------------------------ *)
@@ -28,61 +30,6 @@ type report = {
   max_chain : int;
   cones : cone list;
 }
-
-(* Adjacency from the meta header's ["edges"] list ([[u, v, w], ...]),
-   for measured cone radii. Endpoints must lie in [0, n), n being the
-   header's ["n"] when present and the largest endpoint + 1 otherwise;
-   a malformed list gives no cone radii. *)
-let adjacency_of_meta meta =
-  let ( let* ) = Option.bind in
-  let* fields = meta in
-  let* edges = match List.assoc_opt "edges" fields with Some (Json.List l) -> Some l | _ -> None in
-  let pairs =
-    List.filter_map
-      (function
-        | Json.List (Json.Int u :: Json.Int v :: _) when u >= 0 && v >= 0 -> Some (u, v)
-        | _ -> None)
-      edges
-  in
-  let n =
-    match List.assoc_opt "n" fields with
-    | Some (Json.Int n) -> n
-    | _ -> List.fold_left (fun acc (u, v) -> max acc (max u v + 1)) 0 pairs
-  in
-  let in_range (u, v) = u < n && v < n in
-  if n < 0 || List.compare_lengths pairs edges <> 0 || not (List.for_all in_range pairs) then None
-  else begin
-    let adj = Array.make n [] in
-    List.iter
-      (fun (u, v) ->
-        adj.(u) <- v :: adj.(u);
-        adj.(v) <- u :: adj.(v))
-      pairs;
-    Some adj
-  end
-
-let bfs_from adj sources =
-  let n = Array.length adj in
-  let dist = Array.make n (-1) in
-  let q = Queue.create () in
-  List.iter
-    (fun s ->
-      if s >= 0 && s < n && dist.(s) < 0 then begin
-        dist.(s) <- 0;
-        Queue.push s q
-      end)
-    sources;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.push v q
-        end)
-      adj.(u)
-  done;
-  dist
 
 let analyze ?(top = 10) meta (events : Events.event list) =
   let total_moves = ref 0 and total_faults = ref 0 and total_churns = ref 0 in
@@ -209,7 +156,9 @@ let analyze ?(top = 10) meta (events : Events.event list) =
         | _ -> ());
         List.rev !acc
   in
-  let adj = adjacency_of_meta meta in
+  (* Cone radii are hops in the meta header's graph. Service joins
+     name nodes past its n; those are neither sources nor reached. *)
+  let graph = Option.bind meta Events.meta_graph in
   let cones =
     List.mapi
       (fun i r ->
@@ -220,13 +169,14 @@ let analyze ?(top = 10) meta (events : Events.event list) =
           | None -> (0, [])
         in
         let cone_radius =
-          match (adj, nodes) with
-          | Some adj, _ :: _ ->
-              let dist = bfs_from adj injected in
+          match (graph, nodes) with
+          | Some g, _ :: _ ->
+              let inside v = v >= 0 && v < Graph.n g in
+              let dist = Traversal.hop_distances g (List.filter inside injected) in
               Some
                 (List.fold_left
                    (fun acc v ->
-                     if v < Array.length dist && dist.(v) >= 0 then max acc dist.(v) else acc)
+                     if inside v && dist.(v) < max_int then max acc dist.(v) else acc)
                    0 nodes)
           | _ -> None
         in

@@ -1,8 +1,9 @@
 (** Convergence narratives from {!Events} traces.
 
-    Takes a trace's meta header and events (as {!Events.parse} reads
-    them back from the JSONL that [Engine.run ~events] writes through a
-    {!Events.stream} sink, or straight from a ring) and renders an
+    Takes a trace's meta header and events (as {!Events.parse}, the
+    reader [repro_cli validate] also uses, reads them back from the
+    JSONL that [Engine.run ~events] writes through a {!Events.stream}
+    sink, or straight from a ring) and renders an
     explanation of {e how} the run converged: per-rule move breakdown,
     Φ trajectory milestones, the hottest nodes, the activation DAG's
     shape, and — for chaos traces — one causal-cone summary per fault
@@ -17,8 +18,12 @@
     injection — service-mode topology edits ([Churn]) are DAG sources
     exactly like register corruptions, so recovery moves are attributed
     to the edit that caused them.
-    Cone radii need the graph; they are computed when the trace's meta
-    header carries an ["edges"] list (the CLI writes one). *)
+    Cone radii need the graph: they are hop distances
+    ({!Repro_graph.Traversal.hop_distances}) in the graph the meta
+    header's ["n"] and ["edges"] name ({!Events.meta_graph}; the CLI
+    writes both). A header without them, or whose edges do not make a
+    graph on [n] nodes, gives no cone radii; nodes past [n] (service
+    joins) are neither sources nor reached. *)
 
 (** Per-injection causal cone. *)
 type cone = {
@@ -26,7 +31,7 @@ type cone = {
   injected : int list;  (** corrupted nodes, sorted *)
   attributed_moves : int;
   cone_nodes : int list;  (** distinct movers in the cone, sorted *)
-  cone_radius : int option;  (** max hops from the injected set; needs meta edges *)
+  cone_radius : int option;  (** max hops from the injected set; needs the meta graph *)
 }
 
 type report = {

@@ -211,6 +211,11 @@ module Driver (B : BACKEND) = struct
             last_ok := s.silent && s.legal;
             Some s
         | Error () ->
+            (* The crashed segment's rounds elapsed (its reads were
+               served above and the sink's clock passed them), so the
+               episode's clock follows them; its writes are rolled back
+               and spend no steps. *)
+            round_off := run_base + max 0 (Watchdog.observed wd - 1);
             incr seg_crashes;
             last_silent := false;
             last_ok := false;

@@ -19,7 +19,13 @@
     bounded {e retries} under the same daemon, one {e escalation} to
     the fallback daemon, and a full {e restart} from an adversarial
     configuration as last resort. A run that raises is contained and
-    counted as a {e crash}; the episode continues with the ladder.
+    counted as a {e crash}; the episode continues with the ladder from
+    the registers the crashed segment started from. The crashed
+    segment's rounds elapsed: they count in [rounds] and [gap] (the
+    next segment starts at the last round boundary it reached, as on
+    the trace), and its boundaries' reads are served once. Its writes
+    are rolled back and do {e not} count in [steps], though the trace
+    shows them as moves.
     When the ladder is exhausted the event is recorded unrecovered and
     the next edit lands on the live (non-silent) configuration — the
     degraded-but-alive regime, not an abort.
@@ -95,7 +101,9 @@ type event_outcome = {
   op : string;  (** grammar spelling of the edit *)
   apply_round : int;  (** cumulative round at which the edit landed *)
   gap : int option;  (** rounds from the edit to silent+legal; [None] = never *)
-  steps : int;  (** register writes spent on this event's recovery *)
+  steps : int;
+      (** register writes spent on this event's recovery, less those of
+          crashed segments (rolled back) *)
   queries : int;  (** pair reads served from the committed snapshot *)
   stale : int;  (** of those, answers the recovery then contradicted *)
   violations : int;  (** loop-monitor violations (loop-free builders) *)

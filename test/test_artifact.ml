@@ -3,7 +3,7 @@
    is rejected with its exact message (missing field, wrong type,
    unknown tier or verdict, a non-string trace name, errors nested in
    an injection, an event or the totals); optional fields may be null
-   or absent; [Schema.sniff] tells the three artifacts and a trace
+   or absent; [Artifact.sniff] tells the three artifacts and a trace
    apart; and the writers reproduce the committed artifacts' first
    cells byte for byte. *)
 
@@ -239,7 +239,7 @@ let committed_cases =
           in
           Alcotest.(check bool) "has records" true (count > 0);
           Alcotest.check result "accepted" (Ok count) (validate j);
-          Alcotest.(check bool) "sniffed" true (Schema.sniff contents = Some kind)))
+          Alcotest.(check bool) "sniffed" true (Artifact.sniff contents = Some kind)))
     committed
 
 (* The writers against the committed artifacts: every cell is hermetic
@@ -300,13 +300,13 @@ let sniff_cases =
   [
     Alcotest.test_case "trace and unknown" `Quick (fun () ->
         let trace = "{\"ev\":\"meta\",\"algo\":\"bfs\"}\n{\"ev\":\"round\",\"id\":0}\n" in
-        Alcotest.(check bool) "trace" true (Schema.sniff trace = Some `Trace);
+        Alcotest.(check bool) "trace" true (Artifact.sniff trace = Some `Trace);
         Alcotest.(check bool) "fixtures" true
           (List.map
-             (fun j -> Schema.sniff (Json.to_string j))
+             (fun j -> Artifact.sniff (Json.to_string j))
              [ bench; chaos; service ]
           = [ Some `Bench; Some `Chaos; Some `Service ]);
-        Alcotest.(check bool) "unknown" true (Schema.sniff "{\"x\":1}" = None));
+        Alcotest.(check bool) "unknown" true (Artifact.sniff "{\"x\":1}" = None));
   ]
 
 let () =

@@ -161,11 +161,14 @@ let tainted_moves evs =
       | Events.Round _ -> None)
     evs
 
+(* The trace reader: the event count of a valid trace. *)
+let validate contents = Result.map (fun (_, evs) -> List.length evs) (Events.parse contents)
+
 (* The base run and the fault phase share one timeline: the episode's
-   trace passes the validator's step/round monotonicity checks. *)
+   trace passes the reader's step/round monotonicity checks. *)
 let check_one_timeline evs =
   let lines = List.map (fun e -> Metrics.Json.to_string (Events.event_json e)) evs in
-  match Schema.validate_trace (String.concat "\n" lines) with
+  match validate (String.concat "\n" lines) with
   | Ok n -> Alcotest.(check int) "every event validated" (List.length evs) n
   | Error msg -> Alcotest.failf "episode trace is not one timeline: %s" msg
 
@@ -309,7 +312,7 @@ let test_explain_bad_meta_edges () =
             {|{"ev":"move","id":1,"step":1,"round":0,"node":2,"bits":[4,4],"causes":[0]}|};
           ]
       in
-      Alcotest.(check bool) ("validates: " ^ meta) true (Schema.validate_trace contents = Ok 2);
+      Alcotest.(check bool) ("validates: " ^ meta) true (validate contents = Ok 2);
       match Events.parse contents with
       | Error msg -> Alcotest.failf "parse failed: %s" msg
       | Ok (header, events) ->
@@ -326,7 +329,7 @@ let test_explain_bad_meta_edges () =
    churns or moves (never rounds), and every event line is counted. *)
 let test_validate_trace_ids () =
   let trace lines = String.concat "\n" ({|{"ev":"meta","algo":"x"}|} :: lines) in
-  let rejected lines = Result.is_error (Schema.validate_trace (trace lines)) in
+  let rejected lines = Result.is_error (validate (trace lines)) in
   Alcotest.(check bool) "churn repeats id 0" true
     (rejected
        [
@@ -346,7 +349,7 @@ let test_validate_trace_ids () =
          {|{"ev":"round","id":0,"round":1,"enabled":0,"bits":[1,1]}|};
        ]);
   Alcotest.(check bool) "every event line counts" true
-    (Schema.validate_trace
+    (validate
        (trace
           [
             {|{"ev":"fault","id":0,"round":0,"node":1}|};
@@ -359,7 +362,7 @@ let test_validate_trace_ids () =
    (consecutive runs share a boundary round), nodes are non-negative. *)
 let test_validate_trace_timeline () =
   let trace lines = String.concat "\n" ({|{"ev":"meta","algo":"x"}|} :: lines) in
-  let rejected lines = Result.is_error (Schema.validate_trace (trace lines)) in
+  let rejected lines = Result.is_error (validate (trace lines)) in
   Alcotest.(check bool) "repeated step" true
     (rejected
        [
@@ -375,7 +378,7 @@ let test_validate_trace_timeline () =
   Alcotest.(check bool) "negative node" true
     (rejected [ {|{"ev":"fault","id":0,"round":0,"node":-5}|} ]);
   Alcotest.(check bool) "a shared boundary round is legal" true
-    (Schema.validate_trace
+    (validate
        (trace
           [
             {|{"ev":"move","id":0,"step":1,"round":0,"node":0,"bits":[1,1],"causes":[]}|};
@@ -387,34 +390,72 @@ let test_validate_trace_timeline () =
     = Ok 5)
 
 (* [Events.parse] inverts [Events.event_json] and the meta header, for
-   all four kinds, with and without the optional fields. *)
+   all four kinds, with and without the optional fields, on timelines
+   the reader accepts. Each kind is drawn as a function of the timeline
+   so far: its round steps up from the last one, a move's step too, and
+   a move's causes pick earlier faults, churns and moves. *)
 let event_gen =
   let open QCheck2.Gen in
   let nat = int_bound 1_000 in
   let opt g = option g in
+  let pick sources cs =
+    match sources with
+    | [] -> []
+    | _ -> List.map (fun c -> List.nth sources (c mod List.length sources)) cs
+  in
   let kind =
     oneof
       [
-        (let* node = nat and* step = nat and* round = nat in
+        (let* node = nat and* dstep = int_range 1 3 and* dround = int_bound 2 in
          let* rule = opt (oneofl [ "size"; "heavy"; "reparent"; "a \"quoted\" tag" ]) in
          let* bits_before = nat and* bits_after = nat in
-         let* dphi = opt (int_range (-50) 50) and* causes = list_size (int_bound 4) nat in
-         return
-           (Events.Move { node; step; round; rule; bits_before; bits_after; dphi; causes }));
-        map2 (fun node round -> Events.Fault { node; round }) nat nat;
+         let* causes = list_size (int_bound 4) nat in
+         return (fun ~step ~round ~sources ->
+             Events.Move
+               {
+                 node;
+                 step = step + dstep;
+                 round = round + dround;
+                 rule;
+                 bits_before;
+                 bits_after;
+                 causes = pick sources causes;
+               }));
+        map2
+          (fun node dround ~step:_ ~round ~sources:_ ->
+            Events.Fault { node; round = round + dround })
+          nat (int_bound 2);
         map3
-          (fun node round op -> Events.Churn { node; round; op })
-          nat nat (oneofl [ "join"; "del:2+5"; "add:1+3+7" ]);
-        (let* round = nat and* enabled = nat and* mx = nat and* total = nat in
+          (fun node dround op ~step:_ ~round ~sources:_ ->
+            Events.Churn { node; round = round + dround; op })
+          nat (int_bound 2)
+          (oneofl [ "join"; "del:2+5"; "add:1+3+7" ]);
+        (let* dround = int_bound 2 and* enabled = nat and* mx = nat and* total = nat in
          let* phi = opt nat in
-         return (Events.Round { round; enabled; bits = (mx, total); phi }));
+         return (fun ~step:_ ~round ~sources:_ ->
+             Events.Round { round = round + dround; enabled; bits = (mx, total); phi }));
       ]
   in
-  let* kinds = list_size (int_bound 12) kind in
+  let* drafts = list_size (int_bound 12) kind in
   let* meta = opt (list_size (int_bound 3) (pair (oneofl [ "algo"; "n"; "seed" ]) nat)) in
+  let _, _, _, rev_events =
+    List.fold_left
+      (fun (step, round, sources, acc) draft ->
+        let id = List.length acc in
+        let kind = draft ~step ~round ~sources in
+        let step, round, sources =
+          match kind with
+          | Events.Move { step; round; _ } -> (step, round, id :: sources)
+          | Events.Fault { round; _ } | Events.Churn { round; _ } ->
+              (step, round, id :: sources)
+          | Events.Round { round; _ } -> (step, round, sources)
+        in
+        (step, round, sources, { Events.id; kind } :: acc))
+      (0, 0, [], []) drafts
+  in
   return
     ( Option.map (List.map (fun (k, v) -> (k, Metrics.Json.Int v))) meta,
-      List.mapi (fun id kind -> { Events.id; kind }) kinds )
+      List.rev rev_events )
 
 let prop_parse_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -428,6 +469,123 @@ let prop_parse_roundtrip =
            @ List.map (fun e -> line (Events.event_json e)) events
          in
          Events.parse (String.concat "\n" lines) = Ok (meta, events)))
+
+(* The reader's message for each way a line can be wrong: the declared
+   fields first (missing, wrong type, unknown kind, bits not a pair),
+   then the timeline. Line 1 is a valid meta header. *)
+let test_reader_messages () =
+  let move ?(id = 0) ?(step = "1") ?(round = 0) ?(node = 0) ?(bits = "[1,1]")
+      ?(causes = "[]") () =
+    Printf.sprintf
+      {|{"ev":"move","id":%d,"step":%s,"round":%d,"node":%d,"bits":%s,"causes":%s}|} id
+      step round node bits causes
+  in
+  let fault = {|{"ev":"fault","id":0,"round":1,"node":3}|} in
+  let not_pair = {|line 2: field "bits" is not an int pair|} in
+  List.iter
+    (fun (name, lines, expected) ->
+      Alcotest.(check (result int string))
+        name (Error expected)
+        (validate (String.concat "\n" ({|{"ev":"meta","algo":"x"}|} :: lines))))
+    [
+      ("not JSON", [ "{" ], "line 2: not valid JSON");
+      ("no ev", [ {|{"id":0}|} ], {|line 2: missing field "ev"|});
+      ("unknown ev", [ {|{"ev":"jump","id":0}|} ], {|line 2: unknown ev "jump"|});
+      ( "missing field",
+        [ {|{"ev":"fault","id":0,"round":1}|} ],
+        {|line 2: missing field "node"|} );
+      ("wrong type", [ move ~step:{|"1"|} () ], {|line 2: field "step" is not an int|});
+      ( "optional of the wrong type",
+        [ {|{"ev":"round","id":0,"round":0,"enabled":0,"bits":[1,1],"phi":"x"}|} ],
+        {|line 2: field "phi" is not an int or null|} );
+      ("bits of three", [ move ~bits:"[1,1,1]" () ], not_pair);
+      ("bits of a string", [ move ~bits:{|[1,"x"]|} () ], not_pair);
+      ("bits an int", [ move ~bits:"3" () ], not_pair);
+      ( "a string cause",
+        [ move ~causes:{|["a"]|} () ],
+        {|line 2: field "causes" contains a non-int|} );
+      ("repeated id", [ fault; move ~round:1 () ], "line 3: event id 0 not increasing");
+      ("repeated step", [ move (); move ~id:1 () ], "line 3: event 1: step 1 after step 1");
+      ("decreasing round", [ fault; move ~id:1 () ], "line 3: event 1: round 0 after round 1");
+      ("negative node", [ move ~node:(-5) () ], "line 2: event 0: negative node -5");
+      ( "unknown cause",
+        [ move ~causes:"[7]" () ],
+        "line 2: event 0: a cause is no earlier fault, churn or move" );
+      ( "a round as cause",
+        [
+          {|{"ev":"round","id":0,"round":0,"enabled":1,"bits":[1,1]}|};
+          move ~id:1 ~causes:"[0]" ();
+        ],
+        "line 3: event 1: a cause is no earlier fault, churn or move" );
+    ]
+
+(* Every line a real run writes re-parses, and re-writes to the same
+   bytes: each registered builder under the synchronous, random and
+   distributed daemons with faults injected after stabilization, one
+   chaos episode with mid-run faults and one serve episode. *)
+let rewritten contents =
+  match Events.parse contents with
+  | Error msg -> Error msg
+  | Ok (meta, events) ->
+      let line j = Metrics.Json.to_string j ^ "\n" in
+      let header =
+        match meta with
+        | Some f -> [ line (Metrics.Json.Obj (("ev", Metrics.Json.Str "meta") :: f)) ]
+        | None -> []
+      in
+      Ok (String.concat "" (header @ List.map (fun e -> line (Events.event_json e)) events))
+
+let prop_real_traces_rewrite =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3
+       ~name:"real traces re-parse and re-write byte for byte (builders, chaos, serve)"
+       QCheck2.Gen.(pair (int_range 3 8) (int_bound 1_000_000))
+       (fun (n, sd) ->
+         let g = Generators.random_connected (seed sd) ~n ~m:(n - 1 + (n / 2)) in
+         let traced run =
+           let path = Filename.temp_file "events" ".jsonl" in
+           Fun.protect
+             ~finally:(fun () -> Sys.remove path)
+             (fun () ->
+               Out_channel.with_open_bin path (fun oc ->
+                   let sink = Events.stream ~record_phi:true oc in
+                   Events.meta sink (("n", Metrics.Json.Int n) :: Events.edges_meta g);
+                   run sink);
+               In_channel.with_open_bin path In_channel.input_all)
+         in
+         let module B = Repro_campaign.Builders in
+         let runs =
+           List.concat_map
+             (fun b ->
+               List.map
+                 (fun sched ->
+                   traced (fun sink ->
+                       ignore
+                         (B.run ~events:sink ~faults:2 ~adversarial:true ~max_rounds:300 b g
+                            sched (seed (sd + 1)))))
+                 [ Scheduler.Synchronous; Central Scheduler.Random_daemon; Distributed 0.5 ])
+             B.all
+         in
+         let chaos =
+           traced (fun sink ->
+               let module C = Chaos.Make (Mst_builder.P) (Engine.Make (Mst_builder.P)) in
+               ignore
+                 (C.run_episode ~events:sink g (Central Scheduler.Random_daemon) (seed (sd + 2))
+                    (Fault.Plan.make (Fault.Plan.Random_nodes 2)
+                       ~timing:(Fault.Plan.Periodic 3))))
+         in
+         let serve =
+           traced (fun sink ->
+               match Repro_service.Churn.of_string "flash-crowd:2" with
+               | Error m -> failwith m
+               | Ok trace ->
+                   ignore
+                     (B.serve ~events:sink B.bfs g ~sched:(Central Scheduler.Random_daemon)
+                        ~fallback:(Distributed 0.5) (seed (sd + 3)) trace))
+         in
+         List.for_all
+           (fun contents -> rewritten contents = Ok contents)
+           (chaos :: serve :: runs)))
 
 (* ------------------------------------------------------------------ *)
 (* Profiling counters *)
@@ -479,6 +637,9 @@ let () =
           Alcotest.test_case "validate: steps, rounds and nodes on one timeline" `Quick
             test_validate_trace_timeline;
           prop_parse_roundtrip;
+          Alcotest.test_case "reader: one message per malformed line" `Quick
+            test_reader_messages;
+          prop_real_traces_rewrite;
         ] );
       ( "profile",
         [ Alcotest.test_case "counters account for the run" `Quick test_profile_counters ] );

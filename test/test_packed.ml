@@ -306,7 +306,7 @@ let test_allocation_free () =
 (* The packed engine is the boxed engine with every hook attached: the
    same executor loop over the other register store. From adversarial
    starts on the extended daemon roster, with an event ring (Φ at
-   rounds and moves) whose clock stands at round 7 after 11 moves and
+   rounds) whose clock stands at round 7 after 11 moves and
    which holds two pending fault sources, an adversary corrupting two
    nodes at round 2, an [on_step] log, an [on_round] log
    and a profile all attached at once — run to silence and cut short by
@@ -316,7 +316,7 @@ let test_allocation_free () =
    is the one counter left out). *)
 let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
     (module E : Engine.S with type state = s) g sched ~sd ~init ~faults ~cut =
-  let events = Events.ring ~record_phi:true ~move_phi:true () in
+  let events = Events.ring ~record_phi:true () in
   let profile = Profile.create () in
   let log = Buffer.create 1024 and steps = ref 0 in
   let on_step v sts =
