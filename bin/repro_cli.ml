@@ -319,7 +319,7 @@ let bench_diff_cmd =
 
 
 (* The flags chaos and serve share: topology, matrix axes (builders,
-   daemons, seeds), watchdog knobs, artifact path, pool size and trace
+   daemons, seeds), round budget, artifact path, pool size and trace
    directory. *)
 type matrix = {
   family : string;
@@ -330,24 +330,18 @@ type matrix = {
   algos : Builders.t list;
   daemons : (string * Scheduler.t) list;
   max_rounds : int;
-  stall_window : int;
-  cycle_repeats : int;
   out : string;
   jobs : int;
   trace_dir : string option;
 }
 
 let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
-  let make (family, gen) n seeds seed algos daemons max_rounds stall_window cycle_repeats
-      out jobs trace_dir =
+  let make (family, gen) n seeds seed algos daemons max_rounds out jobs trace_dir =
     match List.find_opt (fun b -> not (eligible b)) algos with
     | Some b -> `Error (false, Printf.sprintf "%s cannot run %s" cmd (Builders.name b))
     | None ->
         `Ok
-          {
-            family; gen; n; seeds; seed; algos; daemons; max_rounds; stall_window;
-            cycle_repeats; out; jobs; trace_dir;
-          }
+          { family; gen; n; seeds; seed; algos; daemons; max_rounds; out; jobs; trace_dir }
   in
   let seeds_arg =
     Arg.(value & opt int 2 & info [ "seeds" ] ~docv:"S" ~doc:"Seeds per cell.")
@@ -372,19 +366,6 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
       value & opt int 20_000
       & info [ "max-rounds" ] ~docv:"R" ~doc:"Round budget per episode.")
   in
-  let stall_window_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "stall-window" ] ~docv:"W"
-          ~doc:"Watchdog: rounds without a new potential minimum that count as a stall.")
-  in
-  let cycle_repeats_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "cycle-repeats" ] ~docv:"C"
-          ~doc:
-            "Watchdog: occurrences of one configuration hash that count as a livelock.")
-  in
   let out_arg =
     Arg.(
       value & opt string out
@@ -407,8 +388,7 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
   Term.(
     ret
       (const make $ graph_arg $ n_arg $ seeds_arg $ seed_arg $ algos_arg $ daemons_arg
-     $ max_rounds_arg $ stall_window_arg $ cycle_repeats_arg $ out_arg $ jobs_arg
-     $ trace_dir_arg))
+     $ max_rounds_arg $ out_arg $ jobs_arg $ trace_dir_arg))
 
 (* The artifact is opened and the trace directory made (if missing)
    before any cell runs. *)
@@ -447,8 +427,7 @@ let chaos_cmd =
       Pool.with_pool ~jobs:m.jobs (fun pool ->
           Campaign.chaos_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds ~seed_base:m.seed
             ~algos:m.algos ~plans ~daemons:m.daemons ~max_rounds:m.max_rounds
-            ~max_injections ~stall_window:m.stall_window ~cycle_repeats:m.cycle_repeats
-            ?trace_dir:m.trace_dir ())
+            ~max_injections ?trace_dir:m.trace_dir ())
     in
     finish "chaos" m oc
       ~lines:(Campaign.csv_header :: List.map Campaign.csv_row cells)
@@ -509,7 +488,6 @@ let serve_cmd =
             Service_campaign.churn_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds
               ~seed_base:m.seed ~algos:m.algos ~traces ~daemons:m.daemons
               ~max_rounds:m.max_rounds ~retry_budget ~max_retries ~queries_per_round
-              ~stall_window:m.stall_window ~cycle_repeats:m.cycle_repeats
               ?trace_dir:m.trace_dir ()
           in
           if not big then (std, [])
@@ -528,8 +506,7 @@ let serve_cmd =
               Service_campaign.run_bench ~pool ~ns ~algos:Service_campaign.big_algos
                 ~traces:big_traces ~seed_base:m.seed ~queries ~query_jobs
                 ~baseline_nmax:1_000 ~max_rounds:m.max_rounds ~retry_budget ~max_retries
-                ~queries_per_round ~stall_window:m.stall_window
-                ~cycle_repeats:m.cycle_repeats ()
+                ~queries_per_round ()
             in
             (std @ bench, baselines)
           end)

@@ -143,12 +143,11 @@ val run :
     {!Repro_service.Service} episode of tree builder [b] (optional
     arguments as in {!Repro_service.Service.Make.run}), on the packed
     service engine iff [b] has a codec — episode-equivalent either way.
-    The watchdog watches Φ only when [cheap_phi b].
+    The watchdog runs with its default thresholds and watches Φ only
+    when [cheap_phi b].
     @raise Invalid_argument if [b] has no parent projection. *)
 val serve :
   ?max_rounds:int ->
-  ?stall_window:int ->
-  ?cycle_repeats:int ->
   ?retry_budget:int ->
   ?max_retries:int ->
   ?queries_per_round:int ->

@@ -93,11 +93,11 @@ let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
     specs
 
 let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events
-    ~max_rounds ~max_injections ~stall_window ~cycle_repeats : cell =
+    ~max_rounds ~max_injections : cell =
   let module C = Chaos.Make ((val e.Builders.protocol)) ((val Builders.engine e)) in
   let x =
-    C.run_episode ~max_rounds ~max_injections ~watch_phi:e.Builders.cheap_phi ~stall_window
-      ~cycle_repeats ?events g sched rng plan
+    C.run_episode ~max_rounds ~max_injections ~watch_phi:e.Builders.cheap_phi ?events g
+      sched rng plan
   in
   {
     algo = e.Builders.name;
@@ -118,15 +118,14 @@ let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events
   }
 
 let chaos_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~plans ~daemons ~max_rounds
-    ~max_injections ~stall_window ~cycle_repeats ?trace_dir () =
+    ~max_injections ?trace_dir () =
   run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"plan"
     ~points:(List.map (fun p -> (Fault.Plan.name p, p)) plans)
     ~daemons ?trace_dir
     (fun k plan sched g rng events ->
       match k.builder with
       | Builders.Builder e ->
-          chaos_cell e k plan sched g rng events ~max_rounds ~max_injections ~stall_window
-            ~cycle_repeats)
+          chaos_cell e k plan sched g rng events ~max_rounds ~max_injections)
 
 let failed cells = List.length (List.filter (fun c -> not c.recovered) cells)
 

@@ -83,8 +83,8 @@ val run_matrix :
 (** {2 The chaos matrix} *)
 
 (** {!run_matrix} over fault plans (axis ["plan"]): one
-    {!Repro_runtime.Chaos} episode per cell, watching Φ only for
-    builders with {!Builders.cheap_phi}. *)
+    {!Repro_runtime.Chaos} episode per cell under the watchdog's default
+    thresholds, watching Φ only for builders with {!Builders.cheap_phi}. *)
 val chaos_matrix :
   pool:Repro_runtime.Pool.t ->
   gen:(Random.State.t -> n:int -> Repro_graph.Graph.t) ->
@@ -96,8 +96,6 @@ val chaos_matrix :
   daemons:(string * Repro_runtime.Scheduler.t) list ->
   max_rounds:int ->
   max_injections:int ->
-  stall_window:int ->
-  cycle_repeats:int ->
   ?trace_dir:string ->
   unit ->
   cell list

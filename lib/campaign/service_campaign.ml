@@ -21,8 +21,7 @@ let fallback_for sched_name =
   else ("random", Scheduler.Central Scheduler.Random_daemon)
 
 let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_rounds
-    ~retry_budget ~max_retries ~queries_per_round ~stall_window ~cycle_repeats ?trace_dir
-    () =
+    ~retry_budget ~max_retries ~queries_per_round ?trace_dir () =
   Campaign.run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"trace"
     ~points:(List.map (fun t -> (Churn.name t, t)) traces)
     ~daemons
@@ -31,8 +30,8 @@ let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_ro
     (fun (k : Campaign.key) trace sched g rng events ->
       let fallback_name, fallback = fallback_for k.sched_name in
       let report =
-        Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round
-          ~stall_window ~cycle_repeats ?events k.builder g ~sched ~fallback rng trace
+        Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round ?events
+          k.builder g ~sched ~fallback rng trace
       in
       {
         algo = Builders.name k.builder;
@@ -117,8 +116,7 @@ type baseline = {
 }
 
 let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~baseline_nmax
-    ~max_rounds ~retry_budget ~max_retries ~queries_per_round ~stall_window ~cycle_repeats
-    () =
+    ~max_rounds ~retry_budget ~max_retries ~queries_per_round () =
   let sched_name = "synchronous" and sched = Scheduler.Synchronous in
   let fallback_name, fallback = fallback_for sched_name in
   let specs =
@@ -140,7 +138,7 @@ let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~baseline
         let snapshot = Snapshot.create () in
         let report =
           Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round
-            ~stall_window ~cycle_repeats ~snapshot builder g ~sched ~fallback rng trace
+            ~snapshot builder g ~sched ~fallback rng trace
         in
         let qps, _checksum =
           measure_qps pool snapshot ~queries ~query_jobs ~seed_base

@@ -28,9 +28,9 @@ val fallback_for : string -> string * Repro_runtime.Scheduler.t
 
 (** {!Campaign.run_matrix} over churn traces (axis ["trace"]; trace
     meta headers add each cell's ["fallback"] daemon): one
-    {!Builders.serve} episode per cell, [tier = "std"] — so traced
-    cells run on the boxed engine, untraced ones of fixed-width
-    builders on the packed one, with the same artifact either way.
+    {!Builders.serve} episode per cell, [tier = "std"] — so
+    fixed-width builders run on the packed engine, traced or not, with
+    the watchdog's default thresholds.
     @raise Invalid_argument on a builder without a parent projection
     ({!Builders.serves}). *)
 val churn_matrix :
@@ -46,8 +46,6 @@ val churn_matrix :
   retry_budget:int ->
   max_retries:int ->
   queries_per_round:int ->
-  stall_window:int ->
-  cycle_repeats:int ->
   ?trace_dir:string ->
   unit ->
   cell list
@@ -116,8 +114,6 @@ val run_bench :
   retry_budget:int ->
   max_retries:int ->
   queries_per_round:int ->
-  stall_window:int ->
-  cycle_repeats:int ->
   unit ->
   cell list * baseline list
 

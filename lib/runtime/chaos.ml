@@ -24,10 +24,12 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     max_bits : int;
   }
 
-  let run_episode ?(max_steps = 2_000_000) ?(max_rounds = 20_000) ?(stall_window = 64)
-      ?(cycle_repeats = 3) ?(max_injections = 3) ?(watch_phi = false) ?events g sched rng
-      (plan : Fault.Plan.t) =
-    let wd = Watchdog.create ~stall_window ~cycle_repeats ~watch_phi () in
+  (* The step cap of every engine run of an episode. *)
+  let max_steps = 2_000_000
+
+  let run_episode ?(max_rounds = 20_000) ?(max_injections = 3) ?(watch_phi = false)
+      ?events g sched rng (plan : Fault.Plan.t) =
+    let wd = Watchdog.create ~watch_phi () in
     (* Config history for stale-replay payloads: most recent boundary
        first, trimmed to the depth the plan can ask for. *)
     let history_depth =
@@ -77,13 +79,13 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
           Hashtbl.reset seg_writers;
           current := None
     in
-    let inject ?round_base ~at_round states =
+    let inject ~at_round states =
       let nodes, corrupted =
         Fault.apply_plan rng ~random_state:P.random_state ~stale g states plan
       in
       incr inj_count;
       current := Some (at_round, nodes);
-      Watchdog.reset ?round_base wd;
+      Watchdog.reset wd;
       (nodes, corrupted)
     in
     let cap =
@@ -96,8 +98,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     let on_round =
       if history_depth > 0 then Some (fun _ states -> push_history states) else None
     in
-    (* Phase 1: stabilize from an adversarial configuration; the
-       watchdog counts rounds from its start. *)
+    (* Phase 1: stabilize from an adversarial configuration. *)
     let base =
       E.run ~max_steps ~max_rounds ?on_round ~watchdog:wd ?events g sched rng
         ~init:(E.adversarial rng g)
@@ -128,18 +129,16 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
       while !inj_count < cap && !last.E.silent && !last.E.legal && !rounds_off < max_rounds
       do
         let run_base = !rounds_off in
-        (* From here the watchdog counts rounds from the fault phase's
-           start. *)
-        let nodes, corrupted = inject ~round_base:run_base ~at_round:run_base !states in
+        let nodes, corrupted = inject ~at_round:run_base !states in
         (* This corruption happens outside the engine (the recovery run
            starts from the corrupted configuration), so emit its fault
            events here for the recovery run to take as the causes of
            the nodes it starts enabled: the pre-fault configuration was
            silent. Mid-run re-injections below go through the
            [?adversary] hook and get their fault events from the engine.
-           The sink keeps the timeline, so the fault phase's rounds and
-           steps follow the base run's. (The injection records keep
-           fault-phase-relative rounds.) *)
+           The sink and the watchdog keep the timeline, so the fault
+           phase's rounds and steps follow the base run's. (The
+           injection records keep fault-phase-relative rounds.) *)
         Events.emit_sources events nodes ~emit:(fun sink v ->
             Events.emit_fault sink ~node:v);
         let fires abs =

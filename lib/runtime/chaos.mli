@@ -23,10 +23,11 @@
     [gap = None] unless the configuration was already silent and legal
     at that boundary.
 
-    A {!Watchdog} with the given thresholds rides along on every engine
-    run (reset at each injection); the engine observes it at every
-    round boundary and stops a livelocked or stalled run early, and its
-    classification lands in [episode.verdict]. *)
+    A {!Watchdog} with its default thresholds rides along on every
+    engine run (reset at each injection, its clock running on from the
+    base phase); the engine observes it at every round boundary and
+    stops a livelocked or stalled run early, and its classification
+    lands in [episode.verdict]. *)
 
 type injection = {
   round : int;  (** fault-phase round at which the fault landed *)
@@ -57,10 +58,10 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
   (** [run_episode g sched rng plan] — run one episode. [watch_phi]
       (default [false]) feeds the live [P.potential] to the watchdog's
       stall detector; leave it off for protocols whose potential is
-      expensive. Defaults: [max_steps] = 2_000_000, [max_rounds] =
-      20_000, [stall_window] = 64, [cycle_repeats] = 3,
-      [max_injections] = 3 (mid-run timings only; [silence] plans always
-      inject exactly once).
+      expensive. Defaults: [max_rounds] = 20_000 (the round budget of
+      the base phase and of the fault phase; every engine run is also
+      capped at 2_000_000 steps), [max_injections] = 3 (mid-run
+      timings only; [silence] plans always inject exactly once).
 
       An [events] sink receives the full causal trace of the episode on
       one timeline: ids increase, rounds never decrease and steps
@@ -78,10 +79,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
       OBSERVABILITY.md. The sink consumes no RNG draws: campaign
       results are bit-identical with or without tracing. *)
   val run_episode :
-    ?max_steps:int ->
     ?max_rounds:int ->
-    ?stall_window:int ->
-    ?cycle_repeats:int ->
     ?max_injections:int ->
     ?watch_phi:bool ->
     ?events:Events.t ->

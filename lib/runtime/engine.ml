@@ -165,6 +165,8 @@ module Loop (St : STORE) = struct
           (Events.last_round sink, Events.writes_total sink, Events.take_sources sink g)
       | None -> (0, 0, None)
     in
+    (* An observed watchdog keeps its own round clock the same way. *)
+    let wd_base = match watchdog with Some wd -> Watchdog.last_round wd | None -> 0 in
     let cause_buf = if tracing then Array.make n [] else [||] in
     let enablers = if tracing then Array.make n [] else [||] in
     let just_moved = if tracing then Array.make n false else [||] in
@@ -307,7 +309,7 @@ module Loop (St : STORE) = struct
       (match watchdog with
       | Some wd ->
           Watchdog.observe_round wd
-            ~round:(Watchdog.round_base wd + !rounds)
+            ~round:(wd_base + !rounds)
             ~hash:(St.fingerprint st)
             ~snap:(fun () -> St.serialize st)
             ~phi:(if Watchdog.watches_phi wd then P.potential g (St.config st) else None)

@@ -100,10 +100,13 @@ module type S = sig
 
       [watchdog] is the run's convergence watchdog ({!Watchdog}). The
       engine observes it at every round boundary, before [on_round]:
-      the round is [Watchdog.round_base w] plus the run-relative round,
-      the hash is the store's fingerprint (on the packed store a sum of
-      per-node lane hashes kept current by every write, so observing
-      costs O(1) and boxes nothing; on the boxed store
+      the watchdog owns the round clock, so the round is the
+      watchdog's {!Watchdog.last_round} at run start plus the
+      run-relative round (round 0 shares the previous run's last
+      boundary, as on an [events] sink's timeline), the hash is the
+      store's fingerprint (on the packed store a sum of per-node lane
+      hashes kept current by every write, so observing costs O(1) and
+      boxes nothing; on the boxed store
       {!Watchdog.config_hash}), a repeated hash is verified against an
       exact serialization of the registers, and [Φ] is computed only
       when the watchdog watches it. The run stops where it stands,

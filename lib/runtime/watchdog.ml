@@ -24,9 +24,8 @@ let pp_verdict ppf = function
       Format.fprintf ppf "exhausted (limits hit at %d rounds, no pattern)" rounds
 
 (* One bucket per distinct configuration observed under a hash. [bsnap]
-   is the serialized configuration when a verifier ([?snap]) is in use,
-   [None] when counting by hash alone (or for a first occurrence that
-   predates verification). *)
+   is the serialized configuration, [None] for a first occurrence (the
+   verifier runs only on recurrence). *)
 type bucket = { mutable bsnap : string option; mutable bcount : int; mutable blast : int }
 
 type t = {
@@ -34,7 +33,6 @@ type t = {
   cycle_repeats : int;
   watch_phi : bool;
   observe_only : bool;
-  mutable round_base : int;
   mutable observed : int;
   (* hash -> occurrence buckets *)
   round_seen : (int, bucket list) Hashtbl.t;
@@ -51,7 +49,6 @@ let create ?(stall_window = 64) ?(cycle_repeats = 3) ?(watch_phi = false)
     cycle_repeats;
     watch_phi;
     observe_only;
-    round_base = 0;
     observed = 0;
     round_seen = Hashtbl.create 256;
     best_phi = None;
@@ -60,12 +57,10 @@ let create ?(stall_window = 64) ?(cycle_repeats = 3) ?(watch_phi = false)
     tripped = None;
   }
 
-let reset ?round_base t =
-  Option.iter (fun b -> t.round_base <- b) round_base;
+let reset t =
   t.observed <- 0;
   Hashtbl.reset t.round_seen;
   t.best_phi <- None;
-  t.best_phi_round <- t.last_round;
   t.tripped <- None
 
 let trip t v = if t.tripped = None then t.tripped <- Some v
@@ -85,36 +80,29 @@ let cycle tbl ~repeats ~index ~hash ~snap =
       Hashtbl.replace tbl hash [ { bsnap = None; bcount = 1; blast = index } ];
       None
   | Some buckets -> (
-      match snap with
+      let sn = snap () in
+      let rec find = function
+        | [] -> None
+        | b :: rest -> (
+            match b.bsnap with
+            | Some s when String.equal s sn -> Some b
+            | Some _ -> find rest
+            | None ->
+                (* The first occurrence predates verification; credit it
+                   to this snapshot. At most one benign collision can
+                   inflate a bucket by one — within what the default
+                   [cycle_repeats = 3] tolerates. *)
+                b.bsnap <- Some sn;
+                Some b)
+      in
+      match find buckets with
+      | Some b -> bump b ~repeats ~index
       | None ->
-          (* No verifier: hash equality counts as configuration
-             equality (single bucket per hash, the pre-verifier
-             behavior). *)
-          bump (List.hd buckets) ~repeats ~index
-      | Some f -> (
-          let sn = f () in
-          let rec find = function
-            | [] -> None
-            | b :: rest -> (
-                match b.bsnap with
-                | Some s when String.equal s sn -> Some b
-                | Some _ -> find rest
-                | None ->
-                    (* The first occurrence predates verification; credit
-                       it to this snapshot. At most one benign collision
-                       can inflate a bucket by one — within what the
-                       default [cycle_repeats = 3] tolerates. *)
-                    b.bsnap <- Some sn;
-                    Some b)
-          in
-          match find buckets with
-          | Some b -> bump b ~repeats ~index
-          | None ->
-              Hashtbl.replace tbl hash
-                ({ bsnap = Some sn; bcount = 1; blast = index } :: buckets);
-              None))
+          Hashtbl.replace tbl hash
+            ({ bsnap = Some sn; bcount = 1; blast = index } :: buckets);
+          None)
 
-let observe_round ?snap t ~round ~hash ~phi =
+let observe_round ~snap t ~round ~hash ~phi =
   t.last_round <- round;
   t.observed <- t.observed + 1;
   (match cycle t.round_seen ~repeats:t.cycle_repeats ~index:round ~hash ~snap with
@@ -135,7 +123,7 @@ let observe_round ?snap t ~round ~hash ~phi =
   | None -> ()
 
 let tripped t = t.tripped
-let round_base t = t.round_base
+let last_round t = t.last_round
 let watches_phi t = t.watch_phi
 let stops t = (not t.observe_only) && t.tripped <> None
 let observed t = t.observed
@@ -150,9 +138,8 @@ let verdict t ~silent =
 (* A protocol-agnostic configuration fingerprint. [Hashtbl.hash]'s
    default traversal limits would make distinct deep registers collide
    systematically, so every register is hashed with generous limits and
-   the per-node hashes are mixed positionally. Collisions only matter at
-   [cycle_repeats] simultaneous false positives — acceptable for a
-   watchdog. *)
+   the per-node hashes are mixed positionally. A collision costs one
+   serialization: [observe_round] verifies every repeated hash. *)
 let config_hash states =
   let h = ref 0x9E3779B9 in
   Array.iter

@@ -19,15 +19,16 @@
     boxed configuration otherwise), an exact serialization of the
     registers as the collision verifier, and the live [Φ] when the
     watchdog watches it — and stops the run at the first trip unless
-    the watchdog is observe-only. {!observe_round} stays public for
-    callers that drive a watchdog by hand. After a mid-run fault
-    injection call {!reset} — the old hashes and the old [Φ] floor
-    describe a configuration the fault just destroyed. *)
+    the watchdog is observe-only. Successive runs observing one
+    watchdog share its round clock ({!last_round}). {!observe_round}
+    stays public for callers that drive a watchdog by hand. After a
+    mid-run fault injection call {!reset} — the old hashes and the old
+    [Φ] floor describe a configuration the fault just destroyed. *)
 
 type verdict =
   | Converged  (** the run reached silence *)
   | Livelock of { round : int; period : int }
-      (** a configuration hash recurred [cycle_repeats] times; [period]
+      (** a configuration recurred [cycle_repeats] times; [period]
           is the index distance between the last two occurrences *)
   | Stalled of { round : int; window : int }
       (** [Φ] made no new minimum for [window] consecutive rounds *)
@@ -45,13 +46,15 @@ type t
 
 (** [create ()] — fresh watchdog. [stall_window] (default 64) is the
     number of rounds without a new [Φ] minimum that counts as a stall;
-    [cycle_repeats] (default 3) is how many times a configuration hash
-    must be seen before declaring a livelock (3 tolerates one benign
-    hash collision). [watch_phi] (default [false]) makes an observing
-    engine compute the live potential at every round boundary — on the
-    packed engine that re-boxes the configuration, so leave it off for
-    expensive potentials. An [observe_only] watchdog (default [false])
-    classifies a run without stopping it. *)
+    [cycle_repeats] (default 3) is how many times a configuration must
+    be seen before declaring a livelock (3 tolerates the one benign
+    collision the verifier can credit, see {!observe_round}).
+    [watch_phi] (default [false]) makes an observing engine compute the
+    live potential at every round boundary — on the packed engine that
+    re-boxes the configuration, so leave it off for expensive
+    potentials. An [observe_only] watchdog (default [false])
+    classifies a run without stopping it. The chaos and service
+    harnesses run with the default thresholds. *)
 val create :
   ?stall_window:int ->
   ?cycle_repeats:int ->
@@ -60,33 +63,35 @@ val create :
   unit ->
   t
 
-(** [observe_round t ~round ~hash ~phi] — feed one round boundary:
+(** [observe_round t ~round ~hash ~snap ~phi] — feed one round boundary:
     [hash] fingerprints the configuration (see {!config_hash}), [phi]
     is the live potential ([None] when the protocol defines none or it
     is undefined in this configuration — no stall tracking then).
 
-    [snap], when given, is a collision verifier: a thunk serializing
-    the {e full} configuration (e.g.
-    [fun () -> Marshal.to_string states []]). It is invoked only when
-    [hash] has been seen before, and occurrences are then counted per
-    distinct serialized configuration — so a hash collision between
-    different configurations can no longer accumulate into a false
-    [Livelock] verdict, while a genuine recurrence trips exactly as
-    without the verifier. Without [snap], hash equality is trusted (the
-    historical behavior; [cycle_repeats = 3] then tolerates one benign
-    collision). *)
+    [snap] is the collision verifier: a thunk serializing the {e full}
+    configuration (e.g. [fun () -> Marshal.to_string states []]). It is
+    invoked only when [hash] has been seen before, and occurrences are
+    then counted per distinct serialized configuration — so a hash
+    collision between different configurations cannot accumulate into
+    a false [Livelock] verdict, while a genuine recurrence trips at the
+    [cycle_repeats]-th sighting. (A hash's first sighting is not
+    serialized; it is credited to the first configuration that repeats
+    the hash, so one collision can count once.) [round] becomes
+    {!last_round}. *)
 val observe_round :
-  ?snap:(unit -> string) -> t -> round:int -> hash:int -> phi:int option -> unit
+  snap:(unit -> string) -> t -> round:int -> hash:int -> phi:int option -> unit
 
 (** [reset t] forgets all hashes and the [Φ] floor; call immediately
     after a fault injection. A previously tripped verdict is cleared.
-    [round_base] (kept when omitted; 0 at creation) is what an observing
-    engine adds to its run-relative round numbers, so each caller picks
-    its own round origin (a run, a fault phase, a service episode). *)
-val reset : ?round_base:int -> t -> unit
+    The clock ({!last_round}) runs on. *)
+val reset : t -> unit
 
-(** The round origin an observing engine reports from (see {!reset}). *)
-val round_base : t -> int
+(** The last round observed (0 before any observation) — the episode
+    clock. An observing engine reads it once, at run start, and numbers
+    its rounds from there: the run's round 0 is this round, the
+    boundary the previous run ended on. Like the [Events] sink's clock
+    ([Events.last_round]), it survives {!reset}. *)
+val last_round : t -> int
 
 (** Whether an observing engine feeds [Φ] (see {!create}). *)
 val watches_phi : t -> bool

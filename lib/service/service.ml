@@ -116,17 +116,22 @@ end
 module Driver (B : BACKEND) = struct
   module P = B.P
 
-  let run ?(max_steps = 2_000_000) ?(max_rounds = 20_000) ?(stall_window = 64)
-      ?(cycle_repeats = 3) ?(retry_budget = 2_000) ?(max_retries = 2)
-      ?(queries_per_round = 2) ?(watch_phi = false) ?snapshot ?events g0 ~sched
-      ~fallback rng (trace : Churn.t) =
+  (* The episode's step cap. *)
+  let max_steps = 2_000_000
+
+  let run ?(max_rounds = 20_000) ?(retry_budget = 2_000) ?(max_retries = 2)
+      ?(queries_per_round = 2) ?(watch_phi = false) ?snapshot ?events g0 ~sched ~fallback
+      rng (trace : Churn.t) =
     (* Canned generators expand against the starting topology, before
        any engine run, so the op list is pinned by the seed alone. *)
     let ops = Churn.expand rng g0 trace.Churn.spec in
-    let wd = Watchdog.create ~stall_window ~cycle_repeats ~watch_phi () in
+    (* The watchdog keeps the episode's round clock: every segment,
+       crashed or not, numbers its rounds from the boundary the last
+       one reached. *)
+    let wd = Watchdog.create ~watch_phi () in
+    let clock () = Watchdog.last_round wd in
     let g = ref g0 in
     let regs = ref (B.boot rng g0) in
-    let round_off = ref 0 in
     let steps_total = ref 0 in
     let max_bits = ref 0 in
     let last_silent = ref false in
@@ -178,7 +183,7 @@ module Driver (B : BACKEND) = struct
        as crashes (the machine-level failure mode the ladder exists
        for); only genuinely fatal conditions propagate. *)
     let attempt ~daemon ~budget ?warm () =
-      let budget = min budget (max_rounds - !round_off) in
+      let budget = min budget (max_rounds - clock ()) in
       let steps_left = max_steps - !steps_total in
       if budget <= 0 || steps_left <= 0 then begin
         last_silent := false;
@@ -186,8 +191,8 @@ module Driver (B : BACKEND) = struct
         None
       end
       else begin
-        let run_base = !round_off in
-        Watchdog.reset ~round_base:run_base wd;
+        let run_base = clock () in
+        Watchdog.reset wd;
         let outcome =
           match
             B.run ~max_steps:steps_left ~max_rounds:budget ~watchdog:wd ~warm
@@ -204,7 +209,6 @@ module Driver (B : BACKEND) = struct
         match outcome with
         | Ok (regs', (s : Engine.stats)) ->
             regs := regs';
-            round_off := run_base + s.rounds;
             steps_total := !steps_total + s.steps;
             max_bits := max !max_bits s.max_bits;
             last_silent := s.silent;
@@ -212,10 +216,8 @@ module Driver (B : BACKEND) = struct
             Some s
         | Error () ->
             (* The crashed segment's rounds elapsed (its reads were
-               served above and the sink's clock passed them), so the
-               episode's clock follows them; its writes are rolled back
-               and spend no steps. *)
-            round_off := run_base + max 0 (Watchdog.observed wd - 1);
+               served above and the clock passed them); its writes are
+               rolled back and spend no steps. *)
             incr seg_crashes;
             last_silent := false;
             last_ok := false;
@@ -226,13 +228,13 @@ module Driver (B : BACKEND) = struct
     (* Phase 1: stabilize from adversarial, full budget, no ladder —
        the same contract as a chaos episode's base phase. *)
     let base = attempt ~daemon:sched ~budget:max_rounds () in
-    let base_rounds = !round_off and base_steps = !steps_total in
+    let base_rounds = clock () and base_steps = !steps_total in
     let finish events_acc =
       {
         trace;
         base_rounds;
         base_steps;
-        rounds = !round_off;
+        rounds = clock ();
         steps = !steps_total;
         events = List.rev events_acc;
         recovered = !last_ok;
@@ -253,7 +255,7 @@ module Driver (B : BACKEND) = struct
       let outcomes =
         List.fold_left
           (fun acc op ->
-            let apply_round = !round_off in
+            let apply_round = clock () in
             let steps_before = !steps_total in
             let retries = ref 0
             and escalations = ref 0
@@ -322,7 +324,7 @@ module Driver (B : BACKEND) = struct
             {
               op = Churn.op_name op;
               apply_round;
-              gap = (if recovered then Some (!round_off - apply_round) else None);
+              gap = (if recovered then Some (clock () - apply_round) else None);
               steps = !steps_total - steps_before;
               queries = List.length !served;
               stale;

@@ -11,7 +11,8 @@
 
     {b Degradation ladder.} Every recovery runs under a {!Watchdog},
     which the engine itself observes at every round boundary
-    ([Engine.run ~watchdog]; rounds counted over the whole episode).
+    ([Engine.run ~watchdog]; its clock counts rounds over the whole
+    episode).
     The first attempt gets the timing policy's budget ([every:R] = an
     R-round deadline; [silence] = the full retry budget); when it
     fails — budget exhausted, livelock or stall tripped, or the run
@@ -143,9 +144,13 @@ module Make (P : TREE_PROTOCOL) : sig
       ladder rung past the first attempt; [max_retries] (default 2)
       caps same-daemon retries; [queries_per_round] (default 2) is the
       read load. [watch_phi] feeds the live potential to the
-      watchdog's stall detector (leave off for expensive potentials).
-      [max_rounds] / [max_steps] are global episode caps; a ladder
-      rung never runs past them.
+      watchdog's stall detector (leave off for expensive potentials);
+      the watchdog runs with its default thresholds. [max_rounds]
+      (default 20_000) is the episode's round cap, beside a fixed cap
+      of 2_000_000 steps; a ladder rung never runs past them. The
+      watchdog keeps the episode's round clock ({!Watchdog.last_round}):
+      the report's rounds, an event's [apply_round] and [gap] and the
+      budgets all read it.
 
       [snapshot] supplies the committed-label store to serve reads
       from (so a caller can keep querying the final committed tree
@@ -165,10 +170,7 @@ module Make (P : TREE_PROTOCOL) : sig
       {!Topology.check} (canned generators are valid by
       construction). *)
   val run :
-    ?max_steps:int ->
     ?max_rounds:int ->
-    ?stall_window:int ->
-    ?cycle_repeats:int ->
     ?retry_budget:int ->
     ?max_retries:int ->
     ?queries_per_round:int ->
@@ -198,10 +200,7 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) : sig
   module E : module type of Repro_runtime.Engine_packed.Make (P)
 
   val run :
-    ?max_steps:int ->
     ?max_rounds:int ->
-    ?stall_window:int ->
-    ?cycle_repeats:int ->
     ?retry_budget:int ->
     ?max_retries:int ->
     ?queries_per_round:int ->

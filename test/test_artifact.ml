@@ -267,8 +267,7 @@ let writer_cases =
           Pool.with_pool ~jobs:1 (fun pool ->
               Campaign.chaos_matrix ~pool ~gen:gnp ~n:32 ~seeds:1 ~seed_base:1
                 ~algos:[ Builders.bfs ] ~plans:[ List.hd Fault.Plan.defaults ]
-                ~daemons:random_daemon ~max_rounds:20_000 ~max_injections:3 ~stall_window:64
-                ~cycle_repeats:3 ())
+                ~daemons:random_daemon ~max_rounds:20_000 ~max_injections:3 ())
         in
         let fresh =
           Campaign.campaign_json ~family:"gnp" ~n:32 ~seeds:3 ~seed_base:1 ~max_rounds:20_000
@@ -285,7 +284,7 @@ let writer_cases =
               Service_campaign.churn_matrix ~pool ~gen:gnp ~n:16 ~seeds:1 ~seed_base:1
                 ~algos:[ Builders.bfs ] ~traces:[ List.hd traces ] ~daemons:random_daemon
                 ~max_rounds:20_000 ~retry_budget:2000 ~max_retries:2 ~queries_per_round:2
-                ~stall_window:64 ~cycle_repeats:3 ())
+                ())
         in
         let fresh =
           Service_campaign.campaign_json ~family:"gnp" ~n:16 ~seeds:2 ~seed_base:1 ~traces

@@ -70,6 +70,7 @@ let watch (type s) (module P : Protocol.S with type state = s) g sched ~max_roun
   let wd = Watchdog.create ~stall_window () in
   let on_round round states =
     Watchdog.observe_round wd ~round ~hash:(Watchdog.config_hash states)
+      ~snap:(fun () -> Marshal.to_string states [])
       ~phi:(if watch_phi then P.potential g states else None)
   in
   let r =
@@ -147,11 +148,17 @@ end
 module Pingpong_lanes = Lane_toy (Pingpong) (struct let next s = 1 - s end)
 module Counter_lanes = Lane_toy (Counter) (struct let next s = s + 1 end)
 
+(* Set a watchdog's clock ({!Watchdog.last_round}) by one hand
+   observation, then forget it. *)
+let set_clock wd round =
+  Watchdog.observe_round wd ~round ~hash:0 ~snap:(fun () -> "") ~phi:None;
+  Watchdog.reset wd
+
 (* The watchdog the engine observes ([Engine.run ~watchdog]) must give
    the verdict — its round numbers included — and the cut that a
    watchdog fed by hand from [on_round] with {!Watchdog.config_hash}
-   gave, on both stores, from a shifted round base, stopping the run or
-   observe-only. *)
+   gave, on both stores, from a clock already at [base], stopping the
+   run or observe-only. *)
 let verdict_pair (type s) (module P : Protocol.S with type state = s)
     (module E : Engine.S with type state = s) g ~max_rounds ~stall_window ~watch_phi
     ~observe_only ~base =
@@ -164,8 +171,11 @@ let verdict_pair (type s) (module P : Protocol.S with type state = s)
   in
   let by_hand =
     let wd = Watchdog.create ~stall_window () in
+    set_clock wd base;
+    (* Read once at run start, as the engine does. *)
+    let start = Watchdog.last_round wd in
     let on_round round states =
-      Watchdog.observe_round wd ~round:(base + round) ~hash:(Watchdog.config_hash states)
+      Watchdog.observe_round wd ~round:(start + round) ~hash:(Watchdog.config_hash states)
         ~snap:(fun () -> Marshal.to_string states [])
         ~phi:(if watch_phi then P.potential g states else None)
     in
@@ -174,7 +184,7 @@ let verdict_pair (type s) (module P : Protocol.S with type state = s)
   in
   let observed =
     let wd = Watchdog.create ~stall_window ~watch_phi ~observe_only () in
-    Watchdog.reset ~round_base:base wd;
+    set_clock wd base;
     finish wd (run ~watchdog:wd ())
   in
   (by_hand, observed)
@@ -216,23 +226,74 @@ let test_engine_observed_verdicts () =
         ])
     cases
 
+(* The watchdog owns the round clock: a run that observes it numbers
+   its rounds from {!Watchdog.last_round}, so two runs on one watchdog,
+   on either store, share the boundary where the first one ended — the
+   same boundary an attached event sink's clock shows. *)
+let test_watchdog_clock () =
+  let g = Generators.path (seed 2) ~n:6 in
+  let stores : (string * (module Engine.S with type state = int)) list =
+    [
+      ("boxed", (module Engine.Make (Counter_lanes)));
+      ("packed", (module Engine_packed.Make (Counter_lanes)));
+    ]
+  in
+  List.iter
+    (fun ((s1, (module E1 : Engine.S with type state = int)),
+          (s2, (module E2 : Engine.S with type state = int)), traced) ->
+      let label what = Printf.sprintf "%s then %s (sink %b): %s" s1 s2 traced what in
+      let wd = Watchdog.create ~observe_only:true () in
+      let events = if traced then Some (Events.ring ()) else None in
+      let r1 =
+        E1.run ~max_rounds:7 ~watchdog:wd ?events g Scheduler.Synchronous (seed 1)
+          ~init:(E1.initial g)
+      in
+      let last1 = Watchdog.last_round wd in
+      Alcotest.(check int) (label "first run ends on its last round") r1.E1.rounds last1;
+      (* [on_round] runs after the engine's observation of the same
+         boundary. *)
+      let first = ref (-1) in
+      let on_round r _ = if r = 0 then first := Watchdog.last_round wd in
+      let r2 =
+        E2.run ~max_rounds:5 ~on_round ~watchdog:wd ?events g Scheduler.Synchronous
+          (seed 3) ~init:(E2.initial g)
+      in
+      Alcotest.(check int) (label "second run starts on the first one's last round") last1
+        !first;
+      Alcotest.(check int) (label "the clock runs on") (last1 + r2.E2.rounds)
+        (Watchdog.last_round wd);
+      Option.iter
+        (fun sink ->
+          Alcotest.(check int) (label "the sink's clock agrees") (Events.last_round sink)
+            (Watchdog.last_round wd))
+        events)
+    (List.concat_map
+       (fun a -> List.concat_map (fun b -> [ (a, b, false); (a, b, true) ]) stores)
+       stores)
+
 let test_watchdog_reset () =
+  (* One fixed configuration, seen again and again. *)
+  let snap () = Marshal.to_string [| 7 |] [] in
   let wd = Watchdog.create ~cycle_repeats:3 () in
-  Watchdog.observe_round wd ~round:0 ~hash:7 ~phi:None;
-  Watchdog.observe_round wd ~round:1 ~hash:7 ~phi:None;
+  Watchdog.observe_round wd ~round:0 ~hash:7 ~snap ~phi:None;
+  Watchdog.observe_round wd ~round:1 ~hash:7 ~snap ~phi:None;
   Alcotest.(check bool) "not yet" true (Watchdog.tripped wd = None);
-  Watchdog.observe_round wd ~round:2 ~hash:7 ~phi:None;
-  Alcotest.(check bool) "tripped on third sight" true (Watchdog.tripped wd <> None);
+  Watchdog.observe_round wd ~round:2 ~hash:7 ~snap ~phi:None;
+  (match Watchdog.tripped wd with
+  | Some (Watchdog.Livelock { round; period }) ->
+      Alcotest.(check (pair int int)) "tripped on third sight" (2, 1) (round, period)
+  | _ -> Alcotest.fail "expected a livelock on the third sight");
   Watchdog.reset wd;
   Alcotest.(check bool) "reset clears the verdict" true (Watchdog.tripped wd = None);
-  Watchdog.observe_round wd ~round:3 ~hash:7 ~phi:None;
+  Alcotest.(check int) "the clock runs on" 2 (Watchdog.last_round wd);
+  Watchdog.observe_round wd ~round:3 ~hash:7 ~snap ~phi:None;
   Alcotest.(check bool) "history forgotten too" true (Watchdog.tripped wd = None)
 
 let test_watchdog_collision_not_livelock () =
-  (* Distinct configurations that share a hash: without the [snap]
-     verifier the recurring hash would be scored as a livelock; with it
-     occurrences are counted per serialized configuration, so a chain
-     of colliding-but-different configurations never trips. *)
+  (* Distinct configurations that share a hash: counted by hash alone
+     they would score as a livelock; the [snap] verifier counts
+     occurrences per serialized configuration, so a chain of
+     colliding-but-different configurations never trips. *)
   let wd = Watchdog.create ~cycle_repeats:3 () in
   let configs = [ [| 1 |]; [| 2 |]; [| 3 |]; [| 4 |]; [| 5 |]; [| 6 |] ] in
   List.iteri
@@ -244,8 +305,8 @@ let test_watchdog_collision_not_livelock () =
     (Watchdog.tripped wd = None)
 
 let test_watchdog_collision_true_cycle_still_trips () =
-  (* A genuine recurrence with [snap] attached must trip at exactly the
-     same occurrence count as the hash-only path (cycle_repeats = 3). *)
+  (* A genuine recurrence must trip at exactly the [cycle_repeats]-th
+     sighting (3). *)
   let wd = Watchdog.create ~cycle_repeats:3 () in
   let c = [| 9; 9 |] in
   let snap () = Marshal.to_string c [] in
@@ -439,6 +500,8 @@ let () =
             test_watchdog_collision_alternating_cycle;
           Alcotest.test_case "engine-observed verdicts = hand-fed verdicts" `Quick
             test_engine_observed_verdicts;
+          Alcotest.test_case "two runs share the clock" `Quick
+            test_watchdog_clock;
         ] );
       ( "adversary hook",
         [

@@ -339,7 +339,9 @@ let hooked_run (type s) (module B : Protocol.PACKED with type state = s)
   (* The stores fingerprint differently; the verdict, its rounds and the
      Φ floor must not depend on it. *)
   let watchdog = Watchdog.create ~watch_phi:true ~observe_only:true () in
-  Watchdog.reset ~round_base:5 watchdog;
+  (* A clock at round 5, set by one hand observation. *)
+  Watchdog.observe_round watchdog ~round:5 ~hash:0 ~snap:(fun () -> "") ~phi:None;
+  Watchdog.reset watchdog;
   let r =
     E.run ~max_steps:20_000 ~max_rounds:2_000 ~on_round ~on_step
       ~adversary ~stop_when ~watchdog ~events ~profile g sched

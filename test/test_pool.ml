@@ -106,7 +106,7 @@ let trimmed_campaign jobs =
         Campaign.chaos_matrix ~pool ~gen ~n:12 ~seeds:2 ~seed_base:20260805
           ~algos:Builders.[ bfs; spt ]
           ~plans:(List.filteri (fun i _ -> i < 2) Fault.Plan.defaults)
-          ~daemons ~max_rounds:4000 ~max_injections:4 ~stall_window:64 ~cycle_repeats:3 ()
+          ~daemons ~max_rounds:4000 ~max_injections:4 ()
       in
       Json.to_string
         (Campaign.campaign_json ~family:"random" ~n:12 ~seeds:2 ~seed_base:20260805

@@ -586,7 +586,10 @@ let test_churn_moves_all_attributed () =
    retries the segment from the registers it started from, and the
    episode still recovers; the streamed trace stays on one valid
    timeline (the retry continues after the crashed segment's rounds
-   and steps instead of reusing them). *)
+   and steps instead of reusing them). Each backend's graph is picked
+   so that the first recovery spans several rounds: the crash then
+   comes after two round boundaries at least, and the episode's
+   rounds show whether the crashed segment's rounds were counted. *)
 
 let guard_calls = ref 0
 let crash_at = ref 0
@@ -623,13 +626,15 @@ module Crashing_bfs = Service.Make_packed (struct
     step_packed pv
 end)
 
-let contained_crash run () =
+let contained_crash ~graph_seed run () =
   let n = 10 in
-  let g = Generators.random_connected (seed 40) ~n ~m:16 in
+  let g = Generators.random_connected (seed graph_seed) ~n ~m:16 in
   let episode events =
     guard_calls := 0;
     run ~events g ~sched:(Scheduler.Central Scheduler.Random_daemon)
-      ~fallback:(Scheduler.Distributed 0.5) (seed 41) (trace_of "flash-crowd:2")
+      ~fallback:(Scheduler.Distributed 0.5)
+      (seed (graph_seed + 1))
+      (trace_of "flash-crowd:2")
   in
   (* A clean run locates the first recovery's guard calls; the guard
      then raises at the last of them, after the segment's moves. *)
@@ -641,6 +646,11 @@ let contained_crash run () =
   (match !span with
   | Some (first, last) when first < last -> crash_at := last
   | _ -> Alcotest.fail "no first recovery");
+  (* The last guard call of a recovery of [gap] rounds comes after its
+     boundaries 0 .. gap - 1. *)
+  (match (List.hd clean.Service.events).Service.gap with
+  | Some gap when gap >= 2 -> ()
+  | _ -> Alcotest.fail "the first recovery ends before its second round boundary");
   let file = Filename.temp_file "crash" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->
@@ -722,9 +732,11 @@ let () =
           Alcotest.test_case "at-silence churn: every recovery move attributed" `Quick
             test_churn_moves_all_attributed;
           Alcotest.test_case "contained crash, boxed mst" `Quick
-            (contained_crash (fun ~events g -> Crashing_mst.run ~events g));
+            (contained_crash ~graph_seed:40 (fun ~events g ->
+                 Crashing_mst.run ~events g));
           Alcotest.test_case "contained crash, packed bfs" `Quick
-            (contained_crash (fun ~events g -> Crashing_bfs.run ~events g));
+            (contained_crash ~graph_seed:56 (fun ~events g ->
+                 Crashing_bfs.run ~events g));
         ] );
       ( "warmstart",
         warm_props
