@@ -1,6 +1,8 @@
 (* Quickstart: build a minimum-weight spanning tree with the silent
    self-stabilizing MST builder (the paper's Algorithm 2), starting from
-   the boot configuration, and check it against Kruskal.
+   the boot configuration, and check it against Kruskal. Then run the
+   same start under an unfair daemon with a bounded step budget, where
+   convergence is still an open defect (ROADMAP.md item 1).
 
      dune exec examples/quickstart.exe *)
 
@@ -15,11 +17,9 @@ let () =
   let g = Generators.random_connected rng ~n:24 ~m:48 in
   Format.printf "network: n=%d m=%d@." (Graph.n g) (Graph.m g);
 
-  (* Run the protocol under the unfair (LIFO-adversarial) central daemon
-     until it falls silent. *)
-  let r =
-    ME.run g (Scheduler.Central Scheduler.Lifo_adversary) rng ~init:(ME.initial g)
-  in
+  (* Run the protocol under the synchronous daemon (every enabled node
+     moves in every round, E1's setting) until it falls silent. *)
+  let r = ME.run g Scheduler.Synchronous rng ~init:(ME.initial g) in
   Format.printf "silent: %b  rounds: %d  steps: %d  max register: %d bits@."
     r.ME.silent r.ME.rounds r.ME.steps r.ME.max_bits;
 
@@ -33,4 +33,18 @@ let () =
 
   (* Silence is stable: re-running does nothing. *)
   let r2 = ME.run g Scheduler.Synchronous rng ~init:r.ME.states in
-  Format.printf "re-run steps (expect 0): %d@." r2.ME.steps
+  Format.printf "re-run steps (expect 0): %d@." r2.ME.steps;
+
+  (* The unfair (LIFO-adversarial) central daemon from the same start,
+     cut at a step budget: the paper claims convergence here, and
+     ROADMAP.md item 1 records where the builder falls short of it. *)
+  let budget = 20_000 in
+  let u =
+    ME.run ~max_steps:budget g (Scheduler.Central Scheduler.Lifo_adversary) rng
+      ~init:(ME.initial g)
+  in
+  Format.printf
+    "unfair daemon (LIFO adversary), %d-step budget: silent: %b  rounds: %d  steps: %d@."
+    budget u.ME.silent u.ME.rounds u.ME.steps;
+  if not u.ME.silent then
+    Format.printf "not silent within the budget: a known defect, see ROADMAP.md item 1@."

@@ -109,18 +109,23 @@ module Packed = struct
        minimum-distance neighbor in increasing id order (the boxed
        scan's strict-< keeps the earliest minimum). *)
     let fp = ref (-1) and fd = ref 0 in
+    (* The parent's dist, taken when the scan meets it: no node is its
+       own neighbour, so a parent that is not a neighbour (or is -1)
+       leaves [p_found] false and fails validity. *)
+    let p_found = ref false and p_dist = ref 0 in
     if id <> 0 then begin
       let has = ref false in
       let bd = ref 0 and bp = ref 0 in
       for i = row.(id) to row.(id + 1) - 1 do
         let u = col.(i) in
-        if not !has then begin
+        let du = dis.(u) in
+        if u = s_parent then begin
+          p_found := true;
+          p_dist := du
+        end;
+        if (not !has) || du < !bd then begin
           has := true;
-          bd := dis.(u);
-          bp := u
-        end
-        else if dis.(u) < !bd then begin
-          bd := dis.(u);
+          bd := du;
           bp := u
         end
       done;
@@ -137,10 +142,7 @@ module Packed = struct
       s_dist = !fd
       &&
       if id = 0 then s_parent = -1
-      else
-        match Pview.index pv s_parent with
-        | i -> dis.(col.(i)) + 1 = s_dist
-        | exception Not_found -> false
+      else !p_found && !p_dist + 1 = s_dist
     in
     if keep then false
     else if s_parent = !fp && s_dist = !fd then false

@@ -242,30 +242,24 @@ module Packed = struct
        spelled out at each use — a local predicate closure would
        allocate on the hot path. A lane is negative iff its root is,
        and a usable neighbour's lane plus one is (root, hops + 1). *)
-    let p_idx =
-      if s_parent = -1 then -1
-      else match Pview.index pv s_parent with i -> i | exception Not_found -> -1
-    in
-    let valid =
-      if s_parent = -1 then s_rh = St_layer.pair id 0 && s_wdist = 0
-      else
-        p_idx >= 0
-        &&
-        let p = col.(p_idx) in
-        let p_rh = rho.(p) in
-        p_rh >= 0
-        && wdi.(p) >= 0
-        && lo p_rh + 1 <= n - 1
-        && s_rh = p_rh + 1
-        && s_wdist = wdi.(p) + wgt.(p_idx)
-    in
     let has_best = ref false in
     let br = ref 0 and bwd = ref 0 and bh = ref 0 and bu = ref 0 in
+    (* The parent's lanes and edge weight, taken when the scan meets it:
+       no node is its own neighbour, so a parent that is not a
+       neighbour (or is -1) leaves [p_found] false and fails validity. *)
+    let p_found = ref false in
+    let p_rh = ref 0 and p_wd = ref 0 and p_w = ref 0 in
     for i = row.(id) to row.(id + 1) - 1 do
       let u = col.(i) in
-      let rh = rho.(u) in
-      if rh >= 0 && wdi.(u) >= 0 && lo rh + 1 <= n - 1 then begin
-        let r = hi rh and wd = wdi.(u) + wgt.(i) and h = lo rh + 1 in
+      let rh = rho.(u) and wd_u = wdi.(u) in
+      if u = s_parent then begin
+        p_found := true;
+        p_rh := rh;
+        p_wd := wd_u;
+        p_w := wgt.(i)
+      end;
+      if rh >= 0 && wd_u >= 0 && lo rh + 1 <= n - 1 then begin
+        let r = hi rh and wd = wd_u + wgt.(i) and h = lo rh + 1 in
         if
           (not !has_best)
           || r < !br
@@ -280,6 +274,16 @@ module Packed = struct
         end
       end
     done;
+    let valid =
+      if s_parent = -1 then s_rh = St_layer.pair id 0 && s_wdist = 0
+      else
+        !p_found
+        && !p_rh >= 0
+        && !p_wd >= 0
+        && lo !p_rh + 1 <= n - 1
+        && s_rh = !p_rh + 1
+        && s_wdist = !p_wd + !p_w
+    in
     let better_exists =
       id < s_root
       || (!has_best && (!br < s_root || (!br = s_root && !bwd < s_wdist)))

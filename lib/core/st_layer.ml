@@ -143,9 +143,14 @@ let step_packed (pv : Repro_runtime.Pview.t) =
      is the pair (root, dist + 1) and orders like it. *)
   let has_best = ref false in
   let bkey = ref 0 and bu = ref 0 in
+  (* The parent's lane, taken when the scan meets it: no node is its
+     own neighbour, so a parent that is not a neighbour (or is -1)
+     leaves it -1 and fails validity. *)
+  let p_rd = ref (-1) in
   for i = row.(id) to row.(id + 1) - 1 do
     let u = col.(i) in
     let rd = rdi.(u) in
+    if u = s_parent then p_rd := rd;
     let ud = lo rd in
     if rd >= 0 && ud >= 0 && ud + 1 <= n - 1 then begin
       let key = rd + 1 in
@@ -156,11 +161,7 @@ let step_packed (pv : Repro_runtime.Pview.t) =
       end
     end
   done;
-  let p_idx =
-    if s_parent = -1 then -1
-    else match Pview.index pv s_parent with i -> i | exception Not_found -> -1
-  in
-  let p_rd = if p_idx >= 0 then rdi.(col.(p_idx)) else -1 in
+  let p_rd = !p_rd in
   let parent_usable = p_rd >= 0 && lo p_rd >= 0 && lo p_rd + 1 <= n - 1 in
   let valid =
     if s_parent = -1 then s_root = id && s_dist = 0

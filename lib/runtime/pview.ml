@@ -29,20 +29,3 @@ let of_graph g ~bank =
     move = Array.make words 0;
     focus = 0;
   }
-
-let degree t v = t.row.(v + 1) - t.row.(v)
-
-(* Binary search for neighbor [u] in the focused node's CSR segment;
-   mirrors View.index. A while loop rather than a local recursive
-   function: step implementations call this on the hot path, and a
-   local closure would allocate (the packed loop is pinned
-   allocation-free). *)
-let index t u =
-  let lo = ref t.row.(t.focus) and hi = ref t.row.(t.focus + 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = t.col.(mid) in
-    if x = u then found := mid else if x < u then lo := mid + 1 else hi := mid
-  done;
-  if !found < 0 then raise Not_found else !found

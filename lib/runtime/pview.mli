@@ -30,11 +30,3 @@ type t = {
     (one length-n lane per word). @raise Invalid_argument on an empty
     bank or a lane of the wrong length. *)
 val of_graph : Repro_graph.Graph.t -> bank:int array array -> t
-
-(** Degree of [v]. *)
-val degree : t -> int -> int
-
-(** [index t u] is the CSR index of neighbor [u] of the focused node
-    (so [t.col.(index t u) = u]); mirrors {!View.index}.
-    @raise Not_found if [u] is not a neighbor of [t.focus]. *)
-val index : t -> int -> int

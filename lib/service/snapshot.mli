@@ -1,14 +1,26 @@
 (** The committed label snapshot: service mode's read path.
 
     At every legal configuration the service driver flattens the
-    builder's parent links into preallocated int arrays — parent,
-    depth, tree degree, the DFS interval of {!Repro_labels.Interval_labels}
+    builder's parent links into preallocated int arrays — depth, root,
+    tree degree, the DFS interval of {!Repro_labels.Interval_labels}
     and the heavy-path head that powers
     {!Repro_labels.Nca_labels}-style NCA computation — so that during
     re-stabilization every read is answered from the last {e committed}
     tree in O(1) ({!parent}, {!root}, {!degree}), two integer compares
     ({!is_ancestor}) or O(log n) ({!nca}, {!route_length}), never by
     chasing live parent pointers.
+
+    {b Layout.} A buffer keeps one 4-word record per node [v], the
+    words [4v .. 4v+3] of one int array: the heavy-path [head], then
+    three pairs — ([depth] of the head, [parent] of the head), ([pre],
+    [post]) and ([root], [depth]). One heavy-path climb step reads one
+    record, and {!answer} climbs once for all its facets. The parent
+    links (verbatim) and the tree degrees keep an array each, so a
+    buffer holds 6 words per node. A pair is two 31-bit signed fields
+    in one word, the encoding of [St_layer.pair]. Every field lies in
+    [[-1, n)], and a root candidate's parent of head is [-1], never its
+    raw link; so a commit needs [n < 2^30] and raises
+    [Invalid_argument] otherwise. It never clamps.
 
     {b Double buffering.} A store holds two buffers. Reads always hit
     the front buffer; {!commit} rebuilds the back buffer from the given
@@ -17,7 +29,10 @@
     previous committed snapshot — the staleness window the service
     layer measures, made safe by construction. Buffers grow by doubling
     and are reused across commits: past the episode's peak node count a
-    commit allocates nothing.
+    commit allocates nothing. The rebuild's seven scratch arrays (7
+    words per node) belong to the store, not to a buffer, since only
+    the back buffer is ever being rebuilt: a store whose buffers have
+    both grown holds 19 words per node.
 
     {b Degraded commits.} The service driver also commits the live
     configuration when a recovery fails (the degraded-but-alive
@@ -35,7 +50,8 @@ val create : ?cap:int -> unit -> t
 
 (** [commit t parents] — flatten [parents] into the back buffer and
     swap it to the front. O(n); allocation-free once the buffers have
-    grown to [Array.length parents]. *)
+    grown to [Array.length parents].
+    @raise Invalid_argument if [Array.length parents >= 2^30]. *)
 val commit : t -> int array -> unit
 
 (** Whether a commit has happened. *)

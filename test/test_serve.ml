@@ -62,10 +62,11 @@ let naive_answer p ~v ~u =
   in
   { Snapshot.a_parent; a_root; a_degree; a_ancestor = naive_ancestor p u v; a_nca; a_route }
 
-let check_all_pairs ?(what = "") p =
+(* Every pair [(v, u)] of a store whose last commit was [p]: [answer]
+   against the naive walks, and each single-facet read against the
+   matching [answer] field ([answer] climbs once on its own). *)
+let check_pairs ?(what = "") snap p =
   let n = Array.length p in
-  let snap = Snapshot.create () in
-  Snapshot.commit snap p;
   if Snapshot.n snap <> n then
     QCheck2.Test.fail_reportf "%ssnapshot n %d <> %d" what (Snapshot.n snap) n;
   for v = 0 to n - 1 do
@@ -81,10 +82,27 @@ let check_all_pairs ?(what = "") p =
           what v u got.Snapshot.a_parent got.Snapshot.a_root got.Snapshot.a_degree
           got.Snapshot.a_ancestor got.Snapshot.a_nca got.Snapshot.a_route
           want.Snapshot.a_parent want.Snapshot.a_root want.Snapshot.a_degree
-          want.Snapshot.a_ancestor want.Snapshot.a_nca want.Snapshot.a_route
+          want.Snapshot.a_ancestor want.Snapshot.a_nca want.Snapshot.a_route;
+      let single =
+        {
+          Snapshot.a_parent = Snapshot.parent snap v;
+          a_root = Snapshot.root snap v;
+          a_degree = Snapshot.degree snap v;
+          a_ancestor = Snapshot.is_ancestor snap u v;
+          a_nca = Snapshot.nca snap u v;
+          a_route = Snapshot.route_length snap u v;
+        }
+      in
+      if single <> got then
+        QCheck2.Test.fail_reportf "%spair (v=%d, u=%d): single-facet reads <> answer" what v u
     done
   done;
   true
+
+let check_all_pairs ?what p =
+  let snap = Snapshot.create () in
+  Snapshot.commit snap p;
+  check_pairs ?what snap p
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot vs naive walks on stabilized trees: run each fixed-width
@@ -107,6 +125,17 @@ let stabilized_parents (type s) (module P : Service.TREE_PROTOCOL with type stat
   if not r.En.silent then QCheck2.Test.fail_report "builder did not stabilize";
   Array.map (fun s -> P.parent_of s) r.En.states
 
+(* [n] arbitrary parent links, extreme ints included. *)
+let gen_parents n =
+  QCheck2.Gen.(
+    map Array.of_list
+      (list_repeat n
+         (frequency
+            [
+              (12, int_range (-2) (n + 1));
+              (1, oneofl [ min_int; max_int; 1 lsl 40; -(1 lsl 40) ]);
+            ])))
+
 let snapshot_props =
   [
     prop ~count:25 "snapshot = naive walks (stabilized bfs trees)" (gen_graph 2 20)
@@ -116,13 +145,25 @@ let snapshot_props =
     prop ~count:15 "snapshot = naive walks (stabilized adhoc-bfs trees)"
       (gen_graph 2 16)
       (fun sg -> check_all_pairs (stabilized_parents (module Builders.Adhoc_tree) sg));
-    (* Degraded commits: arbitrary links — out of range, self-loops,
-       parent cycles — must answer exactly like the bounded chase. *)
+    (* Degraded commits: arbitrary links — out of range, extreme ints,
+       self-loops, parent cycles — must answer exactly like the bounded
+       chase. *)
     prop ~count:60 "snapshot = naive walks (arbitrary parent arrays)"
-      QCheck2.Gen.(
-        let* n = int_range 1 18 in
-        list_repeat n (int_range (-2) (n + 1)))
-      (fun l -> check_all_pairs (Array.of_list l));
+      QCheck2.Gen.(int_range 1 18 >>= gen_parents)
+      (fun p -> check_all_pairs p);
+    (* One store across a sequence of commits whose node counts go up
+       and down across the doubling capacities (16 to 128): reused
+       buffers and the shared rebuild scratch must never leak a
+       previous commit into the next. *)
+    prop ~count:12 "snapshot = naive walks (commit sequence into one store)"
+      QCheck2.Gen.(list_size (int_range 2 6) (int_range 1 70 >>= gen_parents))
+      (fun ps ->
+        let snap = Snapshot.create () in
+        List.for_all
+          (fun p ->
+            Snapshot.commit snap p;
+            check_pairs ~what:(Printf.sprintf "n=%d: " (Array.length p)) snap p)
+          ps);
   ]
 
 (* Double-buffering contract: no reads before the first commit; each
@@ -147,6 +188,26 @@ let test_commit_replaces () =
   Alcotest.(check int) "n shrinks" 2 (Snapshot.n snap);
   Alcotest.(check int) "root moved" 1 (Snapshot.root snap 0);
   ignore (check_all_pairs p3)
+
+(* Deeper climbs than n <= 20 reaches: a stabilized bfs tree at
+   n = 10^4, sampled pairs against the naive walks. *)
+let test_big_sampled () =
+  let n = 10_000 in
+  let g = Generators.random_connected (Random.State.make [| n |]) ~n ~m:(2 * n) in
+  let p = stabilized_parents (module Builders.Bfs_tree) (n, g) in
+  let snap = Snapshot.create () in
+  Snapshot.commit snap p;
+  let deepest = ref 0 in
+  for v = 0 to n - 1 do
+    deepest := max !deepest (Snapshot.depth snap v)
+  done;
+  Alcotest.(check bool) "a tree deeper than the small cases" true (!deepest >= 6);
+  let rng = Random.State.make [| n; 1 |] in
+  for _ = 1 to 2_000 do
+    let v = Random.State.int rng n and u = Random.State.int rng n in
+    if Snapshot.answer snap ~v ~u <> naive_answer p ~v ~u then
+      Alcotest.failf "n=%d pair (v=%d, u=%d): snapshot answer <> naive walks" n v u
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Packed-vs-boxed service equivalence. The same episode (graph,
@@ -326,7 +387,10 @@ let () =
     [
       ("snapshot", snapshot_props);
       ( "snapshot-unit",
-        [ Alcotest.test_case "commits replace wholesale" `Quick test_commit_replaces ] );
+        [
+          Alcotest.test_case "commits replace wholesale" `Quick test_commit_replaces;
+          Alcotest.test_case "sampled pairs at n=10^4 (bfs)" `Quick test_big_sampled;
+        ] );
       ("service-equiv", equiv_props);
       ( "service-unit",
         [
