@@ -17,7 +17,6 @@ type t = {
   rounds : int;
   steps : int;
   max_bits : int;
-  wall_ns : int;  (* wall-clock time inside the worker that ran the cell *)
 }
 
 type artifact = { seed : int; records : t list }
@@ -32,7 +31,6 @@ module Fields = struct
   let rounds = field "rounds" int (fun r -> r.rounds)
   let steps = field "steps" int (fun r -> r.steps)
   let max_bits = field "max_bits" int (fun r -> r.max_bits)
-  let wall_ns = field "wall_ns" int (fun r -> r.wall_ns)
 end
 
 let record : t Artifact.t =
@@ -45,7 +43,6 @@ let record : t Artifact.t =
       F Fields.rounds;
       F Fields.steps;
       F Fields.max_bits;
-      F Fields.wall_ns;
     ]
 
 let experiments = Artifact.(field "experiments" (list (obj record)) (fun a -> a.records))

@@ -1,17 +1,13 @@
 (* Comparator over BENCH_repro.json / SERVICE_repro.json artifacts —
    the bench-regression gate. Records are matched by (exp, algo, n,
-   occurrence); a comparison FAILS when the new artifact regresses
-   steps or rounds by more than [steps_tol] (default 10%). steps/rounds
-   are deterministic for a pinned seed, so any drift there is a
-   semantic change, not noise. wall_ns and qps are single wall-clock
-   samples: they are printed for the reader but never gate, because
-   under a parallel build they swing by several hundred percent (timing
-   is gated by `bench/perf compare` on repeated samples — see
-   PERFORMANCE.md). Improvements never fail.
+   occurrence); a comparison FAILS when steps, rounds or max_bits
+   differ at all. Those counts are deterministic for a pinned seed, so
+   any difference is a semantic change, never noise; the artifacts carry
+   no wall-clock time (timing is bench/perf's job, on repeated samples —
+   see PERFORMANCE.md).
 
    Service artifacts load through the same record shape: cells are
-   keyed by (trace, algo, n0), carry no wall_ns (0), and the big-tier
-   cells carry qps. *)
+   keyed by (trace, algo, n0). *)
 
 open Repro_runtime
 module Json = Metrics.Json
@@ -23,8 +19,6 @@ type record = {
   rounds : int;
   steps : int;
   max_bits : int;
-  wall_ns : int;
-  qps : int option;
 }
 
 type key = { kexp : string; kalgo : string; kn : int; occurrence : int }
@@ -45,16 +39,15 @@ let bench_record j =
   let open Bench_record.Fields in
   let get f = field f j in
   { exp = get exp; algo = get algo; n = get n; rounds = get rounds; steps = get steps;
-    max_bits = get max_bits; wall_ns = get wall_ns; qps = None }
+    max_bits = get max_bits }
 
 (* A SERVICE_repro.json cell mapped onto the record shape: the churn
-   trace plays the experiment name, n0 the size; there is no per-cell
-   wall time (0 = never breaches), and big-tier cells carry qps. *)
+   trace plays the experiment name, n0 the size. *)
 let service_record j =
   let open Repro_campaign.Service_campaign.Fields in
   let get f = field f j in
   { exp = get trace; algo = get algo; n = get n0; rounds = get rounds; steps = get steps;
-    max_bits = get max_bits; wall_ns = 0; qps = get qps }
+    max_bits = get max_bits }
 
 let load path =
   let records list record j = Result.map (List.map record) (Artifact.read list j) in
@@ -85,11 +78,9 @@ let keyed records =
 
 (* ------------------------------------------------------------------ *)
 (* Identity comparison (bench-diff --require-identical): two artifacts
-   produced from the same seeds at different [--jobs] must agree in
-   every field except wall time. Schema-agnostic — works on
-   BENCH_repro.json, CHAOS_repro.json and SERVICE_repro.json alike:
-   [wall_ns] and the wall-derived [qps] fields are stripped
-   recursively, then the JSON trees must be equal, and the first
+   produced from the same seeds at different [--jobs] must be equal.
+   Schema-agnostic — works on BENCH_repro.json, CHAOS_repro.json and
+   SERVICE_repro.json alike: the JSON trees must be equal, and the first
    divergence is reported by path. *)
 
 let load_json path =
@@ -99,16 +90,6 @@ let load_json path =
       match Json.of_string contents with
       | None -> Error (path ^ ": not valid JSON")
       | Some j -> Ok j)
-
-let rec strip_wall = function
-  | Json.Obj fields ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             if k = "wall_ns" || k = "qps" then None else Some (k, strip_wall v))
-           fields)
-  | Json.List items -> Json.List (List.map strip_wall items)
-  | j -> j
 
 let first_divergence a b =
   let rec go path a b =
@@ -136,14 +117,14 @@ let first_divergence a b =
           Some
             (Printf.sprintf "%s: %s <> %s" path (Json.to_string a) (Json.to_string b))
   in
-  go "$" (strip_wall a) (strip_wall b)
+  go "$" a b
 
 (* ------------------------------------------------------------------ *)
 (* Comparison *)
 
-type verdict = Ok_same | Ok_improved | Ok_within_tolerance | Regressed of string list
-
-type comparison = { ckey : key; old_r : record; new_r : record; verdict : verdict }
+(* [differences] names every count that moved, e.g. ["steps 10 -> 11"];
+   empty when the two records agree. *)
+type comparison = { ckey : key; old_r : record; new_r : record; differences : string list }
 
 type report = {
   comparisons : comparison list;
@@ -152,43 +133,26 @@ type report = {
   failures : int;
 }
 
-let ratio old_v new_v =
-  if old_v = 0 then if new_v = 0 then 1.0 else infinity
-  else float_of_int new_v /. float_of_int old_v
-
-let compare_one ~steps_tol ckey old_r new_r =
-  let breaches = ref [] in
-  let check name old_v new_v tol =
-    let r = ratio old_v new_v in
-    if r > 1.0 +. tol then
-      breaches :=
-        Printf.sprintf "%s %d -> %d (%+.1f%% > %.0f%% tolerance)" name old_v new_v
-          ((r -. 1.0) *. 100.)
-          (tol *. 100.)
-        :: !breaches
+let compare_one ckey old_r new_r =
+  let differences =
+    List.filter_map
+      (fun (name, get) ->
+        let o = get old_r and n = get new_r in
+        if o = n then None else Some (Printf.sprintf "%s %d -> %d" name o n))
+      [
+        ("steps", fun r -> r.steps);
+        ("rounds", fun r -> r.rounds);
+        ("max_bits", fun r -> r.max_bits);
+      ]
   in
-  check "steps" old_r.steps new_r.steps steps_tol;
-  check "rounds" old_r.rounds new_r.rounds steps_tol;
-  let verdict =
-    match List.rev !breaches with
-    | _ :: _ as b -> Regressed b
-    | [] ->
-        if (old_r.steps, old_r.rounds) <> (new_r.steps, new_r.rounds) then
-          Ok_within_tolerance
-        else if new_r.wall_ns < old_r.wall_ns then Ok_improved
-        else Ok_same
-  in
-  { ckey; old_r; new_r; verdict }
+  { ckey; old_r; new_r; differences }
 
-let diff ?(steps_tol = 0.10) ~old_records ~new_records () =
+let diff ~old_records ~new_records =
   let old_k = keyed old_records and new_k = keyed new_records in
   let find k l = List.find_opt (fun (k', _) -> k' = k) l in
   let comparisons =
     List.filter_map
-      (fun (k, o) ->
-        match find k new_k with
-        | Some (_, n) -> Some (compare_one ~steps_tol k o n)
-        | None -> None)
+      (fun (k, o) -> Option.map (fun (_, n) -> compare_one k o n) (find k new_k))
       old_k
   in
   let missing =
@@ -197,42 +161,24 @@ let diff ?(steps_tol = 0.10) ~old_records ~new_records () =
   let extra =
     List.filter_map (fun (k, _) -> if find k old_k = None then Some k else None) new_k
   in
-  let failures =
-    List.length
-      (List.filter (fun c -> match c.verdict with Regressed _ -> true | _ -> false)
-         comparisons)
-  in
+  let failures = List.length (List.filter (fun c -> c.differences <> []) comparisons) in
   { comparisons; missing; extra; failures }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
 let pp_report ppf r =
-  Format.fprintf ppf "%-22s %20s %16s %22s  %s@." "key" "steps (old->new)"
-    "rounds" "wall ms (old->new)" "verdict";
+  Format.fprintf ppf "%-22s %-22s %-18s %-18s %s@." "key" "steps (old -> new)" "rounds"
+    "max_bits" "verdict";
   List.iter
     (fun c ->
-      let verdict =
-        match c.verdict with
-        | Ok_same -> "ok"
-        | Ok_improved ->
-            Printf.sprintf "ok (wall %.2fx faster)"
-              (float_of_int c.old_r.wall_ns /. float_of_int (max 1 c.new_r.wall_ns))
-        | Ok_within_tolerance -> "ok (drifted within tolerance)"
-        | Regressed breaches -> "REGRESSED: " ^ String.concat "; " breaches
-      in
-      Format.fprintf ppf "%-22s %9d -> %-9d %7d -> %-7d %10.2f -> %-10.2f %s@."
+      Format.fprintf ppf "%-22s %9d -> %-9d %7d -> %-7d %7d -> %-7d %s@."
         (Format.asprintf "%a" pp_key c.ckey)
-        c.old_r.steps c.new_r.steps c.old_r.rounds c.new_r.rounds
-        (float_of_int c.old_r.wall_ns /. 1e6)
-        (float_of_int c.new_r.wall_ns /. 1e6)
-        verdict;
-      if c.old_r.max_bits <> c.new_r.max_bits then
-        Format.fprintf ppf "%-22s   warning: max_bits %d -> %d@." ""
-          c.old_r.max_bits c.new_r.max_bits;
-      match (c.old_r.qps, c.new_r.qps) with
-      | Some o, Some nw -> Format.fprintf ppf "%-22s   qps %d -> %d@." "" o nw
-      | _ -> ())
+        c.old_r.steps c.new_r.steps c.old_r.rounds c.new_r.rounds c.old_r.max_bits
+        c.new_r.max_bits
+        (match c.differences with
+        | [] -> "ok"
+        | d -> "DIFFERS: " ^ String.concat "; " d))
     r.comparisons;
   if r.missing <> [] then
     Format.fprintf ppf "not in new artifact (skipped): %a@."
@@ -242,4 +188,4 @@ let pp_report ppf r =
     Format.fprintf ppf "only in new artifact (no baseline): %a@."
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_key)
       r.extra;
-  Format.fprintf ppf "%d compared, %d regressed@." (List.length r.comparisons) r.failures
+  Format.fprintf ppf "%d compared, %d differ@." (List.length r.comparisons) r.failures

@@ -64,20 +64,13 @@ let selected id = exp_args = [] || List.mem id exp_args
    collection is written at exit — the machine-readable trajectory perf
    PRs diff against. [tier] is "std" for the classic small-n cells and
    "big" for the BIG experiment's 10^3..10^5 cells (the @bigbench
-   gate). wall_ns is wall-clock time measured inside the worker that
-   runs the cell: Sys.time would report process CPU time, which
-   aggregates across every domain and inflates each record as soon as
-   cells run in parallel. *)
+   gate). A record holds only counts the seed decides; timing is
+   bench/perf's job. *)
 
 let bench_records : Bench_record.t list ref = ref []
 
-let record ?(tier = "std") ~exp ~algo ~n ~rounds ~steps ~max_bits ~wall_ns () =
-  { Bench_record.exp; algo; n; tier; rounds; steps; max_bits; wall_ns }
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+let record ?(tier = "std") ~exp ~algo ~n ~rounds ~steps ~max_bits () =
+  { Bench_record.exp; algo; n; tier; rounds; steps; max_bits }
 
 (* --profile support: one fresh counter set per engine run, printed as an
    extra line under the cell's table row (buffered with the row, so the
@@ -128,10 +121,8 @@ let e1 () =
       let rng = rng_of (100 + n) in
       let g = Generators.random_connected rng ~n ~m:(2 * n) in
       let profile = new_profile () in
-      let r, wall_ns =
-        timed (fun () ->
-            ME.run ~max_rounds:30_000 ?profile g Scheduler.Synchronous rng
-              ~init:(ME.initial g))
+      let r =
+        ME.run ~max_rounds:30_000 ?profile g Scheduler.Synchronous rng ~init:(ME.initial g)
       in
       let weight, is_mst =
         match Mst_builder.tree_of g r.ME.states with
@@ -146,7 +137,7 @@ let e1 () =
       pp_profile ppf profile;
       [
         record ~exp:"E1" ~algo:"mst" ~n ~rounds:r.ME.rounds ~steps:r.ME.steps
-          ~max_bits:r.ME.max_bits ~wall_ns ();
+          ~max_bits:r.ME.max_bits ();
       ]);
   Format.printf
     "shape: rounds polynomial in n; bits within a constant of log^2 n (space-optimal).@."
@@ -177,9 +168,7 @@ let e2 () =
       let g = gen rng in
       let n = Graph.n g in
       let profile = new_profile () in
-      let r, wall_ns =
-        timed (fun () -> DE.run ?profile g Scheduler.Synchronous rng ~init:(DE.initial g))
-      in
+      let r = DE.run ?profile g Scheduler.Synchronous rng ~init:(DE.initial g) in
       let deg =
         match Mdst_builder.tree_of g r.DE.states with
         | Some t -> Tree.max_degree t
@@ -195,7 +184,7 @@ let e2 () =
       pp_profile ppf profile;
       [
         record ~exp:"E2" ~algo:"mdst" ~n ~rounds:r.DE.rounds ~steps:r.DE.steps
-          ~max_bits:r.DE.max_bits ~wall_ns ();
+          ~max_bits:r.DE.max_bits ();
       ]);
   Format.printf "shape: stable degree <= OPT+1 (FR-trees); bits O(log n).@."
 
@@ -309,21 +298,16 @@ let e5 () =
       let rng = rng_of (500 + n) in
       let g = Generators.gnp rng ~n ~p:(4.0 /. float_of_int n) in
       let profile = new_profile () in
-      let r, r_ns =
-        timed (fun () ->
-            BE.run ?profile g Scheduler.Synchronous rng ~init:(BE.adversarial rng g))
-      in
-      let a, a_ns =
-        timed (fun () -> AE.run g Scheduler.Synchronous rng ~init:(AE.adversarial rng g))
-      in
+      let r = BE.run ?profile g Scheduler.Synchronous rng ~init:(BE.adversarial rng g) in
+      let a = AE.run g Scheduler.Synchronous rng ~init:(AE.adversarial rng g) in
       Format.fprintf ppf "%6d | %8d %6d %6b | %9d %6d %6b@." n r.BE.rounds r.BE.max_bits
         r.BE.legal a.AE.rounds a.AE.max_bits a.AE.legal;
       pp_profile ppf profile;
       [
         record ~exp:"E5" ~algo:"bfs" ~n ~rounds:r.BE.rounds ~steps:r.BE.steps
-          ~max_bits:r.BE.max_bits ~wall_ns:r_ns ();
+          ~max_bits:r.BE.max_bits ();
         record ~exp:"E5" ~algo:"adhoc-bfs" ~n ~rounds:a.AE.rounds ~steps:a.AE.steps
-          ~max_bits:a.AE.max_bits ~wall_ns:a_ns ();
+          ~max_bits:a.AE.max_bits ();
       ]);
   Format.printf
     "shape: both O(n) rounds and O(log n) bits; the PLS-guided version also elects the \
@@ -567,17 +551,14 @@ let e11 () =
       let rng = rng_of (1100 + n) in
       let g = Generators.random_connected rng ~n ~m:(2 * n) in
       let profile = new_profile () in
-      let r, wall_ns =
-        timed (fun () ->
-            SE.run ?profile g Scheduler.Synchronous rng ~init:(SE.adversarial rng g))
-      in
+      let r = SE.run ?profile g Scheduler.Synchronous rng ~init:(SE.adversarial rng g) in
       Format.fprintf ppf "%6d %8d %8d %8b %10d@." n r.SE.rounds r.SE.max_bits
         (Spt_builder.is_spt g r.SE.states)
         (Spt_builder.potential g r.SE.states);
       pp_profile ppf profile;
       [
         record ~exp:"E11" ~algo:"spt" ~n ~rounds:r.SE.rounds ~steps:r.SE.steps
-          ~max_bits:r.SE.max_bits ~wall_ns ();
+          ~max_bits:r.SE.max_bits ();
       ]);
   Format.printf "shape: silent on the exact Dijkstra distances, O(log n) bits.@."
 
@@ -622,8 +603,7 @@ module SP = Spt_builder.Engine_packed
 
 let ebig () =
   header "BIG" "big-n tier (SCALING.md): packed engine, sparse m = 2n";
-  Format.printf "%-5s %7s %8s %11s %6s %6s %11s@." "algo" "n" "rounds" "steps" "bits"
-    "legal" "wall ms";
+  Format.printf "%-5s %7s %8s %11s %6s %6s@." "algo" "n" "rounds" "steps" "bits" "legal";
   let keep ns = List.filter (fun n -> n <= big_nmax) ns in
   let cells =
     List.map (fun n -> `Bfs n) (keep [ 1_000; 10_000; 100_000 ])
@@ -632,63 +612,49 @@ let ebig () =
     @ List.map (fun n -> `Mdst n) (keep [ 1_000 ])
   in
   par_rows cells (fun ppf cell ->
-      let row ~exp ~algo ~n ~rounds ~steps ~max_bits ~legal ~silent ~profile wall_ns =
-        Format.fprintf ppf "%-5s %7d %8d %11d %6d %6b %11.1f%s@." algo n rounds steps
-          max_bits legal
-          (float_of_int wall_ns /. 1e6)
+      let row ~exp ~algo ~n ~rounds ~steps ~max_bits ~legal ~silent ~profile =
+        Format.fprintf ppf "%-5s %7d %8d %11d %6d %6b%s@." algo n rounds steps max_bits legal
           (if silent then "" else "  (step budget hit)");
         pp_profile ppf profile;
-        [ record ~tier:"big" ~exp ~algo ~n ~rounds ~steps ~max_bits ~wall_ns () ]
+        [ record ~tier:"big" ~exp ~algo ~n ~rounds ~steps ~max_bits () ]
       in
       match cell with
       | `Bfs n ->
           let rng = rng_of (1300 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
           let profile = new_profile () in
-          let r, wall_ns =
-            timed (fun () ->
-                BP.run ?profile g Scheduler.Synchronous rng ~init:(BP.adversarial rng g))
-          in
+          let r = BP.run ?profile g Scheduler.Synchronous rng ~init:(BP.adversarial rng g) in
           row ~exp:"E1" ~algo:"bfs" ~n ~rounds:r.BP.rounds ~steps:r.BP.steps
             ~max_bits:r.BP.max_bits
             ~legal:(Bfs_builder.is_bfs_tree g r.BP.states)
-            ~silent:r.BP.silent ~profile wall_ns
+            ~silent:r.BP.silent ~profile
       | `Spt n ->
           let rng = rng_of (1400 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
           let profile = new_profile () in
-          let r, wall_ns =
-            timed (fun () ->
-                SP.run ?profile g Scheduler.Synchronous rng ~init:(SP.adversarial rng g))
-          in
+          let r = SP.run ?profile g Scheduler.Synchronous rng ~init:(SP.adversarial rng g) in
           row ~exp:"E2" ~algo:"spt" ~n ~rounds:r.SP.rounds ~steps:r.SP.steps
             ~max_bits:r.SP.max_bits
             ~legal:(Spt_builder.is_spt g r.SP.states)
-            ~silent:r.SP.silent ~profile wall_ns
+            ~silent:r.SP.silent ~profile
       | `Mst n ->
           let rng = rng_of (1500 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
           let profile = new_profile () in
-          let r, wall_ns =
-            timed (fun () ->
-                ME.run ~max_steps:(20 * n) ?profile g Scheduler.Synchronous rng
-                  ~init:(ME.initial g))
+          let r =
+            ME.run ~max_steps:(20 * n) ?profile g Scheduler.Synchronous rng ~init:(ME.initial g)
           in
           row ~exp:"E1" ~algo:"mst" ~n ~rounds:r.ME.rounds ~steps:r.ME.steps
             ~max_bits:r.ME.max_bits ~legal:r.ME.legal ~silent:r.ME.silent ~profile
-            wall_ns
       | `Mdst n ->
           let rng = rng_of (1600 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
           let profile = new_profile () in
-          let r, wall_ns =
-            timed (fun () ->
-                DE.run ~max_steps:(20 * n) ?profile g Scheduler.Synchronous rng
-                  ~init:(DE.initial g))
+          let r =
+            DE.run ~max_steps:(20 * n) ?profile g Scheduler.Synchronous rng ~init:(DE.initial g)
           in
           row ~exp:"E2" ~algo:"mdst" ~n ~rounds:r.DE.rounds ~steps:r.DE.steps
-            ~max_bits:r.DE.max_bits ~legal:r.DE.legal ~silent:r.DE.silent ~profile
-            wall_ns);
+            ~max_bits:r.DE.max_bits ~legal:r.DE.legal ~silent:r.DE.silent ~profile);
   Format.printf
     "shape: bfs/spt reach silence in O(diameter) rounds with flat O(n + m) memory; the \
      label-stacked mst/mdst rows record budgeted progress (their step complexity is the \

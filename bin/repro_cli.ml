@@ -239,11 +239,11 @@ let sweep_cmd =
       $ jobs_arg)
 
 let bench_diff_cmd =
-  let diff old_path new_path steps_tol require_identical =
+  let diff old_path new_path require_identical =
     if require_identical then
       (* Schema-agnostic identity gate for parallel-campaign artifacts:
-         same seeds at different --jobs must agree in every field except
-         wall time. Works on BENCH_repro.json and CHAOS_repro.json. *)
+         same seeds at different --jobs must agree in every field. Works
+         on BENCH_repro.json, CHAOS_repro.json and SERVICE_repro.json. *)
       match
         (Repro_bench.Diff.load_json old_path, Repro_bench.Diff.load_json new_path)
       with
@@ -251,20 +251,17 @@ let bench_diff_cmd =
       | Ok old_json, Ok new_json -> (
           match Repro_bench.Diff.first_divergence old_json new_json with
           | None ->
-              Format.printf "bench-diff: IDENTICAL (ignoring wall_ns)@.";
+              Format.printf "bench-diff: IDENTICAL@.";
               `Ok ()
           | Some divergence ->
               Format.printf "artifacts differ at %s@." divergence;
               Format.printf "bench-diff: FAIL@.";
               exit 1)
     else
-      let pct p = float_of_int p /. 100.0 in
       match (Repro_bench.Diff.load old_path, Repro_bench.Diff.load new_path) with
       | Error msg, _ | _, Error msg -> `Error (false, msg)
       | Ok old_records, Ok new_records ->
-          let report =
-            Repro_bench.Diff.diff ~steps_tol:(pct steps_tol) ~old_records ~new_records ()
-          in
+          let report = Repro_bench.Diff.diff ~old_records ~new_records in
           Format.printf "%a" Repro_bench.Diff.pp_report report;
           if report.Repro_bench.Diff.comparisons = [] then
             `Error (false, "no overlapping records between the two artifacts")
@@ -289,34 +286,23 @@ let bench_diff_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"NEW" ~doc:"Candidate BENCH_repro.json artifact.")
   in
-  let steps_tol_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "steps-tol" ] ~docv:"PCT"
-          ~doc:
-            "Allowed regression in steps and rounds, percent (they are \
-             deterministic for a pinned seed, so any growth is a semantic change).")
-  in
   let require_identical_arg =
     Arg.(
       value & flag
       & info [ "require-identical" ]
           ~doc:
-            "Identity mode: strip every wall_ns and qps field from both artifacts and \
-             fail on any other difference (field drift, record order, missing/extra \
-             records). Schema-agnostic, so it also gates CHAOS_repro.json and \
-             SERVICE_repro.json produced at different --jobs values.")
+            "Identity mode: fail on any difference between the two JSON documents \
+             (field drift, record order, missing/extra records). Schema-agnostic, so \
+             it also gates CHAOS_repro.json and SERVICE_repro.json produced at \
+             different --jobs values.")
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two BENCH_repro.json or SERVICE_repro.json artifacts; exit 1 on a \
-          steps/rounds regression beyond tolerance (or, with --require-identical, on \
-          any non-wall difference). wall_ns and qps are printed, never gated.")
-    Term.(
-      ret
-        (const diff $ old_arg $ new_arg $ steps_tol_arg $ require_identical_arg))
-
+         "Compare two BENCH_repro.json or SERVICE_repro.json artifacts; exit 1 if any \
+          record both carry differs in steps, rounds or max_bits (or, with \
+          --require-identical, on any difference at all).")
+    Term.(ret (const diff $ old_arg $ new_arg $ require_identical_arg))
 
 (* The flags chaos and serve share: topology, matrix axes (builders,
    daemons, seeds), round budget, artifact path, pool size and trace
@@ -478,53 +464,36 @@ let chaos_cmd =
     Term.(const chaos $ matrix $ plans_arg $ max_injections_arg)
 
 let serve_cmd =
-  let serve m traces retry_budget max_retries queries_per_round big big_nmax queries
-      query_jobs =
-    let query_jobs = if query_jobs > 0 then query_jobs else Pool.default_jobs () in
+  let serve m traces big big_nmax =
     let oc = open_outputs m in
-    let cells, baselines =
-      Pool.with_pool ~jobs:(max m.jobs query_jobs) (fun pool ->
-          let std =
-            Service_campaign.churn_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds
-              ~seed_base:m.seed ~algos:m.algos ~traces ~daemons:m.daemons
-              ~max_rounds:m.max_rounds ~retry_budget ~max_retries ~queries_per_round
-              ?trace_dir:m.trace_dir ()
-          in
-          if not big then (std, [])
-          else begin
-            (* The big serve-bench tier: qps vs churn rate (two
-               flash-crowd intensities) at growing n, clamped by
-               --big-nmax like the bench tier. *)
-            let big_traces =
-              [
-                { Churn.spec = Churn.Flash_crowd 2; timing = Churn.At_silence };
-                { Churn.spec = Churn.Flash_crowd 8; timing = Churn.At_silence };
-              ]
-            in
-            let ns = List.filter (fun x -> x <= big_nmax) Service_campaign.big_ns in
-            let bench, baselines =
-              Service_campaign.run_bench ~pool ~ns ~algos:Service_campaign.big_algos
-                ~traces:big_traces ~seed_base:m.seed ~queries ~query_jobs
-                ~baseline_nmax:1_000 ~max_rounds:m.max_rounds ~retry_budget ~max_retries
-                ~queries_per_round ()
-            in
-            (std @ bench, baselines)
-          end)
+    let cells =
+      Pool.with_pool ~jobs:m.jobs (fun pool ->
+          Service_campaign.churn_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds
+            ~seed_base:m.seed ~algos:m.algos ~traces ~daemons:m.daemons
+            ~max_rounds:m.max_rounds ?trace_dir:m.trace_dir ())
     in
-    let baseline_line (b : Service_campaign.baseline) =
-      Printf.sprintf
-        "serve-bench baseline: algo=%s trace=%s n=%d snapshot_qps=%d chase_qps=%d \
-         speedup=%.1fx"
-        b.b_algo b.b_trace b.b_n b.b_snapshot_qps b.b_chase_qps
-        (float_of_int b.b_snapshot_qps /. float_of_int (max 1 b.b_chase_qps))
+    let cells =
+      if not big then cells
+      else
+        (* The big serve-bench tier: churn rate (two flash-crowd
+           intensities) at growing n, clamped by --big-nmax like the
+           bench tier. *)
+        let big_traces =
+          [
+            { Churn.spec = Churn.Flash_crowd 2; timing = Churn.At_silence };
+            { Churn.spec = Churn.Flash_crowd 8; timing = Churn.At_silence };
+          ]
+        in
+        let ns = List.filter (fun x -> x <= big_nmax) Service_campaign.big_ns in
+        cells
+        @ Service_campaign.run_bench ~ns ~algos:Service_campaign.big_algos
+            ~traces:big_traces ~seed_base:m.seed ~max_rounds:m.max_rounds ()
     in
     finish "serve" m oc
-      ~lines:
-        ((Service_campaign.csv_header :: List.map Service_campaign.csv_row cells)
-        @ List.map baseline_line baselines)
+      ~lines:(Service_campaign.csv_header :: List.map Service_campaign.csv_row cells)
       ~json:
         (Service_campaign.campaign_json ~family:m.family ~n:m.n ~seeds:m.seeds
-           ~seed_base:m.seed ~traces ~retry_budget ~max_retries ~queries_per_round cells)
+           ~seed_base:m.seed ~traces cells)
       ~cells:(List.length cells)
       ~failed:
         (List.filter_map
@@ -548,29 +517,6 @@ let serve_cmd =
              flash-crowd:K, regional:K, maintenance:K; timings silence, every:R), or \
              'defaults'.")
   in
-  let retry_budget_arg =
-    Arg.(
-      value & opt int 2_000
-      & info [ "retry-budget" ] ~docv:"R"
-          ~doc:
-            "Round budget of each degradation-ladder rung past the first attempt (the \
-             first attempt gets R from an every:R timing, this budget under silence).")
-  in
-  let max_retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "max-retries" ] ~docv:"K"
-          ~doc:"Same-daemon retries before escalating to the fallback daemon.")
-  in
-  let queries_per_round_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "queries-per-round" ] ~docv:"Q"
-          ~doc:
-            "Pair reads served from the committed label snapshot at every round \
-             boundary of a recovery (parent/root/degree/ancestor/nca/route-length \
-             lookups, re-checked for staleness when the event closes).")
-  in
   let big_arg =
     Arg.(
       value & flag
@@ -578,10 +524,8 @@ let serve_cmd =
           ~doc:
             (Printf.sprintf
                "Append the big serve-bench tier: %s x n in {1e3,1e4,1e5} x two \
-                flash-crowd intensities under the synchronous daemon, each episode \
-                followed by a timed batch of snapshot pair queries; cells carry \
-                tier=big and qps. At n=1000 the O(n) parent-chase baseline is \
-                measured too and printed for comparison."
+                flash-crowd intensities under the synchronous daemon; cells carry \
+                tier=big."
                (String.concat "/" (List.map Builders.name Service_campaign.big_algos))))
   in
   let big_nmax_arg =
@@ -589,22 +533,6 @@ let serve_cmd =
       value & opt int 100_000
       & info [ "big-nmax" ] ~docv:"N"
           ~doc:"Clamp the big-tier sizes to n <= $(docv) (CI uses 1000).")
-  in
-  let queries_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "queries" ] ~docv:"Q"
-          ~doc:"Pair queries per big-tier qps measurement batch.")
-  in
-  let query_jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "query-jobs" ] ~docv:"W"
-          ~doc:
-            "Worker streams a big-tier query batch fans out over (0 = the pool \
-             default). Each stream draws from its own seeded RNG and results merge \
-             in canonical worker order, so everything but the wall-derived qps is \
-             independent of $(docv).")
   in
   let matrix =
     matrix_term ~cmd:"serve" ~eligible:Builders.serves ~show:Builders.describe
@@ -624,8 +552,7 @@ let serve_cmd =
           recover. Builders with a fixed-width codec run on the packed service engine \
           (see SCALING.md).")
     Term.(
-      const serve $ matrix $ traces_arg $ retry_budget_arg $ max_retries_arg
-      $ queries_per_round_arg $ big_arg $ big_nmax_arg $ queries_arg $ query_jobs_arg)
+      const serve $ matrix $ traces_arg $ big_arg $ big_nmax_arg)
 
 let slurp path =
   let ic = open_in_bin path in

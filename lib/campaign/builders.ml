@@ -196,21 +196,15 @@ let run ?events ?(faults = 0) ~adversarial ~max_rounds (Builder e) g sched rng =
 
 (* The same rule for service episodes: the packed service engine iff
    the entry has a codec. *)
-let serve_entry (type s) (e : s entry) ?max_rounds ?retry_budget ?max_retries
-    ?queries_per_round ?snapshot ?events g ~sched ~fallback rng trace =
+let serve_entry (type s) (e : s entry) ?max_rounds ?events g ~sched ~fallback rng trace =
   let watch_phi = e.cheap_phi in
   match (e.packed, e.tree) with
   | Some (module K), _ ->
       let module S = Service.Make_packed (K) in
-      S.run ?max_rounds ?retry_budget ?max_retries ?queries_per_round ~watch_phi ?snapshot
-        ?events g ~sched ~fallback rng trace
+      S.run ?max_rounds ~watch_phi ?events g ~sched ~fallback rng trace
   | None, Some (module T) ->
       let module S = Service.Make (T) in
-      S.run ?max_rounds ?retry_budget ?max_retries ?queries_per_round ~watch_phi ?snapshot
-        ?events g ~sched ~fallback rng trace
+      S.run ?max_rounds ~watch_phi ?events g ~sched ~fallback rng trace
   | None, None -> invalid_arg (e.name ^ ": not a tree builder")
 
-let serve ?max_rounds ?retry_budget ?max_retries ?queries_per_round ?snapshot ?events
-    (Builder e) =
-  serve_entry e ?max_rounds ?retry_budget ?max_retries ?queries_per_round ?snapshot
-    ?events
+let serve ?max_rounds ?events (Builder e) = serve_entry e ?max_rounds ?events

@@ -148,10 +148,6 @@ val run :
     @raise Invalid_argument if [b] has no parent projection. *)
 val serve :
   ?max_rounds:int ->
-  ?retry_budget:int ->
-  ?max_retries:int ->
-  ?queries_per_round:int ->
-  ?snapshot:Repro_service.Snapshot.t ->
   ?events:Events.t ->
   t ->
   Graph.t ->

@@ -12,7 +12,6 @@ type cell = {
   n0 : int;
   m0 : int;
   tier : string;
-  qps : int option;
   report : Service.report;
 }
 
@@ -21,7 +20,7 @@ let fallback_for sched_name =
   else ("random", Scheduler.Central Scheduler.Random_daemon)
 
 let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_rounds
-    ~retry_budget ~max_retries ~queries_per_round ?trace_dir () =
+    ?trace_dir () =
   Campaign.run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"trace"
     ~points:(List.map (fun t -> (Churn.name t, t)) traces)
     ~daemons
@@ -29,10 +28,7 @@ let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_ro
     ?trace_dir
     (fun (k : Campaign.key) trace sched g rng events ->
       let fallback_name, fallback = fallback_for k.sched_name in
-      let report =
-        Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round ?events
-          k.builder g ~sched ~fallback rng trace
-      in
+      let report = Builders.serve ~max_rounds ?events k.builder g ~sched ~fallback rng trace in
       {
         algo = Builders.name k.builder;
         trace_name = k.point;
@@ -42,81 +38,18 @@ let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_ro
         n0 = Graph.n g;
         m0 = Graph.m g;
         tier = "std";
-        qps = None;
         report;
       })
 
 (* ------------------------------------------------------------------ *)
 (* The big serve-bench tier (serve --big, the @servebench alias):
    builder x size x churn trace on random-connected graphs under the
-   synchronous daemon, one seed per cell like the big bench tier, then
-   a timed batch of pair queries against the episode's final committed
-   snapshot. Episodes run {e sequentially} — a query batch fans out
-   over the pool, and [Pool.map] nested inside a pool worker would
-   serialize it. *)
+   synchronous daemon, one seed per cell like the big bench tier. *)
 
 let big_ns = [ 1_000; 10_000; 100_000 ]
 let big_algos = [ Builders.bfs; Builders.spt ]
 
-let answer_checksum (a : Snapshot.answer) =
-  a.Snapshot.a_parent + (3 * a.Snapshot.a_root) + (5 * a.Snapshot.a_degree)
-  + (if a.Snapshot.a_ancestor then 7 else 0)
-  + (11 * a.Snapshot.a_nca) + (13 * a.Snapshot.a_route)
-
-(* Chunk [queries] across [query_jobs] seeded worker streams and time
-   the whole batch. Per-worker results come back in worker order
-   (Pool.map's determinism contract), so the folded checksum is stable
-   for a fixed [query_jobs] at any pool size — only the wall-derived
-   qps varies. *)
-let timed_batch pool ~queries ~query_jobs ~seed_base worker =
-  let jobs = max 1 query_jobs in
-  let per = queries / jobs and rem = queries mod jobs in
-  let plan = List.init jobs (fun w -> (w, per + if w < rem then 1 else 0)) in
-  let t0 = Unix.gettimeofday () in
-  let sums =
-    Pool.map pool
-      (fun (w, k) -> worker (Random.State.make [| seed_base; 0x9E5; w |]) k)
-      plan
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let qps = int_of_float (float_of_int queries /. Float.max 1e-9 wall) in
-  (qps, List.fold_left ( + ) 0 sums)
-
-let measure_qps pool snap ~queries ~query_jobs ~seed_base =
-  let n = Snapshot.n snap in
-  timed_batch pool ~queries ~query_jobs ~seed_base (fun rng k ->
-      let acc = ref 0 in
-      for _ = 1 to k do
-        let v = Random.State.int rng n in
-        let u = Random.State.int rng n in
-        acc := !acc + answer_checksum (Snapshot.answer snap ~v ~u)
-      done;
-      !acc)
-
-(* The pre-snapshot read path timed the same way — the O(n)-per-query
-   parent-chase baseline the PERFORMANCE.md speedup table quotes. *)
-let measure_chase_qps pool snap ~queries ~query_jobs ~seed_base =
-  let n = Snapshot.n snap in
-  let parents = Array.init n (Snapshot.parent snap) in
-  timed_batch pool ~queries ~query_jobs ~seed_base (fun rng k ->
-      let acc = ref 0 in
-      for _ = 1 to k do
-        let v = Random.State.int rng n in
-        let parent, root, degree = Service.answer parents v in
-        acc := !acc + parent + (3 * root) + (5 * degree)
-      done;
-      !acc)
-
-type baseline = {
-  b_algo : string;
-  b_trace : string;
-  b_n : int;
-  b_snapshot_qps : int;
-  b_chase_qps : int;
-}
-
-let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~baseline_nmax
-    ~max_rounds ~retry_budget ~max_retries ~queries_per_round () =
+let run_bench ~ns ~algos ~traces ~seed_base ~max_rounds () =
   let sched_name = "synchronous" and sched = Scheduler.Synchronous in
   let fallback_name, fallback = fallback_for sched_name in
   let specs =
@@ -125,53 +58,26 @@ let run_bench ~pool ~ns ~algos ~traces ~seed_base ~queries ~query_jobs ~baseline
         List.concat_map (fun n -> List.map (fun t -> (builder, n, t)) traces) ns)
       algos
   in
-  let baselines = ref [] in
-  let cells =
-    List.map
-      (fun (builder, n, trace) ->
-        let algo = Builders.name builder and trace_name = Churn.name trace in
-        let rng =
-          Random.State.make
-            [| seed_base; Hashtbl.hash (algo, trace_name, sched_name); n; 1 |]
-        in
-        let g = Generators.random_connected rng ~n ~m:(2 * n) in
-        let snapshot = Snapshot.create () in
-        let report =
-          Builders.serve ~max_rounds ~retry_budget ~max_retries ~queries_per_round
-            ~snapshot builder g ~sched ~fallback rng trace
-        in
-        let qps, _checksum =
-          measure_qps pool snapshot ~queries ~query_jobs ~seed_base
-        in
-        if n <= baseline_nmax then begin
-          let chase, _ =
-            measure_chase_qps pool snapshot ~queries ~query_jobs ~seed_base
-          in
-          baselines :=
-            {
-              b_algo = algo;
-              b_trace = trace_name;
-              b_n = n;
-              b_snapshot_qps = qps;
-              b_chase_qps = chase;
-            }
-            :: !baselines
-        end;
-        {
-          algo;
-          trace_name;
-          sched_name;
-          fallback_name;
-          seed_index = 1;
-          n0 = Graph.n g;
-          m0 = Graph.m g;
-          tier = "big";
-          qps = Some qps;
-          report;
-        })
-      specs
-  in
-  (cells, List.rev !baselines)
+  List.map
+    (fun (builder, n, trace) ->
+      let algo = Builders.name builder and trace_name = Churn.name trace in
+      let rng =
+        Random.State.make [| seed_base; Hashtbl.hash (algo, trace_name, sched_name); n; 1 |]
+      in
+      let g = Generators.random_connected rng ~n ~m:(2 * n) in
+      let report = Builders.serve ~max_rounds builder g ~sched ~fallback rng trace in
+      {
+        algo;
+        trace_name;
+        sched_name;
+        fallback_name;
+        seed_index = 1;
+        n0 = Graph.n g;
+        m0 = Graph.m g;
+        tier = "big";
+        report;
+      })
+    specs
 
 let recovered c = c.report.Service.recovered
 
@@ -232,9 +138,6 @@ type artifact = {
   seeds : int;
   seed_base : int;
   traces : Churn.t list;
-  retry_budget : int;
-  max_retries : int;
-  queries_per_round : int;
   cells : cell list;
 }
 
@@ -262,7 +165,6 @@ module Fields = struct
   let rounds = field "rounds" int (fun c -> c.report.Service.rounds)
   let steps = field "steps" int (fun c -> c.report.Service.steps)
   let max_bits = field "max_bits" int (fun c -> c.report.Service.max_bits)
-  let qps = field "qps" (optional int) (fun c -> c.qps)
 end
 
 let cell : cell Artifact.t =
@@ -286,7 +188,6 @@ let cell : cell Artifact.t =
         (field "verdict" (enum Watchdog.verdict_names) (fun c ->
              Watchdog.verdict_name c.report.Service.verdict));
       F Fields.max_bits;
-      F Fields.qps;
       F (field "totals" (obj totals) (fun c -> c.report.Service.events));
       F (field "events" (list (obj event)) (fun c -> c.report.Service.events));
     ]
@@ -307,9 +208,9 @@ let artifact : artifact Artifact.t =
                 F (field "n" int (fun a -> a.size));
                 F (field "seeds" int (fun a -> a.seeds));
                 F (field "seed_base" int (fun a -> a.seed_base));
-                F (field "retry_budget" int (fun a -> a.retry_budget));
-                F (field "max_retries" int (fun a -> a.max_retries));
-                F (field "queries_per_round" int (fun a -> a.queries_per_round));
+                F (field "retry_budget" int (fun _ -> Service.retry_budget));
+                F (field "max_retries" int (fun _ -> Service.max_retries));
+                F (field "queries_per_round" int (fun _ -> Service.queries_per_round));
                 F (field "traces" (list string) (fun a -> List.map Churn.name a.traces));
               ])
            Fun.id);
@@ -328,11 +229,8 @@ let artifact : artifact Artifact.t =
            (fun a -> a.cells));
     ]
 
-let campaign_json ~family ~n ~seeds ~seed_base ~traces ~retry_budget ~max_retries
-    ~queries_per_round cells =
-  Artifact.to_json artifact
-    { family; size = n; seeds; seed_base; traces; retry_budget; max_retries;
-      queries_per_round; cells }
+let campaign_json ~family ~n ~seeds ~seed_base ~traces cells =
+  Artifact.to_json artifact { family; size = n; seeds; seed_base; traces; cells }
 
 let validate j =
   Result.bind (Artifact.check artifact j) (fun () ->

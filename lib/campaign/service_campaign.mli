@@ -15,7 +15,6 @@ type cell = {
   n0 : int;  (** starting topology *)
   m0 : int;
   tier : string;  (** "std" (the churn matrix) or "big" (serve bench) *)
-  qps : int option;  (** big tier only: measured snapshot-read throughput *)
   report : Repro_service.Service.report;
 }
 
@@ -30,7 +29,8 @@ val fallback_for : string -> string * Repro_runtime.Scheduler.t
     meta headers add each cell's ["fallback"] daemon): one
     {!Builders.serve} episode per cell, [tier = "std"] — so
     fixed-width builders run on the packed engine, traced or not, with
-    the watchdog's default thresholds.
+    the watchdog's default thresholds and the ladder's constants
+    ({!Repro_service.Service.retry_budget}).
     @raise Invalid_argument on a builder without a parent projection
     ({!Builders.serves}). *)
 val churn_matrix :
@@ -43,9 +43,6 @@ val churn_matrix :
   traces:Repro_service.Churn.t list ->
   daemons:(string * Repro_runtime.Scheduler.t) list ->
   max_rounds:int ->
-  retry_budget:int ->
-  max_retries:int ->
-  queries_per_round:int ->
   ?trace_dir:string ->
   unit ->
   cell list
@@ -58,64 +55,19 @@ val big_ns : int list
 
 val big_algos : Builders.t list
 
-(** [measure_qps pool snap ~queries ~query_jobs ~seed_base] — time
-    [queries] random pair lookups ({!Repro_service.Snapshot.answer})
-    against a committed snapshot, fanned out over [query_jobs] seeded
-    worker streams on the pool; returns [(qps, checksum)]. The
-    checksum folds every answer in canonical worker order, so it is
-    deterministic for a fixed [query_jobs] at any pool size — only the
-    wall-derived qps varies run to run. *)
-val measure_qps :
-  Repro_runtime.Pool.t ->
-  Repro_service.Snapshot.t ->
-  queries:int ->
-  query_jobs:int ->
-  seed_base:int ->
-  int * int
-
-(** The same batch against the pre-snapshot read path
-    ({!Repro_service.Service.answer} parent-chase over the committed
-    parents) — the O(n)-per-query baseline. *)
-val measure_chase_qps :
-  Repro_runtime.Pool.t ->
-  Repro_service.Snapshot.t ->
-  queries:int ->
-  query_jobs:int ->
-  seed_base:int ->
-  int * int
-
-(** One baseline comparison row (cells with [n <= baseline_nmax]). *)
-type baseline = {
-  b_algo : string;
-  b_trace : string;
-  b_n : int;
-  b_snapshot_qps : int;
-  b_chase_qps : int;
-}
-
 (** [run_bench] — the big tier: one episode per builder x size x trace
     (synchronous daemon, random-connected graphs with m = 2n, one seed
-    per cell), each followed by a timed query batch against the final
-    committed snapshot; cells carry [tier = "big"] and [qps]. Untraced,
-    so the fixed-width builders run on the packed service engine. Episodes
-    run sequentially on the calling domain — the query batches are
-    what fans out over [pool] ([Pool.map] nested inside a pool worker
-    would serialize them). *)
+    per cell), run in that order on the calling domain; cells carry
+    [tier = "big"]. Untraced, so the fixed-width builders run on the
+    packed service engine. *)
 val run_bench :
-  pool:Repro_runtime.Pool.t ->
   ns:int list ->
   algos:Builders.t list ->
   traces:Repro_service.Churn.t list ->
   seed_base:int ->
-  queries:int ->
-  query_jobs:int ->
-  baseline_nmax:int ->
   max_rounds:int ->
-  retry_budget:int ->
-  max_retries:int ->
-  queries_per_round:int ->
   unit ->
-  cell list * baseline list
+  cell list
 
 val csv_header : string
 val csv_row : cell -> string
@@ -135,8 +87,8 @@ val failure_line : cell -> string
 (** {2 The SERVICE_repro.json artifact}
 
     Declared once ({!Repro_runtime.Artifact}): [{meta, cells,
-    summary}], the meta naming the churn traces, each cell carrying
-    its final topology, verdict, [qps] on the big tier only, the
+    summary}], the meta naming the churn traces and the ladder's
+    constants, each cell carrying its final topology, verdict, the
     [totals] of its per-event counters and its per-event recovery
     records. {!campaign_json}, {!validate} and [bench-diff]'s reads
     ({!Fields}) are all derived from that declaration. *)
@@ -147,9 +99,6 @@ val campaign_json :
   seeds:int ->
   seed_base:int ->
   traces:Repro_service.Churn.t list ->
-  retry_budget:int ->
-  max_retries:int ->
-  queries_per_round:int ->
   cell list ->
   Repro_runtime.Metrics.Json.t
 
@@ -168,7 +117,6 @@ module Fields : sig
   val rounds : int f
   val steps : int f
   val max_bits : int f
-  val qps : int option f
 end
 
 (** A whole SERVICE_repro.json document. *)

@@ -45,25 +45,12 @@ type report = {
   max_bits : int;
 }
 
-(* The pre-snapshot read path, kept as the benchmark baseline: parent
-   link, root by bounded parent-chase (fuel n; -1 = the chase cycled),
-   tree degree by a full scan. O(n) per query where the committed
-   snapshot answers in O(1). *)
-let answer parents v =
-  let n = Array.length parents in
-  let parent = parents.(v) in
-  let root =
-    let rec go u fuel =
-      if fuel = 0 then -1
-      else
-        let p = parents.(u) in
-        if p < 0 || p >= n || p = u then u else go p (fuel - 1)
-    in
-    go v n
-  in
-  let degree = ref (if parent >= 0 && parent < n && parent <> v then 1 else 0) in
-  Array.iteri (fun u p -> if u <> v && p = v then incr degree) parents;
-  (parent, root, !degree)
+(* The degradation ladder's policy: the round budget of every rung past
+   the first attempt, the same-daemon retries before escalating, and the
+   pair reads served per round boundary of a recovery. *)
+let retry_budget = 2_000
+let max_retries = 2
+let queries_per_round = 2
 
 (* ------------------------------------------------------------------ *)
 (* The episode driver, shared between the boxed and packed engines.
@@ -119,9 +106,8 @@ module Driver (B : BACKEND) = struct
   (* The episode's step cap. *)
   let max_steps = 2_000_000
 
-  let run ?(max_rounds = 20_000) ?(retry_budget = 2_000) ?(max_retries = 2)
-      ?(queries_per_round = 2) ?(watch_phi = false) ?snapshot ?events g0 ~sched ~fallback
-      rng (trace : Churn.t) =
+  let run ?(max_rounds = 20_000) ?(watch_phi = false) ?events g0 ~sched ~fallback rng
+      (trace : Churn.t) =
     (* Canned generators expand against the starting topology, before
        any engine run, so the op list is pinned by the seed alone. *)
     let ops = Churn.expand rng g0 trace.Churn.spec in
@@ -138,7 +124,7 @@ module Driver (B : BACKEND) = struct
     let last_ok = ref false in
     (* Committed labels: the double-buffered snapshot reads are served
        from. Until the first commit no reads are served ([ready]). *)
-    let snap = match snapshot with Some s -> s | None -> Snapshot.create () in
+    let snap = Snapshot.create () in
     let served = ref [] in
     let serving = ref false in
     let seg_crashes = ref 0 in

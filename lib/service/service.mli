@@ -32,7 +32,7 @@
     degraded-but-alive regime, not an abort.
 
     {b Reads.} At every round boundary of a recovery,
-    [queries_per_round] deterministic {e pair} queries [(v, u)] are
+    {!queries_per_round} deterministic {e pair} queries [(v, u)] are
     answered from the committed snapshot: parent, root, tree degree,
     ancestry, nearest common ancestor, and tree route length (see
     {!Snapshot.answer}). The pairs depend on the round number alone and
@@ -129,21 +129,24 @@ type report = {
   max_bits : int;
 }
 
-(** [answer parents v] — the pre-snapshot read path, kept as the
-    benchmark baseline: [(parent, root, degree)] with root by bounded
-    parent-chase (fuel n; [-1] = the chase cycled) and degree by a full
-    scan — O(n) per query where {!Snapshot} answers in O(1). *)
-val answer : int array -> int -> int * int * int
+(** {2 The degradation ladder's policy, the same for every episode} *)
+
+(** Round budget of every ladder rung past the first attempt: 2000. *)
+val retry_budget : int
+
+(** Same-daemon retries before the ladder escalates: 2. *)
+val max_retries : int
+
+(** Pair reads served at every round boundary of a recovery: 2. *)
+val queries_per_round : int
 
 module Make (P : TREE_PROTOCOL) : sig
   module E : module type of Repro_runtime.Engine.Make (P)
 
   (** [run g ~sched ~fallback rng trace] — run one service episode.
 
-      [retry_budget] (default 2000) is the round budget of every
-      ladder rung past the first attempt; [max_retries] (default 2)
-      caps same-daemon retries; [queries_per_round] (default 2) is the
-      read load. [watch_phi] feeds the live potential to the
+      The ladder runs at {!retry_budget}, {!max_retries} and
+      {!queries_per_round}. [watch_phi] feeds the live potential to the
       watchdog's stall detector (leave off for expensive potentials);
       the watchdog runs with its default thresholds. [max_rounds]
       (default 20_000) is the episode's round cap, beside a fixed cap
@@ -151,11 +154,6 @@ module Make (P : TREE_PROTOCOL) : sig
       watchdog keeps the episode's round clock ({!Watchdog.last_round}):
       the report's rounds, an event's [apply_round] and [gap] and the
       budgets all read it.
-
-      [snapshot] supplies the committed-label store to serve reads
-      from (so a caller can keep querying the final committed tree
-      after the episode — the serve benchmark does); by default a
-      private one is allocated.
 
       An [events] sink receives the full causal trace on one
       timeline: base stabilization, one [Churn] event per node whose
@@ -171,11 +169,7 @@ module Make (P : TREE_PROTOCOL) : sig
       construction). *)
   val run :
     ?max_rounds:int ->
-    ?retry_budget:int ->
-    ?max_retries:int ->
-    ?queries_per_round:int ->
     ?watch_phi:bool ->
-    ?snapshot:Snapshot.t ->
     ?events:Repro_runtime.Events.t ->
     Repro_graph.Graph.t ->
     sched:Repro_runtime.Scheduler.t ->
@@ -201,11 +195,7 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) : sig
 
   val run :
     ?max_rounds:int ->
-    ?retry_budget:int ->
-    ?max_retries:int ->
-    ?queries_per_round:int ->
     ?watch_phi:bool ->
-    ?snapshot:Snapshot.t ->
     ?events:Repro_runtime.Events.t ->
     Repro_graph.Graph.t ->
     sched:Repro_runtime.Scheduler.t ->

@@ -200,6 +200,7 @@ let root t v = hi t.front.lab.((4 * v) + 3)
 let degree t v = t.front.deg.(v)
 let depth_of lab v = lo lab.((4 * v) + 3)
 let depth t v = depth_of t.front.lab v
+let head t v = t.front.lab.(4 * v)
 
 (* Ancestry through the interval labels, the [Interval_labels] test on
    the decoded (pre, post) pairs, after the same-tree guard. *)

@@ -74,6 +74,13 @@ val degree : t -> int -> int
 (** Hops from [v] to its root; [-1] when [root] is [-1]. O(1). *)
 val depth : t -> int -> int
 
+(** The topmost node of [v]'s heavy path in the committed tree (word 0
+    of [v]'s record); [-1] when [root] is [-1]. The heavy child of a
+    node is its child with the largest subtree, ties broken by the
+    smallest id — the rule of {!Repro_labels.Heavy_path}, whose
+    light-edge bound makes {!nca} O(log n). O(1). *)
+val head : t -> int -> int
+
 (** [is_ancestor t a v] — [a] lies on the committed tree path from [v]
     to its root (reflexive). Two integer compares on the DFS interval
     after a same-tree guard. *)

@@ -1,10 +1,11 @@
-(* Big-n query serving (ISSUE 10): the committed label snapshot must
-   answer every pair query exactly like naive tree walks — on stabilized
-   trees and on degraded (arbitrary, possibly cyclic) parent arrays
-   alike — service episodes must be report- and trace-identical between
-   the boxed and the packed struct-of-arrays engines on shared seeds,
-   loop monitor included, and the mdst silent-but-illegal base
-   stabilization from E13 is minimized and pinned as a known failure. *)
+(* Big-n query serving: the committed label snapshot must answer every
+   pair query exactly like naive tree walks — on stabilized trees and on
+   degraded (arbitrary, possibly cyclic) parent arrays alike — and pick
+   the heavy paths of Heavy_path on legal trees; service episodes must
+   be report- and trace-identical between the boxed and the packed
+   struct-of-arrays engines on shared seeds, loop monitor included; and
+   the mdst silent-but-illegal base stabilization from E13 is minimized
+   and pinned as a known failure. *)
 
 open Repro_graph
 open Repro_runtime
@@ -44,6 +45,25 @@ let naive_chain p v =
 
 let naive_ancestor p a v = List.mem a (naive_chain p v)
 
+(* The pre-snapshot read path: parent link, root by bounded
+   parent-chase (fuel n; -1 = the chase cycled), tree degree by a full
+   scan. O(n) per query where the committed snapshot answers in O(1). *)
+let answer parents v =
+  let n = Array.length parents in
+  let parent = parents.(v) in
+  let root =
+    let rec go u fuel =
+      if fuel = 0 then -1
+      else
+        let p = parents.(u) in
+        if p < 0 || p >= n || p = u then u else go p (fuel - 1)
+    in
+    go v n
+  in
+  let degree = ref (if parent >= 0 && parent < n && parent <> v then 1 else 0) in
+  Array.iteri (fun u p -> if u <> v && p = v then incr degree) parents;
+  (parent, root, !degree)
+
 (* Deepest common node of the two chains: walking up from [v], the
    first node that also sits on [u]'s chain. Chains from different
    trees (or off cycles) never intersect. *)
@@ -54,7 +74,7 @@ let naive_nca p u v =
   | None -> -1
 
 let naive_answer p ~v ~u =
-  let a_parent, a_root, a_degree = Service.answer p v in
+  let a_parent, a_root, a_degree = answer p v in
   let a_nca = naive_nca p u v in
   let a_route =
     if a_nca < 0 then -1
@@ -136,6 +156,36 @@ let gen_parents n =
               (1, oneofl [ min_int; max_int; 1 lsl 40; -(1 lsl 40) ]);
             ])))
 
+(* A random legal tree on [n] nodes as [(root, parents)]: nodes join in
+   a shuffled order, each hanging off an earlier one — uniformly, or off
+   the previous one, so that long paths occur too. *)
+let random_tree rng n =
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let p = Array.make n (-1) in
+  for i = 1 to n - 1 do
+    let j = if Random.State.int rng 4 = 0 then i - 1 else Random.State.int rng i in
+    p.(order.(i)) <- order.(j)
+  done;
+  (order.(0), p)
+
+(* Every node's committed head against [Heavy_path] on the same tree. *)
+let check_heads ?(what = "") snap ~root p =
+  let hp = Repro_labels.Heavy_path.compute (Tree.of_parents ~root p) in
+  Array.iteri
+    (fun v _ ->
+      let want = Repro_labels.Heavy_path.head hp v in
+      if Snapshot.head snap v <> want then
+        QCheck2.Test.fail_reportf "%shead(%d): snapshot %d <> Heavy_path %d" what v
+          (Snapshot.head snap v) want)
+    p;
+  true
+
 let snapshot_props =
   [
     prop ~count:25 "snapshot = naive walks (stabilized bfs trees)" (gen_graph 2 20)
@@ -164,6 +214,21 @@ let snapshot_props =
             Snapshot.commit snap p;
             check_pairs ~what:(Printf.sprintf "n=%d: " (Array.length p)) snap p)
           ps);
+    (* The heavy child is the one with the largest subtree (the O(log n)
+       climb bound rests on it), smallest id on ties. Any heavy child
+       answers every pair correctly, so only the heads themselves can
+       show a wrong choice; one store across commits also catches
+       subtree sizes leaking from the previous commit. *)
+    prop ~count:40 "heads = Heavy_path (legal trees, commit sequence into one store)"
+      QCheck2.Gen.(list_size (int_range 2 6) (pair (int_range 1 70) (int_bound 1_000_000)))
+      (fun specs ->
+        let snap = Snapshot.create () in
+        List.for_all
+          (fun (n, sd) ->
+            let root, p = random_tree (Random.State.make [| sd |]) n in
+            Snapshot.commit snap p;
+            check_heads ~what:(Printf.sprintf "n=%d: " n) snap ~root p)
+          specs);
   ]
 
 (* Double-buffering contract: no reads before the first commit; each
@@ -190,11 +255,19 @@ let test_commit_replaces () =
   ignore (check_all_pairs p3)
 
 (* Deeper climbs than n <= 20 reaches: a stabilized bfs tree at
-   n = 10^4, sampled pairs against the naive walks. *)
+   n = 10^4. *)
+let big_n = 10_000
+
+let big_bfs =
+  lazy
+    (let g =
+       Generators.random_connected (Random.State.make [| big_n |]) ~n:big_n ~m:(2 * big_n)
+     in
+     stabilized_parents (module Builders.Bfs_tree) (big_n, g))
+
+(* Sampled pairs against the naive walks. *)
 let test_big_sampled () =
-  let n = 10_000 in
-  let g = Generators.random_connected (Random.State.make [| n |]) ~n ~m:(2 * n) in
-  let p = stabilized_parents (module Builders.Bfs_tree) (n, g) in
+  let n = big_n and p = Lazy.force big_bfs in
   let snap = Snapshot.create () in
   Snapshot.commit snap p;
   let deepest = ref 0 in
@@ -208,6 +281,15 @@ let test_big_sampled () =
     if Snapshot.answer snap ~v ~u <> naive_answer p ~v ~u then
       Alcotest.failf "n=%d pair (v=%d, u=%d): snapshot answer <> naive walks" n v u
   done
+
+(* Every node's head against [Heavy_path]. *)
+let test_big_heads () =
+  let p = Array.copy (Lazy.force big_bfs) in
+  let root = List.find (fun v -> not (valid p v)) (List.init big_n Fun.id) in
+  p.(root) <- -1;
+  let snap = Snapshot.create () in
+  Snapshot.commit snap p;
+  Alcotest.(check bool) "heads = Heavy_path" true (check_heads snap ~root p)
 
 (* ------------------------------------------------------------------ *)
 (* Packed-vs-boxed service equivalence. The same episode (graph,
@@ -228,14 +310,12 @@ let episode_pair (type s)
   let module SP = Service.Make_packed (P) in
   let boxed_events = Events.ring () and packed_events = Events.ring () in
   let boxed =
-    SB.run ~retry_budget:500 ~max_retries:1 ~queries_per_round:2 ~events:boxed_events g
-      ~sched ~fallback:(Scheduler.Distributed 0.5)
+    SB.run ~events:boxed_events g ~sched ~fallback:(Scheduler.Distributed 0.5)
       (Random.State.make [| sd; 17 |])
       trace
   in
   let packed =
-    SP.run ~retry_budget:500 ~max_retries:1 ~queries_per_round:2 ~events:packed_events g
-      ~sched ~fallback:(Scheduler.Distributed 0.5)
+    SP.run ~events:packed_events g ~sched ~fallback:(Scheduler.Distributed 0.5)
       (Random.State.make [| sd; 17 |])
       trace
   in
@@ -390,6 +470,7 @@ let () =
         [
           Alcotest.test_case "commits replace wholesale" `Quick test_commit_replaces;
           Alcotest.test_case "sampled pairs at n=10^4 (bfs)" `Quick test_big_sampled;
+          Alcotest.test_case "heads = Heavy_path at n=10^4 (bfs)" `Quick test_big_heads;
         ] );
       ("service-equiv", equiv_props);
       ( "service-unit",
