@@ -1,6 +1,7 @@
 (* Experiment harness: regenerates every quantitative artifact of the
-   paper per the index in DESIGN.md (E1-E10), plus Bechamel
-   micro-benchmarks of the core operations.
+   paper per the index in DESIGN.md (E1-E12, plus the big-n tier BIG).
+   Every printed table and every BENCH_repro.json record is decided by
+   the seed; timing lives in bench/perf.
 
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe -- E3 E4    # selected experiments
@@ -22,39 +23,33 @@ module E = Graph.Edge
    the BENCH_repro.json artifact (the smoke gate writes to a declared
    dune target); [--jobs N] sets the worker-domain count for the
    independent experiment cells (default: the machine's recommended
-   domain count; 1 = the exact sequential path); [--profile] attaches
-   engine profiling counters to every recorded engine run and prints
-   them per cell; [--big-nmax N] trims the big-n tier (experiment BIG)
-   to cells with n <= N (the @bigbench alias runs the n=10^3 column
-   only — see SCALING.md); remaining arguments select experiments. *)
-let seed_base, out_path, jobs, profiling, big_nmax, exp_args =
-  let rec go seed out jobs prof nmax acc = function
-    | [] -> (seed, out, jobs, prof, nmax, List.rev acc)
+   domain count; 1 = the exact sequential path); [--big-nmax N] trims
+   the big-n tier (experiment BIG) to cells with n <= N (the @bigbench
+   alias runs the n=10^3 column only — see SCALING.md); remaining
+   arguments select experiments. *)
+let seed_base, out_path, jobs, big_nmax, exp_args =
+  let rec go seed out jobs nmax acc = function
+    | [] -> (seed, out, jobs, nmax, List.rev acc)
     | "--seed" :: v :: rest ->
-        go (match int_of_string_opt v with Some s -> s | None -> seed) out jobs prof nmax
-          acc rest
-    | "--out" :: v :: rest -> go seed v jobs prof nmax acc rest
+        go (match int_of_string_opt v with Some s -> s | None -> seed) out jobs nmax acc
+          rest
+    | "--out" :: v :: rest -> go seed v jobs nmax acc rest
     | "--jobs" :: v :: rest ->
         go seed out
           (match int_of_string_opt v with Some j -> j | None -> jobs)
-          prof nmax acc rest
-    | "--profile" :: rest -> go seed out jobs true nmax acc rest
+          nmax acc rest
     | "--big-nmax" :: v :: rest ->
-        go seed out jobs prof
+        go seed out jobs
           (match int_of_string_opt v with Some m -> m | None -> nmax)
           acc rest
-    | a :: rest -> go seed out jobs prof nmax (a :: acc) rest
+    | a :: rest -> go seed out jobs nmax (a :: acc) rest
   in
-  go 0xE57 "BENCH_repro.json" (Pool.default_jobs ()) false max_int []
+  go 0xE57 "BENCH_repro.json" (Pool.default_jobs ()) max_int []
     (Array.to_list Sys.argv |> List.tl)
 
 let pool = Pool.create ~jobs ()
 let rng_of tag = Random.State.make [| seed_base; tag |]
 let header id title = Format.printf "@.==== %s: %s ====@." id title
-
-let log2c k =
-  let rec go acc p = if p >= k then acc else go (acc + 1) (p * 2) in
-  if k <= 1 then 0 else go 0 1
 
 let selected id = exp_args = [] || List.mem id exp_args
 
@@ -71,15 +66,6 @@ let bench_records : Bench_record.t list ref = ref []
 
 let record ?(tier = "std") ~exp ~algo ~n ~rounds ~steps ~max_bits () =
   { Bench_record.exp; algo; n; tier; rounds; steps; max_bits }
-
-(* --profile support: one fresh counter set per engine run, printed as an
-   extra line under the cell's table row (buffered with the row, so the
-   output stays byte-identical at any --jobs). *)
-let new_profile () = if profiling then Some (Profile.create ()) else None
-
-let pp_profile ppf = function
-  | Some p -> Format.fprintf ppf "       profile: %a@." Profile.pp p
-  | None -> ()
 
 (* The campaign-cell driver: one row per item, farmed out to the domain
    pool. Each row is hermetic (its RNG comes from [rng_of] inside the
@@ -120,9 +106,8 @@ let e1 () =
   par_rows [ 8; 12; 16; 24; 32; 48 ] (fun ppf n ->
       let rng = rng_of (100 + n) in
       let g = Generators.random_connected rng ~n ~m:(2 * n) in
-      let profile = new_profile () in
       let r =
-        ME.run ~max_rounds:30_000 ?profile g Scheduler.Synchronous rng ~init:(ME.initial g)
+        ME.run ~max_rounds:30_000 g Scheduler.Synchronous rng ~init:(ME.initial g)
       in
       let weight, is_mst =
         match Mst_builder.tree_of g r.ME.states with
@@ -131,10 +116,9 @@ let e1 () =
       in
       Format.fprintf ppf "%6d %6d %8d %10d %8d %10d %8d %6b%s@." n (Graph.m g) r.ME.rounds
         r.ME.steps r.ME.max_bits
-        (log2c n * log2c n)
+        (Space.log2_ceil n * Space.log2_ceil n)
         weight is_mst
         (if r.ME.silent then "" else "  (round budget hit)");
-      pp_profile ppf profile;
       [
         record ~exp:"E1" ~algo:"mst" ~n ~rounds:r.ME.rounds ~steps:r.ME.steps
           ~max_bits:r.ME.max_bits ();
@@ -167,8 +151,7 @@ let e2 () =
       let rng = rng_of (200 + i) in
       let g = gen rng in
       let n = Graph.n g in
-      let profile = new_profile () in
-      let r = DE.run ?profile g Scheduler.Synchronous rng ~init:(DE.initial g) in
+      let r = DE.run g Scheduler.Synchronous rng ~init:(DE.initial g) in
       let deg =
         match Mdst_builder.tree_of g r.DE.states with
         | Some t -> Tree.max_degree t
@@ -181,7 +164,6 @@ let e2 () =
         (if opt >= 0 then string_of_int opt else "?")
         (opt < 0 || deg <= opt + 1)
         r.DE.silent;
-      pp_profile ppf profile;
       [
         record ~exp:"E2" ~algo:"mdst" ~n ~rounds:r.DE.rounds ~steps:r.DE.steps
           ~max_bits:r.DE.max_bits ();
@@ -277,7 +259,7 @@ let e4 () =
           incr caught
       done;
       Format.fprintf ppf "%6d %10d %10d %12d %12d %12b %11d/%d%s@." n max_pairs max_bits
-        compact_bits (log2c n) !ok !caught trials
+        compact_bits (Space.log2_ceil n) !ok !caught trials
         (if accepted then "" else "  (PLS completeness FAILED)");
       []);
   Format.printf
@@ -297,12 +279,10 @@ let e5 () =
   par_rows [ 16; 32; 64; 128; 256 ] (fun ppf n ->
       let rng = rng_of (500 + n) in
       let g = Generators.gnp rng ~n ~p:(4.0 /. float_of_int n) in
-      let profile = new_profile () in
-      let r = BE.run ?profile g Scheduler.Synchronous rng ~init:(BE.adversarial rng g) in
+      let r = BE.run g Scheduler.Synchronous rng ~init:(BE.adversarial rng g) in
       let a = AE.run g Scheduler.Synchronous rng ~init:(AE.adversarial rng g) in
       Format.fprintf ppf "%6d | %8d %6d %6b | %9d %6d %6b@." n r.BE.rounds r.BE.max_bits
         r.BE.legal a.AE.rounds a.AE.max_bits a.AE.legal;
-      pp_profile ppf profile;
       [
         record ~exp:"E5" ~algo:"bfs" ~n ~rounds:r.BE.rounds ~steps:r.BE.steps
           ~max_bits:r.BE.max_bits ();
@@ -329,7 +309,8 @@ let e6 () =
         List.init k (fun i ->
             string_of_int (List.length (Fragment_labels.fragments_at labels ~level:i)))
       in
-      Format.fprintf ppf "%6d %8d %12d %s@." n k (log2c n) (String.concat " -> " series);
+      Format.fprintf ppf "%6d %8d %12d %s@." n k (Space.log2_ceil n)
+        (String.concat " -> " series);
       []);
   Format.printf "shape: counts at least halve per level down to 1 (Figure 2's invariant).@."
 
@@ -362,14 +343,23 @@ let e7 () =
         rm.ME.rounds rm.ME.legal fair_cont)
     Scheduler.all;
   Format.printf
-    "shape: silent and legal under every fair daemon; a deterministic starving daemon@.";
+    "shape: BFS from adversarial states and MST from its designated start (ME.initial)@.";
   Format.printf
-    "(max-id, min-id, the LIFO adversary) may freeze the token holders in a stall that@.";
+    "are silent and legal under every fair daemon; a deterministic starving daemon@.";
   Format.printf
-    "accumulates (almost) no rounds -- permitted by the paper's round-based statements --@.";
+    "(max-id, min-id, the LIFO adversary) may freeze MST's token holders in a stall@.";
   Format.printf
-    "and the fair-cont column shows every stall completes once scheduling is fair again@.";
-  Format.printf "(the unfair-daemon caveat of DESIGN.md).@."
+    "that accumulates (almost) no rounds -- permitted by the paper's round-based@.";
+  Format.printf
+    "statements -- and the fair-cont column shows every stall completes once scheduling@.";
+  Format.printf "is fair again.@.";
+  Format.printf
+    "From adversarial starts these daemons defeat MST too, mostly by such stalls; gnp@.";
+  Format.printf
+    "n=12, seed 3 under the LIFO adversary is a livelock whose rounds keep elapsing (a@.";
+  Format.printf
+    "period-2 cycle, pinned as a known failure in test_core; the unfair-daemon caveat@.";
+  Format.printf "of DESIGN.md).@."
 
 (* ------------------------------------------------------------------ *)
 (* E8 — self-stabilization: chaos campaign with recovery accounting *)
@@ -550,12 +540,10 @@ let e11 () =
   par_rows [ 16; 32; 64; 128 ] (fun ppf n ->
       let rng = rng_of (1100 + n) in
       let g = Generators.random_connected rng ~n ~m:(2 * n) in
-      let profile = new_profile () in
-      let r = SE.run ?profile g Scheduler.Synchronous rng ~init:(SE.adversarial rng g) in
+      let r = SE.run g Scheduler.Synchronous rng ~init:(SE.adversarial rng g) in
       Format.fprintf ppf "%6d %8d %8d %8b %10d@." n r.SE.rounds r.SE.max_bits
         (Spt_builder.is_spt g r.SE.states)
         (Spt_builder.potential g r.SE.states);
-      pp_profile ppf profile;
       [
         record ~exp:"E11" ~algo:"spt" ~n ~rounds:r.SE.rounds ~steps:r.SE.steps
           ~max_bits:r.SE.max_bits ();
@@ -612,114 +600,48 @@ let ebig () =
     @ List.map (fun n -> `Mdst n) (keep [ 1_000 ])
   in
   par_rows cells (fun ppf cell ->
-      let row ~exp ~algo ~n ~rounds ~steps ~max_bits ~legal ~silent ~profile =
+      let row ~exp ~algo ~n ~rounds ~steps ~max_bits ~legal ~silent =
         Format.fprintf ppf "%-5s %7d %8d %11d %6d %6b%s@." algo n rounds steps max_bits legal
           (if silent then "" else "  (step budget hit)");
-        pp_profile ppf profile;
         [ record ~tier:"big" ~exp ~algo ~n ~rounds ~steps ~max_bits () ]
       in
       match cell with
       | `Bfs n ->
           let rng = rng_of (1300 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
-          let profile = new_profile () in
-          let r = BP.run ?profile g Scheduler.Synchronous rng ~init:(BP.adversarial rng g) in
+          let r = BP.run g Scheduler.Synchronous rng ~init:(BP.adversarial rng g) in
           row ~exp:"E1" ~algo:"bfs" ~n ~rounds:r.BP.rounds ~steps:r.BP.steps
             ~max_bits:r.BP.max_bits
             ~legal:(Bfs_builder.is_bfs_tree g r.BP.states)
-            ~silent:r.BP.silent ~profile
+            ~silent:r.BP.silent
       | `Spt n ->
           let rng = rng_of (1400 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
-          let profile = new_profile () in
-          let r = SP.run ?profile g Scheduler.Synchronous rng ~init:(SP.adversarial rng g) in
+          let r = SP.run g Scheduler.Synchronous rng ~init:(SP.adversarial rng g) in
           row ~exp:"E2" ~algo:"spt" ~n ~rounds:r.SP.rounds ~steps:r.SP.steps
             ~max_bits:r.SP.max_bits
             ~legal:(Spt_builder.is_spt g r.SP.states)
-            ~silent:r.SP.silent ~profile
+            ~silent:r.SP.silent
       | `Mst n ->
           let rng = rng_of (1500 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
-          let profile = new_profile () in
           let r =
-            ME.run ~max_steps:(20 * n) ?profile g Scheduler.Synchronous rng ~init:(ME.initial g)
+            ME.run ~max_steps:(20 * n) g Scheduler.Synchronous rng ~init:(ME.initial g)
           in
           row ~exp:"E1" ~algo:"mst" ~n ~rounds:r.ME.rounds ~steps:r.ME.steps
-            ~max_bits:r.ME.max_bits ~legal:r.ME.legal ~silent:r.ME.silent ~profile
+            ~max_bits:r.ME.max_bits ~legal:r.ME.legal ~silent:r.ME.silent
       | `Mdst n ->
           let rng = rng_of (1600 + n) in
           let g = Generators.random_connected rng ~n ~m:(2 * n) in
-          let profile = new_profile () in
           let r =
-            DE.run ~max_steps:(20 * n) ?profile g Scheduler.Synchronous rng ~init:(DE.initial g)
+            DE.run ~max_steps:(20 * n) g Scheduler.Synchronous rng ~init:(DE.initial g)
           in
           row ~exp:"E2" ~algo:"mdst" ~n ~rounds:r.DE.rounds ~steps:r.DE.steps
-            ~max_bits:r.DE.max_bits ~legal:r.DE.legal ~silent:r.DE.silent ~profile);
+            ~max_bits:r.DE.max_bits ~legal:r.DE.legal ~silent:r.DE.silent);
   Format.printf
     "shape: bfs/spt reach silence in O(diameter) rounds with flat O(n + m) memory; the \
      label-stacked mst/mdst rows record budgeted progress (their step complexity is the \
      object of study at small n, not a scaling target).@."
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel) *)
-
-let micro () =
-  header "micro" "Bechamel micro-benchmarks of core operations";
-  let open Bechamel in
-  let rng = rng_of 1100 in
-  let g = Generators.random_connected rng ~n:64 ~m:128 in
-  let t = Tree.of_graph_bfs g ~root:0 in
-  let nca_labels = Nca_labels.prover t in
-  let dist_labels = Distance_pls.prover t in
-  let parent = Tree.parents t in
-  let mst_states = ME.initial g in
-  (* A stabilized configuration: every rule of the MST guard runs (the
-     initial registers make the tree layer fire first). *)
-  let silent =
-    let r = ME.run g (Scheduler.Central Scheduler.Random_daemon) rng ~init:mst_states in
-    assert r.ME.silent;
-    r.ME.states
-  in
-  (* Views are built outside the timed code: [ME.view] rebuilds the
-     whole network's adjacency on every call. *)
-  let initial_view = ME.view g mst_states 17 and silent_view = ME.view g silent 17 in
-  let tests =
-    [
-      Test.make ~name:"nca-compute"
-        (Staged.stage (fun () -> ignore (Nca_labels.nca nca_labels.(17) nca_labels.(42))));
-      Test.make ~name:"distance-pls-verify-node"
-        (Staged.stage (fun () ->
-             ignore (Distance_pls.verify (Pls.ctx_of g ~parent ~labels:dist_labels 17))));
-      Test.make ~name:"fragment-prover-n64"
-        (Staged.stage (fun () -> ignore (Fragment_labels.prover g t)));
-      Test.make ~name:"mst-step-one-node"
-        (Staged.stage (fun () -> ignore (Mst_builder.P.step initial_view)));
-      Test.make ~name:"mst-step-silent-node"
-        (Staged.stage (fun () -> ignore (Mst_builder.P.step silent_view)));
-      Test.make ~name:"mst-size-bits"
-        (Staged.stage (fun () -> ignore (Mst_builder.P.size_bits 64 silent.(17))));
-      Test.make ~name:"kruskal-n64" (Staged.stage (fun () -> ignore (Mst.kruskal g)));
-      Test.make ~name:"fr-sequential-n64"
-        (Staged.stage (fun () -> ignore (Min_degree.furer_raghavachari g ~root:0)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-      let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"micro" [ test ]) in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-          instance raw
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Format.printf "  %-34s %12.1f ns/op@." name est
-          | _ -> Format.printf "  %-34s (no estimate)@." name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -728,7 +650,7 @@ let () =
     [
       ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
       ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
-      ("BIG", ebig); ("micro", micro);
+      ("BIG", ebig);
     ]
   in
   List.iter (fun (id, f) -> if selected id then f ()) all;

@@ -122,8 +122,8 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for independent campaign cells (default: the recommended \
-           domain count of this machine). Artifacts are byte-identical in everything \
-           but wall time at any value; $(docv)=1 runs the exact sequential path.")
+           domain count of this machine). Artifacts are byte-identical at any value; \
+           $(docv)=1 runs the exact sequential path.")
 
 let trace_out_arg =
   Arg.(
@@ -305,8 +305,7 @@ let bench_diff_cmd =
     Term.(ret (const diff $ old_arg $ new_arg $ require_identical_arg))
 
 (* The flags chaos and serve share: topology, matrix axes (builders,
-   daemons, seeds), round budget, artifact path, pool size and trace
-   directory. *)
+   daemons, seeds), artifact path, pool size and trace directory. *)
 type matrix = {
   family : string;
   gen : Random.State.t -> n:int -> Graph.t;
@@ -315,19 +314,17 @@ type matrix = {
   seed : int;
   algos : Builders.t list;
   daemons : (string * Scheduler.t) list;
-  max_rounds : int;
   out : string;
   jobs : int;
   trace_dir : string option;
 }
 
 let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
-  let make (family, gen) n seeds seed algos daemons max_rounds out jobs trace_dir =
+  let make (family, gen) n seeds seed algos daemons out jobs trace_dir =
     match List.find_opt (fun b -> not (eligible b)) algos with
     | Some b -> `Error (false, Printf.sprintf "%s cannot run %s" cmd (Builders.name b))
     | None ->
-        `Ok
-          { family; gen; n; seeds; seed; algos; daemons; max_rounds; out; jobs; trace_dir }
+        `Ok { family; gen; n; seeds; seed; algos; daemons; out; jobs; trace_dir }
   in
   let seeds_arg =
     Arg.(value & opt int 2 & info [ "seeds" ] ~docv:"S" ~doc:"Seeds per cell.")
@@ -346,11 +343,6 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
       & opt (list scheduler) (List.map (pick Scheduler.by_name) [ "random"; "distributed" ])
       & info [ "daemons" ] ~docv:"D1,D2,.."
           ~doc:("Comma-separated schedulers to sweep. " ^ daemons_doc))
-  in
-  let max_rounds_arg =
-    Arg.(
-      value & opt int 20_000
-      & info [ "max-rounds" ] ~docv:"R" ~doc:"Round budget per episode.")
   in
   let out_arg =
     Arg.(
@@ -374,7 +366,7 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
   Term.(
     ret
       (const make $ graph_arg $ n_arg $ seeds_arg $ seed_arg $ algos_arg $ daemons_arg
-     $ max_rounds_arg $ out_arg $ jobs_arg $ trace_dir_arg))
+     $ out_arg $ jobs_arg $ trace_dir_arg))
 
 (* The artifact is opened and the trace directory made (if missing)
    before any cell runs. *)
@@ -407,19 +399,18 @@ let finish cmd m oc ~lines ~json ~cells ~failed =
   end
 
 let chaos_cmd =
-  let chaos m plans max_injections =
+  let chaos m plans =
     let oc = open_outputs m in
     let cells =
       Pool.with_pool ~jobs:m.jobs (fun pool ->
           Campaign.chaos_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds ~seed_base:m.seed
-            ~algos:m.algos ~plans ~daemons:m.daemons ~max_rounds:m.max_rounds
-            ~max_injections ?trace_dir:m.trace_dir ())
+            ~algos:m.algos ~plans ~daemons:m.daemons ?trace_dir:m.trace_dir ())
     in
     finish "chaos" m oc
       ~lines:(Campaign.csv_header :: List.map Campaign.csv_row cells)
       ~json:
         (Campaign.campaign_json ~family:m.family ~n:m.n ~seeds:m.seeds ~seed_base:m.seed
-           ~max_rounds:m.max_rounds ~max_injections cells)
+           cells)
       ~cells:(List.length cells)
       ~failed:
         (List.filter_map
@@ -442,12 +433,6 @@ let chaos_cmd =
              random:K, nodes:1+2, root, deepest, subtree; payloads randomize, bitflip, \
              stale:D; timings silence, periodic:R, poisson:RATE), or 'defaults'.")
   in
-  let max_injections_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "max-injections" ] ~docv:"K"
-          ~doc:"Injection cap per episode for periodic/poisson plans.")
-  in
   let matrix =
     matrix_term ~cmd:"chaos" ~eligible:(fun _ -> true) ~show:Builders.name
       ~out:"CHAOS_repro.json" ~axis:"PLAN" ~cause:"its fault injection"
@@ -461,33 +446,21 @@ let chaos_cmd =
        ~doc:
          "Run a seeded fault campaign (algorithms x fault plans x daemons x seeds); \
           write CHAOS_repro.json; exit 1 if any cell fails to recover.")
-    Term.(const chaos $ matrix $ plans_arg $ max_injections_arg)
+    Term.(const chaos $ matrix $ plans_arg)
 
 let serve_cmd =
   let serve m traces big big_nmax =
     let oc = open_outputs m in
     let cells =
       Pool.with_pool ~jobs:m.jobs (fun pool ->
-          Service_campaign.churn_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds
-            ~seed_base:m.seed ~algos:m.algos ~traces ~daemons:m.daemons
-            ~max_rounds:m.max_rounds ?trace_dir:m.trace_dir ())
-    in
-    let cells =
-      if not big then cells
-      else
-        (* The big serve-bench tier: churn rate (two flash-crowd
-           intensities) at growing n, clamped by --big-nmax like the
-           bench tier. *)
-        let big_traces =
-          [
-            { Churn.spec = Churn.Flash_crowd 2; timing = Churn.At_silence };
-            { Churn.spec = Churn.Flash_crowd 8; timing = Churn.At_silence };
-          ]
-        in
-        let ns = List.filter (fun x -> x <= big_nmax) Service_campaign.big_ns in
-        cells
-        @ Service_campaign.run_bench ~ns ~algos:Service_campaign.big_algos
-            ~traces:big_traces ~seed_base:m.seed ~max_rounds:m.max_rounds ()
+          let std =
+            Service_campaign.churn_matrix ~pool ~gen:m.gen ~n:m.n ~seeds:m.seeds
+              ~seed_base:m.seed ~algos:m.algos ~traces ~daemons:m.daemons
+              ?trace_dir:m.trace_dir ()
+          in
+          if big then
+            std @ Service_campaign.big_matrix ~pool ~nmax:big_nmax ~seed_base:m.seed
+          else std)
     in
     finish "serve" m oc
       ~lines:(Service_campaign.csv_header :: List.map Service_campaign.csv_row cells)
@@ -561,12 +534,12 @@ let slurp path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let explain_cmd =
-  let explain trace_file html top =
+  let explain trace_file html =
     let html = open_opt html in
     match Events.parse (slurp trace_file) with
     | Error msg -> `Error (false, Printf.sprintf "%s: %s" trace_file msg)
     | Ok (meta, events) ->
-        let report = Explain.analyze ~top meta events in
+        let report = Explain.analyze meta events in
         print_string (Explain.to_text report);
         (match html with
         | Some (path, oc) ->
@@ -593,36 +566,21 @@ let explain_cmd =
       & info [ "html" ] ~docv:"FILE"
           ~doc:"Also write the report as a self-contained HTML page to $(docv).")
   in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"K" ~doc:"How many hot nodes to list (default 10).")
-  in
   Cmd.v
     (Cmd.info "explain" ~exits
        ~doc:
          "Render a convergence narrative from an event trace: per-rule move breakdown, \
           Φ milestones, hot nodes, activation-DAG shape, and one causal-cone summary \
           per fault injection.")
-    Term.(ret (const explain $ trace_file_arg $ html_arg $ top_arg))
+    Term.(ret (const explain $ trace_file_arg $ html_arg))
 
 let validate_cmd =
-  let validate file kind =
+  let validate file =
     let contents = slurp file in
-    let kind =
-      match kind with
-      | `Auto -> (
-          match Artifact.sniff contents with
-          | Some k -> Ok k
-          | None ->
-              Error
-                "cannot sniff the artifact kind (no ev/experiments/cells field); pass \
-                 --kind")
-      | (`Bench | `Chaos | `Service | `Trace) as k -> Ok k
-    in
-    match kind with
-    | Error msg -> `Error (false, msg)
-    | Ok k -> (
+    match Artifact.sniff contents with
+    | None ->
+        `Error (false, "cannot sniff the artifact kind (no ev/experiments/cells field)")
+    | Some k -> (
         let kind_name =
           match k with
           | `Bench -> "bench"
@@ -657,28 +615,12 @@ let validate_cmd =
       & info [] ~docv:"FILE"
           ~doc:"BENCH_repro.json, CHAOS_repro.json, SERVICE_repro.json, or a JSONL event trace.")
   in
-  let kind_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("auto", `Auto);
-               ("bench", `Bench);
-               ("chaos", `Chaos);
-               ("service", `Service);
-               ("trace", `Trace);
-             ])
-          `Auto
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:"Artifact kind: $(docv) is auto, bench, chaos, service or trace.")
-  in
   Cmd.v
     (Cmd.info "validate"
        ~doc:
-         "Validate a committed artifact or event trace against its schema; exit 1 on \
-          the first violation.")
-    Term.(ret (const validate $ file_arg $ kind_arg))
+         "Validate a committed artifact or event trace against its schema; the kind is \
+          sniffed from the top-level keys. Exit 1 on the first violation.")
+    Term.(ret (const validate $ file_arg))
 
 let list_cmd =
   let list () =

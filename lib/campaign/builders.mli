@@ -140,14 +140,13 @@ val run :
 (** {2 One service episode} *)
 
 (** [serve b g ~sched ~fallback rng trace] — one
-    {!Repro_service.Service} episode of tree builder [b] (optional
-    arguments as in {!Repro_service.Service.Make.run}), on the packed
+    {!Repro_service.Service} episode of tree builder [b] ([events] as
+    in {!Repro_service.Service.Make.run}), on the packed
     service engine iff [b] has a codec — episode-equivalent either way.
     The watchdog runs with its default thresholds and watches Φ only
     when [cheap_phi b].
     @raise Invalid_argument if [b] has no parent projection. *)
 val serve :
-  ?max_rounds:int ->
   ?events:Events.t ->
   t ->
   Graph.t ->

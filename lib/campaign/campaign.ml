@@ -35,7 +35,7 @@ let sanitize s =
     (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-') as c -> c | _ -> '-')
     s
 
-let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
+let run_matrix ~pool ~gen ~ns ~seeds ~seed_base ~algos ~axis ~points ~daemons
     ?(sched_meta = fun _ -> []) ?trace_dir cell =
   (* The cell list is enumerated sequentially in canonical order; the
      pool maps over it and hands results back in the same order, so
@@ -44,17 +44,21 @@ let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
     List.concat_map
       (fun builder ->
         List.concat_map
-          (fun (point, p) ->
+          (fun n ->
             List.concat_map
-              (fun (sched_name, sched) ->
-                List.init seeds (fun i ->
-                    ({ builder; point; sched_name; seed_index = i + 1 }, p, sched)))
-              daemons)
-          points)
+              (fun (point, p) ->
+                List.concat_map
+                  (fun (sched_name, sched) ->
+                    List.init seeds (fun i ->
+                        let k = { builder; point; sched_name; seed_index = i + 1 } in
+                        (k, n, p, sched)))
+                  daemons)
+              points)
+          ns)
       algos
   in
   Pool.map pool
-    (fun ((k : key), p, sched) ->
+    (fun ((k : key), n, p, sched) ->
       (* One seed pins the topology, the initial configuration, every
          daemon pick and every fault or churn coin of the cell. *)
       let algo = Builders.name k.builder in
@@ -92,13 +96,9 @@ let run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis ~points ~daemons
               cell k p sched g rng (Some sink)))
     specs
 
-let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events
-    ~max_rounds ~max_injections : cell =
+let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events : cell =
   let module C = Chaos.Make ((val e.Builders.protocol)) ((val Builders.engine e)) in
-  let x =
-    C.run_episode ~max_rounds ~max_injections ~watch_phi:e.Builders.cheap_phi ?events g
-      sched rng plan
-  in
+  let x = C.run_episode ~watch_phi:e.Builders.cheap_phi ?events g sched rng plan in
   {
     algo = e.Builders.name;
     plan_name = k.point;
@@ -117,15 +117,13 @@ let chaos_cell (type s) (e : s Builders.entry) (k : key) plan sched g rng events
     injections = x.C.injections;
   }
 
-let chaos_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~plans ~daemons ~max_rounds
-    ~max_injections ?trace_dir () =
-  run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"plan"
+let chaos_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~plans ~daemons ?trace_dir () =
+  run_matrix ~pool ~gen ~ns:[ n ] ~seeds ~seed_base ~algos ~axis:"plan"
     ~points:(List.map (fun p -> (Fault.Plan.name p, p)) plans)
     ~daemons ?trace_dir
     (fun k plan sched g rng events ->
       match k.builder with
-      | Builders.Builder e ->
-          chaos_cell e k plan sched g rng events ~max_rounds ~max_injections)
+      | Builders.Builder e -> chaos_cell e k plan sched g rng events)
 
 let failed cells = List.length (List.filter (fun c -> not c.recovered) cells)
 
@@ -151,8 +149,6 @@ type artifact = {
   size : int;
   seeds : int;
   seed_base : int;
-  max_rounds : int;
-  max_injections : int;
   cells : cell list;
 }
 
@@ -200,8 +196,8 @@ let artifact : artifact Artifact.t =
                 F (field "n" int (fun a -> a.size));
                 F (field "seeds" int (fun a -> a.seeds));
                 F (field "seed_base" int (fun a -> a.seed_base));
-                F (field "max_rounds" int (fun a -> a.max_rounds));
-                F (field "max_injections" int (fun a -> a.max_injections));
+                F (field "max_rounds" int (fun _ -> Chaos.max_rounds));
+                F (field "max_injections" int (fun _ -> Chaos.max_injections));
               ])
            Fun.id);
       F cells;
@@ -216,9 +212,8 @@ let artifact : artifact Artifact.t =
            (fun a -> a.cells));
     ]
 
-let campaign_json ~family ~n ~seeds ~seed_base ~max_rounds ~max_injections cells =
-  Artifact.to_json artifact
-    { family; size = n; seeds; seed_base; max_rounds; max_injections; cells }
+let campaign_json ~family ~n ~seeds ~seed_base cells =
+  Artifact.to_json artifact { family; size = n; seeds; seed_base; cells }
 
 let validate j =
   Result.bind (Artifact.check artifact j) (fun () ->

@@ -41,19 +41,20 @@ type key = {
   seed_index : int;
 }
 
-(** [run_matrix ... ~axis ~points ~daemons cell] — builders ×
-    perturbations × daemons × seeds on the pool. Cells come back in
-    canonical order (builders, then points, then daemons, then seed
-    indices, each in the order given) regardless of worker
-    interleaving. Each cell runs [cell key p sched g rng events] with
-    its own RNG, seeded [[| seed_base; Hashtbl.hash (algo, point,
-    sched_name); n; seed_index |]], which first draws the topology
-    ([gen rng ~n]).
+(** [run_matrix ... ~ns ~axis ~points ~daemons cell] — builders ×
+    sizes × perturbations × daemons × seeds on the pool. Cells come
+    back in canonical order (builders, then sizes, then points, then
+    daemons, then seed indices, each in the order given) regardless of
+    worker interleaving. Each cell runs [cell key p sched g rng events]
+    with its own RNG, seeded [[| seed_base; Hashtbl.hash (algo, point,
+    sched_name); n; seed_index |]] for its size [n], which first draws
+    the topology ([gen rng ~n]).
 
     [?trace_dir] streams one {!Repro_runtime.Events} JSONL trace per
     cell into the given (existing) directory, named
     [<algo>__<point>__<sched>__s<seed>.jsonl] (coordinates collapsed
-    to filename-safe characters), and hands the sink to [cell]. Its
+    to filename-safe characters; the size is not in the name, so trace
+    one size at a time), and hands the sink to [cell]. Its
     meta header names [algo], then [axis] (the point's name), [sched],
     the [sched_meta sched_name] fields, [seed], [n], [m] and [edges].
     Per-round Φ is recorded only for builders with
@@ -62,7 +63,7 @@ type key = {
 val run_matrix :
   pool:Repro_runtime.Pool.t ->
   gen:(Random.State.t -> n:int -> Repro_graph.Graph.t) ->
-  n:int ->
+  ns:int list ->
   seeds:int ->
   seed_base:int ->
   algos:Builders.t list ->
@@ -82,9 +83,12 @@ val run_matrix :
 
 (** {2 The chaos matrix} *)
 
-(** {!run_matrix} over fault plans (axis ["plan"]): one
+(** {!run_matrix} at one size over fault plans (axis ["plan"]): one
     {!Repro_runtime.Chaos} episode per cell under the watchdog's default
-    thresholds, watching Φ only for builders with {!Builders.cheap_phi}. *)
+    thresholds and the episode budgets
+    ({!Repro_runtime.Chaos.max_rounds},
+    {!Repro_runtime.Chaos.max_injections}), watching Φ only for
+    builders with {!Builders.cheap_phi}. *)
 val chaos_matrix :
   pool:Repro_runtime.Pool.t ->
   gen:(Random.State.t -> n:int -> Repro_graph.Graph.t) ->
@@ -94,8 +98,6 @@ val chaos_matrix :
   algos:Builders.t list ->
   plans:Repro_runtime.Fault.Plan.t list ->
   daemons:(string * Repro_runtime.Scheduler.t) list ->
-  max_rounds:int ->
-  max_injections:int ->
   ?trace_dir:string ->
   unit ->
   cell list
@@ -123,17 +125,18 @@ val csv_row : cell -> string
     optional ["tier"] field. *)
 val tiers : string list
 
+(** The artifact; its meta writes the episode budgets
+    ({!Repro_runtime.Chaos.max_rounds},
+    {!Repro_runtime.Chaos.max_injections}). *)
 val campaign_json :
   family:string ->
   n:int ->
   seeds:int ->
   seed_base:int ->
-  max_rounds:int ->
-  max_injections:int ->
   cell list ->
   Repro_runtime.Metrics.Json.t
 
-(** [repro_cli validate --kind chaos]: [Ok cells] or the first
+(** [repro_cli validate] on a chaos artifact: [Ok cells] or the first
     violation, e.g. [cell 3: injection 0: field "gap" is not an int or
     null]. *)
 val validate : Repro_runtime.Metrics.Json.t -> (int, string) result

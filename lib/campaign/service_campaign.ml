@@ -19,65 +19,53 @@ let fallback_for sched_name =
   if sched_name = "random" then ("distributed", Scheduler.Distributed 0.5)
   else ("random", Scheduler.Central Scheduler.Random_daemon)
 
-let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ~max_rounds
-    ?trace_dir () =
-  Campaign.run_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~axis:"trace"
-    ~points:(List.map (fun t -> (Churn.name t, t)) traces)
-    ~daemons
+(* One episode per cell of either tier, under the cell's escalation
+   daemon. *)
+let serve_cell ~tier (k : Campaign.key) trace sched g rng events =
+  let fallback_name, fallback = fallback_for k.sched_name in
+  let report = Builders.serve ?events k.builder g ~sched ~fallback rng trace in
+  {
+    algo = Builders.name k.builder;
+    trace_name = k.point;
+    sched_name = k.sched_name;
+    fallback_name;
+    seed_index = k.seed_index;
+    n0 = Graph.n g;
+    m0 = Graph.m g;
+    tier;
+    report;
+  }
+
+let points traces = List.map (fun t -> (Churn.name t, t)) traces
+
+let churn_matrix ~pool ~gen ~n ~seeds ~seed_base ~algos ~traces ~daemons ?trace_dir () =
+  Campaign.run_matrix ~pool ~gen ~ns:[ n ] ~seeds ~seed_base ~algos ~axis:"trace"
+    ~points:(points traces) ~daemons
     ~sched_meta:(fun sched_name -> [ ("fallback", Json.Str (fst (fallback_for sched_name))) ])
-    ?trace_dir
-    (fun (k : Campaign.key) trace sched g rng events ->
-      let fallback_name, fallback = fallback_for k.sched_name in
-      let report = Builders.serve ~max_rounds ?events k.builder g ~sched ~fallback rng trace in
-      {
-        algo = Builders.name k.builder;
-        trace_name = k.point;
-        sched_name = k.sched_name;
-        fallback_name;
-        seed_index = k.seed_index;
-        n0 = Graph.n g;
-        m0 = Graph.m g;
-        tier = "std";
-        report;
-      })
+    ?trace_dir (serve_cell ~tier:"std")
 
 (* ------------------------------------------------------------------ *)
-(* The big serve-bench tier (serve --big, the @servebench alias):
-   builder x size x churn trace on random-connected graphs under the
-   synchronous daemon, one seed per cell like the big bench tier. *)
+(* The big serve-bench tier (serve --big, the @servebench alias): churn
+   rate (two flash-crowd intensities) at growing n on random-connected
+   graphs under the synchronous daemon, one seed per cell like the big
+   bench tier. *)
 
 let big_ns = [ 1_000; 10_000; 100_000 ]
 let big_algos = [ Builders.bfs; Builders.spt ]
 
-let run_bench ~ns ~algos ~traces ~seed_base ~max_rounds () =
-  let sched_name = "synchronous" and sched = Scheduler.Synchronous in
-  let fallback_name, fallback = fallback_for sched_name in
-  let specs =
-    List.concat_map
-      (fun builder ->
-        List.concat_map (fun n -> List.map (fun t -> (builder, n, t)) traces) ns)
-      algos
-  in
-  List.map
-    (fun (builder, n, trace) ->
-      let algo = Builders.name builder and trace_name = Churn.name trace in
-      let rng =
-        Random.State.make [| seed_base; Hashtbl.hash (algo, trace_name, sched_name); n; 1 |]
-      in
-      let g = Generators.random_connected rng ~n ~m:(2 * n) in
-      let report = Builders.serve ~max_rounds builder g ~sched ~fallback rng trace in
-      {
-        algo;
-        trace_name;
-        sched_name;
-        fallback_name;
-        seed_index = 1;
-        n0 = Graph.n g;
-        m0 = Graph.m g;
-        tier = "big";
-        report;
-      })
-    specs
+let big_traces =
+  [
+    { Churn.spec = Churn.Flash_crowd 2; timing = Churn.At_silence };
+    { Churn.spec = Churn.Flash_crowd 8; timing = Churn.At_silence };
+  ]
+
+let big_matrix ~pool ~nmax ~seed_base =
+  Campaign.run_matrix ~pool
+    ~gen:(fun rng ~n -> Generators.random_connected rng ~n ~m:(2 * n))
+    ~ns:(List.filter (fun n -> n <= nmax) big_ns)
+    ~seeds:1 ~seed_base ~algos:big_algos ~axis:"trace" ~points:(points big_traces)
+    ~daemons:[ ("synchronous", Scheduler.Synchronous) ]
+    (serve_cell ~tier:"big")
 
 let recovered c = c.report.Service.recovered
 

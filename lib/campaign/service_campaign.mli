@@ -25,12 +25,13 @@ type cell = {
     the adversary. *)
 val fallback_for : string -> string * Repro_runtime.Scheduler.t
 
-(** {!Campaign.run_matrix} over churn traces (axis ["trace"]; trace
-    meta headers add each cell's ["fallback"] daemon): one
-    {!Builders.serve} episode per cell, [tier = "std"] — so
+(** {!Campaign.run_matrix} at one size over churn traces (axis
+    ["trace"]; trace meta headers add each cell's ["fallback"] daemon):
+    one {!Builders.serve} episode per cell, [tier = "std"] — so
     fixed-width builders run on the packed engine, traced or not, with
-    the watchdog's default thresholds and the ladder's constants
-    ({!Repro_service.Service.retry_budget}).
+    the watchdog's default thresholds, the ladder's constants
+    ({!Repro_service.Service.retry_budget}) and the episode's round cap
+    ({!Repro_service.Service.max_rounds}).
     @raise Invalid_argument on a builder without a parent projection
     ({!Builders.serves}). *)
 val churn_matrix :
@@ -42,32 +43,22 @@ val churn_matrix :
   algos:Builders.t list ->
   traces:Repro_service.Churn.t list ->
   daemons:(string * Repro_runtime.Scheduler.t) list ->
-  max_rounds:int ->
   ?trace_dir:string ->
   unit ->
   cell list
 
 (** {2 The big serve-bench tier (serve [--big], the [@servebench] alias)} *)
 
-(** Default sizes and builders of the big tier: n in 1e3/1e4/1e5 (the
-    CLI clamps with [--big-nmax]), BFS and SPT. *)
-val big_ns : int list
-
+(** The big tier's builders: BFS and SPT. *)
 val big_algos : Builders.t list
 
-(** [run_bench] — the big tier: one episode per builder x size x trace
-    (synchronous daemon, random-connected graphs with m = 2n, one seed
-    per cell), run in that order on the calling domain; cells carry
-    [tier = "big"]. Untraced, so the fixed-width builders run on the
-    packed service engine. *)
-val run_bench :
-  ns:int list ->
-  algos:Builders.t list ->
-  traces:Repro_service.Churn.t list ->
-  seed_base:int ->
-  max_rounds:int ->
-  unit ->
-  cell list
+(** [big_matrix ~pool ~nmax ~seed_base] — {!Campaign.run_matrix} over
+    {!big_algos} x the sizes 1e3, 1e4, 1e5 up to [nmax] x two churn
+    traces (flash-crowd:2 and flash-crowd:8 at silence) under the
+    synchronous daemon, on random-connected graphs with m = 2n, one
+    seed per cell; cells carry [tier = "big"]. Untraced, so the
+    fixed-width builders run on the packed service engine. *)
+val big_matrix : pool:Repro_runtime.Pool.t -> nmax:int -> seed_base:int -> cell list
 
 val csv_header : string
 val csv_row : cell -> string
@@ -102,7 +93,7 @@ val campaign_json :
   cell list ->
   Repro_runtime.Metrics.Json.t
 
-(** [repro_cli validate --kind service]: [Ok cells] or the first
+(** [repro_cli validate] on a service artifact: [Ok cells] or the first
     violation, e.g. [cell 0: event 1: field "recovered" is not a
     bool]. *)
 val validate : Repro_runtime.Metrics.Json.t -> (int, string) result

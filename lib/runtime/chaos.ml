@@ -9,6 +9,12 @@ type injection = {
   touched : int;
 }
 
+(* The episode budgets: a step cap per engine run, a round cap per
+   phase and an injection cap for mid-run timings. *)
+let max_steps = 2_000_000
+let max_rounds = 20_000
+let max_injections = 3
+
 module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
 
   type episode = {
@@ -24,11 +30,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     max_bits : int;
   }
 
-  (* The step cap of every engine run of an episode. *)
-  let max_steps = 2_000_000
-
-  let run_episode ?(max_rounds = 20_000) ?(max_injections = 3) ?(watch_phi = false)
-      ?events g sched rng (plan : Fault.Plan.t) =
+  let run_episode ?(watch_phi = false) ?events g sched rng (plan : Fault.Plan.t) =
     let wd = Watchdog.create ~watch_phi () in
     (* Config history for stale-replay payloads: most recent boundary
        first, trimmed to the depth the plan can ask for. *)
@@ -91,7 +93,7 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) = struct
     let cap =
       match plan.Fault.Plan.timing with
       | Fault.Plan.At_silence -> 1
-      | Fault.Plan.Periodic _ | Fault.Plan.Poisson _ -> max max_injections 1
+      | Fault.Plan.Periodic _ | Fault.Plan.Poisson _ -> max_injections
     in
     (* The engine observes the watchdog; a per-round hook (which makes
        a packed run re-box) is attached only for stale-replay plans. *)

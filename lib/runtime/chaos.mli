@@ -15,7 +15,7 @@
     [silence]-timed plans inject once into the stabilized configuration.
     [periodic:R] / [poisson:RATE] plans re-inject {e mid-execution}
     through the engine's [?adversary] round-boundary hook, up to
-    [max_injections] total; when the protocol outruns the schedule and
+    {!max_injections} total; when the protocol outruns the schedule and
     goes silent in between, the episode re-corrupts the silent
     configuration so the injection budget is always spent. Writes between
     consecutive injections are attributed to the earlier injection; an
@@ -38,6 +38,14 @@ type injection = {
   touched : int;  (** distinct nodes that wrote during recovery *)
 }
 
+(** The round budget of an episode's base phase and of its fault phase
+    (20_000); every engine run is also capped at 2_000_000 steps. *)
+val max_rounds : int
+
+(** The injection cap of an episode with a mid-run timing (3);
+    [silence] plans always inject exactly once. *)
+val max_injections : int
+
 (** [Make (P) (E)] — episodes of [P] on engine [E], either store:
     both run the same executor loop and hooks, so episodes are identical
     on either. *)
@@ -58,10 +66,8 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
   (** [run_episode g sched rng plan] — run one episode. [watch_phi]
       (default [false]) feeds the live [P.potential] to the watchdog's
       stall detector; leave it off for protocols whose potential is
-      expensive. Defaults: [max_rounds] = 20_000 (the round budget of
-      the base phase and of the fault phase; every engine run is also
-      capped at 2_000_000 steps), [max_injections] = 3 (mid-run
-      timings only; [silence] plans always inject exactly once).
+      expensive. The episode runs within {!max_rounds} and
+      {!max_injections}.
 
       An [events] sink receives the full causal trace of the episode on
       one timeline: ids increase, rounds never decrease and steps
@@ -79,8 +85,6 @@ module Make (P : Protocol.S) (E : Engine.S with type state = P.state) : sig
       OBSERVABILITY.md. The sink consumes no RNG draws: campaign
       results are bit-identical with or without tracing. *)
   val run_episode :
-    ?max_rounds:int ->
-    ?max_injections:int ->
     ?watch_phi:bool ->
     ?events:Events.t ->
     Repro_graph.Graph.t ->

@@ -6,7 +6,7 @@
 
 type writer = { mutable buf : int array; mutable len : int }
 
-let writer ?(capacity = 16) () = { buf = Array.make (max 1 capacity) 0; len = 0 }
+let writer () = { buf = Array.make 16 0; len = 0 }
 
 let push w x =
   if w.len = Array.length w.buf then begin

@@ -14,8 +14,8 @@
 (** A growable int buffer. *)
 type writer
 
-(** Fresh writer; [capacity] is the initial buffer size (default 16). *)
-val writer : ?capacity:int -> unit -> writer
+(** Fresh writer, with room for 16 words before it grows. *)
+val writer : unit -> writer
 
 (** Append one word. Amortized O(1). *)
 val push : writer -> int -> unit

@@ -31,7 +31,10 @@ type report = {
   cones : cone list;
 }
 
-let analyze ?(top = 10) meta (events : Events.event list) =
+(* How many hot nodes a report lists. *)
+let top = 10
+
+let analyze meta (events : Events.event list) =
   let total_moves = ref 0 and total_faults = ref 0 and total_churns = ref 0 in
   let total_rounds = ref 0 in
   let see_round r = if r > !total_rounds then total_rounds := r in

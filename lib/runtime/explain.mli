@@ -52,9 +52,8 @@ type report = {
 }
 
 (** [analyze meta events] — one pass over [events] in id order (a
-    trace's line order). [top] (default 10) bounds [hot_nodes]. *)
-val analyze :
-  ?top:int -> (string * Metrics.Json.t) list option -> Events.event list -> report
+    trace's line order). [hot_nodes] lists the 10 busiest nodes. *)
+val analyze : (string * Metrics.Json.t) list option -> Events.event list -> report
 val pp_text : Format.formatter -> report -> unit
 val to_text : report -> string
 

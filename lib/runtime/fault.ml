@@ -38,14 +38,14 @@ let corrupt rng ~random_state g states ~k =
    Registers are abstract per protocol, so the flip works on the runtime
    representation: walk the value, collect every immediate (int-like)
    field reachable through ordinary scannable blocks, pick one uniformly,
-   and flip one of its low [bits] bits, copying only the blocks along the
+   and flip one of its low 16 bits, copying only the blocks along the
    path. Strings, floats, closures and other exotic blocks are left
    alone. This covers every register type in the repository (records of
    ints, options, arrays, nested records) and models the classic
    memory-fault corruption: the result is one bit away from the original
    encoding, not a fresh uniform draw. *)
 
-let bitflip ?(bits = 16) rng (s : 'state) : 'state =
+let bitflip rng (s : 'state) : 'state =
   let scannable o =
     let tag = Obj.tag o in
     tag < Obj.no_scan_tag && tag <> Obj.closure_tag && tag <> Obj.object_tag
@@ -66,7 +66,7 @@ let bitflip ?(bits = 16) rng (s : 'state) : 'state =
   | [] -> s
   | ps ->
       let path = List.nth ps (Random.State.int rng (List.length ps)) in
-      let bit = Random.State.int rng (max 1 bits) in
+      let bit = Random.State.int rng 16 in
       let rec flip o = function
         | [] -> Obj.repr ((Obj.obj o : int) lxor (1 lsl bit))
         | i :: rest ->

@@ -44,7 +44,7 @@ val corrupt_nodes :
 
 (** [bitflip rng s] is [s] with a single bit flipped: a uniformly chosen
     immediate (int-like) field reachable in the register's runtime
-    representation gets one of its low [bits] (default 16) bits toggled;
+    representation gets one of its low 16 bits toggled;
     the blocks along the path are copied, the rest is shared. Registers
     made of ints, bools, options, arrays, tuples and records — every
     register type in this repository — are covered; strings, floats and
@@ -52,7 +52,7 @@ val corrupt_nodes :
     returned unchanged). Unlike {!corrupt}'s uniform re-draw, the result
     is one bit of Hamming distance away from the original encoding — the
     classic memory-fault model. *)
-val bitflip : ?bits:int -> Random.State.t -> 'state -> 'state
+val bitflip : Random.State.t -> 'state -> 'state
 
 (** Structured fault campaigns: target x payload x timing, with a
     parseable grammar ["TARGET/PAYLOAD@TIMING"] used by

@@ -52,6 +52,10 @@ let retry_budget = 2_000
 let max_retries = 2
 let queries_per_round = 2
 
+(* The episode's budgets: its round cap and its step cap. *)
+let max_rounds = 20_000
+let max_steps = 2_000_000
+
 (* ------------------------------------------------------------------ *)
 (* The episode driver, shared between the boxed and packed engines.
    Everything engine-specific — how registers are stored, booted,
@@ -103,11 +107,7 @@ end
 module Driver (B : BACKEND) = struct
   module P = B.P
 
-  (* The episode's step cap. *)
-  let max_steps = 2_000_000
-
-  let run ?(max_rounds = 20_000) ?(watch_phi = false) ?events g0 ~sched ~fallback rng
-      (trace : Churn.t) =
+  let run ?(watch_phi = false) ?events g0 ~sched ~fallback rng (trace : Churn.t) =
     (* Canned generators expand against the starting topology, before
        any engine run, so the op list is pinned by the seed alone. *)
     let ops = Churn.expand rng g0 trace.Churn.spec in

@@ -140,6 +140,10 @@ val max_retries : int
 (** Pair reads served at every round boundary of a recovery: 2. *)
 val queries_per_round : int
 
+(** The episode's round cap: 20_000, beside a fixed cap of 2_000_000
+    steps; a ladder rung never runs past them. *)
+val max_rounds : int
+
 module Make (P : TREE_PROTOCOL) : sig
   module E : module type of Repro_runtime.Engine.Make (P)
 
@@ -148,12 +152,10 @@ module Make (P : TREE_PROTOCOL) : sig
       The ladder runs at {!retry_budget}, {!max_retries} and
       {!queries_per_round}. [watch_phi] feeds the live potential to the
       watchdog's stall detector (leave off for expensive potentials);
-      the watchdog runs with its default thresholds. [max_rounds]
-      (default 20_000) is the episode's round cap, beside a fixed cap
-      of 2_000_000 steps; a ladder rung never runs past them. The
-      watchdog keeps the episode's round clock ({!Watchdog.last_round}):
-      the report's rounds, an event's [apply_round] and [gap] and the
-      budgets all read it.
+      the watchdog runs with its default thresholds. The episode runs
+      within {!max_rounds}. The watchdog keeps the episode's round
+      clock ({!Watchdog.last_round}): the report's rounds, an event's
+      [apply_round] and [gap] and the budgets all read it.
 
       An [events] sink receives the full causal trace on one
       timeline: base stabilization, one [Churn] event per node whose
@@ -168,7 +170,6 @@ module Make (P : TREE_PROTOCOL) : sig
       {!Topology.check} (canned generators are valid by
       construction). *)
   val run :
-    ?max_rounds:int ->
     ?watch_phi:bool ->
     ?events:Repro_runtime.Events.t ->
     Repro_graph.Graph.t ->
@@ -194,7 +195,6 @@ module Make_packed (P : PACKED_TREE_PROTOCOL) : sig
   module E : module type of Repro_runtime.Engine_packed.Make (P)
 
   val run :
-    ?max_rounds:int ->
     ?watch_phi:bool ->
     ?events:Repro_runtime.Events.t ->
     Repro_graph.Graph.t ->

@@ -174,9 +174,8 @@ type t = {
   mutable ready : bool;
 }
 
-let create ?(cap = 16) () =
-  let cap = max 1 cap in
-  { front = alloc cap; back = alloc cap; scratch = alloc_scratch cap; ready = false }
+let create () =
+  { front = alloc 16; back = alloc 16; scratch = alloc_scratch 16; ready = false }
 
 let commit t parents =
   let n = Array.length parents in

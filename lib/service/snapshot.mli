@@ -44,9 +44,9 @@
 
 type t
 
-(** [create ()] — an empty store; no query is meaningful before the
-    first {!commit}. [cap] preallocates buffer capacity. *)
-val create : ?cap:int -> unit -> t
+(** [create ()] — an empty store with room for 16 nodes (a commit
+    grows it); no query is meaningful before the first {!commit}. *)
+val create : unit -> t
 
 (** [commit t parents] — flatten [parents] into the back buffer and
     swap it to the front. O(n); allocation-free once the buffers have

@@ -267,11 +267,10 @@ let writer_cases =
           Pool.with_pool ~jobs:1 (fun pool ->
               Campaign.chaos_matrix ~pool ~gen:gnp ~n:32 ~seeds:1 ~seed_base:1
                 ~algos:[ Builders.bfs ] ~plans:[ List.hd Fault.Plan.defaults ]
-                ~daemons:random_daemon ~max_rounds:20_000 ~max_injections:3 ())
+                ~daemons:random_daemon ())
         in
         let fresh =
-          Campaign.campaign_json ~family:"gnp" ~n:32 ~seeds:3 ~seed_base:1 ~max_rounds:20_000
-            ~max_injections:3 cells
+          Campaign.campaign_json ~family:"gnp" ~n:32 ~seeds:3 ~seed_base:1 cells
         in
         let meta j = Option.get (Json.member "meta" j) in
         same_bytes "meta" (meta committed) (meta fresh);
@@ -282,8 +281,8 @@ let writer_cases =
         let cells =
           Pool.with_pool ~jobs:1 (fun pool ->
               Service_campaign.churn_matrix ~pool ~gen:gnp ~n:16 ~seeds:1 ~seed_base:1
-                ~algos:[ Builders.bfs ] ~traces:[ List.hd traces ] ~daemons:random_daemon
-                ~max_rounds:20_000 ())
+                ~algos:[ Builders.bfs ] ~traces:[ List.hd traces ]
+                ~daemons:random_daemon ())
         in
         let fresh =
           Service_campaign.campaign_json ~family:"gnp" ~n:16 ~seeds:2 ~seed_base:1 ~traces
@@ -292,6 +291,34 @@ let writer_cases =
         let meta j = Option.get (Json.member "meta" j) in
         same_bytes "meta" (meta committed) (meta fresh);
         same_bytes "first cell" (first_cell committed) (first_cell fresh));
+    (* The big tier's n = 1000 cells (bfs then spt, flash-crowd:2 then
+       :8; the first is SERVICE's first big cell) through the matrix
+       driver: pins their order and RNG keys. *)
+    Alcotest.test_case "SERVICE_repro.json big-tier cells at n=1000" `Quick (fun () ->
+        let committed = committed_json "SERVICE_repro.json" in
+        let big_1000 c =
+          Json.member "tier" c = Some (Json.Str "big")
+          && Json.member "n0" c = Some (Json.Int 1_000)
+        in
+        let committed_cells =
+          match Json.member "cells" committed with
+          | Some (Json.List cs) -> List.filter big_1000 cs
+          | _ -> []
+        in
+        let cells =
+          Pool.with_pool ~jobs:1 (fun pool ->
+              Service_campaign.big_matrix ~pool ~nmax:1_000 ~seed_base:1)
+        in
+        let fresh =
+          Service_campaign.campaign_json ~family:"gnp" ~n:16 ~seeds:2 ~seed_base:1
+            ~traces:Repro_service.Churn.defaults cells
+        in
+        let fresh_cells =
+          match Json.member "cells" fresh with Some (Json.List cs) -> cs | _ -> []
+        in
+        Alcotest.(check int) "cells" 4 (List.length committed_cells);
+        same_bytes "n=1000 big cells" (Json.List committed_cells)
+          (Json.List fresh_cells));
   ]
 
 (* ------------------------------------------------------------------ *)

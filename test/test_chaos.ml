@@ -465,11 +465,11 @@ let test_episode_periodic_plan () =
     Fault.Plan.make (Fault.Plan.Random_nodes 2) ~timing:(Fault.Plan.Periodic 4)
   in
   let e =
-    C.run_episode ~max_injections:3 ~watch_phi:true g (Central Scheduler.Random_daemon)
-      (seed 15) plan
+    C.run_episode ~watch_phi:true g (Central Scheduler.Random_daemon) (seed 15) plan
   in
   Alcotest.(check bool) "recovered" true e.C.recovered;
-  Alcotest.(check int) "injection budget spent" 3 (List.length e.C.injections);
+  Alcotest.(check int) "injection budget spent" Chaos.max_injections
+    (List.length e.C.injections);
   List.iter
     (fun i -> Alcotest.(check bool) "nodes non-empty" true (i.Chaos.nodes <> []))
     e.C.injections;

@@ -455,6 +455,33 @@ let test_mst_builder_weight_matches_kruskal () =
   | Some t -> Alcotest.(check int) "weight" (Mst.mst_weight g) (Tree.weight t g)
   | None -> Alcotest.fail "no tree"
 
+(* Known failure (ROADMAP item 1): Theorem 3.1 claims convergence under
+   the unfair daemon, but from this adversarial start (gnp, n = 12, the
+   stream of `repro_cli run --seed 3`) MST under the LIFO adversary
+   livelocks. Rounds keep elapsing and the watchdog sees a configuration
+   cycle of period 2; the tree stays heavier than the MST. Pinned so
+   the verdict cannot change unnoticed; a fix of item 3 turns this into
+   a correctness test (silent, weight 77). *)
+let test_mst_known_failure_livelock () =
+  let rng = Random.State.make [| 3 |] in
+  let g = (Option.get (Generators.by_name "gnp")) rng ~n:12 in
+  let wd = Watchdog.create ~observe_only:true () in
+  let r =
+    ME.run ~max_rounds:5_000 ~watchdog:wd g
+      (Option.get (Scheduler.by_name "adversary"))
+      rng ~init:(ME.adversarial rng g)
+  in
+  Alcotest.(check bool) "not silent" false r.ME.silent;
+  Alcotest.(check int) "rounds keep elapsing to the budget" 5_000 r.ME.rounds;
+  Alcotest.(check int) "steps" 29_737 r.ME.steps;
+  Alcotest.(check string) "verdict"
+    "livelock (configuration cycle of period 2 at round 21)"
+    (Format.asprintf "%a" Watchdog.pp_verdict (Watchdog.verdict wd ~silent:false));
+  Alcotest.(check int) "MST weight" 77 (Mst.mst_weight g);
+  match Mst_builder.tree_of g r.ME.states with
+  | Some t -> Alcotest.(check int) "tree weight" 84 (Tree.weight t g)
+  | None -> Alcotest.fail "no tree"
+
 (* At silence the stored fragment labels are exactly the Borůvka
    certificate of the built tree, and that certificate reports no
    violation. Three kinds of run on the sixteen sample graphs:
@@ -1882,6 +1909,8 @@ let () =
           Alcotest.test_case "one-node adversarial starts (every builder)" `Quick
             test_one_node_adversarial;
           Alcotest.test_case "builder registry" `Quick test_builder_registry;
+          Alcotest.test_case "known failure: LIFO-adversary livelock (seed 3)" `Quick
+            test_mst_known_failure_livelock;
         ] );
       ( "mdst_builder",
         [

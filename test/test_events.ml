@@ -215,7 +215,7 @@ let test_chaos_periodic_attribution () =
   let g = Generators.random_connected (seed 42) ~n:16 ~m:24 in
   let sink = Events.ring ~capacity:1_000_000 () in
   let e =
-    C.run_episode ~max_injections:3 ~watch_phi:true ~events:sink g
+    C.run_episode ~watch_phi:true ~events:sink g
       (Central Scheduler.Random_daemon) (seed 43)
       (Fault.Plan.make (Fault.Plan.Random_nodes 2) ~timing:(Fault.Plan.Periodic 4))
   in

@@ -106,11 +106,11 @@ let trimmed_campaign jobs =
         Campaign.chaos_matrix ~pool ~gen ~n:12 ~seeds:2 ~seed_base:20260805
           ~algos:Builders.[ bfs; spt ]
           ~plans:(List.filteri (fun i _ -> i < 2) Fault.Plan.defaults)
-          ~daemons ~max_rounds:4000 ~max_injections:4 ()
+          ~daemons ()
       in
       Json.to_string
         (Campaign.campaign_json ~family:"random" ~n:12 ~seeds:2 ~seed_base:20260805
-           ~max_rounds:4000 ~max_injections:4 cells))
+           cells))
 
 let test_campaign_identical_across_jobs () =
   let j1 = trimmed_campaign 1 in
