@@ -572,7 +572,8 @@ let e12 () =
         (Steiner.degree final) exact swaps;
       []);
   Format.printf
-    "shape: the local search never worsens the metric tree's degree and tracks the      node-set optimum within one where the optimum is computable.@."
+    "shape: the local search never worsens the metric tree's degree and tracks the \
+     node-set optimum within one where the optimum is computable.@."
 
 (* ------------------------------------------------------------------ *)
 (* BIG — the big-n tier (SCALING.md): the struct-of-arrays engine on

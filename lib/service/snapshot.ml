@@ -8,25 +8,22 @@ let pair hi lo = (hi lsl 31) lor (lo + half)
 let hi lane = lane asr 31
 let lo lane = (lane land 0x7FFF_FFFF) - half
 
-(* One committed buffer. Node [v]'s labels are the 4-word record
-   [lab.(4v .. 4v+3)]:
-   - [head]: heavy-path head (the Nca_labels facet);
-   - [(depth of head, parent of head)]: a climb step's whole read;
-   - [(pre, post)]: the DFS interval (the Interval_labels facet);
-   - [(root, depth)]: tree root reached from v and hops to it.
+(* One committed buffer, two arrays over the first [n] nodes:
+   - [climb.(v)]: the pair (depth of head, parent of head) of [v]'s
+     heavy path, [(0, -1)] on a root's path — a climb step's whole
+     read, one word per node so that the array a climb walks stays
+     cache-resident at large n;
+   - [fac.(4v .. 4v+3)]: [v]'s facet record, every other read —
+     [(pre, post)], the DFS interval (the Interval_labels facet);
+     [(root, depth)], the tree root reached from v and hops to it; the
+     committed parent link verbatim; and [(head, degree)], the
+     heavy-path head (the Nca_labels facet) and the tree degree
+     (children + valid parent).
    Nodes whose parent chain never reaches a root carry [-1] in every
-   field. [parent] keeps the committed links verbatim and [deg] the tree
-   degree (children + valid parent); only the first [n] nodes are
-   meaningful. *)
-type buf = { mutable n : int; parent : int array; deg : int array; lab : int array }
+   label field; their parent and degree stay exact. *)
+type buf = { mutable n : int; climb : int array; fac : int array }
 
-let alloc cap =
-  {
-    n = 0;
-    parent = Array.make cap (-1);
-    deg = Array.make cap 0;
-    lab = Array.make (4 * cap) (-1);
-  }
+let alloc cap = { n = 0; climb = Array.make cap (-1); fac = Array.make (4 * cap) (-1) }
 
 (* Rebuild scratch, one set per store: only the back buffer is ever
    being rebuilt. *)
@@ -71,15 +68,14 @@ let grown cap n =
 let rebuild b s parents =
   let n = Array.length parents in
   b.n <- n;
-  Array.blit parents 0 b.parent 0 n;
-  let lab = b.lab and none = pair (-1) (-1) in
+  let climb = b.climb and fac = b.fac and none = pair (-1) (-1) in
+  Array.fill climb 0 n none;
   for v = 0 to n - 1 do
-    lab.(4 * v) <- -1;
-    lab.((4 * v) + 1) <- none;
-    lab.((4 * v) + 2) <- none;
-    lab.((4 * v) + 3) <- none
+    fac.(4 * v) <- none;
+    fac.((4 * v) + 1) <- none;
+    fac.((4 * v) + 2) <- parents.(v);
+    fac.((4 * v) + 3) <- pair (-1) 0
   done;
-  Array.fill b.deg 0 n 0;
   Array.fill s.size 0 n 1;
   Array.fill s.heavy 0 n (-1);
   Array.fill s.child_head 0 n (-1);
@@ -88,12 +84,13 @@ let rebuild b s parents =
     p >= 0 && p < n && p <> v
   in
   (* Children lists, built backwards so traversal is increasing order
-     (the convention of [Tree.children] and the labels provers). *)
+     (the convention of [Tree.children] and the labels provers). A tree
+     edge adds 1 to the degree, the low field of word 3, at both ends. *)
   for v = n - 1 downto 0 do
     if link v then begin
       let p = parents.(v) in
-      b.deg.(v) <- b.deg.(v) + 1;
-      b.deg.(p) <- b.deg.(p) + 1;
+      fac.((4 * v) + 3) <- fac.((4 * v) + 3) + 1;
+      fac.((4 * p) + 3) <- fac.((4 * p) + 3) + 1;
       s.child_next.(v) <- s.child_head.(p);
       s.child_head.(p) <- v
     end
@@ -105,8 +102,8 @@ let rebuild b s parents =
      that the exit overwrites. *)
   let pre_clock = ref 0 and post_clock = ref 0 and sp = ref 0 in
   let enter v r d =
-    lab.((4 * v) + 2) <- pair !pre_clock (-1);
-    lab.((4 * v) + 3) <- pair r d;
+    fac.(4 * v) <- pair !pre_clock (-1);
+    fac.((4 * v) + 1) <- pair r d;
     s.order.(!pre_clock) <- v;
     incr pre_clock;
     s.stack.(!sp) <- v;
@@ -122,7 +119,7 @@ let rebuild b s parents =
         if c < 0 then begin
           (* all children done: close the interval, settle heavy child *)
           decr sp;
-          lab.((4 * v) + 2) <- pair (hi lab.((4 * v) + 2)) !post_clock;
+          fac.(4 * v) <- pair (hi fac.(4 * v)) !post_clock;
           incr post_clock;
           let ch = ref s.child_head.(v) and best = ref (-1) in
           while !ch >= 0 do
@@ -134,30 +131,25 @@ let rebuild b s parents =
         end
         else begin
           s.cursor.(!sp - 1) <- s.child_next.(c);
-          enter c r (lo lab.((4 * v) + 3) + 1)
+          enter c r (lo fac.((4 * v) + 1) + 1)
         end
       done
     end
   done;
   (* Heavy-path heads in one pre-order sweep: parents settle before
-     children, mirroring [Heavy_path.compute]. A head's record is
-     complete before any node below it reads it. *)
+     children, mirroring [Heavy_path.compute]. A heavy child inherits
+     its parent's head and climb word; a light child heads a path that
+     climbs to its parent. *)
   for i = 0 to !pre_clock - 1 do
     let v = s.order.(i) in
-    if not (link v) then begin
-      lab.(4 * v) <- v;
-      lab.((4 * v) + 1) <- pair 0 (-1)
+    let p = parents.(v) in
+    if link v && s.heavy.(p) = v then begin
+      climb.(v) <- climb.(p);
+      fac.((4 * v) + 3) <- pair (hi fac.((4 * p) + 3)) (lo fac.((4 * v) + 3))
     end
     else begin
-      let p = parents.(v) in
-      if s.heavy.(p) = v then begin
-        lab.(4 * v) <- lab.(4 * p);
-        lab.((4 * v) + 1) <- lab.((4 * p) + 1)
-      end
-      else begin
-        lab.(4 * v) <- v;
-        lab.((4 * v) + 1) <- pair (lo lab.((4 * v) + 3)) p
-      end
+      climb.(v) <- (if link v then pair (lo fac.((4 * v) + 1)) p else pair 0 (-1));
+      fac.((4 * v) + 3) <- pair v (lo fac.((4 * v) + 3))
     end
   done
 
@@ -180,7 +172,7 @@ let create () =
 let commit t parents =
   let n = Array.length parents in
   if n >= half then invalid_arg "Snapshot.commit: n >= 2^30";
-  let cap = Array.length t.back.parent in
+  let cap = Array.length t.back.climb in
   if n > cap then t.back <- alloc (grown cap n);
   let cap = Array.length t.scratch.size in
   if n > cap then t.scratch <- alloc_scratch (grown cap n);
@@ -194,63 +186,63 @@ let ready t = t.ready
 let n t = t.front.n
 
 (* O(1) facet reads. *)
-let parent t v = t.front.parent.(v)
-let root t v = hi t.front.lab.((4 * v) + 3)
-let degree t v = t.front.deg.(v)
-let depth_of lab v = lo lab.((4 * v) + 3)
-let depth t v = depth_of t.front.lab v
-let head t v = t.front.lab.(4 * v)
+let parent t v = t.front.fac.((4 * v) + 2)
+let root t v = hi t.front.fac.((4 * v) + 1)
+let degree t v = lo t.front.fac.((4 * v) + 3)
+let depth_of fac v = lo fac.((4 * v) + 1)
+let depth t v = depth_of t.front.fac v
+let head t v = hi t.front.fac.((4 * v) + 3)
 
 (* Ancestry through the interval labels, the [Interval_labels] test on
    the decoded (pre, post) pairs, after the same-tree guard. *)
-let ancestor lab a v =
-  let ia = lab.((4 * a) + 2) and iv = lab.((4 * v) + 2) in
+let ancestor fac a v =
+  let ia = fac.(4 * a) and iv = fac.(4 * v) in
   hi ia <= hi iv && lo iv <= lo ia
 
-let same_tree lab u v =
-  let r = hi lab.((4 * u) + 3) in
-  r >= 0 && r = hi lab.((4 * v) + 3)
+let same_tree fac u v =
+  let r = hi fac.((4 * u) + 1) in
+  r >= 0 && r = hi fac.((4 * v) + 1)
 
 let is_ancestor t a v =
-  let lab = t.front.lab in
-  same_tree lab a v && ancestor lab a v
+  let fac = t.front.fac in
+  same_tree fac a v && ancestor fac a v
 
 (* NCA of two nodes of one tree by heavy-path head climbing, the flat
-   form of [Nca_labels.nca]: while the two walks sit on different heavy
-   paths, the one whose head is deeper retreats above its head. Each
-   step reads one record, and at most one light edge per iteration on
-   each side, so O(log n) iterations. Comparing the whole (depth of
-   head, parent of head) lanes orders by head depth; on a tie the two
-   heads are distinct and at one depth, so the NCA lies above both and
-   either side may retreat. *)
-let climb lab u v =
+   form of [Nca_labels.nca]. While the two climb words differ, the
+   larger retreats to its parent of head: a deeper head first, and on a
+   depth tie the two heads are distinct and at one depth, so the NCA
+   lies above both and either side may retreat. Each step reads one
+   climb word and crosses one light edge, so O(log n) steps. Equal
+   words mean one parent of head: on one head, the shallower node is
+   the NCA; on two heads, both are light children of that parent,
+   which is the NCA. *)
+let climb b u v =
+  let climb = b.climb in
   let u = ref u and v = ref v in
-  let hu = ref lab.(4 * !u) and hv = ref lab.(4 * !v) in
-  let cu = ref lab.((4 * !u) + 1) and cv = ref lab.((4 * !v) + 1) in
-  while !hu <> !hv do
-    if !cu >= !cv then begin
+  let cu = ref climb.(!u) and cv = ref climb.(!v) in
+  while !cu <> !cv do
+    if !cu > !cv then begin
       u := lo !cu;
-      hu := lab.(4 * !u);
-      cu := lab.((4 * !u) + 1)
+      cu := climb.(!u)
     end
     else begin
       v := lo !cv;
-      hv := lab.(4 * !v);
-      cv := lab.((4 * !v) + 1)
+      cv := climb.(!v)
     end
   done;
-  if depth_of lab !u <= depth_of lab !v then !u else !v
+  let fac = b.fac in
+  if hi fac.((4 * !u) + 3) <> hi fac.((4 * !v) + 3) then lo !cu
+  else if depth_of fac !u <= depth_of fac !v then !u
+  else !v
 
-let nca t u v =
-  let lab = t.front.lab in
-  if same_tree lab u v then climb lab u v else -1
+let nca t u v = if same_tree t.front.fac u v then climb t.front u v else -1
 
 (* The tree-path length through [w], the NCA of [u] and [v]. *)
-let route lab u v w = depth_of lab u + depth_of lab v - (2 * depth_of lab w)
+let route fac u v w = depth_of fac u + depth_of fac v - (2 * depth_of fac w)
 
 let route_length t u v =
-  let lab = t.front.lab in
-  if same_tree lab u v then route lab u v (climb lab u v) else -1
+  let b = t.front in
+  if same_tree b.fac u v then route b.fac u v (climb b u v) else -1
 
 (* ------------------------------------------------------------------ *)
 
@@ -263,17 +255,18 @@ type answer = {
   a_route : int;
 }
 
-(* Every facet from one climb: the route derives from the NCA. *)
+(* Every facet from one climb: the route derives from the NCA, and
+   [v]'s parent, root and degree come from its facet record. *)
 let answer t ~v ~u =
   let b = t.front in
-  let lab = b.lab in
-  let same = same_tree lab u v in
-  let w = if same then climb lab u v else -1 in
+  let fac = b.fac in
+  let same = same_tree fac u v in
+  let w = if same then climb b u v else -1 in
   {
-    a_parent = b.parent.(v);
-    a_root = hi lab.((4 * v) + 3);
-    a_degree = b.deg.(v);
-    a_ancestor = same && ancestor lab u v;
+    a_parent = fac.((4 * v) + 2);
+    a_root = hi fac.((4 * v) + 1);
+    a_degree = lo fac.((4 * v) + 3);
+    a_ancestor = same && ancestor fac u v;
     a_nca = w;
-    a_route = (if same then route lab u v w else -1);
+    a_route = (if same then route fac u v w else -1);
   }

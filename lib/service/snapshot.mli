@@ -10,16 +10,19 @@
     ({!is_ancestor}) or O(log n) ({!nca}, {!route_length}), never by
     chasing live parent pointers.
 
-    {b Layout.} A buffer keeps one 4-word record per node [v], the
-    words [4v .. 4v+3] of one int array: the heavy-path [head], then
-    three pairs — ([depth] of the head, [parent] of the head), ([pre],
-    [post]) and ([root], [depth]). One heavy-path climb step reads one
-    record, and {!answer} climbs once for all its facets. The parent
-    links (verbatim) and the tree degrees keep an array each, so a
-    buffer holds 6 words per node. A pair is two 31-bit signed fields
-    in one word, the encoding of [St_layer.pair]. Every field lies in
-    [[-1, n)], and a root candidate's parent of head is [-1], never its
-    raw link; so a commit needs [n < 2^30] and raises
+    {b Layout.} A buffer keeps two int arrays. The climb array holds
+    one word per node [v]: the pair ([depth] of the head, [parent] of
+    the head) of [v]'s heavy path, [(0, -1)] on a root's path. It is
+    all a heavy-path climb step reads, and at one word per node it
+    stays cache-resident at large n. The facet record holds 4 words per
+    node, the words [4v .. 4v+3]: ([pre], [post]), ([root], [depth]),
+    the parent link verbatim, and ([head], tree degree). Every read
+    other than the climb comes from it, so {!answer} reads [v]'s record
+    once for parent, root and degree, and climbs once for the rest. A
+    buffer holds 5 words per node. A pair is two 31-bit signed fields
+    in one word, the encoding of [St_layer.pair]. Every label field
+    lies in [[-1, n)], and a root candidate's parent of head is [-1],
+    never its raw link; so a commit needs [n < 2^30] and raises
     [Invalid_argument] otherwise. It never clamps.
 
     {b Double buffering.} A store holds two buffers. Reads always hit
@@ -32,7 +35,7 @@
     commit allocates nothing. The rebuild's seven scratch arrays (7
     words per node) belong to the store, not to a buffer, since only
     the back buffer is ever being rebuilt: a store whose buffers have
-    both grown holds 19 words per node.
+    both grown holds 17 words per node.
 
     {b Degraded commits.} The service driver also commits the live
     configuration when a recovery fails (the degraded-but-alive
@@ -74,11 +77,12 @@ val degree : t -> int -> int
 (** Hops from [v] to its root; [-1] when [root] is [-1]. O(1). *)
 val depth : t -> int -> int
 
-(** The topmost node of [v]'s heavy path in the committed tree (word 0
-    of [v]'s record); [-1] when [root] is [-1]. The heavy child of a
-    node is its child with the largest subtree, ties broken by the
-    smallest id — the rule of {!Repro_labels.Heavy_path}, whose
-    light-edge bound makes {!nca} O(log n). O(1). *)
+(** The topmost node of [v]'s heavy path in the committed tree (the
+    high field of word 3 of [v]'s facet record); [-1] when [root] is
+    [-1]. The heavy child of a node is its child with the largest
+    subtree, ties broken by the smallest id — the rule of
+    {!Repro_labels.Heavy_path}, whose light-edge bound makes {!nca}
+    O(log n). O(1). *)
 val head : t -> int -> int
 
 (** [is_ancestor t a v] — [a] lies on the committed tree path from [v]

@@ -254,6 +254,34 @@ let test_commit_replaces () =
   Alcotest.(check int) "root moved" 1 (Snapshot.root snap 0);
   ignore (check_all_pairs p3)
 
+(* Climbs that stop on equal climb words under different heads: [x] =
+   1 has three children 2, 3, 4 whose subtrees (a child each, 5, 6, 7)
+   are the same size, so 2 continues the root's heavy path while 3 and
+   4 head light paths at one depth, both climbing to [x]. A pair below
+   the two light children never climbs, and its NCA is [x], not the
+   shallower node. *)
+let test_light_siblings () =
+  let p = [| -1; 0; 1; 1; 1; 2; 3; 4 |] and x = 1 in
+  let snap = Snapshot.create () in
+  Snapshot.commit snap p;
+  Alcotest.(check (list int))
+    "heads of 2, 3, 4" [ 0; 3; 4 ]
+    (List.map (Snapshot.head snap) [ 2; 3; 4 ]);
+  List.iter
+    (fun (u, v) ->
+      let what = Printf.sprintf "(%d, %d)" u v in
+      Alcotest.(check int) ("nca " ^ what) x (Snapshot.nca snap u v);
+      Alcotest.(check int)
+        ("route_length " ^ what)
+        (naive_depth p u + naive_depth p v - (2 * naive_depth p x))
+        (Snapshot.route_length snap u v);
+      Alcotest.(check bool)
+        ("answer " ^ what)
+        true
+        (Snapshot.answer snap ~v ~u = naive_answer p ~v ~u))
+    [ (6, 7); (7, 6); (3, 7); (6, 4); (3, 4) ];
+  ignore (check_pairs snap p)
+
 (* Deeper climbs than n <= 20 reaches: a stabilized bfs tree at
    n = 10^4. *)
 let big_n = 10_000
@@ -469,6 +497,7 @@ let () =
       ( "snapshot-unit",
         [
           Alcotest.test_case "commits replace wholesale" `Quick test_commit_replaces;
+          Alcotest.test_case "light siblings meet at their parent" `Quick test_light_siblings;
           Alcotest.test_case "sampled pairs at n=10^4 (bfs)" `Quick test_big_sampled;
           Alcotest.test_case "heads = Heavy_path at n=10^4 (bfs)" `Quick test_big_heads;
         ] );
