@@ -61,6 +61,20 @@ let named what by_name =
 
 let pick by_name s = (s, Option.get (by_name s))
 
+(* Counts the user types: a node, seed, trial or round count below 1,
+   or a fault count below 0, is a usage error (exit 124) instead of an
+   exception from deep inside a run or a silently empty campaign. *)
+let int_at_least lo expected =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt (String.trim s) with
+        | Some k when k >= lo -> Ok k
+        | _ -> Error (Printf.sprintf "invalid value '%s', expected %s" s expected)),
+      Format.pp_print_int )
+
+let positive = int_at_least 1 "a positive integer"
+let non_negative = int_at_least 0 "a non-negative integer"
+
 let builder =
   Arg.conv'
     ( (fun s ->
@@ -82,7 +96,7 @@ let graph_arg =
     & info [ "graph"; "g" ] ~docv:"FAMILY" ~doc)
 
 let n_arg =
-  Arg.(value & opt int 24 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(value & opt positive 24 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Number of nodes.")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let scheduler = named "scheduler" Scheduler.by_name
@@ -100,10 +114,13 @@ let adversarial_arg =
   Arg.(value & flag & info [ "adversarial" ] ~doc:"Start from arbitrary register contents.")
 
 let faults_arg =
-  Arg.(value & opt int 0 & info [ "faults" ] ~docv:"K" ~doc:"Corrupt K registers after stabilization and re-run.")
+  Arg.(
+    value
+    & opt non_negative 0
+    & info [ "faults" ] ~docv:"K" ~doc:"Corrupt K registers after stabilization and re-run.")
 
 let max_rounds_arg =
-  Arg.(value & opt int 200_000 & info [ "max-rounds" ] ~docv:"R" ~doc:"Round budget.")
+  Arg.(value & opt positive 200_000 & info [ "max-rounds" ] ~docv:"R" ~doc:"Round budget.")
 
 let metrics_out_arg =
   Arg.(
@@ -201,10 +218,6 @@ let run_cmd =
 
 let sweep_cmd =
   let sweep b (family, gen) ns trials seed (_, sched) jobs =
-    let ns =
-      String.split_on_char ',' ns
-      |> List.filter_map (fun s -> int_of_string_opt (String.trim s))
-    in
     (* Each (n, trial) cell derives its own RNG from the seed, so the
        cells are independent and the pool hands the rows back in
        canonical order for printing. *)
@@ -226,11 +239,11 @@ let sweep_cmd =
   let ns_arg =
     Arg.(
       value
-      & opt string "8,16,24,32"
+      & opt (list positive) [ 8; 16; 24; 32 ]
       & info [ "n-list" ] ~docv:"N1,N2,.." ~doc:"Comma-separated node counts.")
   in
   let trials_arg =
-    Arg.(value & opt int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per size.")
+    Arg.(value & opt positive 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per size.")
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep an algorithm over sizes; print CSV rows.")
@@ -327,7 +340,7 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
         `Ok { family; gen; n; seeds; seed; algos; daemons; out; jobs; trace_dir }
   in
   let seeds_arg =
-    Arg.(value & opt int 2 & info [ "seeds" ] ~docv:"S" ~doc:"Seeds per cell.")
+    Arg.(value & opt positive 2 & info [ "seeds" ] ~docv:"S" ~doc:"Seeds per cell.")
   in
   let algos_arg =
     let names = List.map show (List.filter eligible Builders.all) in

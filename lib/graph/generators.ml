@@ -246,6 +246,7 @@ let hypercube st ~dim =
 
 let lollipop st ~clique ~tail =
   if clique < 2 then invalid_arg "Generators.lollipop: clique < 2";
+  if tail < 0 then invalid_arg "Generators.lollipop: tail < 0";
   let n = clique + tail in
   let pairs = ref [] in
   for u = 0 to clique - 1 do
@@ -343,7 +344,10 @@ let by_name = function
           let rec dim_of k acc = if 1 lsl acc >= k then acc else dim_of k (acc + 1) in
           hypercube st ~dim:(max 1 (dim_of n 0)))
   | "lollipop" ->
-      Some (fun st ~n -> lollipop st ~clique:(max 2 (n / 2)) ~tail:(n - max 2 (n / 2)))
+      Some
+        (fun st ~n ->
+          let clique = max 2 (n / 2) in
+          lollipop st ~clique ~tail:(max 0 (n - clique)))
   | "caterpillar" ->
       Some
         (fun st ~n ->

@@ -55,7 +55,8 @@ val hypercube : Random.State.t -> dim:int -> Graph.t
 
 (** [lollipop st ~clique ~tail] is K_[clique] with a path of [tail] nodes
     attached — a classic hard case for tree-degree heuristics. Cost:
-    O(clique² + tail). *)
+    O(clique² + tail).
+    @raise Invalid_argument if [clique < 2] or [tail < 0]. *)
 val lollipop : Random.State.t -> clique:int -> tail:int -> Graph.t
 
 (** [caterpillar st ~spine ~legs] is a spine path where every spine node

@@ -182,8 +182,6 @@ let prop_fullinfo_mst_self_stabilizes =
       r.FE.silent && r.FE.legal)
 
 let () =
-  (* Deterministic property tests: fix the qcheck master seed. *)
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_baselines"
     [
       ( "adhoc_bfs",

@@ -479,8 +479,6 @@ let test_episode_periodic_plan () =
   | [] -> assert false
 
 let () =
-  (* Deterministic property tests: fix the qcheck master seed. *)
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_chaos"
     [
       ( "watchdog",

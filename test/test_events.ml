@@ -605,7 +605,6 @@ let test_profile_counters () =
     (Profile.hit_rate p >= 0.0 && Profile.hit_rate p <= 1.0)
 
 let () =
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_events"
     [
       ( "activation DAG",

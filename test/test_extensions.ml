@@ -401,8 +401,6 @@ let prop_mst_loop_free =
       legal && breaks = 0)
 
 let () =
-  (* Deterministic property tests: fix the qcheck master seed. *)
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_extensions"
     [
       ( "loop_freedom",

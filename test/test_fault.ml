@@ -202,8 +202,6 @@ let test_stale_payload () =
   Alcotest.(check bool) "fallback randomized" true (out.(0) >= 1000)
 
 let () =
-  (* Deterministic property tests: fix the qcheck master seed. *)
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_fault"
     [
       ( "corrupt",

@@ -666,8 +666,6 @@ let prop_mst_pls_complete_and_sound =
       ok_mst && ok_t)
 
 let () =
-  (* Deterministic property tests: fix the qcheck master seed. *)
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_labels"
     [
       ( "distance_pls",

@@ -6,6 +6,7 @@
 
 open Repro_graph
 open Repro_runtime
+open Repro_labels
 open Repro_core
 
 module type BUILDER = sig
@@ -103,6 +104,136 @@ end
 module Mst = Pin (Mst_builder) (Builder_oracle.Mst_builder)
 module Mdst = Pin (Mdst_builder) (Builder_oracle.Mdst_builder)
 
+(* A third input source for MST, heavy on sessions and aggregates:
+   [P.random_state], or the exact NCA and trace labels of a random
+   spanning tree (so merge, cycle and candidate tests see consistent
+   neighbors), then up to four nodes reshaped into what [random_state]
+   rarely draws — a parent that is also a child, frags longer than
+   ⌈log₂ n⌉+1 with clashing fragment ids, labels of unequal length over
+   a small alphabet (shared prefixes), aggregates built from neighbors'
+   labels, tokens backed by a neighbor's cut agreement. *)
+let mst_registers rng g =
+  let n = Graph.n g in
+  let cap = Space.log2_ceil (max 2 n) + 1 in
+  let small () = Random.State.int rng (min n 3) in
+  let edges = Graph.edges g in
+  let random_out () =
+    if Array.length edges = 0 || Random.State.int rng 3 = 0 then None
+    else Some edges.(Random.State.int rng (Array.length edges))
+  in
+  let random_entry () =
+    {
+      Fragment_labels.frag = small ();
+      fdist = Random.State.int rng 3;
+      out = random_out ();
+      odist = Random.State.int rng 3;
+    }
+  in
+  (* A register's own [seq] is never empty ([Nca_labels.extend_heavy]
+     needs a last pair); carried labels may be. *)
+  let random_label ~min =
+    Nca_labels.of_pairs
+      (Array.init (min + Random.State.int rng (5 - min)) (fun _ -> (small (), small ())))
+  in
+  let sts =
+    if Random.State.bool rng then Array.init n (fun v -> Mst_builder.P.random_state rng g v)
+    else begin
+      (* Every label layer at its fixpoint on a random spanning tree, so
+         the guard reaches the trace, candidate and cut rules; the
+         aggregates and the session stay [random_state]'s garbage half
+         the time. *)
+      let parent, order = Spanning.random_graph_tree rng g in
+      let t = Tree.of_parents ~root:0 parent in
+      let size = Array.make n 1 and heavy = Array.make n (-1) in
+      for k = n - 1 downto 1 do
+        let v = order.(k) in
+        size.(parent.(v)) <- size.(parent.(v)) + size.(v)
+      done;
+      for v = 1 to n - 1 do
+        let p = parent.(v) in
+        if heavy.(p) = -1 || size.(v) > size.(heavy.(p)) then heavy.(p) <- v
+      done;
+      let seq = Array.make n (Nca_labels.of_root 0) in
+      Array.iteri
+        (fun k v ->
+          if k > 0 then
+            let p = parent.(v) in
+            seq.(v) <-
+              (if heavy.(p) = v then Nca_labels.extend_heavy seq.(p)
+               else Nca_labels.extend_light seq.(p) ~child:v))
+        order;
+      let frags = Fragment_labels.prover g t in
+      Array.init n (fun v ->
+          let r = Mst_builder.P.random_state rng g v in
+          let garbage = Random.State.bool rng in
+          {
+            Mst_builder.st = { St_layer.parent = parent.(v); root = 0; dist = Tree.depth t v };
+            size = size.(v);
+            heavy = heavy.(v);
+            seq = seq.(v);
+            frags = frags.(v);
+            cand_agg = (if garbage then r.cand_agg else None);
+            cut_agg = (if garbage then r.cut_agg else None);
+            sw = (if garbage then r.sw else None);
+          })
+    end
+  in
+  let label_of () =
+    if Random.State.bool rng then random_label ~min:0
+    else sts.(Random.State.int rng n).Mst_builder.seq
+  in
+  let cand () =
+    {
+      Mst_builder.lvl = Random.State.int rng 3;
+      e =
+        (if Array.length edges = 0 then Graph.Edge.make 0 1 1
+         else edges.(Random.State.int rng (Array.length edges)));
+      su = label_of ();
+      sv = label_of ();
+    }
+  in
+  let cut () =
+    let f_child = Random.State.int rng n in
+    {
+      Mst_builder.cand = cand ();
+      f = (match random_out () with Some e -> e | None -> Graph.Edge.make 0 1 2);
+      f_child;
+      f_child_seq = (if Random.State.bool rng then sts.(f_child).seq else label_of ());
+    }
+  in
+  for _ = 1 to Random.State.int rng 5 do
+    let v = Random.State.int rng n in
+    let nbrs = Graph.neighbors g v in
+    let s = sts.(v) in
+    match Random.State.int rng 6 with
+    | 0 when Array.length nbrs > 0 ->
+        let u, _ = nbrs.(Random.State.int rng (Array.length nbrs)) in
+        sts.(v) <- { s with st = { s.st with parent = u } };
+        sts.(u) <- { sts.(u) with st = { sts.(u).st with parent = v } }
+    | 1 ->
+        let len = cap + 1 + Random.State.int rng 3 in
+        sts.(v) <- { s with frags = Array.init len (fun _ -> random_entry ()) }
+    | 2 -> sts.(v) <- { s with seq = random_label ~min:1 }
+    | 3 ->
+        sts.(v) <-
+          {
+            s with
+            cand_agg = Some { Aggregate.value = cand (); hops = Random.State.int rng (n + 1) };
+            cut_agg = Some { Aggregate.value = cut (); hops = Random.State.int rng (n + 1) };
+          }
+    | 4 when Array.length nbrs > 0 ->
+        (* A token addressed to a neighbor whose cut agreement backs it. *)
+        let u, _ = nbrs.(Random.State.int rng (Array.length nbrs)) in
+        let c = cut () in
+        sts.(v) <- { s with sw = Some { Local_search.cut = c; next = u } };
+        sts.(u) <-
+          { sts.(u) with cut_agg = Some { Aggregate.value = c; hops = Random.State.int rng n } }
+    | _ ->
+        sts.(v) <-
+          { s with sw = Some { Local_search.cut = cut (); next = Random.State.int rng (n + 1) - 1 } }
+  done;
+  sts
+
 let prop name count gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
 let gen_graph max_n =
@@ -134,12 +265,17 @@ let props name ~agrees ~arbitrary ~along_run ~same_draws ~runs_n =
   ]
 
 let () =
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_oracle"
     [
       ( "mst",
         props "MST" ~agrees:Mst.agrees ~arbitrary:Mst.arbitrary ~along_run:Mst.along_run
-          ~same_draws:Mst.same_draws ~runs_n:16 );
+          ~same_draws:Mst.same_draws ~runs_n:16
+        @ [
+            prop "MST: guard, bits, tags, words = oracle on session-heavy registers" 1000
+              (gen_graph 20) (fun p ->
+                let rng, g = graph_of p 31 in
+                List.for_all (fun _ -> Mst.agrees g (mst_registers rng g)) [ 1; 2; 3; 4 ]);
+          ] );
       ( "mdst",
         props "MDST" ~agrees:Mdst.agrees ~arbitrary:Mdst.arbitrary ~along_run:Mdst.along_run
           ~same_draws:Mdst.same_draws ~runs_n:12 );

@@ -454,7 +454,6 @@ let hook_props =
   ]
 
 let () =
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "packed"
     [
       ("codec", codec_props);

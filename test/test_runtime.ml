@@ -368,8 +368,6 @@ let prop_bitset_model =
          | exception Invalid_argument _ -> true))
 
 let () =
-  (* Deterministic property tests: fix the qcheck master seed. *)
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_runtime"
     [
       ("view", [ Alcotest.test_case "accessors" `Quick test_view ]);

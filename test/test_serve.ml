@@ -490,7 +490,6 @@ let test_mdst_known_failure_e13_cell () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "serve"
     [
       ("snapshot", snapshot_props);

@@ -689,7 +689,6 @@ let contained_crash ~graph_seed run () =
             (moves - crashed) r.Service.steps)
 
 let () =
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_service"
     [
       ( "grammar",

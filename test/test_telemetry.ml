@@ -1,17 +1,14 @@
 (* Tests for the metrics series and its JSON: writer/parser
-   round-trips, the per-round series an event sink folds (round
+   round-trips and the per-round series an event sink folds (round
    accounting, and the per-round phi trajectory of a synchronous MST run:
-   non-increasing once the configuration is legal, ending at 0), and a
-   property pinning that fold to the pre-refactor Telemetry sink, kept
-   verbatim in test/oracle and driven from the engine's public hooks. *)
+   non-increasing once the configuration is legal, ending at 0). The
+   series of every builder under every daemon is pinned, as a digest
+   per run, by the golden corpus (corpus.ml). *)
 
 open Repro_graph
 open Repro_runtime
 open Repro_core
 module Json = Metrics.Json
-module Builders = Repro_campaign.Builders
-module Telemetry = Builder_oracle.Telemetry
-module Telemetry_hooks = Builder_oracle.Telemetry_hooks
 
 let seed i = Random.State.make [| 0x7E1E; i |]
 
@@ -193,68 +190,8 @@ let test_record_phi_opt_out () =
   Alcotest.(check (list (pair int int))) "no phi recorded" [] (Events.phi_series sink)
 
 (* ------------------------------------------------------------------ *)
-(* The fold equals the pre-refactor sink. For every builder on the
-   engine the registry picks for it, under every daemon of the extended
-   roster, from the designated and from an adversarial start, with an
-   adversary corrupting two nodes at round 2, run to its limits and cut
-   short by [stop_when] after 25 writes: the event sink's series and
-   summary JSON equal what the oracle Telemetry computes from the
-   [on_round]/[on_step] hooks of the same run. Limits stay low: some
-   builder/daemon pairs livelock by design (MST under max-id). *)
-
-let series_match (Builders.Builder e) (sd, g) =
-  let module E = (val Builders.engine e) in
-  let module P = (val e.Builders.protocol) in
-  let n = Graph.n g in
-  let frng = Random.State.make [| sd; 9 |] in
-  let faults = List.map (fun v -> (v, P.random_state frng g v)) [ 0; n - 1 ] in
-  let adversary ~round _ = if round = 2 then faults else [] in
-  let run sched ~adversarial ~cut =
-    let init =
-      if adversarial then E.adversarial (Random.State.make [| sd; 7 |]) g else E.initial g
-    in
-    let tel, on_round, on_write = Telemetry_hooks.attach (module P) g in
-    let steps = ref 0 in
-    let on_step v sts =
-      incr steps;
-      on_write v sts
-    in
-    let stop_when () = cut && !steps >= 25 in
-    let sink = Events.series () in
-    ignore
-      (E.run ~max_steps:2_000 ~max_rounds:200 ~on_round ~on_step ~adversary ~stop_when
-         ~events:sink g sched
-         (Random.State.make [| sd; 31 |])
-         ~init);
-    let ours = Events.series_json sink and theirs = Telemetry.to_json tel in
-    List.for_all (fun k -> Json.member k ours = Json.member k theirs) [ "rounds"; "summary" ]
-  in
-  List.for_all
-    (fun (name, sched) ->
-      List.for_all
-        (fun (adversarial, cut) ->
-          run sched ~adversarial ~cut
-          || QCheck2.Test.fail_reportf "%s under %s (n=%d, adversarial %b, cut %b)"
-               e.Builders.name name n adversarial cut)
-        [ (false, false); (true, false); (false, true); (true, true) ])
-    Scheduler.extended
-
-let prop_series_oracle =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:12
-       ~name:"event-sink series = oracle Telemetry (every builder x extended roster)"
-       QCheck2.Gen.(
-         let* n = int_range 2 8 in
-         let* extra = int_range 0 n in
-         let* sd = int_bound 1_000_000 in
-         return
-           (sd, Generators.random_connected (Random.State.make [| sd |]) ~n ~m:(n - 1 + extra)))
-       (fun case -> List.for_all (fun b -> series_match b case) Builders.all))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
-  QCheck_base_runner.set_seed 20260704;
   Alcotest.run "repro_telemetry"
     [
       ( "json",
@@ -272,6 +209,5 @@ let () =
           Alcotest.test_case "phi non-increasing after legality" `Quick
             test_phi_non_increasing_after_legal;
           Alcotest.test_case "record_phi opt-out" `Quick test_record_phi_opt_out;
-          prop_series_oracle;
         ] );
     ]
