@@ -5,6 +5,7 @@
 
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe -- E3 E4    # selected experiments
+     dune exec bench/main.exe -- --out BENCH_repro.json   # regenerate
 
    The paper is a theory paper — its "tables and figures" are theorem
    statements plus Figures 1 and 2 — so each experiment measures the
@@ -19,9 +20,10 @@ open Repro_baselines
 open Repro_bench
 module E = Graph.Edge
 
-(* [--seed N] replaces the default RNG seed base; [--out FILE] redirects
-   the BENCH_repro.json artifact (the smoke gate writes to a declared
-   dune target); [--jobs N] sets the worker-domain count for the
+(* [--seed N] replaces the default RNG seed base; [--out FILE] writes
+   the BENCH_repro.json-format artifact there (without it none is
+   written, so a quick run never replaces the committed one; the smoke
+   gate writes to a declared dune target); [--jobs N] sets the worker-domain count for the
    independent experiment cells (default: the machine's recommended
    domain count; 1 = the exact sequential path); [--big-nmax N] trims
    the big-n tier (experiment BIG) to cells with n <= N (the @bigbench
@@ -33,7 +35,7 @@ let seed_base, out_path, jobs, big_nmax, exp_args =
     | "--seed" :: v :: rest ->
         go (match int_of_string_opt v with Some s -> s | None -> seed) out jobs nmax acc
           rest
-    | "--out" :: v :: rest -> go seed v jobs nmax acc rest
+    | "--out" :: v :: rest -> go seed (Some v) jobs nmax acc rest
     | "--jobs" :: v :: rest ->
         go seed out
           (match int_of_string_opt v with Some j -> j | None -> jobs)
@@ -44,7 +46,7 @@ let seed_base, out_path, jobs, big_nmax, exp_args =
           acc rest
     | a :: rest -> go seed out jobs nmax (a :: acc) rest
   in
-  go 0xE57 "BENCH_repro.json" (Pool.default_jobs ()) max_int []
+  go 0xE57 None (Pool.default_jobs ()) max_int []
     (Array.to_list Sys.argv |> List.tl)
 
 let pool = Pool.create ~jobs ()
@@ -88,11 +90,16 @@ let par_rows items f =
        items)
 
 let write_bench_repro () =
-  let path = out_path in
-  let oc = open_out path in
-  Metrics.Json.to_channel oc (Bench_record.to_json ~seed:seed_base (List.rev !bench_records));
-  close_out oc;
-  Format.printf "%s: %d engine-run records written@." path (List.length !bench_records)
+  match out_path with
+  | None ->
+      Format.printf "%d engine-run records, no artifact (--out FILE writes one)@."
+        (List.length !bench_records)
+  | Some path ->
+      let oc = open_out path in
+      Metrics.Json.to_channel oc
+        (Bench_record.to_json ~seed:seed_base (List.rev !bench_records));
+      close_out oc;
+      Format.printf "%s: %d engine-run records written@." path (List.length !bench_records)
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Corollary 6.1: MST rounds and register bits vs n *)

@@ -318,7 +318,9 @@ let bench_diff_cmd =
     Term.(ret (const diff $ old_arg $ new_arg $ require_identical_arg))
 
 (* The flags chaos and serve share: topology, matrix axes (builders,
-   daemons, seeds), artifact path, pool size and trace directory. *)
+   daemons, seeds), artifact path, pool size and trace directory.
+   Without --out no artifact is written, so a quick run never replaces
+   a committed CHAOS_repro.json or SERVICE_repro.json. *)
 type matrix = {
   family : string;
   gen : Random.State.t -> n:int -> Graph.t;
@@ -327,12 +329,12 @@ type matrix = {
   seed : int;
   algos : Builders.t list;
   daemons : (string * Scheduler.t) list;
-  out : string;
+  out : string option;
   jobs : int;
   trace_dir : string option;
 }
 
-let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
+let matrix_term ~cmd ~eligible ~show ~artifact ~axis ~cause ~daemons_doc =
   let make (family, gen) n seeds seed algos daemons out jobs trace_dir =
     match List.find_opt (fun b -> not (eligible b)) algos with
     | Some b -> `Error (false, Printf.sprintf "%s cannot run %s" cmd (Builders.name b))
@@ -359,8 +361,13 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
   in
   let out_arg =
     Arg.(
-      value & opt string out
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Campaign artifact path.")
+      value
+      & opt (some string) None
+      & info [ "out"; "o" ] ~docv:"FILE"
+          ~doc:
+            (Printf.sprintf
+               "Write the campaign artifact to $(docv) (the committed one is %s). Without                 it no artifact is written."
+               artifact))
   in
   let trace_dir_arg =
     Arg.(
@@ -384,7 +391,7 @@ let matrix_term ~cmd ~eligible ~show ~out ~axis ~cause ~daemons_doc =
 (* The artifact is opened and the trace directory made (if missing)
    before any cell runs. *)
 let open_outputs m =
-  let oc = open_out_or_exit m.out in
+  let oc = open_opt m.out in
   (match m.trace_dir with
   | Some dir when Sys.file_exists dir ->
       if not (Sys.is_directory dir) then cannot_write dir "Not a directory"
@@ -401,10 +408,14 @@ let finish cmd m oc ~lines ~json ~cells ~failed =
   | Some dir -> Format.printf "traces: one JSONL file per cell in %s@." dir
   | None -> ());
   List.iter (Format.printf "%s@.") lines;
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Metrics.Json.to_channel oc json);
+  Option.iter
+    (fun (_, oc) ->
+      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Metrics.Json.to_channel oc json))
+    oc;
   let failures = List.length failed in
   Format.printf "%s: %d cells, %d recovered, %d failed -> %s@." cmd cells (cells - failures)
-    failures m.out;
+    failures
+    (match oc with Some (path, _) -> path | None -> "no artifact (--out FILE writes one)");
   if failed <> [] then begin
     List.iter (Format.printf "%s: FAILED %s@." cmd) failed;
     Format.printf "%s: FAIL@." cmd;
@@ -448,7 +459,7 @@ let chaos_cmd =
   in
   let matrix =
     matrix_term ~cmd:"chaos" ~eligible:(fun _ -> true) ~show:Builders.name
-      ~out:"CHAOS_repro.json" ~axis:"PLAN" ~cause:"its fault injection"
+      ~artifact:"CHAOS_repro.json" ~axis:"PLAN" ~cause:"its fault injection"
       ~daemons_doc:
         "Greedy-max/greedy-min add the potential-adversarial daemons. The synchronous \
          daemon is deliberately not a default: the MST builder can livelock under it \
@@ -458,7 +469,7 @@ let chaos_cmd =
     (Cmd.info "chaos" ~exits
        ~doc:
          "Run a seeded fault campaign (algorithms x fault plans x daemons x seeds); \
-          write CHAOS_repro.json; exit 1 if any cell fails to recover.")
+          write its artifact to --out; exit 1 if any cell fails to recover.")
     Term.(const chaos $ matrix $ plans_arg)
 
 let serve_cmd =
@@ -522,7 +533,7 @@ let serve_cmd =
   in
   let matrix =
     matrix_term ~cmd:"serve" ~eligible:Builders.serves ~show:Builders.describe
-      ~out:"SERVICE_repro.json" ~axis:"TRACE"
+      ~artifact:"SERVICE_repro.json" ~axis:"TRACE"
       ~cause:"the churn event (topology edit) that woke it"
       ~daemons_doc:
         "Each cell's escalation rung uses a daemon of the other family (random <-> \
@@ -534,7 +545,7 @@ let serve_cmd =
          "Run a service-mode churn campaign (tree builders x churn traces x daemons x \
           seeds): stabilize, stream topology edits against the live graph, serve reads \
           from committed labels while the builder re-stabilizes under a watchdogged \
-          degradation ladder; write SERVICE_repro.json; exit 1 if any cell fails to \
+          degradation ladder; write its artifact to --out; exit 1 if any cell fails to \
           recover. Builders with a fixed-width codec run on the packed service engine \
           (see SCALING.md).")
     Term.(

@@ -90,6 +90,22 @@ let copy_from ~src ~dst =
   Array.blit src.words 0 dst.words 0 (Array.length src.words);
   dst.card <- src.card
 
+let words t = t.words
+
+let set_word t w x =
+  let old = t.words.(w) in
+  if old <> x then begin
+    t.words.(w) <- x;
+    t.card <- t.card + popcount x - popcount old
+  end
+
+let recount t =
+  let card = ref 0 in
+  for w = 0 to Array.length t.words - 1 do
+    card := !card + popcount t.words.(w)
+  done;
+  t.card <- !card
+
 let inter_inplace t other =
   if t.capacity <> other.capacity then invalid_arg "Bitset.inter_inplace";
   let card = ref 0 in

@@ -55,3 +55,27 @@ val copy_from : src:t -> dst:t -> unit
     [other] — a word-wise AND.
     @raise Invalid_argument on capacity mismatch. *)
 val inter_inplace : t -> t -> unit
+
+(** {2 Word access}
+
+    For member loops that cannot afford a closure call per member (the
+    register stores' round sweeps): under dune's default profile no
+    call into this module is inlined. Member [v] is bit [v land 31] of
+    word [v lsr 5]; the bits above 31 of a word and those past
+    [capacity] stay clear. *)
+
+(** The backing words, shared with [t]. A caller that writes them
+    directly restores the cardinal with {!recount} before the next
+    other call on [t]. *)
+val words : t -> int array
+
+(** [bit_index b] — the index of the single set bit of [b], a power of
+    two below [2^32] (one de Bruijn multiply). *)
+val bit_index : int -> int
+
+(** [set_word t w x] replaces word [w] by [x], keeping the cardinal. *)
+val set_word : t -> int -> int -> unit
+
+(** [recount t] recomputes the cardinal from the words, in
+    [O(capacity/32)]. *)
+val recount : t -> unit

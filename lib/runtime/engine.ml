@@ -43,10 +43,12 @@ module type STORE = sig
   type t
 
   val create : ?profile:Profile.t -> watched:bool -> Graph.t -> regs -> t
-  val probe : t -> int -> bool
-  val commit : t -> int -> bool
-  val overwrite : t -> int -> P.state -> bool
+  val probe_sweep : t -> Bitset.t -> enabled:Bitset.t -> (int -> bool -> bool -> unit) option -> unit
+  val commit_sweep : t -> Bitset.t -> dirty:Bitset.t -> (int -> bool -> bool) option -> int
+  val commit : t -> int -> dirty:Bitset.t -> bool
+  val overwrite : t -> int -> P.state -> dirty:Bitset.t -> bool
   val register : t -> int -> P.state
+  val previous : t -> int -> P.state
   val move : t -> int -> P.state
   val bits : t -> int -> int
   val bits_summary : t -> int * int
@@ -61,32 +63,38 @@ end
 (* The incremental executor. Trajectory-identical to [run_reference]
    (the equivalence suites pin this on both stores):
 
-   - Move cache: the store memoizes the move [P.step] returned the last
-     time [v]'s view changed ([St.probe]), so a write applies the cached
-     register ([St.commit]) instead of re-running the guard; membership
-     in [enabled] says whether the cached move is live.
+   - Move cache: a probe sweep memoizes the move [P.step] returned the
+     last time [v]'s view changed, so a write applies the cached
+     register instead of re-running the guard; membership in [enabled]
+     says whether the cached move is live.
    - Enabled set: one bitset — O(1) insert/remove, O(Δ) guard probes
      per write, and a daemon pick scans n/32 words plus the enabled
      nodes (a de Bruijn multiply per member) instead of probing all n
      guards. Every pick enumerates it in increasing node order.
    - Round accounting: [pending] is a bitset; pruning it is a
      word-wise AND against the enabled set.
-   - Per-run O(n) scratch: the enabled, dirty, pending and batch
-     bitsets (n/32 words each) and the store's own arrays; the
-     LIFO daemon's step clock and the tracing arrays exist only in the
-     runs that read them.
+   - Per-run O(n) scratch: the enabled, dirty and pending bitsets
+     (n/32 words each) and the store's own arrays; the distributed
+     daemon's chosen set, the LIFO daemon's step clock and the tracing
+     arrays exist only in the runs that read them.
 
-   Under the synchronous daemon the guard re-probes of a whole batch
-   of writes are coalesced: marking is O(Δ) per write, and each node
-   in the union of the writers' closed neighborhoods is re-evaluated
-   once per round rather than once per writing neighbor. The cache is
+   Guards are re-evaluated by the store's probe sweep over the dirty
+   set. A synchronous round is two sweeps: the commit sweep writes the
+   whole enabled set and marks the writers' closed neighbourhoods
+   dirty, then one probe sweep re-evaluates each node of their union
+   once per round rather than once per writing neighbour. The cache is
    only read at round boundaries there, so deferral is unobservable.
-   The sequential daemons flush after every write because the next
-   guard read happens immediately.
+   The sequential daemons commit one node at a time and flush after
+   every write, because the next guard read happens immediately.
 
-   With no hook attached the steady-state loop allocates nothing on
-   the packed store (pinned by a [Gc.minor_words] test): the scans
-   below are hoisted closures over preallocated refs. *)
+   What a write or a probe owes the run beyond the registers and the
+   sets — the step count, the pending set and every hook — is [moved]
+   and [probed]. The sequential daemons call [moved] after every
+   write; the sweeps call [moved] and [probed] per node only when a
+   hook needs them. With no hook attached a synchronous round is the
+   two sweeps plus O(n/32) set arithmetic, and on the packed store the
+   steady-state loop allocates nothing (pinned by [Gc.minor_words]
+   tests). *)
 
 (* Precomputed per-node adjacency, shared by every view of a run. *)
 type net = { g : Graph.t; ids : int array array; weights : int array array }
@@ -153,8 +161,7 @@ module Loop (St : STORE) = struct
        [cause_buf.(v)] accumulates the ids of the events whose writes
        dirtied [v]'s view since [v]'s guard last consumed them;
        [enablers.(v)] freezes, at the moment [v]'s cached move (re-)
-       appears, the ids that woke it — emitted as that move's [causes].
-       [cur_eid] is the id of the write being propagated by [touch]. *)
+       appears, the ids that woke it — emitted as that move's [causes]. *)
     let tracing = events <> None in
     (* The sink owns the timeline: this run's rounds and steps continue
        from its clock, and the sources it recorded since the last run
@@ -170,32 +177,36 @@ module Loop (St : STORE) = struct
     let cause_buf = if tracing then Array.make n [] else [||] in
     let enablers = if tracing then Array.make n [] else [||] in
     let just_moved = if tracing then Array.make n false else [||] in
-    let cur_eid = ref (-1) in
     (* Rule tags re-box the old register and the move; only a sink or a
        profile reads them. *)
     let classify = if tracing || profile <> None then P.classify else None in
     let enabled = Bitset.create n in
-    let recompute v =
-      (match profile with Some p -> Profile.on_guard p | None -> ());
-      let was = Bitset.mem enabled v in
-      let now = St.probe st v in
+    let dirty = Bitset.create n in
+    (* What re-evaluating [v]'s guard owes the hooks; [was]/[now]: its
+       membership in [enabled] before and after. *)
+    let probed v was now =
+      (match profile with
+      | Some p ->
+          Profile.on_guard p;
+          if was <> now then Profile.on_churn p
+      | None -> ());
       if tracing then begin
         if now && ((not was) || just_moved.(v)) then enablers.(v) <- List.rev cause_buf.(v)
         else if not now then enablers.(v) <- [];
         just_moved.(v) <- false;
         cause_buf.(v) <- []
-      end;
-      (match profile with Some p -> if was <> now then Profile.on_churn p | None -> ());
-      if now then Bitset.add enabled v else Bitset.remove enabled v
+      end
     in
+    let on_probe = if tracing || profile <> None then Some probed else None in
     (* A warm start probes only the seeds: the caller vouches that
        every other node is disabled (see [?warm] in engine.mli). *)
     (match warm with
     | None ->
         for v = 0 to n - 1 do
-          recompute v
+          Bitset.add dirty v
         done
-    | Some seeds -> Array.iter recompute seeds);
+    | Some seeds -> Array.iter (Bitset.add dirty) seeds);
+    St.probe_sweep st dirty ~enabled on_probe;
     (* Seed provenance for nodes the *initial configuration* enables:
        the caller perturbed a silent configuration outside the engine
        and emitted the source events itself ([Events.emit_sources]).
@@ -204,31 +215,23 @@ module Loop (St : STORE) = struct
     Option.iter
       (fun causes -> Bitset.iter (fun v -> enablers.(v) <- causes v) enabled)
       source_causes;
-    let dirty = Bitset.create n in
-    let mark u =
-      Bitset.add dirty u;
-      if tracing && !cur_eid >= 0 then cause_buf.(u) <- !cur_eid :: cause_buf.(u)
-    in
-    let touch v =
-      (match profile with Some p -> Profile.on_touch p | None -> ());
-      if tracing then begin
-        mark v;
-        for i = row.(v) to row.(v + 1) - 1 do
-          mark col.(i)
-        done
-      end
-      else begin
-        Bitset.add dirty v;
-        for i = row.(v) to row.(v + 1) - 1 do
-          Bitset.add dirty col.(i)
-        done
-      end
-    in
     let flush () =
       if not (Bitset.is_empty dirty) then begin
         (match profile with Some p -> Profile.on_flush p | None -> ());
-        Bitset.iter recompute dirty;
-        Bitset.clear dirty
+        St.probe_sweep st dirty ~enabled on_probe
+      end
+    in
+    (* A write changed [v]'s register and the store marked its closed
+       neighbourhood dirty: the profile counts the wakeup, and the
+       write's event [eid] becomes a pending cause of every guard there. *)
+    let touched v eid =
+      (match profile with Some p -> Profile.on_touch p | None -> ());
+      if tracing then begin
+        cause_buf.(v) <- eid :: cause_buf.(v);
+        for i = row.(v) to row.(v + 1) - 1 do
+          let u = col.(i) in
+          cause_buf.(u) <- eid :: cause_buf.(u)
+        done
       end
     in
     (* Transient faults (see [run_reference]): adversary writes are not
@@ -240,16 +243,13 @@ module Loop (St : STORE) = struct
       | Some f ->
           List.iter
             (fun (v, s) ->
-              if St.overwrite st v s then begin
+              if St.overwrite st v s ~dirty then begin
                 wrote v;
                 max_bits := max !max_bits (St.bits st v);
                 (* A mid-run corruption is a DAG source: the fault event
                    becomes the cause of every move it wakes up. *)
-                (match events with
-                | Some sink -> cur_eid := Events.emit_fault sink ~node:v
-                | None -> ());
-                touch v;
-                cur_eid := -1
+                touched v
+                  (match events with Some sink -> Events.emit_fault sink ~node:v | None -> -1)
               end)
             (f ~round:!rounds (St.config st));
           flush ()
@@ -263,37 +263,55 @@ module Loop (St : STORE) = struct
     let lifo = Array.length last_step_time > 0 in
     let rr_cursor = ref 0 in
     let pending = Bitset.create n in
-    let apply ~defer v =
-      let rule =
-        match classify with
-        | Some f -> Some (f (St.register st v) (St.move st v))
-        | None -> None
-      in
-      let bits_before = if tracing then St.bits st v else 0 in
-      let changed = St.commit st v in
+    (* What the write of [v]'s move owes the run, after the store made
+       it; [changed]: the register physically changed (the store then
+       marked its closed neighbourhood dirty). [false] once the run
+       must stop. *)
+    let moved v changed =
       wrote v;
       incr steps;
       if lifo then last_step_time.(v) <- !steps;
       let bits = St.bits st v in
       if bits > !max_bits then max_bits := bits;
+      let rule =
+        match classify with
+        | Some f -> Some (f (St.previous st v) (St.register st v))
+        | None -> None
+      in
       (match profile with Some p -> Profile.on_move ?rule p | None -> ());
-      (match events with
-      | Some sink ->
-          cur_eid :=
-            Events.emit_move sink ~node:v ~step:(step_base + !steps)
-              ~round:(round_base + !rounds) ?rule ~bits_before ~bits_after:bits
-              ~causes:enablers.(v) ();
-          enablers.(v) <- [];
-          just_moved.(v) <- true
-      | None -> ());
+      let eid =
+        match events with
+        | Some sink ->
+            let eid =
+              Events.emit_move sink ~node:v ~step:(step_base + !steps)
+                ~round:(round_base + !rounds) ?rule
+                ~bits_before:(P.size_bits n (St.previous st v))
+                ~bits_after:bits ~causes:enablers.(v) ()
+            in
+            enablers.(v) <- [];
+            just_moved.(v) <- true;
+            eid
+        | None -> -1
+      in
       (* A physically unchanged register leaves every view — including
          the writer's own — bit-identical, so the caches stay valid. *)
-      if changed then touch v;
-      cur_eid := -1;
-      if not defer then flush ();
+      if changed then touched v eid;
       Bitset.remove pending v;
       (match on_step with Some f -> f v (St.config st) | None -> ());
-      poll_stop ()
+      poll_stop ();
+      not !stop
+    in
+    (* A synchronous round hands [moved] to the commit sweep only when a
+       per-write hook reads it. Without one nothing can stop the run
+       mid-round: a watchdog changes its mind only at round boundaries. *)
+    let on_write =
+      if tracing || profile <> None || on_step <> None || stop_when <> None || warm <> None
+      then Some moved
+      else None
+    in
+    let apply v =
+      ignore (moved v (St.commit st v ~dirty));
+      flush ()
     in
     let round_boundary () =
       (match events with
@@ -325,7 +343,6 @@ module Loop (St : STORE) = struct
        distributed coin flips and the synchronous batch read it
        directly, and the extremal picks, whose result is
        order-independent, scan it with hoisted closures. *)
-    let batch = Bitset.create n in
     let scan_best = ref (-1) in
     let max_scan v = if v > !scan_best then scan_best := v in
     let min_scan v = if !scan_best < 0 || v < !scan_best then scan_best := v in
@@ -403,7 +420,7 @@ module Loop (St : STORE) = struct
     reset_pending ();
     let prune_pending () =
       (* Drop every pending node no longer activatable; nodes that
-         stepped were removed by [apply]. *)
+         stepped were removed by [moved]. *)
       Bitset.inter_inplace pending enabled;
       if Bitset.is_empty pending then begin
         incr rounds;
@@ -411,10 +428,9 @@ module Loop (St : STORE) = struct
         if not (Bitset.is_empty enabled) then reset_pending ()
       end
     in
-    let apply_deferred v = if not !stop then apply ~defer:true v in
     (* A write earlier in the same distributed batch may have disabled
        this candidate: its cached move is no longer live. *)
-    let apply_live v = if (not !stop) && Bitset.mem enabled v then apply ~defer:false v in
+    let apply_live v = if (not !stop) && Bitset.mem enabled v then apply v in
     (* Distributed daemon: one coin flip per candidate in increasing node
        order, then a fallback index draw if none was chosen; the chosen
        nodes then act one after another on the live configuration (the
@@ -432,21 +448,27 @@ module Loop (St : STORE) = struct
     do
       (match sched with
       | Scheduler.Synchronous ->
-          (* The caches were recomputed against the round-top
+          (* The caches were computed against the round-top
              configuration, which is exactly the snapshot the reference
-             engine evaluates moves on — apply the frozen round-top
-             movers directly and re-probe the dirtied closed
-             neighborhoods once at the end of the batch. *)
-          Bitset.copy_from ~src:enabled ~dst:batch;
-          Bitset.iter apply_deferred batch;
+             engine evaluates moves on: write every enabled node's
+             cached move, then re-probe the dirtied closed
+             neighbourhoods once. With no per-write hook the whole
+             batch moves, and it is the whole pending set: the round is
+             over. *)
+          let bits = St.commit_sweep st enabled ~dirty on_write in
+          if bits > !max_bits then max_bits := bits;
+          if Option.is_none on_write then begin
+            steps := !steps + Bitset.cardinal enabled;
+            Bitset.clear pending
+          end;
           flush ()
-      | Scheduler.Central strategy -> apply ~defer:false (pick_central strategy)
+      | Scheduler.Central strategy -> apply (pick_central strategy)
       | Scheduler.Distributed _ ->
-          Bitset.copy_from ~src:enabled ~dst:batch;
           Bitset.clear chosen;
-          Bitset.iter flip batch;
+          Bitset.iter flip enabled;
           if Bitset.is_empty chosen then
-            Bitset.add chosen (Bitset.nth batch (Random.State.int rng (Bitset.cardinal batch)));
+            Bitset.add chosen
+              (Bitset.nth enabled (Random.State.int rng (Bitset.cardinal enabled)));
           Bitset.iter apply_live chosen);
       prune_pending ()
     done;
@@ -509,10 +531,13 @@ end
 (* The boxed store: a [P.state array], the move cache and one scratch
    [View.t] per node for the whole run. [moves.(v)] is [v]'s cached
    move while [v] is enabled (the loop's enabled set says when) and a
-   stale register otherwise, like the packed store's move lanes. A
-   guard probe re-points the view's [self] and [nbrs] slots in place
-   only when a write has landed in the node's closed neighborhood since
-   the last probe ([stale]), so guard probes stop allocating. *)
+   stale register otherwise, like the packed store's move lanes;
+   [prev.(v)] is the register [v] held before its last write. A guard
+   probe re-points the view's [self] and [nbrs] slots in place only
+   when a write has landed in the node's closed neighborhood since the
+   last probe ([stale]), so guard probes stop allocating. Its sweeps
+   are plain member loops over [probe] and [commit]: the boxed guards
+   cost far more than a closure call. *)
 
 module Make (P : Protocol.S) = struct
   type state = P.state
@@ -539,6 +564,7 @@ module Make (P : Protocol.S) = struct
     type t = {
       states : P.state array;
       moves : P.state array;
+      prev : P.state array;
       scratch : P.state View.t array;
       ids : int array array;
       stale : bool array;
@@ -552,17 +578,20 @@ module Make (P : Protocol.S) = struct
       {
         states;
         moves = Array.copy states;
+        prev = Array.copy states;
         scratch = Array.init n (fun v -> view_net net states v);
         ids = net.ids;
         stale = Array.make n false;
         profile;
       }
 
-    let invalidate t v =
+    let invalidate t v ~dirty =
       t.stale.(v) <- true;
+      Bitset.add dirty v;
       let ids = t.ids.(v) in
       for i = 0 to Array.length ids - 1 do
-        t.stale.(ids.(i)) <- true
+        t.stale.(ids.(i)) <- true;
+        Bitset.add dirty ids.(i)
       done
 
     let probe t v =
@@ -582,19 +611,43 @@ module Make (P : Protocol.S) = struct
           true
       | None -> false
 
+    let probe_sweep t dirty ~enabled visit =
+      Bitset.iter
+        (fun v ->
+          let was = Bitset.mem enabled v in
+          let now = probe t v in
+          if now then Bitset.add enabled v else Bitset.remove enabled v;
+          match visit with Some f -> f v was now | None -> ())
+        dirty;
+      Bitset.clear dirty
+
     let move t v = t.moves.(v)
     let register t v = t.states.(v)
+    let previous t v = t.prev.(v)
 
-    let overwrite t v s =
+    let overwrite t v s ~dirty =
+      t.prev.(v) <- t.states.(v);
       t.states.(v) != s
       && begin
            t.states.(v) <- s;
-           invalidate t v;
+           invalidate t v ~dirty;
            true
          end
 
-    let commit t v = overwrite t v (move t v)
+    let commit t v ~dirty = overwrite t v (move t v) ~dirty
     let bits t v = P.size_bits (Array.length t.states) t.states.(v)
+
+    let commit_sweep t batch ~dirty visit =
+      let top = ref 0 and go = ref true in
+      Bitset.iter
+        (fun v ->
+          if !go then begin
+            let changed = commit t v ~dirty in
+            top := max !top (bits t v);
+            match visit with Some f -> go := f v changed | None -> ()
+          end)
+        batch;
+      !top
 
     let bits_summary t =
       let n = Array.length t.states in

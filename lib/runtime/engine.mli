@@ -168,10 +168,22 @@ end
 
 (** {2 The register store}
 
-    Where the registers and the move cache live. The loop calls
-    [probe] once per guard evaluation and [commit] once per move; the
-    boxed accessors ([register], [move], [config]) are read only when a
-    hook needs them. *)
+    Where the registers and the move cache live. The loop evaluates
+    guards only through [probe_sweep], writes a synchronous round with
+    one [commit_sweep] and a sequential daemon's move with [commit];
+    the boxed accessors ([register], [previous], [move], [config]) are
+    read only when a hook needs them.
+
+    {b The sweep contract.} Both sweeps visit the members of a bitset in
+    increasing node order and take an optional per-node callback, the
+    loop's bookkeeping for hooks that watch single steps (events,
+    [profile], [on_step], [stop_when], a warm start's written set).
+    With [None] they do no per-node work beyond the registers and the
+    sets. A synchronous round is [commit_sweep] over the enabled set
+    and then [probe_sweep] over the dirty set it left: every move
+    applies a cache computed on the round-top configuration, and every
+    guard in the writers' closed neighbourhoods is re-evaluated once,
+    on the configuration after the whole batch. *)
 module type STORE = sig
   module P : Protocol.S
 
@@ -185,22 +197,42 @@ module type STORE = sig
       a watchdog will read {!fingerprint} at every round boundary. *)
   val create : ?profile:Profile.t -> watched:bool -> Repro_graph.Graph.t -> regs -> t
 
-  (** [probe t v] evaluates [v]'s guard on the live registers and
-      caches the move; [true] iff [v] is enabled. *)
-  val probe : t -> int -> bool
+  (** [probe_sweep t dirty ~enabled visit] evaluates the guard of every
+      member of [dirty] on the live registers, caching the move of
+      each enabled one and setting its membership in [enabled], then
+      empties [dirty]. With [Some f], [f v was now] is called right
+      after [v]'s guard, [was]/[now] being [v]'s membership before and
+      after; [f] must not read [enabled] or [dirty] (the sweep may
+      hold their words mid-update). *)
+  val probe_sweep :
+    t -> Bitset.t -> enabled:Bitset.t -> (int -> bool -> bool -> unit) option -> unit
 
-  (** [commit t v] writes [v]'s cached move (only called on an enabled
-      [v]); [false] iff the register is physically unchanged, so no
-      view needs a re-probe. *)
-  val commit : t -> int -> bool
+  (** [commit_sweep t batch ~dirty visit] writes the cached move of
+      every member of [batch] (all enabled), adding the closed
+      neighbourhood of each register that physically changed to
+      [dirty]; returns the largest register written, in bits (0 if
+      none). With [Some f], [f v changed] is called right after [v]'s
+      write and marks; when it returns [false] the sweep stops there,
+      leaving the later members unwritten — a stop in the middle of a
+      batch. [f] may read the store and [dirty] but must not write
+      [batch]. *)
+  val commit_sweep : t -> Bitset.t -> dirty:Bitset.t -> (int -> bool -> bool) option -> int
 
-  (** [overwrite t v s] — a fault; [false] iff [s] is already [v]'s
-      register (physically). *)
-  val overwrite : t -> int -> P.state -> bool
+  (** [commit t v ~dirty] writes [v]'s cached move (only called on an
+      enabled [v]) and returns whether the register physically changed;
+      if so [v]'s closed neighbourhood is added to [dirty]. *)
+  val commit : t -> int -> dirty:Bitset.t -> bool
 
-  (** [v]'s register and its cached move, boxed. *)
+  (** [overwrite t v s ~dirty] — a fault; [false] iff [s] is already
+      [v]'s register (physically), else [v]'s closed neighbourhood is
+      added to [dirty]. *)
+  val overwrite : t -> int -> P.state -> dirty:Bitset.t -> bool
+
+  (** [v]'s register, the register its last write replaced (read right
+      after that write) and its cached move, boxed. *)
   val register : t -> int -> P.state
 
+  val previous : t -> int -> P.state
   val move : t -> int -> P.state
 
   (** Register bits of [v], and (max, total) over all nodes. *)

@@ -34,12 +34,18 @@ module Make (P : Protocol.PACKED) = struct
      [node_hash] over all nodes, kept current by every write in
      O(words). A bank the caller owns ([run_bank]) is journaled: the
      first write to a node saves its lanes into [jbuf], so a raising
-     run can be rolled back without copying the bank up front.
+     run can be rolled back without copying the bank up front. [prev]
+     holds the lanes the last write replaced, for [previous].
 
      [size_bits] is content-independent (PACKED contract), so register
      bits are the constant [reg_bits], and a packed move always differs
      from the register it replaces (silence is syntactic in every
-     builder), so a commit always dirties its closed neighborhood. *)
+     builder), so a commit always dirties its closed neighborhood.
+
+     The sweeps walk their bitsets' words in place and decide once per
+     sweep whether a write needs any bookkeeping (journal, fingerprint,
+     mirror, a per-node hook): the steady-state synchronous round of
+     an unwatched fresh bank is two loops over lanes and words. *)
   module Store = struct
     module P = P
 
@@ -52,11 +58,13 @@ module Make (P : Protocol.PACKED) = struct
       mv : int array array;
       pv : Pview.t;
       tmp : int array;
+      prev : int array;
       reg_bits : int;
       mutable mirror : P.state array;
       stale : Bitset.t;
       watched : bool;
       mutable fp : int;
+      journal : bool;
       saved : Bitset.t;
       mutable jbuf : int array;
       mutable jlen : int;
@@ -97,31 +105,23 @@ module Make (P : Protocol.PACKED) = struct
         mv = Array.init P.words (fun _ -> Array.make n 0);
         pv = Pview.of_graph g ~bank;
         tmp = Array.make P.words 0;
+        prev = Array.make P.words 0;
         reg_bits;
         mirror = [||];
         stale = Bitset.create n;
         watched;
         fp = (if watched then bank_fingerprint bank n else 0);
+        journal;
         saved = Bitset.create (if journal then n else 0);
         jbuf = (if journal then Array.make (16 * (P.words + 1)) 0 else [||]);
         jlen = 0;
       }
 
-    let probe t v =
-      let pv = t.pv in
-      pv.Pview.focus <- v;
-      P.step_packed pv
-      && begin
-           for f = 0 to P.words - 1 do
-             t.mv.(f).(v) <- pv.Pview.move.(f)
-           done;
-           true
-         end
-
     (* Bookkeeping around a write of [v]'s lanes: journal the first
-       write, and swap [v]'s hash in the fingerprint. *)
+       write, keep the old lanes for [previous], and swap [v]'s hash in
+       the fingerprint. *)
     let before_write t v =
-      if Bitset.capacity t.saved > 0 && not (Bitset.mem t.saved v) then begin
+      if t.journal && not (Bitset.mem t.saved v) then begin
         Bitset.add t.saved v;
         let w = P.words + 1 in
         if t.jlen + w > Array.length t.jbuf then begin
@@ -135,21 +135,97 @@ module Make (P : Protocol.PACKED) = struct
         done;
         t.jlen <- t.jlen + w
       end;
+      for f = 0 to P.words - 1 do
+        t.prev.(f) <- t.bank.(f).(v)
+      done;
       if t.watched then t.fp <- t.fp - node_hash t.bank v
 
     let after_write t v = if t.watched then t.fp <- t.fp + node_hash t.bank v
 
-    let commit t v =
+    (* [v]'s cached move into the bank; the mirror learns it lazily. *)
+    let write_move t v =
       before_write t v;
       for f = 0 to P.words - 1 do
         t.bank.(f).(v) <- t.mv.(f).(v)
       done;
       after_write t v;
-      if Array.length t.mirror > 0 then Bitset.add t.stale v;
+      if Array.length t.mirror > 0 then Bitset.add t.stale v
+
+    let mark_closed t dirty v =
+      Bitset.add dirty v;
+      let row = t.pv.Pview.row and col = t.pv.Pview.col in
+      for i = row.(v) to row.(v + 1) - 1 do
+        Bitset.add dirty col.(i)
+      done
+
+    let commit t v ~dirty =
+      write_move t v;
+      mark_closed t dirty v;
       true
+
+    let commit_sweep t batch ~dirty visit =
+      let bank = t.bank and mv = t.mv and words = P.words in
+      let row = t.pv.Pview.row and col = t.pv.Pview.col in
+      let bw = Bitset.words batch and dw = Bitset.words dirty in
+      (* Without a hook the mirror cannot appear mid-sweep. *)
+      let plain =
+        Option.is_none visit && (not t.journal) && (not t.watched) && Array.length t.mirror = 0
+      in
+      let go = ref true and w = ref 0 in
+      while !go && !w < Array.length bw do
+        let bits = ref bw.(!w) in
+        while !go && !bits <> 0 do
+          let b = !bits land - !bits in
+          bits := !bits lxor b;
+          let v = (!w lsl 5) lor Bitset.bit_index b in
+          if plain then
+            for f = 0 to words - 1 do
+              bank.(f).(v) <- mv.(f).(v)
+            done
+          else write_move t v;
+          dw.(v lsr 5) <- dw.(v lsr 5) lor (1 lsl (v land 31));
+          for i = row.(v) to row.(v + 1) - 1 do
+            let u = col.(i) in
+            dw.(u lsr 5) <- dw.(u lsr 5) lor (1 lsl (u land 31))
+          done;
+          match visit with Some f -> go := f v true | None -> ()
+        done;
+        incr w
+      done;
+      Bitset.recount dirty;
+      if Bitset.is_empty batch then 0 else t.reg_bits
+
+    let probe_sweep t dirty ~enabled visit =
+      let pv = t.pv and mv = t.mv and words = P.words in
+      let out = pv.Pview.move in
+      let dw = Bitset.words dirty and ew = Bitset.words enabled in
+      for w = 0 to Array.length dw - 1 do
+        let d = dw.(w) in
+        if d <> 0 then begin
+          let e = ref ew.(w) and bits = ref d in
+          while !bits <> 0 do
+            let b = !bits land - !bits in
+            bits := !bits lxor b;
+            let v = (w lsl 5) lor Bitset.bit_index b in
+            pv.Pview.focus <- v;
+            let now = P.step_packed pv in
+            if now then begin
+              for f = 0 to words - 1 do
+                mv.(f).(v) <- out.(f)
+              done;
+              e := !e lor b
+            end
+            else e := !e land lnot b;
+            match visit with Some f -> f v (ew.(w) land b <> 0) now | None -> ()
+          done;
+          Bitset.set_word enabled w !e;
+          Bitset.set_word dirty w 0
+        end
+      done
 
     let register t v = unbox t t.bank v
     let move t v = unbox t t.mv v
+    let previous t _ = P.unpack ~n:t.n t.prev
 
     let config t =
       if Array.length t.mirror <> t.n then begin
@@ -162,7 +238,7 @@ module Make (P : Protocol.PACKED) = struct
       end;
       t.mirror
 
-    let overwrite t v s =
+    let overwrite t v s ~dirty =
       let mirror = config t in
       mirror.(v) != s
       && begin
@@ -173,6 +249,7 @@ module Make (P : Protocol.PACKED) = struct
              t.bank.(f).(v) <- a.(f)
            done;
            after_write t v;
+           mark_closed t dirty v;
            true
          end
 

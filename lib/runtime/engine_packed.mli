@@ -7,8 +7,11 @@
     length n), neighbor scans walk the graph's CSR arrays, and guard
     probes and commits go through one reusable {!Pview.t}, so with no
     hook attached the steady-state loop performs no allocation (pinned
-    by a [Gc.minor_words] test; see SCALING.md for the memory model and
-    the measured big-n tables). The equivalence suites pin steps,
+    by [Gc.minor_words] tests; see SCALING.md for the memory model and
+    the measured big-n tables). A synchronous round is the store's two
+    sweeps ({!Engine.STORE}), each one loop over a bitset's words with
+    the lanes and the journal, fingerprint and mirror decisions taken
+    once per sweep. The equivalence suites pin steps,
     rounds, max_bits, final configurations and event traces identical
     to the boxed store and to [run_reference] on shared seeds.
 

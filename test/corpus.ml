@@ -17,7 +17,12 @@
      after 25 writes, with two nodes corrupted at round 2: the run's
      counts, a digest of its moves (node, rule tag and the written
      register's codec words, or its Marshal bytes without a codec) and
-     a digest of the series the event sink folds.
+     a digest of the series the event sink folds;
+   - tie trajectories: the same cells for a toy aggregate whose order
+     sees only [value / 2], so a node equidistant from the two sources
+     adopts whichever [Aggregate.target]'s tie rule picks. The shipped
+     builders order their aggregates totally, where equal-hops ties
+     between equal values cannot show in any register.
 
    A deliberate change regenerates the file with `dune promote`; dune's
    diff names the cells that moved. *)
@@ -25,6 +30,7 @@
 open Repro_graph
 open Repro_runtime
 module E = Graph.Edge
+module Aggregate = Repro_core.Aggregate
 module Builders = Repro_campaign.Builders
 
 let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 16
@@ -201,6 +207,55 @@ let trajectories_of (type s) (e : s Builders.entry) (label, sd, g) =
         [ (false, false); (true, false); (false, true); (true, true) ])
     Scheduler.extended
 
+(* Nodes 0 and 1 publish the values 0 and 1, which compare equal; every
+   other node adopts the nearer of them, and a node at equal hops from
+   both keeps its first neighbour's (the lower id's) value. Legal = the
+   fixpoint everywhere. *)
+module Tie = struct
+  type state = int Aggregate.t option
+
+  let compare a b = Int.compare (a / 2) (b / 2)
+  let equal_state = Aggregate.equal Int.equal
+
+  let pp_state ppf = function
+    | None -> Format.pp_print_string ppf "-"
+    | Some { Aggregate.value; hops } -> Format.fprintf ppf "%d@%d" value hops
+
+  let size_bits n = Space.opt (fun _ -> 1 + Space.dist_bits n)
+  let initial _ _ = None
+
+  let random_state st g _ =
+    if Random.State.bool st then None
+    else Some { Aggregate.value = Random.State.int st 4; hops = Random.State.int st (Graph.n g) }
+
+  let base v = if v < 2 then Some v else None
+
+  let step (view : state View.t) =
+    Aggregate.step ~compare ~n:view.n ~base:(base view.id) ~self:view.self ~nbrs:view.nbrs
+      ~get:Fun.id
+
+  let is_legal g sts =
+    List.for_all
+      (fun v ->
+        let nbrs = Array.map (fun (u, _) -> sts.(u)) (Graph.neighbors g v) in
+        Aggregate.step ~compare ~n:(Graph.n g) ~base:(base v) ~self:sts.(v) ~nbrs ~get:Fun.id
+        = None)
+      (List.init (Graph.n g) Fun.id)
+
+  let potential _ _ = None
+  let classify = None
+end
+
+let tie =
+  {
+    Builders.name = "aggregate-tie";
+    protocol = (module Tie);
+    tree = None;
+    packed = None;
+    cheap_phi = false;
+    note = (fun ~adversarial:_ _ _ -> "");
+  }
+
 let trajectories () =
   let graphs =
     List.mapi
@@ -212,7 +267,7 @@ let trajectories () =
   in
   List.iter
     (fun (Builders.Builder e) -> List.iter (trajectories_of e) graphs)
-    Builders.all
+    (Builders.all @ [ Builders.Builder tie ])
 
 let () =
   graphs ();

@@ -303,6 +303,38 @@ let test_allocation_free () =
   if delta > 16.0 then
     Alcotest.failf "%d packed steps allocated %.0f minor words" (b - a) delta
 
+(* The same for a synchronous round, which with no hook attached is the
+   store's two sweeps and no per-node call back into the loop: nothing
+   can observe the run from inside, so whole [run_bank] calls are
+   measured. A run allocates a constant amount for its store, bitsets,
+   journal and closures. From one n = 2 000 start, a one-round run and
+   the full run (8x the steps, 21 rounds) must both stay under a bound
+   that one word per step would break, and the full run may allocate
+   only a few words more than the one-round run. *)
+let test_sync_allocation_free () =
+  let module Ep = Engine_packed.Make (Spt_builder.Packed) in
+  let n = 2_000 in
+  let g = Generators.random_connected (seed 64) ~n ~m:(2 * n) in
+  let init = Ep.pack_bank ~n (Ep.adversarial (seed 65) g) in
+  let run max_rounds =
+    let bank = Array.map Array.copy init in
+    let before = Gc.minor_words () in
+    let s = Ep.run_bank ~max_rounds g Scheduler.Synchronous (seed 66) ~bank in
+    (s, Gc.minor_words () -. before)
+  in
+  let short, short_words = run 1 and full, full_words = run 200_000 in
+  Alcotest.(check bool) "full run went silent" true full.Ep.silent;
+  Alcotest.(check bool) "the full run takes 8x the steps" true
+    (full.Ep.steps >= 8 * short.Ep.steps && full.Ep.rounds > 20);
+  List.iter
+    (fun (what, words) ->
+      if words > 4096.0 then
+        Alcotest.failf "%s synchronous run_bank allocated %.0f minor words" what words)
+    [ ("a one-round", short_words); ("the full", full_words) ];
+  if full_words -. short_words > 32.0 then
+    Alcotest.failf "%d more rounds allocated %.0f more minor words" (full.Ep.rounds - 1)
+      (full_words -. short_words)
+
 (* The packed engine is the boxed engine with every hook attached: the
    same executor loop over the other register store. From adversarial
    starts on the extended daemon roster, with an event ring (Φ at
@@ -383,9 +415,12 @@ let hooks_equal (type s) (module B : Protocol.PACKED with type state = s) (sd, g
 (* The packed store on its own: the watchdog's fingerprint is kept per
    write, and a journaled bank is restored on rollback. From an
    adversarial bank, commit enabled nodes in random order and overwrite
-   random nodes with fresh registers (a fault); after every write the
-   incremental fingerprint must equal the one a fresh store computes
-   from scratch, and rolling back must give the starting bank. *)
+   random nodes with fresh registers (a fault), then run synchronous
+   rounds as the loop does (a commit sweep over the enabled set, a
+   probe sweep over the dirty set), with and without a per-node
+   callback; after every write and every round the incremental
+   fingerprint must equal the one a fresh store computes from scratch,
+   and rolling back must give the starting bank. *)
 
 let fingerprint_tracks (type s) (module B : Protocol.PACKED with type state = s) (sd, g) =
   let module Ep = Engine_packed.Make (B) in
@@ -400,17 +435,32 @@ let fingerprint_tracks (type s) (module B : Protocol.PACKED with type state = s)
     if St.fingerprint st <> from_scratch () then
       QCheck2.Test.fail_reportf "fingerprint drifted after %s (n=%d)" what n
   in
+  let enabled = Bitset.create n and dirty = Bitset.create n in
   check "create";
   for _ = 1 to 4 * n do
     let v = Random.State.int rng n in
     if Random.State.int rng 4 = 0 then begin
-      ignore (St.overwrite st v (B.random_state rng g v));
+      ignore (St.overwrite st v (B.random_state rng g v) ~dirty);
       check "an overwrite"
     end
-    else if St.probe st v then begin
-      ignore (St.commit st v);
-      check "a commit"
+    else begin
+      Bitset.add dirty v;
+      St.probe_sweep st dirty ~enabled None;
+      if Bitset.mem enabled v then begin
+        ignore (St.commit st v ~dirty);
+        check "a commit"
+      end
     end
+  done;
+  for v = 0 to n - 1 do
+    Bitset.add dirty v
+  done;
+  St.probe_sweep st dirty ~enabled None;
+  for round = 1 to 6 do
+    let visit = if round mod 2 = 0 then Some (fun _ _ -> true) else None in
+    ignore (St.commit_sweep st enabled ~dirty visit);
+    check (Printf.sprintf "sweep round %d" round);
+    St.probe_sweep st dirty ~enabled None
   done;
   St.rollback st;
   if bank <> start then QCheck2.Test.fail_reportf "rollback did not restore the bank";
@@ -430,6 +480,41 @@ let test_run_bank_rollback () =
   in
   (match Ep.run_bank ~on_step g Scheduler.Synchronous (seed 73) ~bank with
   | _ -> Alcotest.fail "the hook did not raise"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "bank restored" true (bank = start)
+
+(* The same when the guard itself raises, in the middle of a probe
+   sweep of a synchronous run with no hook attached: a commit sweep has
+   written the bank by then, and the journal restores it. *)
+module Raising_spt = struct
+  include Spt_builder.Packed
+
+  let calls = ref 0
+  let raise_at = ref 0
+
+  let step_packed pv =
+    incr calls;
+    if !calls = !raise_at then failwith "guard";
+    step_packed pv
+end
+
+let test_run_bank_rollback_mid_sweep () =
+  let module Ep = Engine_packed.Make (Raising_spt) in
+  let n = 60 in
+  let g = Generators.random_connected (seed 74) ~n ~m:(2 * n) in
+  let bank = Ep.pack_bank ~n (Ep.adversarial (seed 75) g) in
+  let start = Array.map Array.copy bank in
+  let run bank ~raise_at =
+    Raising_spt.calls := 0;
+    Raising_spt.raise_at := raise_at;
+    Ep.run_bank g Scheduler.Synchronous (seed 76) ~bank
+  in
+  (* Unraising, the run makes more than 2n guard calls: the n-th ends
+     the initial scan, so the 2n-th falls in a later probe sweep. *)
+  ignore (run (Array.map Array.copy bank) ~raise_at:(-1));
+  Alcotest.(check bool) "the run outlasts 2n guard calls" true (!Raising_spt.calls > 2 * n);
+  (match run bank ~raise_at:(2 * n) with
+  | _ -> Alcotest.fail "the guard did not raise"
   | exception Failure _ -> ());
   Alcotest.(check bool) "bank restored" true (bank = start)
 
@@ -481,6 +566,8 @@ let () =
             test_telemetry_identical;
           Alcotest.test_case "steady-state loop is allocation-free" `Quick
             test_allocation_free;
+          Alcotest.test_case "synchronous rounds are allocation-free" `Quick
+            test_sync_allocation_free;
         ] );
       ("engine-hooks", hook_props);
       ( "store",
@@ -488,5 +575,7 @@ let () =
         @ [
             Alcotest.test_case "run_bank rolls the bank back on raise" `Quick
               test_run_bank_rollback;
+            Alcotest.test_case "run_bank rolls back a guard raising mid-sweep" `Quick
+              test_run_bank_rollback_mid_sweep;
           ] );
     ]
